@@ -7,151 +7,84 @@ for the command line interface and the acceptance scenarios.
 """
 
 from .classical import (
-    FlowResult,
-    LiouvilleResult,
     classify_integrability,
     coarea_check,
-    divergence_probe,
-    flow_points,
-    level_volume,
-    levelset_components,
     levelset_connected,
     liouville_integral,
     mu_average,
 )
-from .eig import (
-    EigenWindow,
-    RadialChannel,
-    count_in_window,
-    eigs_in_window,
-    radial_channels,
-    sturm_count,
-    weighted_count,
-)
-from .errors import ConfigError, NumericalError, exit_code_for
+from .eig import eigs_in_window, radial_channels
+from .errors import ConfigError, HypothesisError, NumericalError, exit_code_for
 from .experiments import (
-    FitResult,
-    RatioLimit,
-    ScalingLaw,
     ScanResult,
     ScanRow,
-    TwoWellsResult,
-    TwoWellsRow,
+    default_center,
     fit_log_coefficient,
     fit_scaling,
+    log_decay_slope,
     predict_scaling,
     ratio_limit,
     run_scan,
     scaling_branches,
     scan_from_csv,
     scan_to_csv,
+    singular_limit,
+    solve_window,
     two_wells_experiment,
 )
 from .microlocal import (
-    CoherentFrame,
-    MicrolocalRecord,
     egorov_defect,
     microlocal_records,
-    smoothed_trace,
+    radial_state_averages,
     upsilon,
     upsilon_a,
 )
-from .model import (
-    CriticalPoint,
-    HypothesisError,
-    HypothesisReport,
-    PhasePolynomial,
-    Polynomial1D,
-    SymbolModel,
-    catalog,
-    check_hypotheses,
-    eval_symbol,
-    find_critical_points,
-    get_model,
-    window_critical_point,
-)
-from .observables import Observable, ObservableParseError, parse_observable
-from .quantize import (
-    DiscreteOperator,
-    Grid1D,
-    build_schrodinger,
-    build_split,
-    grid_for_schrodinger,
-    grid_for_split,
-)
-from .scenarios import SCENARIOS, Check, ScenarioReport, run_scenario
+from .model import catalog, get_model
+from .observables import ObservableParseError, parse_observable
+from .quantize import Grid1D, grid_for_schrodinger
+from .scenarios import SCENARIOS, run_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Check",
-    "CoherentFrame",
     "ConfigError",
-    "CriticalPoint",
-    "DiscreteOperator",
-    "EigenWindow",
-    "FitResult",
-    "FlowResult",
     "Grid1D",
     "HypothesisError",
-    "HypothesisReport",
-    "LiouvilleResult",
-    "MicrolocalRecord",
     "NumericalError",
-    "Observable",
     "ObservableParseError",
-    "PhasePolynomial",
-    "Polynomial1D",
-    "RadialChannel",
-    "RatioLimit",
     "SCENARIOS",
-    "ScalingLaw",
     "ScanResult",
     "ScanRow",
-    "ScenarioReport",
-    "SymbolModel",
-    "TwoWellsResult",
-    "TwoWellsRow",
-    "build_schrodinger",
-    "build_split",
     "catalog",
-    "check_hypotheses",
     "classify_integrability",
     "coarea_check",
-    "divergence_probe",
-    "count_in_window",
+    "default_center",
     "egorov_defect",
     "eigs_in_window",
-    "eval_symbol",
     "exit_code_for",
-    "find_critical_points",
     "fit_log_coefficient",
     "fit_scaling",
-    "flow_points",
     "get_model",
     "grid_for_schrodinger",
-    "grid_for_split",
-    "level_volume",
     "levelset_connected",
-    "levelset_components",
     "liouville_integral",
+    "log_decay_slope",
     "microlocal_records",
     "mu_average",
     "parse_observable",
     "predict_scaling",
     "radial_channels",
+    "radial_state_averages",
     "ratio_limit",
     "run_scan",
     "run_scenario",
     "scaling_branches",
     "scan_from_csv",
     "scan_to_csv",
-    "smoothed_trace",
-    "sturm_count",
+    "singular_limit",
+    "solve_window",
     "two_wells_experiment",
     "upsilon",
     "upsilon_a",
-    "weighted_count",
-    "window_critical_point",
     "__version__",
 ]

@@ -41,21 +41,17 @@ from .model import CriticalPoint, Polynomial1D, SymbolModel, _poly_roots_in
 
 __all__ = [
     "LiouvilleResult",
-    "EnergySurface1D",
     "FlowResult",
     "liouville_integral",
     "level_volume",
     "mu_average",
-    "divergence_probe",
     "classify_integrability",
     "allowed_intervals",
-    "energy_surface",
     "levelset_components",
     "levelset_connected",
     "coarea_area",
     "coarea_check",
     "flow_points",
-    "flow_pullback",
 ]
 
 # A non-integrable tail keeps shell sums from shrinking: borderline (log) decay
@@ -75,32 +71,6 @@ class LiouvilleResult:
     error_estimate: float = 0.0
     shell_ratios: tuple[float, ...] = ()
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class EnergySurface1D:
-    """Level set of xi^2 + V at one energy: branches and turning points."""
-
-    energy: float
-    branches: tuple[tuple[tuple[float, float], int], ...]  # (x-interval, xi sign)
-    turning_points: tuple[float, ...]
-
-
-def energy_surface(model: SymbolModel, energy: float,
-                   search: tuple[float, float] = SEARCH_BOX) -> EnergySurface1D:
-    if model.family != "schrodinger1d":
-        raise ValueError("energy surfaces in branch form exist for potentials only")
-    intervals = allowed_intervals(model.potential, energy, search)
-    branches = []
-    turning = []
-    for lo, hi in intervals:
-        branches.append(((lo, hi), +1))
-        branches.append(((lo, hi), -1))
-        for t in (lo, hi):
-            if t != search[0] and t != search[1]:
-                turning.append(t)
-    return EnergySurface1D(energy=energy, branches=tuple(branches),
-                           turning_points=tuple(sorted(set(turning))))
 
 
 def _as_symbol_callable(a):
@@ -402,11 +372,6 @@ def _shell_ratios_2d(p_func, grad_func, energy: float, z0: tuple[float, float],
     return [cur / prev for prev, cur in zip(vals[:-1], vals[1:]) if prev > 0 and cur > 0]
 
 
-def _on_level_critical(model: SymbolModel, energy: float):
-    return [c for c in model.critical_points
-            if abs(c.critical_energy - energy) <= 1e-9 * max(1.0, abs(energy))]
-
-
 def _liouville_phase(model: SymbolModel, a, energy: float, rtol: float,
                      resolution: int, allow_critical: bool) -> LiouvilleResult:
     a = _as_symbol_callable(a)
@@ -415,7 +380,7 @@ def _liouville_phase(model: SymbolModel, a, energy: float, rtol: float,
     grad_func = p.gradient
 
     all_ratios: list[float] = []
-    for cp in _on_level_critical(model, energy):
+    for cp in model.critical_points_at(energy):
         if not allow_critical:
             raise ConfigError(
                 f"E={energy:.6g} passes through the critical point at "
@@ -487,11 +452,6 @@ def mu_average(model: SymbolModel, a, energy: float, **kw) -> float:
     return num.value / vol.value
 
 
-def divergence_probe(model: SymbolModel, energy: float) -> LiouvilleResult:
-    """Finite Liouville mass (equilibrium branch) vs divergent (Dirac branch)."""
-    return level_volume(model, energy, allow_critical=True)
-
-
 def classify_integrability(cp: CriticalPoint, model: SymbolModel) -> str:
     """Closed-form tail class of the Liouville density at a critical energy.
 
@@ -504,8 +464,8 @@ def classify_integrability(cp: CriticalPoint, model: SymbolModel) -> str:
     polynomial critical level integrable.
 
     Returns one of "integrable", "non_integrable", "logarithmic_borderline";
-    the dyadic-shell probe in :func:`divergence_probe` is the numerical
-    cross-check of the same trichotomy.
+    the dyadic-shell probe of ``level_volume(..., allow_critical=True)`` is
+    the numerical cross-check of the same trichotomy.
     """
     if model.family == "schrodinger1d":
         return "non_integrable"
@@ -547,7 +507,7 @@ def levelset_components(model: SymbolModel, energy: float, resolution: int = 512
     if not segments:
         return 0
     cell_diag = math.hypot((box[1] - box[0]) / resolution, (box[3] - box[2]) / resolution)
-    for cp in _on_level_critical(model, energy):
+    for cp in model.critical_points_at(energy):
         z0 = cp.z0
         anchor = ("node", z0)
         for seg in segments:
@@ -755,8 +715,3 @@ def flow_points(model: SymbolModel, x0, xi0, t: float, dt: float | None = None,
         f"energy drift {last_drift:.3e} still above {drift_tol:.1e} * {scale:.3g} "
         f"after 6 step halvings")
 
-
-def flow_pullback(model: SymbolModel, a, t: float, x, xi, **kw) -> np.ndarray:
-    """Values of a composed with the time-t flow at the given phase points."""
-    res = flow_points(model, x, xi, t, **kw)
-    return np.asarray(a(res.x, res.xi))

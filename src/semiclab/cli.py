@@ -20,27 +20,23 @@ from pathlib import Path
 import numpy as np
 
 from .classical import liouville_integral, mu_average
-from .eig import eigs_in_window, radial_channels, weighted_count
+# eigs_in_window is unused here; perfbench/test_perfbench.py::
+# test_wrapper_reaches_from_import_aliases_and_restores expects this module to hold it
+from .eig import eigs_in_window, radial_channels  # noqa: F401
 from .errors import ConfigError, HypothesisError, NumericalError, exit_code_for
 from .experiments import (
-    _phase_split_parts,
     default_center,
     fit_scaling,
     run_scan,
     scaling_branches,
     scan_from_csv,
     scan_to_csv,
+    solve_window,
 )
-from .microlocal import microlocal_records, radial_position_averages
+from .microlocal import microlocal_records, radial_state_averages, upsilon, upsilon_a
 from .model import PhasePolynomial, Polynomial1D, SymbolModel, catalog, get_model
 from .observables import ObservableParseError, parse_observable
-from .quantize import (
-    Grid1D,
-    build_schrodinger,
-    build_split,
-    grid_for_schrodinger,
-    grid_for_split,
-)
+from .quantize import Grid1D
 from .scenarios import run_scenario
 
 
@@ -79,7 +75,7 @@ def read_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments are skipped."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -272,21 +268,6 @@ def _grid_override(m: SymbolModel, cfg: dict) -> Grid1D | None:
         raise ConfigError(str(exc)) from None
 
 
-def _window_1d(m: SymbolModel, h: float, e_center: float, d: float, ppw: int,
-               grid: Grid1D | None, vectors: bool):
-    lo, hi = e_center - d * h, e_center + d * h
-    if m.family == "schrodinger1d":
-        if grid is None:
-            grid = grid_for_schrodinger(m.potential, h, e_center, d=d, ppw=ppw)
-        op = build_schrodinger(m.potential, h, grid, window_top=hi)
-    else:
-        f, g = _phase_split_parts(m)
-        if grid is None:
-            grid = grid_for_split(f, g, h, e_center, d=d)
-        op = build_split(f, g, h, grid, window_top=hi)
-    return eigs_in_window(op, lo, hi, vectors=vectors)
-
-
 SPECTRUM_SPEC = {"model": str, "h": float, "ecenter": float, "d": float,
                  "ppw": int, "n": int, "box": str, "out": str}
 
@@ -299,18 +280,17 @@ def cmd_spectrum(args) -> int:
     if cfg.get("ecenter") is None:
         cfg["ecenter"] = default_center(m)
     h, e_center, d = cfg["h"], cfg["ecenter"], cfg["d"]
-    lo, hi = e_center - d * h, e_center + d * h
     if m.family == "radial2d":
         if cfg.get("n") is not None or cfg.get("box") is not None:
             raise ConfigError("grid overrides --n/--box apply to 1d models only")
-        chans = radial_channels(m.potential, h, lo, hi, d=d, ppw=cfg["ppw"],
-                                vectors=False)
+        chans = radial_channels(m.potential, h, e_center - d * h, e_center + d * h,
+                                d=d, ppw=cfg["ppw"], vectors=False)
         header = ["m", "weight", "j", "eigenvalue"]
         rows = [[ch.m, ch.weight, j, _fmt(lam)]
                 for ch in chans for j, lam in enumerate(ch.window.eigenvalues)]
     else:
-        win = _window_1d(m, h, e_center, d, cfg["ppw"], _grid_override(m, cfg),
-                         vectors=False)
+        win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"], vectors=False,
+                           grid=_grid_override(m, cfg))
         header = ["j", "eigenvalue"]
         rows = [[j, _fmt(lam)] for j, lam in enumerate(win.eigenvalues)]
     _emit_text(_csv_text("spectrum", cfg, header, rows), cfg.get("out"))
@@ -337,7 +317,6 @@ def cmd_measure(args) -> int:
         cfg["ecenter"] = default_center(m)
     obs = parse_observable(cfg["obs"])
     h, e_center, d = cfg["h"], cfg["ecenter"], cfg["d"]
-    lo, hi = e_center - d * h, e_center + d * h
 
     if m.family == "radial2d":
         if obs.routing != "position_only":
@@ -348,25 +327,20 @@ def cmd_measure(args) -> int:
             raise ConfigError(
                 "anti-Wick averages need a planar coherent frame; radial "
                 "windows have none (use weyl)")
-        chans = radial_channels(m.potential, h, lo, hi, d=d, ppw=cfg["ppw"],
-                                vectors=True)
-        mean, per_state = radial_position_averages(
-            chans, lambda r: obs(r, np.zeros_like(r)))
-        records = []
-        i = 0
-        for ch in chans:
-            for j in range(ch.window.count):
-                records.append({
-                    "m": int(ch.m), "weight": int(ch.weight), "j": j,
+        chans = radial_channels(m.potential, h, e_center - d * h, e_center + d * h,
+                                d=d, ppw=cfg["ppw"], vectors=True)
+        records = [{"m": int(ch.m), "weight": int(ch.weight), "j": j,
                     "eigenvalue": float(ch.window.eigenvalues[j]),
-                    "nu_weyl": float(per_state[i]),
-                    "method": "radial-position"})
-                i += 1
-        payload = {"config": _echo("measure", cfg),
-                   "upsilon": float(weighted_count(chans)),
-                   "weighted_mean": float(mean), "records": records}
+                    "nu_weyl": float(nu), "method": "radial-position"}
+                   for ch, nus in zip(chans, radial_state_averages(chans, obs))
+                   for j, nu in enumerate(nus)]
+        if not records:
+            raise NumericalError("no states in the radial window")
+        ups = upsilon(chans)
+        payload = {"config": _echo("measure", cfg), "upsilon": ups,
+                   "weighted_mean": upsilon_a(chans, obs) / ups, "records": records}
     else:
-        win = _window_1d(m, h, e_center, d, cfg["ppw"], None, vectors=True)
+        win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"])
         recs = microlocal_records(win, obs)
         records = []
         for r in recs:
@@ -450,7 +424,7 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"law must be auto, regular or critical, got {law!r}")
     try:
         text = Path(cfg["in"]).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scan file {cfg['in']}: {exc}") from None
     scan = scan_from_csv(text)
     model = _get_model(scan.model)
@@ -466,15 +440,8 @@ def cmd_fit(args) -> int:
                 f"no {law} scaling branch for model {scan.model!r} at "
                 f"E_c={_fmt(scan.e_center)}")
     fit = fit_scaling(scan, candidates=candidates, model=model)
-    payload = {"config": _echo("fit", cfg),
-               "model": scan.model, "e_center": float(scan.e_center),
-               "alpha_hat": float(fit.alpha_hat),
-               "beta_hat": int(fit.beta_hat),
-               "coeff_hat": float(fit.coeff_hat),
-               "offset_hat": float(fit.offset_hat),
-               "residual": float(fit.residual),
-               "law": fit.law, "n_rows": int(fit.n_rows),
-               "decades": float(fit.decades), "burned": int(fit.burned)}
+    payload = {"config": _echo("fit", cfg), "model": scan.model,
+               "e_center": float(scan.e_center), **fit.as_dict()}
     _emit_json(payload, cfg.get("out"))
     return 0
 

@@ -1,9 +1,10 @@
 """Windowed eigensolves with independent counting certificates.
 
-Eigenvalues in a closed energy window [lo, hi] are computed by LAPACK's
-bisection + inverse-iteration drivers (scipy ``eigh_tridiagonal`` /
-``eig_banded`` with ``select='v'``), which scale with the window population
-rather than the matrix size.  For tridiagonal operators the count is
+Eigenvalues in a closed energy window [lo, hi] of a tridiagonal operator
+are computed by LAPACK's bisection + inverse-iteration driver (scipy
+``eigh_tridiagonal`` with ``select='v'``), which scales with the window
+population rather than the matrix size; split and dense operators go
+through a full dense ``eigh``.  For tridiagonal operators the count is
 cross-checked against a hand-rolled Sturm sequence; a disagreement that
 cannot be blamed on window-edge ties raises ``NumericalError`` instead of
 being papered over.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError
 from .quantize import DiscreteOperator, Grid1D, dense_matrix, resolution_dx, schrodinger_box
@@ -41,10 +42,8 @@ __all__ = [
     "sturm_count",
     "count_in_window",
     "eigs_in_window",
-    "eigvals_in_range",
     "radial_grid",
     "radial_channels",
-    "weighted_count",
 ]
 
 MAX_CHANNELS = 512
@@ -117,17 +116,13 @@ def count_in_window(diag, offdiag, lo: float, hi: float) -> int:
 def _operator_scale(op: DiscreteOperator) -> float:
     if op.form == "tridiagonal":
         return float(np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.offdiag)))
-    if op.form == "banded":
-        return float(np.max(np.abs(op.bands[2]))
-                     + 2.0 * np.max(np.abs(op.bands[1]))
-                     + 2.0 * np.max(np.abs(op.bands[0])))
     if op.form == "split":
         return float(np.max(np.abs(op.mult_x)) + np.max(np.abs(op.mult_xi)))
     return float(np.max(np.abs(op.matrix)) * op.size ** 0.5)
 
 
 def _window_solve(op: DiscreteOperator, lo: float, hi: float, want_vectors: bool,
-                  pad: float = 0.0):
+                  pad: float):
     """Raw LAPACK call over a slightly widened half-open range."""
     nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), pad)
     vl, vu = lo - nudge, hi + nudge
@@ -137,13 +132,6 @@ def _window_solve(op: DiscreteOperator, lo: float, hi: float, want_vectors: bool
         else:
             w = eigh_tridiagonal(op.diag, op.offdiag, select="v",
                                  select_range=(vl, vu), eigvals_only=True)
-            v = None
-        return w, v
-    if op.form == "banded":
-        if want_vectors:
-            w, v = eig_banded(op.bands, select="v", select_range=(vl, vu))
-        else:
-            w = eig_banded(op.bands, select="v", select_range=(vl, vu), eigvals_only=True)
             v = None
         return w, v
     m = dense_matrix(op)
@@ -208,12 +196,6 @@ def eigs_in_window(
     return EigenWindow(h=op.h, lo=lo, hi=hi, eigenvalues=w, vectors=v,
                        edge_flags=flags, residual_max=resid, count_check=check,
                        grid=op.grid)
-
-
-def eigvals_in_range(op: DiscreteOperator, lo: float, hi: float) -> np.ndarray:
-    """Eigenvalues only, closed range, no certificates (for smoothed traces)."""
-    w, _ = _window_solve(op, lo, hi, want_vectors=False)
-    return w[(w >= lo) & (w <= hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +270,3 @@ def radial_channels(
                                       window=win, v_centrifugal=cent))
     return channels
 
-
-def weighted_count(channels: list[RadialChannel]) -> float:
-    """Multiplicity-weighted number of window states across all channels."""
-    return float(sum(c.weight * c.window.count for c in channels))

@@ -12,8 +12,10 @@ geometry of the energy surface:
 * homogeneous phase-space criticality of order k: alpha = 2n/k - n, with a
   |log h| factor exactly when 2n/k is an integer.
 
-The branch with the slowest decay dominates.  ``run_scan`` measures the
-counts (and observable-weighted counts) over an h grid; ``fit_scaling``
+The branch with the slowest decay dominates.  ``solve_window`` is the one
+builder of a 1D spectral window, shared by scans, scenarios and the command
+line; ``run_scan`` measures the counts (and observable-weighted counts)
+over an h grid; ``fit_scaling``
 recovers (alpha, beta) from measured rows by a model race: pure and
 background-augmented power/log laws with nonnegative coefficients compete
 under BIC, after a burn-in that drops rows whose energy window overlaps a
@@ -30,19 +32,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import level_volume, mu_average
-from .eig import eigs_in_window, radial_channels, weighted_count
+from .eig import EigenWindow, eigs_in_window, radial_channels
 from .errors import ConfigError, HypothesisError, NumericalError
 from .microlocal import default_frame, upsilon, upsilon_a, weyl_averages
-from .model import Polynomial1D, SymbolModel, get_model
+from .model import SymbolModel, get_model
 from .observables import Observable, parse_observable
 from .quantize import (
+    Grid1D,
     build_schrodinger,
     build_split,
     grid_for_schrodinger,
@@ -61,6 +62,7 @@ __all__ = [
     "scaling_branches",
     "default_h_values",
     "default_center",
+    "solve_window",
     "run_scan",
     "scan_to_csv",
     "scan_from_csv",
@@ -70,22 +72,12 @@ __all__ = [
     "singular_limit",
     "log_decay_slope",
     "two_wells_experiment",
-    "thread_count",
 ]
 
 _INT_TOL = 1e-9
-
-
-def thread_count() -> int:
-    """Worker count from SEMICLAB_THREADS (default 1)."""
-    raw = os.environ.get("SEMICLAB_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ConfigError(f"SEMICLAB_THREADS={raw!r} is not an integer")
-    if v < 1:
-        raise ConfigError(f"SEMICLAB_THREADS={raw!r} must be >= 1")
-    return v
+_ALPHA_MIN = -1.5  # low end of the exponent grid of the free fit
+# smallest h whose fit weights h^_ALPHA_MIN |log h| stay finite
+_H_MIN = 1e-200
 
 
 def default_center(model: SymbolModel) -> float:
@@ -104,11 +96,6 @@ class ScalingLaw:
         return h**self.alpha * abs(math.log(h)) ** self.beta
 
 
-def _on_center_critical(model: SymbolModel, e_center: float):
-    return [c for c in model.critical_points
-            if abs(c.critical_energy - e_center) <= 1e-9 * max(1.0, abs(e_center))]
-
-
 def scaling_branches(model: SymbolModel, e_center: float) -> tuple[ScalingLaw, ...]:
     """All predicted branches of the window count at this center energy."""
     n = model.n
@@ -122,7 +109,7 @@ def scaling_branches(model: SymbolModel, e_center: float) -> tuple[ScalingLaw, .
         coeff = None
     laws = [ScalingLaw(alpha=float(1 - n), beta=0, coefficient=coeff,
                        origin="regular_weyl")]
-    for cp in _on_center_critical(model, e_center):
+    for cp in model.critical_points_at(e_center):
         if model.family in ("schrodinger1d", "radial2d"):
             if cp.order % 2 != 0:
                 continue  # odd-order saddle: no extremal branch
@@ -186,7 +173,7 @@ class ScanResult:
 
 
 def default_h_values(route: str) -> tuple[float, ...]:
-    """12 points over two decades for banded solvers, 8 over one otherwise.
+    """12 points over two decades for tridiagonal solvers, 8 over one otherwise.
 
     Dense and radial routes stop at h = 1e-2: the dense eigensolve and the
     channel sweep grow too fast below that.
@@ -196,22 +183,34 @@ def default_h_values(route: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(0.1, 0.01, 8))
 
 
-def _phase_split_parts(model: SymbolModel) -> tuple[Polynomial1D, Polynomial1D]:
-    fx = {}
-    gx = {}
-    for i, j, c in model.phase_poly.terms:
-        if j == 0:
-            fx[i] = fx.get(i, 0.0) + c
-        elif i == 0:
-            gx[j] = gx.get(j, 0.0) + c
-        else:
-            raise ConfigError(
-                f"model {model.name!r} has the mixed term x^{i} xi^{j}; "
-                "only split phase symbols are quantizable here")
-    def to_poly(d):
-        deg = max(d) if d else 0
-        return Polynomial1D(tuple(d.get(k, 0.0) for k in range(deg + 1)))
-    return to_poly(fx), to_poly(gx)
+def solve_window(model: SymbolModel, h: float, e_center: float, d: float = 5.0,
+                 ppw: int = 64, vectors: bool = True, h_max: float | None = None,
+                 grid: Grid1D | None = None) -> EigenWindow:
+    """Eigenpairs of a 1D model in the window [e_center - d h, e_center + d h].
+
+    Potential models take the finite-difference route, split phase symbols
+    f(x) + g(xi) the Fourier-multiplier route.  The automatic grid sizes its
+    box from ``h_max``, the largest h of the surrounding scan (``None``: this
+    h), and ``grid`` replaces it.  Either way the operator is checked
+    against the resolution or aliasing policy at the window top.
+    """
+    lo, hi = e_center - d * h, e_center + d * h
+    if model.family == "schrodinger1d":
+        if grid is None:
+            grid = grid_for_schrodinger(model.potential, h, e_center, d=d,
+                                        h_max=h_max, ppw=ppw)
+        op = build_schrodinger(model.potential, h, grid, window_top=hi)
+    elif model.family == "phase1d":
+        if not model.phase_poly.is_split():
+            raise ConfigError(f"model {model.name!r} has mixed x*xi terms; only "
+                              "split phase symbols are quantizable here")
+        f, g = model.phase_poly.split_parts()
+        if grid is None:
+            grid = grid_for_split(f, g, h, e_center, d=d, h_max=h_max)
+        op = build_split(f, g, h, grid, window_top=hi)
+    else:
+        raise ConfigError(f"{model.family} models are solved by radial_channels")
+    return eigs_in_window(op, lo, hi, vectors=vectors)
 
 
 def _scan_route(model: SymbolModel) -> str:
@@ -221,30 +220,22 @@ def _scan_route(model: SymbolModel) -> str:
 def _scan_one(model: SymbolModel, route: str, h: float, h_max: float,
               e_center: float, d: float, ppw: int,
               observables: tuple[Observable, ...]) -> ScanRow:
-    lo, hi = e_center - d * h, e_center + d * h
     need_vectors = bool(observables)
     nan_obs = tuple(math.nan for _ in observables)
 
     try:
         if route == "radial":
-            chans = radial_channels(model.potential, h, lo, hi, d=d, h_max=h_max,
-                                    ppw=ppw, vectors=need_vectors)
-            ups = weighted_count(chans)
+            chans = radial_channels(model.potential, h, e_center - d * h, e_center + d * h,
+                                    d=d, h_max=h_max, ppw=ppw, vectors=need_vectors)
+            ups = upsilon(chans)
             obs_vals = tuple(upsilon_a(chans, o) for o in observables)
             n_grid = max((c.window.grid.n for c in chans), default=0)
             residual = max((c.window.residual_max for c in chans
                             if c.window.residual_max is not None), default=0.0)
-            tie = any(bool(np.any(c.window.edge_flags)) for c in chans)
+            tie = any(c.window.has_ties for c in chans)
         else:
-            if route == "fd":
-                grid = grid_for_schrodinger(model.potential, h, e_center, d=d,
-                                            h_max=h_max, ppw=ppw)
-                op = build_schrodinger(model.potential, h, grid, window_top=hi)
-            else:
-                f, g = _phase_split_parts(model)
-                grid = grid_for_split(f, g, h, e_center, d=d, h_max=h_max)
-                op = build_split(f, g, h, grid, window_top=hi)
-            win = eigs_in_window(op, lo, hi, vectors=need_vectors)
+            win = solve_window(model, h, e_center, d=d, ppw=ppw, vectors=need_vectors,
+                               h_max=h_max)
             ups = upsilon(win)
             frame = None
             obs_vals = []
@@ -253,9 +244,9 @@ def _scan_one(model: SymbolModel, route: str, h: float, h_max: float,
                     frame = default_frame(win)
                 obs_vals.append(upsilon_a(win, o, frame) if win.count else 0.0)
             obs_vals = tuple(obs_vals)
-            n_grid = grid.n
+            n_grid = win.grid.n
             residual = win.residual_max if win.residual_max is not None else 0.0
-            tie = bool(np.any(win.edge_flags))
+            tie = win.has_ties
         ratios = tuple(v / ups if ups > 0 else math.nan for v in obs_vals)
         return ScanRow(h=h, n_grid=n_grid, upsilon=ups, upsilon_obs=obs_vals,
                        ratios=ratios, residual_max=residual, tie=tie)
@@ -278,8 +269,7 @@ def run_scan(
     Rows are ordered by decreasing h.  A failing h (grid cap, aliasing,
     solver trouble) is recorded in its row's error column and the scan
     continues.  The geometry box is chosen once from the largest h so all
-    rows share comparable grids.  SEMICLAB_THREADS > 1 distributes rows over
-    a thread pool; results are identical to the serial order.
+    rows share comparable grids.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -299,15 +289,7 @@ def run_scan(
             if o.routing != "position_only":
                 raise ConfigError(
                     f"radial scans take position observables a(r); got {o.id!r}")
-    h_max = hs[0]
-
-    workers = thread_count()
-    if workers == 1:
-        rows = [_scan_one(model, route, h, h_max, e_center, d, ppw, obs) for h in hs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda h: _scan_one(model, route, h, h_max, e_center, d, ppw, obs), hs))
+    rows = [_scan_one(model, route, h, hs[0], e_center, d, ppw, obs) for h in hs]
     return ScanResult(model=model.name, family=model.family, e_center=e_center,
                       d=d, route=route, ppw=ppw,
                       observable_ids=tuple(o.id for o in obs), rows=tuple(rows))
@@ -315,6 +297,13 @@ def run_scan(
 
 def _fmt(v: float) -> str:
     return format(v, ".12g")
+
+
+def _csv_header(observable_ids) -> list[str]:
+    header = ["h", "n_grid", "upsilon", "residual_max", "tie", "error"]
+    for oid in observable_ids:
+        header += [f"upsilon_a[{oid}]", f"ratio[{oid}]"]
+    return header
 
 
 def scan_to_csv(scan: ScanResult) -> str:
@@ -328,10 +317,7 @@ def scan_to_csv(scan: ScanResult) -> str:
     out.write(f"# ppw={scan.ppw}\n")
     out.write(f"# observables={'|'.join(scan.observable_ids)}\n")
     w = csv.writer(out, lineterminator="\n")
-    header = ["h", "n_grid", "upsilon", "residual_max", "tie", "error"]
-    for oid in scan.observable_ids:
-        header += [f"upsilon_a[{oid}]", f"ratio[{oid}]"]
-    w.writerow(header)
+    w.writerow(_csv_header(scan.observable_ids))
     for r in scan.rows:
         row = [_fmt(r.h), str(r.n_grid), _fmt(r.upsilon), _fmt(r.residual_max),
                "1" if r.tie else "0", r.error]
@@ -341,7 +327,31 @@ def scan_to_csv(scan: ScanResult) -> str:
     return out.getvalue()
 
 
+def _csv_row(rec: list[str], width: int) -> ScanRow:
+    """One data row of ``scan_to_csv``; NaN only where it writes NaN."""
+    if len(rec) != width:
+        raise ConfigError(f"{len(rec)} fields, the header has {width}")
+    if rec[4] not in ("0", "1"):
+        raise ConfigError(f"tie must be 0 or 1, got {rec[4]!r}")
+    try:
+        h, ups, residual = float(rec[0]), float(rec[2]), float(rec[3])
+        n_grid = int(rec[1])
+        pairs = [float(v) for v in rec[6:]]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"h must be finite and positive, got {rec[0]!r}")
+    vals, ratios = tuple(pairs[0::2]), tuple(pairs[1::2])
+    # a failed row is all NaN; an empty window has NaN ratios
+    finite = (ups, residual, *vals) + (ratios if ups > 0 else ())
+    if not rec[5] and not all(math.isfinite(v) for v in finite):
+        raise ConfigError("non-finite value in a row without an error")
+    return ScanRow(h=h, n_grid=n_grid, upsilon=ups, upsilon_obs=vals, ratios=ratios,
+                   residual_max=residual, tie=rec[4] == "1", error=rec[5])
+
+
 def scan_from_csv(text: str) -> ScanResult:
+    """Parse the output of ``scan_to_csv``; anything else is a ConfigError."""
     meta = {}
     data_lines = []
     for line in text.splitlines():
@@ -354,21 +364,29 @@ def scan_from_csv(text: str) -> ScanResult:
     missing = [k for k in required if k not in meta]
     if missing:
         raise ConfigError(f"scan CSV is missing metadata keys: {', '.join(missing)}")
-    reader = csv.reader(data_lines)
-    header = next(reader)
+    try:
+        e_center, d, ppw = float(meta["e_center"]), float(meta["d"]), int(meta["ppw"])
+    except ValueError as exc:
+        raise ConfigError(f"scan CSV metadata: {exc}") from None
+    if not (math.isfinite(e_center) and math.isfinite(d) and d > 0):
+        raise ConfigError("scan CSV metadata: e_center must be finite and d positive")
     obs_ids = tuple(o for o in meta["observables"].split("|") if o)
+    header = _csv_header(obs_ids)
     rows = []
-    for rec in reader:
-        base = 6
-        vals = tuple(float(rec[base + 2 * i]) for i in range(len(obs_ids)))
-        rats = tuple(float(rec[base + 2 * i + 1]) for i in range(len(obs_ids)))
-        rows.append(ScanRow(h=float(rec[0]), n_grid=int(rec[1]), upsilon=float(rec[2]),
-                            upsilon_obs=vals, ratios=rats, residual_max=float(rec[3]),
-                            tie=rec[4] == "1", error=rec[5]))
-    return ScanResult(model=meta["model"], family=meta["family"],
-                      e_center=float(meta["e_center"]), d=float(meta["d"]),
-                      route=meta["route"], ppw=int(meta["ppw"]),
-                      observable_ids=obs_ids, rows=tuple(rows))
+    try:
+        reader = csv.reader(data_lines)
+        if next(reader, None) != header:
+            raise ConfigError(f"scan CSV header must be {','.join(header)}")
+        for lineno, rec in enumerate(reader, 2):
+            try:
+                rows.append(_csv_row(rec, len(header)))
+            except ConfigError as exc:
+                raise ConfigError(f"scan CSV data line {lineno}: {exc}") from None
+    except csv.Error as exc:
+        raise ConfigError(f"scan CSV: {exc}") from None
+    return ScanResult(model=meta["model"], family=meta["family"], e_center=e_center,
+                      d=d, route=meta["route"], ppw=ppw, observable_ids=obs_ids,
+                      rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +405,20 @@ class FitResult:
     decades: float
     burned: int  # rows dropped because their window touched another critical level
 
+    def as_dict(self) -> dict:
+        """The fields as plain Python numbers, for byte-stable JSON."""
+        return {
+            "alpha_hat": float(self.alpha_hat),
+            "beta_hat": int(self.beta_hat),
+            "coeff_hat": float(self.coeff_hat),
+            "offset_hat": float(self.offset_hat),
+            "residual": float(self.residual),
+            "law": self.law,
+            "n_rows": int(self.n_rows),
+            "decades": float(self.decades),
+            "burned": int(self.burned),
+        }
+
 
 def _fit_rows(scan_or_rows):
     if isinstance(scan_or_rows, ScanResult):
@@ -394,6 +426,8 @@ def _fit_rows(scan_or_rows):
     else:
         rows = [(float(h), float(u)) for h, u in scan_or_rows]
     rows = [(h, u) for h, u in rows if u > 0 and math.isfinite(u)]
+    if not all(_H_MIN <= h < math.inf for h, _ in rows):
+        raise ConfigError(f"fits take finite h >= {_H_MIN:g}")
     rows.sort(key=lambda r: -r[0])
     if len(rows) < 5:
         raise ConfigError(f"need at least 5 usable rows to fit, got {len(rows)}")
@@ -423,8 +457,9 @@ def _burn_in(rows, scan_or_rows, model):
     if model is None or not isinstance(scan_or_rows, ScanResult):
         return rows, 0
     e_center, d = scan_or_rows.e_center, scan_or_rows.d
+    on_center = model.critical_points_at(e_center)
     gaps = [abs(c.critical_energy - e_center) for c in model.critical_points
-            if abs(c.critical_energy - e_center) > 1e-9]
+            if c not in on_center]
     if not gaps:
         return rows, 0
     nearest = min(gaps)
@@ -439,7 +474,7 @@ def _family_fit(hs, us, beta, offset, alpha_hi=0.5):
     from scipy.optimize import nnls
 
     best = None
-    for alpha in np.arange(-1.5, alpha_hi + 1e-9, 0.005):
+    for alpha in np.arange(_ALPHA_MIN, alpha_hi + 1e-9, 0.005):
         w = hs**alpha * np.abs(np.log(hs)) ** beta
         design = np.column_stack([np.ones_like(hs), w]) if offset else w[:, None]
         sol, rnorm = nnls(design, us)
@@ -568,7 +603,7 @@ def _ratio_target(scan: ScanResult, observable_id: str, model: SymbolModel | Non
     if target == "liouville":
         target_value = mu_average(model, obs, scan.e_center)
     elif target == "dirac":
-        cps = _on_center_critical(model, scan.e_center)
+        cps = model.critical_points_at(scan.e_center)
         if not cps:
             raise ConfigError(
                 f"no critical point at E={scan.e_center:.6g} for a dirac target")
@@ -740,10 +775,7 @@ def two_wells_experiment(h_values=(0.05, 0.035, 0.025, 0.018, 0.012, 0.008),
     rows = []
     hs = sorted(float(v) for v in h_values)
     for h in reversed(hs):
-        grid = grid_for_schrodinger(model.potential, h, e_center, d=d,
-                                    h_max=max(hs), ppw=ppw)
-        op = build_schrodinger(model.potential, h, grid)
-        win = eigs_in_window(op, e_center - d * h, e_center + d * h)
+        win = solve_window(model, h, e_center, d=d, ppw=ppw, h_max=max(hs))
         if win.count == 0:
             rows.append(TwoWellsRow(h=h, count=0, left_fraction=math.nan,
                                     pair_gaps=(), state_splits=()))

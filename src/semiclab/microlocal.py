@@ -33,14 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import flow_points
-from .eig import EigenWindow, RadialChannel, eigvals_in_range
+from .eig import EigenWindow, RadialChannel
 from .errors import NumericalError
 from .model import SymbolModel
 from .observables import Observable
 from .quantize import (
     DENSE_CAP,
     CoherentFrame,
-    DiscreteOperator,
     build_coherent_frame,
     build_weyl_observable,
     antiwick_batch,
@@ -54,9 +53,7 @@ __all__ = [
     "default_frame",
     "upsilon",
     "upsilon_a",
-    "radial_position_averages",
-    "measure_gap",
-    "smoothed_trace",
+    "radial_state_averages",
     "egorov_defect",
 ]
 
@@ -217,97 +214,26 @@ def upsilon_a(window, obs: Observable, frame: CoherentFrame | None = None) -> fl
     if isinstance(window, EigenWindow):
         vals, _method, _frame = _weyl_or_reference(window, obs, frame)
         return float(np.sum(vals))
-    total = 0.0
-    for ch in window:
-        win = ch.window
-        if win.count == 0:
-            continue
-        if win.vectors is None:
-            raise ValueError("radial channels were solved without eigenvectors")
-        if obs.routing != "position_only":
-            raise ValueError("radial windows take position observables a(r) only")
-        ar = np.asarray(obs(win.grid.nodes, 0.0), dtype=float)
-        total += ch.weight * float(np.sum(ar @ (win.vectors ** 2)))
-    return total
+    return sum((ch.weight * float(np.sum(vals))
+                for ch, vals in zip(window, radial_state_averages(window, obs))), 0.0)
 
 
-def radial_position_averages(channels: list[RadialChannel], a) -> tuple[float, list[float]]:
-    """Weighted mean and per-state values of a(r) across radial channels.
+def radial_state_averages(channels: list[RadialChannel], obs: Observable) -> list[np.ndarray]:
+    """<a> of every state of every radial channel, one array per channel.
 
-    Eigenvectors hold sqrt(r dr) psi(r), so the plane average of a(r) is a
-    plain l2 sum over the vector entries.
+    Eigenvectors hold sqrt(r dr) psi(r), so the plane average of a position
+    observable a(r) is a plain l2 sum over the vector entries.
     """
-    per_state: list[float] = []
-    weights: list[float] = []
+    if obs.routing != "position_only":
+        raise ValueError("radial windows take position observables a(r) only")
+    out = []
     for ch in channels:
         win = ch.window
         if win.vectors is None:
             raise ValueError("radial channels were solved without eigenvectors")
-        r = win.grid.nodes
-        ar = np.asarray(a(r), dtype=float)
-        for j in range(win.count):
-            per_state.append(float(ar @ (win.vectors[:, j] ** 2)))
-            weights.append(ch.weight)
-    if not per_state:
-        raise NumericalError("no states in the radial window")
-    w = np.asarray(weights)
-    vals = np.asarray(per_state)
-    return float(np.sum(w * vals) / np.sum(w)), per_state
-
-
-def measure_gap(records: list[MicrolocalRecord]) -> float:
-    """Largest Weyl/anti-Wick disagreement across the window (O(h) check)."""
-    if not records:
-        raise ValueError("no records")
-    return max(abs(r.gap) for r in records)
-
-
-# ---------------------------------------------------------------------------
-# Smoothed spectral traces
-
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
-def smoothed_trace(op: DiscreteOperator, e_center: float, kind: str = "gaussian",
-                   sigma: float = 1.0, d: float = 5.0, rolloff: float = 1.0,
-                   cutoff: float = 8.0) -> float:
-    """Smoothly weighted spectral count around e_center, in units of h.
-
-    ``gaussian`` sums exp(-u^2 / 2 sigma^2) over u = (lambda - E) / h; the
-    tail is certified by recomputing with a widened harvest window and
-    demanding agreement to 1e-8.  ``smoothed_indicator`` is a C^1 plateau:
-    1 for |u| <= d - rolloff, 0 for |u| >= d + rolloff, a cubic smoothstep
-    between, so it differs from the sharp count of {|u| <= d} by at most
-    the number of eigenvalues inside the roll-off bands; its support makes
-    the harvest window exact.
-    """
-    if kind == "gaussian":
-        scale = sigma * op.h
-
-        def partial(c):
-            w = eigvals_in_range(op, e_center - c * scale, e_center + c * scale)
-            return float(np.sum(np.exp(-0.5 * ((w - e_center) / scale) ** 2)))
-
-        t0 = partial(cutoff)
-        t1 = partial(cutoff + 2.0)
-        if abs(t1 - t0) > 1e-8 * (1.0 + abs(t1)):
-            raise NumericalError(
-                f"smoothed trace tail not converged: {t0:.10g} vs {t1:.10g} "
-                f"at cutoff {cutoff}")
-        return t1
-
-    if kind == "smoothed_indicator":
-        if not 0.0 < rolloff <= d:
-            raise ValueError("need 0 < rolloff <= d")
-        span = (d + rolloff) * op.h
-        w = eigvals_in_range(op, e_center - span, e_center + span)
-        u = np.abs(w - e_center) / op.h
-        return float(np.sum(_smoothstep((d + rolloff - u) / (2.0 * rolloff))))
-
-    raise ValueError(f"unknown weight {kind!r}")
+        ar = np.asarray(obs(win.grid.nodes, 0.0), dtype=float)
+        out.append(ar @ (win.vectors ** 2))
+    return out
 
 
 # ---------------------------------------------------------------------------

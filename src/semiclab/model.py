@@ -27,12 +27,10 @@ __all__ = [
     "SymbolModel",
     "HypothesisReport",
     "HypothesisError",
-    "eval_symbol",
     "find_critical_points",
     "check_hypotheses",
     "catalog",
     "get_model",
-    "window_critical_point",
 ]
 
 GRAD_TOL = 1e-12
@@ -214,11 +212,11 @@ class SymbolModel:
         xi = np.asarray(xi, dtype=float)
         return xi**2 + self.potential(x)
 
-    def potential_min(self, lo: float, hi: float) -> float:
-        xs = np.linspace(lo, hi, 4097)
-        if self.family == "phase1d":
-            raise ValueError("phase1d models have no scalar potential")
-        return float(np.min(self.potential(xs)))
+    def critical_points_at(self, energy: float) -> tuple[CriticalPoint, ...]:
+        """The critical points on the level {p = energy}, to a relative 1e-9."""
+        tol = 1e-9 * max(1.0, abs(energy))
+        return tuple(c for c in self.critical_points
+                     if abs(c.critical_energy - energy) <= tol)
 
     def with_critical_points(self, pts) -> "SymbolModel":
         return SymbolModel(
@@ -246,10 +244,6 @@ class HypothesisReport:
         if not self.passed:
             what = "; ".join(f"{h}: {d}" for h, d in self.failures)
             raise HypothesisError(f"model {self.model}: {what}")
-
-
-def eval_symbol(model: SymbolModel, x, xi):
-    return model.eval(x, xi)
 
 
 def _bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -620,10 +614,3 @@ def get_model(name: str) -> SymbolModel:
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {', '.join(sorted(_CATALOG))}")
 
-
-def window_critical_point(model: SymbolModel, e_center: float) -> CriticalPoint | None:
-    """The critical point sitting at the window center energy, if any."""
-    for p in model.critical_points:
-        if abs(p.critical_energy - e_center) <= 1e-9:
-            return p
-    return None

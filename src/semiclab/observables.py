@@ -473,16 +473,6 @@ class Observable:
 
         return pack(xs), pack(xis)
 
-    def bound_on(self, box: tuple[float, float, float, float], samples: int = 513) -> float:
-        """Sampled sup of |a| on a phase-space box (boundedness certificate).
-
-        An odd node count keeps the box center on the lattice.
-        """
-        x = np.linspace(box[0], box[1], samples)
-        xi = np.linspace(box[2], box[3], samples)
-        vals = self.expr.eval(x[:, None], xi[None, :])
-        return float(np.max(np.abs(vals)))
-
 
 def parse_observable(text: str) -> Observable:
     """Parse the expression language into an Observable.

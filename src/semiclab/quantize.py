@@ -1,10 +1,9 @@
 """Discrete quantizations: finite-difference, Fourier-multiplier and Weyl.
 
-Grids carry their boundary convention explicitly.  Operators come in four
+Grids carry their boundary convention explicitly.  Operators come in three
 storage forms:
 
 * ``tridiagonal``  -- real symmetric, second-order finite differences;
-* ``banded``       -- real symmetric pentadiagonal, fourth-order stencil;
 * ``split``        -- f(x) + g(h D) on a periodic grid, applied by FFT;
 * ``dense``        -- full Hermitian matrix (Weyl-quantized observables,
                       or split operators assembled column by column).
@@ -24,7 +23,7 @@ of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "build_split",
     "build_weyl_observable",
     "build_coherent_frame",
-    "antiwick_value",
     "antiwick_batch",
     "dense_matrix",
     "resolution_dx",
@@ -98,12 +96,11 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    form: str  # "tridiagonal" | "banded" | "split" | "dense"
+    form: str  # "tridiagonal" | "split" | "dense"
     h: float
     grid: Grid1D
     diag: np.ndarray | None = None
     offdiag: np.ndarray | None = None
-    bands: np.ndarray | None = None  # upper-band storage, shape (3, N)
     mult_x: np.ndarray | None = None
     mult_xi: np.ndarray | None = None
     matrix: np.ndarray | None = None
@@ -127,16 +124,6 @@ class DiscreteOperator:
             out = self.diag * v
             out[:-1] += self.offdiag * v[1:]
             out[1:] += self.offdiag * v[:-1]
-            return out
-        if self.form == "banded":
-            d = self.bands[2]
-            o1 = self.bands[1, 1:]
-            o2 = self.bands[0, 2:]
-            out = d * v
-            out[:-1] += o1 * v[1:]
-            out[1:] += o1 * v[:-1]
-            out[:-2] += o2 * v[2:]
-            out[2:] += o2 * v[:-2]
             return out
         if self.form == "split":
             return self.mult_x * v + np.fft.ifft(self.mult_xi * np.fft.fft(v))
@@ -234,20 +221,15 @@ def build_schrodinger(
     V,
     h: float,
     grid: Grid1D,
-    fd_order: int = 2,
     window_top: float | None = None,
 ) -> DiscreteOperator:
-    """Finite-difference -h^2 d^2/dx^2 + V with Dirichlet walls.
+    """Second-order finite-difference -h^2 d^2/dx^2 + V with Dirichlet walls.
 
     With ``window_top`` given, grids coarser than the resolution policy are
-    rejected.  The fourth-order stencil is intended for small h where the
-    second-order eigenvalue bias h^2 dx^2 <psi''''> would dominate the window
-    width.
+    rejected.
     """
     if grid.boundary != "dirichlet":
         raise ValueError("finite-difference operators use dirichlet grids")
-    if fd_order not in (2, 4):
-        raise ValueError("fd_order must be 2 or 4")
     x = grid.nodes
     v = np.asarray(V(x), dtype=float)
     if window_top is not None:
@@ -256,15 +238,9 @@ def build_schrodinger(
             raise NumericalError(
                 f"grid step {grid.dx:.3e} violates resolution policy {dx_max:.3e}")
     t = h * h / (grid.dx * grid.dx)
-    if fd_order == 2:
-        diag = 2.0 * t + v
-        off = np.full(grid.n - 1, -t)
-        return DiscreteOperator("tridiagonal", h, grid, diag=diag, offdiag=off)
-    bands = np.zeros((3, grid.n))
-    bands[2] = 2.5 * t + v
-    bands[1, 1:] = -(4.0 / 3.0) * t
-    bands[0, 2:] = t / 12.0
-    return DiscreteOperator("banded", h, grid, bands=bands)
+    diag = 2.0 * t + v
+    off = np.full(grid.n - 1, -t)
+    return DiscreteOperator("tridiagonal", h, grid, diag=diag, offdiag=off)
 
 
 def build_split(
@@ -302,11 +278,6 @@ def dense_matrix(op: DiscreteOperator) -> np.ndarray:
     if op.form == "tridiagonal":
         m = np.diag(op.diag)
         m += np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
-        return m
-    if op.form == "banded":
-        m = np.diag(op.bands[2])
-        m += np.diag(op.bands[1, 1:], 1) + np.diag(op.bands[1, 1:], -1)
-        m += np.diag(op.bands[0, 2:], 2) + np.diag(op.bands[0, 2:], -2)
         return m
     # split: apply to the identity columns via one batched FFT
     eye = np.eye(n, dtype=complex)
@@ -452,13 +423,3 @@ def antiwick_batch(
     low = masses < mass_floor
     return values, masses, low
 
-
-def antiwick_value(
-    frame: CoherentFrame,
-    grid: Grid1D,
-    psi: np.ndarray,
-    a_values,
-) -> tuple[float, float, bool]:
-    """Anti-Wick average of a single state; returns (value, mass, low_mass)."""
-    v, m, low = antiwick_batch(frame, grid, psi[None, :], a_values)
-    return float(v[0]), float(m[0]), bool(low[0])

@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .classical import classify_integrability, coarea_check, levelset_connected
-from .eig import eigs_in_window
+# eigs_in_window is unused here; perfbench/test_perfbench.py::
+# test_wrapper_reaches_from_import_aliases_and_restores expects this module to hold it
+from .eig import eigs_in_window  # noqa: F401
 from .errors import ConfigError
 from .experiments import (
     ScanResult,
@@ -33,12 +35,12 @@ from .experiments import (
     ratio_limit,
     run_scan,
     singular_limit,
+    solve_window,
     two_wells_experiment,
 )
 from .microlocal import egorov_defect, microlocal_records, upsilon, upsilon_a
 from .model import get_model
 from .observables import parse_observable
-from .quantize import build_schrodinger, grid_for_schrodinger
 
 GAUSS_1D = "exp(-x^2)"
 GAUSS_PHASE = "exp(-x^2-xi^2)"
@@ -90,17 +92,6 @@ def _report(name: str, checks, config: dict, data: dict | None = None,
                           data=dict(data or {}))
 
 
-def _window(model_name: str, h: float, e_center: float, d: float = 5.0,
-            ppw: int = 64, h_max: float | None = None, vectors: bool = True):
-    """Finite-difference eigenwindow for a potential model."""
-    m = get_model(model_name)
-    lo, hi = e_center - d * h, e_center + d * h
-    grid = grid_for_schrodinger(m.potential, h, e_center, d=d,
-                                h_max=h_max if h_max is not None else h, ppw=ppw)
-    op = build_schrodinger(m.potential, h, grid, window_top=hi)
-    return eigs_in_window(op, lo, hi, vectors=vectors)
-
-
 def _slope(hs, values) -> float:
     """Log-log slope of values against h; positive means decay as h -> 0."""
     hs = np.asarray(hs, dtype=float)
@@ -111,20 +102,6 @@ def _slope(hs, values) -> float:
     design = np.vstack([np.ones(int(keep.sum())), np.log(hs[keep])]).T
     coef, *_ = np.linalg.lstsq(design, np.log(vals[keep]), rcond=None)
     return float(coef[1])
-
-
-def _fit_payload(fit) -> dict:
-    return {
-        "alpha_hat": float(fit.alpha_hat),
-        "beta_hat": int(fit.beta_hat),
-        "coeff_hat": float(fit.coeff_hat),
-        "offset_hat": float(fit.offset_hat),
-        "residual": float(fit.residual),
-        "law": fit.law,
-        "n_rows": int(fit.n_rows),
-        "decades": float(fit.decades),
-        "burned": int(fit.burned),
-    }
 
 
 def _ratio_payload(rl) -> dict:
@@ -175,13 +152,14 @@ def _fixed_h(value: float, target: float, hs, values, sl) -> dict:
 
 def scenario_harmonic_weyl() -> ScenarioReport:
     """Window counts and eigenvalues of the exactly solvable oscillator."""
+    model = get_model("harmonic")
     e_center, d, ppw = 1.0, 5.0, 160
     hs = (0.04, 0.02, 0.01, 0.005)
     counts: list[int] = []
     rel_worst = 0.0
     for h in hs:
-        win = _window("harmonic", h, e_center, d=d, ppw=ppw, h_max=hs[0],
-                      vectors=False)
+        win = solve_window(model, h, e_center, d=d, ppw=ppw, vectors=False,
+                           h_max=hs[0])
         counts.append(int(win.count))
         lam = np.asarray(win.eigenvalues, dtype=float)
         level = np.round((lam / h - 1.0) / 2.0)
@@ -213,7 +191,7 @@ def scenario_critical_exponent_k2() -> ScenarioReport:
     )
     config = {"model": "deg-max", "e_center": 0.0, "d": 5.0, "ppw": 64,
               "h_from": 1e-1, "h_to": 1e-3, "h_steps": 16}
-    data = {"fit": _fit_payload(fit),
+    data = {"fit": fit.as_dict(),
             "counts": [float(r.upsilon) for r in scan.valid_rows()],
             "h": [float(r.h) for r in scan.valid_rows()]}
     return _report("critical-exponent-k2", checks, config, data)
@@ -238,7 +216,7 @@ def scenario_log_law_k1() -> ScenarioReport:
     )
     config = {"models": ["quad-max", "quad-max-steep"], "e_center": 0.0,
               "d": 5.0, "ppw": 64, "h_from": 1e-1, "h_to": 3e-5, "h_steps": 24}
-    data = {"fit": _fit_payload(fit),
+    data = {"fit": fit.as_dict(),
             "log_fit_main": {"offset": float(offset_main),
                              "slope": float(slope_main)},
             "log_fit_steep": {"offset": float(offset_steep),
@@ -267,8 +245,7 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
     moments: list[float] = []
     rows: list[ScanRow] = []
     for h in hs:
-        win = _window("quad-max", h, 0.0, d=5.0, ppw=64, h_max=hs[0],
-                      vectors=True)
+        win = solve_window(model, h, 0.0, h_max=hs[0])
         recs = microlocal_records(win, gauss)
         gaps.append(max(abs(r.nu_weyl - target) for r in recs))
         lam = np.asarray(win.eigenvalues, dtype=float)
@@ -282,7 +259,7 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
                             upsilon_obs=obs_vals,
                             ratios=tuple(v / ups for v in obs_vals),
                             residual_max=float(win.residual_max or 0.0),
-                            tie=bool(np.any(win.edge_flags))))
+                            tie=win.has_ties))
     scan = ScanResult(model="quad-max", family=model.family, e_center=0.0,
                       d=5.0, route="fd", ppw=64,
                       observable_ids=(gauss.id, xsq.id), rows=tuple(rows))
@@ -374,7 +351,7 @@ def scenario_pseudo_concentration_k3() -> ScenarioReport:
     config = {"model": "pseudo-k3", "e_center": 0.0, "d": 5.0,
               "observable": GAUSS_PHASE, "h_from": 1e-1, "h_to": 1.25e-3,
               "h_steps": 16}
-    data = {"fit": _fit_payload(fit), "ratio_limit": _ratio_payload(rl),
+    data = {"fit": fit.as_dict(), "ratio_limit": _ratio_payload(rl),
             "singular_limit": asdict(sl),
             "n_grid_max": int(n_max),
             "fixed_h": {"ratio_gap_at_hmin": _fixed_h(
@@ -389,8 +366,8 @@ def scenario_property_suite() -> ScenarioReport:
     xsq = parse_observable("x^2")
 
     # (a) normalization and (f) count agreement on two reference windows.
-    windows = [_window("harmonic", 0.02, 1.0, ppw=64),
-               _window("quad-max", 0.01, 0.5, ppw=64)]
+    windows = [solve_window(get_model("harmonic"), 0.02, 1.0),
+               solve_window(get_model("quad-max"), 0.01, 0.5)]
     norm_worst = 0.0
     counts_ok = True
     for win in windows:
@@ -409,7 +386,7 @@ def scenario_property_suite() -> ScenarioReport:
     hs_gap = np.geomspace(0.1, 0.02, 5)
     gap_vals = []
     for h in hs_gap:
-        win = _window("harmonic", float(h), 1.0, ppw=64, h_max=float(hs_gap[0]))
+        win = solve_window(get_model("harmonic"), float(h), 1.0, h_max=float(hs_gap[0]))
         recs = microlocal_records(win, gauss)
         gap_vals.append(max(r.gap for r in recs))
     gap_slope = _slope(hs_gap, gap_vals)
@@ -419,7 +396,7 @@ def scenario_property_suite() -> ScenarioReport:
     hs_eg = np.geomspace(0.1, 0.02, 5)
     defects = []
     for h in hs_eg:
-        win = _window("quad-max", float(h), 0.5, ppw=64, h_max=float(hs_eg[0]))
+        win = solve_window(model_qm, float(h), 0.5, h_max=float(hs_eg[0]))
         defects.append(egorov_defect(model_qm, gauss, 0.5, win))
     egorov_slope = _slope(hs_eg, defects)
 
@@ -471,8 +448,8 @@ def scenario_property_suite() -> ScenarioReport:
             "egorov_slope": float(egorov_slope),
             "coarea_rel_diff": {"harmonic": float(co_1d["rel_diff"]),
                                 "radial-deg": float(co_2d["rel_diff"])},
-            "fit_recovery": {"power": _fit_payload(fit_pow),
-                             "log": _fit_payload(fit_log)}}
+            "fit_recovery": {"power": fit_pow.as_dict(),
+                             "log": fit_log.as_dict()}}
     return _report("property-suite", checks, config, data)
 
 

@@ -9,9 +9,7 @@ from semiclab.classical import (
     allowed_intervals,
     classify_integrability,
     coarea_check,
-    divergence_probe,
     flow_points,
-    flow_pullback,
     level_volume,
     levelset_components,
     levelset_connected,
@@ -99,8 +97,8 @@ class TestDivergenceProbe:
             mu_average(get_model("deg-max"), lambda x, xi: x**2, 0.0)
 
     def test_probe_shortcut(self):
-        assert divergence_probe(get_model("quad-max"), 0.0).divergent
-        assert not divergence_probe(get_model("harmonic"), 1.0).divergent
+        assert level_volume(get_model("quad-max"), 0.0, allow_critical=True).divergent
+        assert not level_volume(get_model("harmonic"), 1.0, allow_critical=True).divergent
 
 
 class TestIntegrabilityClass:
@@ -126,7 +124,7 @@ class TestIntegrabilityClass:
             m = get_model(name)
             cp = [c for c in m.critical_points if abs(c.critical_energy) < 1e-12][0]
             label = classify_integrability(cp, m)
-            probed = divergence_probe(m, 0.0).divergent
+            probed = level_volume(m, 0.0, allow_critical=True).divergent
             assert (label != "integrable") == probed
 
 
@@ -238,7 +236,8 @@ class TestFlows:
         x0, xi0 = np.array([0.7]), np.array([-0.4])
         t = 0.37
         a = lambda x, xi: x**2 - xi
-        got = flow_pullback(harm, a, t, x0, xi0)
+        res = flow_points(harm, x0, xi0, t)
+        got = a(res.x, res.xi)
         c, s = math.cos(2 * t), math.sin(2 * t)
         xt, xit = x0 * c + xi0 * s, -x0 * s + xi0 * c
         assert got[0] == pytest.approx(float(a(xt, xit)[0]), abs=1e-5)

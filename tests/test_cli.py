@@ -1,11 +1,18 @@
 """Command line behavior: exit codes, config merging, deterministic output."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiclab.cli import main
+from semiclab.experiments import ScanResult, ScanRow, scan_to_csv
 
 
 def run_cli(capsys, argv):
@@ -241,3 +248,124 @@ class TestScenario:
         assert main(["scenario", "run", "two-wells", "--out", str(f2)]) == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# -- malformed scan files ----------------------------------------------------
+
+_META = "".join(f"# {k}={v}\n" for k, v in (
+    ("model", "deg-max"), ("family", "schrodinger1d"), ("e_center", "0"),
+    ("d", "5"), ("route", "fd"), ("ppw", "64"), ("observables", "")))
+_HEADER = "h,n_grid,upsilon,residual_max,tie,error\n"
+
+
+def _valid_scan() -> str:
+    hs = np.geomspace(0.1, 0.01, 6)
+    rows = tuple(ScanRow(h=float(h), n_grid=1000, upsilon=float(round(3.7 * h**-0.25)),
+                         upsilon_obs=(), ratios=(), residual_max=0.0, tie=False)
+                 for h in hs)
+    return scan_to_csv(ScanResult(model="deg-max", family="schrodinger1d", e_center=0.0,
+                                  d=5.0, route="fd", ppw=64, observable_ids=(), rows=rows))
+
+
+class TestMalformedScan:
+    @pytest.mark.parametrize("body", [
+        "h,n_grid,upsilon\n0.1,100\n",
+        "",
+        _HEADER + "abc,100,5,0,0,\n",
+        _HEADER + "0.1,100,5\n",
+        _HEADER + "nan,100,5,0,0,\n",
+        _HEADER + "0.1,100,nan,0,0,\n",
+    ], ids=["short-header-and-row", "no-header", "non-numeric-h", "short-row",
+            "nan-h", "nan-count-without-error"])
+    def test_exits_4_with_one_line(self, capsys, tmp_path, body):
+        path = tmp_path / "scan.csv"
+        path.write_text(_META + body)
+        code, _, err = run_cli(capsys, ["fit", "--in", str(path)])
+        assert code == 4
+        assert err.startswith("semiclab: ") and err.count("\n") == 1
+
+    def test_h_below_the_fit_range(self, capsys, tmp_path):
+        # h^-1.5 |log h| overflows at the low end of the fit's exponent grid
+        lines = _valid_scan().splitlines()
+        lines[-1] = "1e-250" + lines[-1][lines[-1].index(","):]
+        path = tmp_path / "scan.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, ["fit", "--in", str(path)])
+        assert code == 4
+        assert err.startswith("semiclab: ") and err.count("\n") == 1
+
+    def test_failed_row_keeps_its_nan(self, capsys, tmp_path):
+        # scan_to_csv writes NaN in rows whose error column is set
+        path = tmp_path / "scan.csv"
+        path.write_text(_valid_scan() + "0.005,0,nan,nan,0,grid cap\n")
+        code, out, _ = run_cli(capsys, ["fit", "--in", str(path)])
+        assert code == 0
+        assert json.loads(out)["n_rows"] == 6
+
+
+_TOKENS = st.sampled_from([
+    "", "0", "1", "-1", "0.1", "1e-3", "1e-250", "1e308", "nan", "inf", "-inf", "x", "1,2",
+    '"', "#", "# model=harmonic", "# e_center=nan", "# ppw=x", "=", "|", "\x00",
+    "h,n_grid,upsilon,residual_max,tie,error"])
+
+
+@st.composite
+def _scan_texts(draw):
+    """The valid scan with a few lines dropped, repeated, edited or added."""
+    lines = _valid_scan().splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["drop", "repeat", "field", "insert"]))
+        if kind == "insert" or i == len(lines):
+            lines.insert(i, draw(_TOKENS | st.text(max_size=12)))
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            fields = lines[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_TOKENS)
+            lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _config_lines(draw):
+    """Key=value lines for fit; never ``out``, so no run writes a file."""
+    key = draw(st.sampled_from(["in", "law", "bogus", "#", ""]))
+    if key == "in":
+        return "in=" + draw(st.sampled_from(["SCAN", "MISSING", "DIR"]))
+    if key == "law":
+        return "law=" + draw(st.sampled_from(["auto", "regular", "critical", "x", ""]))
+    return key + draw(st.text(alphabet=st.characters(blacklist_characters="=\n\r"),
+                              max_size=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scan=_scan_texts() | st.binary(max_size=64),
+       config=st.none() | st.lists(_config_lines(), max_size=4),
+       law=st.sampled_from([[], ["--law", "auto"], ["--law", "regular"],
+                            ["--law", "critical"]]))
+def test_fit_fuzz_exits_with_a_documented_code(scan, config, law):
+    with tempfile.TemporaryDirectory() as tmp:
+        scan_path = os.path.join(tmp, "scan.csv")
+        with open(scan_path, "wb") as f:
+            f.write(scan if isinstance(scan, bytes) else scan.encode("utf-8", "replace"))
+        argv = ["fit", *law]
+        if config is None:
+            argv += ["--in", scan_path]
+        else:
+            conf_path = os.path.join(tmp, "fit.conf")
+            paths = {"SCAN": scan_path, "MISSING": os.path.join(tmp, "none"), "DIR": tmp}
+            text = "\n".join(config)
+            for k, v in paths.items():
+                text = text.replace(k, v)
+            with open(conf_path, "w", encoding="utf-8", errors="replace") as f:
+                f.write(text)
+            argv += ["--config", conf_path]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    if code:
+        assert err.getvalue().startswith("semiclab: ")

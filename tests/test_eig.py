@@ -6,21 +6,20 @@ import pytest
 from semiclab.eig import (
     count_in_window,
     eigs_in_window,
-    eigvals_in_range,
     radial_channels,
     radial_grid,
     sturm_count,
-    weighted_count,
 )
+from semiclab.microlocal import upsilon
 from semiclab.model import Polynomial1D
 from semiclab.quantize import Grid1D, build_schrodinger, build_split, grid_for_schrodinger, grid_for_split
 
 X2 = Polynomial1D((0.0, 0.0, 1.0))
 
 
-def harmonic_op(h, ppw=160, fd_order=2):
+def harmonic_op(h, ppw=160):
     g = grid_for_schrodinger(X2, h, 1.0, d=5.0, ppw=ppw)
-    return build_schrodinger(X2, h, g, fd_order=fd_order)
+    return build_schrodinger(X2, h, g)
 
 
 class TestSturm:
@@ -88,7 +87,7 @@ class TestWindowSolve:
         h = 0.05
         gs = grid_for_split(X2, X2, h, 1.0, d=5.0)
         sop = build_split(X2, X2, h, gs, window_top=1.25)
-        w = eigvals_in_range(sop, 0.04, 0.66)
+        w = eigs_in_window(sop, 0.04, 0.66, vectors=False).eigenvalues
         exact = h * (2 * np.arange(7) + 1)
         assert w.size == 7
         assert np.max(np.abs(w - exact)) < 1e-8
@@ -107,7 +106,7 @@ class TestRadial:
         # -h^2 Lap + r^2 in 2D: levels 2h(N+1) with multiplicity N+1
         h = 0.1
         ch = radial_channels(X2, h, 0.55, 0.85, d=5.0, ppw=64, vectors=False)
-        assert weighted_count(ch) == 7.0  # three states at 0.6, four at 0.8
+        assert upsilon(ch) == 7.0  # three states at 0.6, four at 0.8
         for c in ch:
             for lam in c.window.eigenvalues:
                 k = lam / (2 * h) - 1.0
@@ -134,8 +133,8 @@ class TestRadial:
     def test_count_stable_under_refinement(self):
         Vr = Polynomial1D((0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0))
         h = 0.02
-        a = weighted_count(radial_channels(Vr, h, -0.1, 0.1, ppw=64, vectors=False))
-        b = weighted_count(radial_channels(Vr, h, -0.1, 0.1, ppw=96, vectors=False))
+        a = upsilon(radial_channels(Vr, h, -0.1, 0.1, ppw=64, vectors=False))
+        b = upsilon(radial_channels(Vr, h, -0.1, 0.1, ppw=96, vectors=False))
         assert a == b
 
     def test_channel_sweep_terminates(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from semiclab.cli import main
 from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import (
     ScanResult,
@@ -20,10 +21,10 @@ from semiclab.experiments import (
     scan_from_csv,
     scan_to_csv,
     singular_limit,
-    thread_count,
+    solve_window,
     two_wells_experiment,
 )
-from semiclab.model import get_model
+from semiclab.model import PhasePolynomial, SymbolModel, get_model
 from semiclab.observables import parse_observable
 
 
@@ -96,27 +97,46 @@ class TestRunScan:
         with pytest.raises(ConfigError):
             run_scan("harmonic", h_values=[0.1, -0.01])
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        serial = scan_to_csv(run_scan("harmonic", h_values=[0.05, 0.02, 0.01]))
-        monkeypatch.setenv("SEMICLAB_THREADS", "3")
-        assert thread_count() == 3
-        pooled = scan_to_csv(run_scan("harmonic", h_values=[0.05, 0.02, 0.01]))
-        assert pooled == serial
-
-    def test_thread_count_validation(self, monkeypatch):
-        monkeypatch.setenv("SEMICLAB_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            thread_count()
-        monkeypatch.setenv("SEMICLAB_THREADS", "0")
-        with pytest.raises(ConfigError):
-            thread_count()
-
     def test_defaults(self):
         fd = default_h_values("fd")
         assert len(fd) == 12 and fd[0] == pytest.approx(0.1)
         assert fd[-1] == pytest.approx(1e-3)
         assert all(a > b for a, b in zip(fd, fd[1:]))
         assert len(default_h_values("split")) == 8
+
+
+class TestSolveWindow:
+    """Scans, the spectrum command and the scenarios share one window builder."""
+
+    @pytest.mark.parametrize("name,h", [("quad-max", 0.02), ("pseudo-k3", 0.05)])
+    def test_scan_spectrum_and_scenario_windows_agree(self, capsys, name, h):
+        model = get_model(name)
+        win = solve_window(model, h, 0.0, vectors=False)
+        assert win.count > 0
+        (row,) = run_scan(name, h_values=[h], e_center=0.0).rows
+        assert (row.n_grid, row.upsilon, row.tie) == (win.grid.n, win.count, win.has_ties)
+
+        assert main(["spectrum", "--model", name, "--h", str(h), "--ecenter", "0"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert [l.split(",")[1] for l in lines[1:]] == [format(float(v), ".12g")
+                                                        for v in win.eigenvalues]
+
+        # scenario windows size every box from the largest h of their grid
+        shared = solve_window(model, h, 0.0, h_max=0.1)
+        row = run_scan(name, h_values=[0.1, h], e_center=0.0).rows[1]
+        assert (row.n_grid, row.upsilon) == (shared.grid.n, shared.count)
+        assert shared.grid.n >= win.grid.n
+        assert shared.vectors.shape == (shared.grid.n, shared.count)
+
+    def test_routes_without_a_1d_window_are_config_errors(self):
+        with pytest.raises(ConfigError):
+            solve_window(get_model("radial-deg"), 0.05, 0.0)
+        mixed = SymbolModel(name="mixed", family="phase1d", n=1, phase_poly=PhasePolynomial(
+            ((2, 0, 1.0), (0, 2, 1.0), (1, 1, 0.5))))
+        with pytest.raises(ConfigError):
+            solve_window(mixed, 0.05, 1.0)
+        (row,) = run_scan(mixed, h_values=[0.05], e_center=1.0).rows
+        assert "mixed" in row.error
 
 
 class TestCsvRoundTrip:

@@ -1,20 +1,16 @@
-"""Per-state measure routes, counting functions, traces, flow invariance."""
-
-import math
+"""Per-state measure routes, counting functions, flow invariance."""
 
 import numpy as np
 import pytest
 
-from semiclab.eig import eigs_in_window, eigvals_in_range, radial_channels, weighted_count
+from semiclab.eig import eigs_in_window, radial_channels
 from semiclab.errors import NumericalError
 from semiclab.microlocal import (
     antiwick_averages,
     default_frame,
     egorov_defect,
-    measure_gap,
     microlocal_records,
-    radial_position_averages,
-    smoothed_trace,
+    radial_state_averages,
     upsilon,
     upsilon_a,
     weyl_averages,
@@ -93,7 +89,7 @@ class TestAntiWick:
         gaps = []
         for h in (0.1, 0.05):
             recs = microlocal_records(harmonic_window(h, ppw=64), obs)
-            gaps.append(measure_gap(recs))
+            gaps.append(max(r.gap for r in recs))
         assert gaps[1] < 0.7 * gaps[0]
         assert gaps[0] < 0.1
 
@@ -133,8 +129,9 @@ class TestCounting:
         h = 0.05
         chans = radial_channels(V, h, -5 * h, 5 * h, h_max=h)
         ua = upsilon_a(chans, parse_observable("1"))
-        assert ua == pytest.approx(weighted_count(chans), rel=1e-12)
-        assert ua == pytest.approx(upsilon(chans), rel=1e-12)
+        weighted_count = sum(c.weight * c.window.count for c in chans)
+        assert ua == pytest.approx(weighted_count, rel=1e-12)
+        assert upsilon(chans) == weighted_count
 
     def test_radial_position_average_in_unit_disc(self):
         # states at E ~ 0 fill {V < 0}, a disc of radius 1; <r^2> averages
@@ -142,41 +139,10 @@ class TestCounting:
         V = get_model("radial-deg").potential
         h = 0.02
         chans = radial_channels(V, h, -5 * h, 5 * h, h_max=h)
-        mean, per_state = radial_position_averages(chans, lambda r: r**2)
-        assert len(per_state) >= 2
-        assert 0.2 < mean < 0.8
-
-
-class TestSmoothedTrace:
-    def test_gaussian_matches_exact_level_sum(self):
-        h = 0.05
-        V = get_model("harmonic").potential
-        grid = grid_for_schrodinger(V, h, 1.0, ppw=160)
-        op = build_schrodinger(V, h, grid)
-        got = smoothed_trace(op, 1.0, kind="gaussian", sigma=1.0)
-        j = np.arange(0, 200)
-        exact = float(np.sum(np.exp(-0.5 * ((2 * j + 1) * h - 1.0) ** 2 / h**2)))
-        assert got == pytest.approx(exact, rel=1e-3)
-
-    def test_indicator_brackets_sharp_count(self):
-        h = 0.05
-        V = get_model("harmonic").potential
-        grid = grid_for_schrodinger(V, h, 1.0, ppw=160)
-        op = build_schrodinger(V, h, grid)
-        d, w = 5.0, 1.0
-        gamma = smoothed_trace(op, 1.0, kind="smoothed_indicator", d=d, rolloff=w)
-        sharp = eigvals_in_range(op, 1.0 - d * h, 1.0 + d * h).size
-        lo_band = eigvals_in_range(op, 1.0 - (d + w) * h, 1.0 - (d - w) * h).size
-        hi_band = eigvals_in_range(op, 1.0 + (d - w) * h, 1.0 + (d + w) * h).size
-        assert abs(gamma - sharp) <= lo_band + hi_band + 1e-9
-
-    def test_unknown_kind_rejected(self):
-        h = 0.1
-        V = get_model("harmonic").potential
-        grid = grid_for_schrodinger(V, h, 1.0, ppw=32)
-        op = build_schrodinger(V, h, grid)
-        with pytest.raises(ValueError):
-            smoothed_trace(op, 1.0, kind="boxcar")
+        rsq = parse_observable("x^2")
+        per_state = np.concatenate(radial_state_averages(chans, rsq))
+        assert per_state.size >= 2
+        assert 0.2 < upsilon_a(chans, rsq) / upsilon(chans) < 0.8
 
 
 class TestFlowInvariance:

@@ -10,10 +10,8 @@ from semiclab.model import (
     SymbolModel,
     catalog,
     check_hypotheses,
-    eval_symbol,
     find_critical_points,
     get_model,
-    window_critical_point,
 )
 
 # Closed-form anchors used throughout: V = -x^4 + x^6 has critical points at
@@ -67,9 +65,9 @@ def test_phase_polynomial_shift_exact():
 
 def test_eval_symbol_schrodinger():
     m = get_model("deg-max")
-    assert eval_symbol(m, 1.0, 0.0) == pytest.approx(0.0)
-    assert eval_symbol(m, 0.0, 0.5) == pytest.approx(0.25)
-    vals = eval_symbol(m, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    assert m.eval(1.0, 0.0) == pytest.approx(0.0)
+    assert m.eval(0.0, 0.5) == pytest.approx(0.25)
+    vals = m.eval(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     assert vals == pytest.approx([0.0, 1.0])
 
 
@@ -110,8 +108,7 @@ def test_two_max_shares_energy():
 
 def test_pseudo_k3_window_point():
     m = get_model("pseudo-k3")
-    p = window_critical_point(m, 0.0)
-    assert p is not None
+    (p,) = m.critical_points_at(0.0)
     assert p.z0 == pytest.approx((0.0, 0.0), abs=1e-12)
     assert p.order == 3
     assert p.kind == "non-extremal-homogeneous"
@@ -120,7 +117,7 @@ def test_pseudo_k3_window_point():
 
 
 def test_pseudo_k4_window_point():
-    p = window_critical_point(get_model("pseudo-k4"), 0.0)
+    (p,) = get_model("pseudo-k4").critical_points_at(0.0)
     assert p.order == 4
     assert p.kind == "non-extremal-homogeneous"
     assert p.leading_form(1.0, 1.0) == pytest.approx(0.0)

@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from semiclab.errors import NumericalError
 from semiclab.model import Polynomial1D
 from semiclab.quantize import (
     Grid1D,
     antiwick_batch,
-    antiwick_value,
     build_coherent_frame,
     build_schrodinger,
     build_split,
@@ -25,9 +24,7 @@ XI1 = Polynomial1D((0.0, 1.0))
 
 
 def low_levels(op, k):
-    if op.form == "tridiagonal":
-        return eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, k - 1))[0]
-    return eig_banded(op.bands, select="i", select_range=(0, k - 1), eigvals_only=True)
+    return eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, k - 1))[0]
 
 
 class TestGrids:
@@ -69,18 +66,10 @@ class TestSchrodingerFD:
     def test_harmonic_levels(self):
         h = 0.05
         g = grid_for_schrodinger(X2, h, e_center=1.0, d=5.0, ppw=160)
-        op = build_schrodinger(X2, h, g, fd_order=2)
+        op = build_schrodinger(X2, h, g)
         got = low_levels(op, 6)
         exact = (2 * np.arange(6) + 1) * h
         assert np.max(np.abs(got - exact) / exact) < 1e-4
-
-    def test_harmonic_levels_fd4(self):
-        h = 0.05
-        g = grid_for_schrodinger(X2, h, e_center=1.0, d=5.0, ppw=160)
-        op = build_schrodinger(X2, h, g, fd_order=4)
-        got = low_levels(op, 6)
-        exact = (2 * np.arange(6) + 1) * h
-        assert np.max(np.abs(got - exact) / exact) < 1e-7
 
     def test_flat_box_matches_closed_forms(self):
         # -d^2/dx^2 on (0, pi): continuum levels j^2, discrete levels
@@ -88,7 +77,7 @@ class TestSchrodingerFD:
         # formula exactly and the continuum one to leading order.
         n = 2000
         g = Grid1D(0.0, np.pi, n, "dirichlet")
-        op = build_schrodinger(ZERO, 1.0, g, fd_order=2)
+        op = build_schrodinger(ZERO, 1.0, g)
         got = low_levels(op, 5)
         j = np.arange(1, 6)
         discrete = (2.0 - 2.0 * np.cos(j * np.pi / (n + 1))) / g.dx**2
@@ -101,35 +90,22 @@ class TestSchrodingerFD:
         errs = []
         for n in (256, 512):
             g = Grid1D(-3.0, 3.0, n, "dirichlet")
-            op = build_schrodinger(X2, h, g, fd_order=2)
+            op = build_schrodinger(X2, h, g)
             errs.append(np.abs(low_levels(op, 4) - exact))
         ratio = errs[0] / errs[1]
         assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
 
-    def test_fd4_error_halving_ratio(self):
-        h = 0.2
-        exact = (2 * np.arange(4) + 1) * h
-        errs = []
-        for n in (256, 512):
-            g = Grid1D(-3.0, 3.0, n, "dirichlet")
-            op = build_schrodinger(X2, h, g, fd_order=4)
-            errs.append(np.abs(low_levels(op, 4) - exact))
-        ratio = errs[0] / errs[1]
-        assert np.all(ratio > 12.0) and np.all(ratio < 20.0)
-
     def test_resolution_policy_enforced(self):
         g = Grid1D(-3.0, 3.0, 64, "dirichlet")
         with pytest.raises(NumericalError):
-            build_schrodinger(X2, 1e-3, g, fd_order=2, window_top=1.0)
+            build_schrodinger(X2, 1e-3, g, window_top=1.0)
 
-    def test_banded_apply_matches_dense(self):
+    def test_tridiagonal_apply_matches_dense(self):
         g = Grid1D(-3.0, 3.0, 128, "dirichlet")
-        rng = np.random.default_rng(7)
-        for order in (2, 4):
-            op = build_schrodinger(X2, 0.1, g, fd_order=order)
-            m = dense_matrix(op)
-            v = rng.standard_normal(g.n)
-            assert np.max(np.abs(m @ v - op.apply(v))) < 1e-10 * np.max(np.abs(m @ v))
+        op = build_schrodinger(X2, 0.1, g)
+        m = dense_matrix(op)
+        v = np.random.default_rng(7).standard_normal(g.n)
+        assert np.max(np.abs(m @ v - op.apply(v))) < 1e-10 * np.max(np.abs(m @ v))
 
 
 class TestSplit:
@@ -217,8 +193,8 @@ class TestAntiWick:
             frame = build_coherent_frame(g, h, (-2.0, 2.0))
             psi = frame.state(g, 0.0, 0.0)
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-9)
-            val, mass, low = antiwick_value(
-                frame, g, psi, lambda x, xi: np.exp(-(x**2) - xi**2))
+            (val,), (mass,), (low,) = antiwick_batch(
+                frame, g, psi[None, :], lambda x, xi: np.exp(-(x**2) - xi**2))
             assert not low
             assert mass == pytest.approx(1.0, abs=1e-6)
             assert val == pytest.approx(1.0 / (1.0 + 2.0 * h), rel=1e-8)
@@ -230,8 +206,9 @@ class TestAntiWick:
         g = Grid1D(-4.0, 4.0, 2048, "periodic")
         frame = build_coherent_frame(g, h, (-2.0, 2.0))
         psi = frame.state(g, 1.0, 0.5)
-        val, mass, low = antiwick_value(
-            frame, g, psi, lambda x, xi: np.exp(-((x - 1.0) ** 2) / 4 - (xi - 0.5) ** 2 / 4))
+        (val,), (mass,), (low,) = antiwick_batch(
+            frame, g, psi[None, :],
+            lambda x, xi: np.exp(-((x - 1.0) ** 2) / 4 - (xi - 0.5) ** 2 / 4))
         assert not low
         # gaussian-vs-gaussian overlap integral in closed form
         assert val == pytest.approx(1.0 / (1.0 + 0.5 * h), rel=1e-6)
@@ -257,7 +234,8 @@ class TestAntiWick:
         g = Grid1D(-3.0, 3.0, 1024, "periodic")
         frame = build_coherent_frame(g, h, (-0.1, 0.1))
         psi = frame.state(g, 0.0, 1.0)  # momentum far outside the frame
-        _, mass, low = antiwick_value(frame, g, psi, lambda x, xi: np.ones_like(x))
+        _, (mass,), (low,) = antiwick_batch(frame, g, psi[None, :],
+                                            lambda x, xi: np.ones_like(x))
         assert low and mass < 0.5
 
     def test_batch_matches_direct_overlaps(self):
@@ -272,7 +250,7 @@ class TestAntiWick:
         def a(x, xi):
             return 1.0 + 0.5 * np.sin(x) * np.cos(xi)
 
-        val, mass, _ = antiwick_value(frame, g, psi, a)
+        (val,), (mass,), _ = antiwick_batch(frame, g, psi[None, :], a)
         direct = 0.0
         dmass = 0.0
         pref = frame.cell_area() / (2 * np.pi * h)
@@ -295,6 +273,6 @@ class TestAntiWick:
 
         table = np.array([a(np.full_like(frame.xi_centers, xc), frame.xi_centers)
                           for xc in frame.x_centers])
-        v1, _, _ = antiwick_value(frame, g, psi, a)
-        v2, _, _ = antiwick_value(frame, g, psi, table)
+        (v1,), _, _ = antiwick_batch(frame, g, psi[None, :], a)
+        (v2,), _, _ = antiwick_batch(frame, g, psi[None, :], table)
         assert v1 == pytest.approx(v2, rel=1e-12)
