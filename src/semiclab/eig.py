@@ -1,13 +1,16 @@
 """Windowed eigensolves with independent counting certificates.
 
-Eigenvalues in a closed energy window [lo, hi] of a tridiagonal operator
-are computed by LAPACK's bisection + inverse-iteration driver (scipy
-``eigh_tridiagonal`` with ``select='v'``), which scales with the window
-population rather than the matrix size; split and dense operators go
-through a full dense ``eigh``.  For tridiagonal operators the count is
-cross-checked against a hand-rolled Sturm sequence; a disagreement that
-cannot be blamed on window-edge ties raises ``NumericalError`` instead of
-being papered over.
+Eigenvalues in a closed energy window [lo, hi] are computed by solvers whose
+cost follows the window population rather than the matrix size: LAPACK's
+bisection + inverse-iteration driver for tridiagonal operators (scipy
+``eigh_tridiagonal`` with ``select='v'``), and the MRRR driver restricted to
+the window (scipy ``eigh`` with ``subset_by_value``, ``driver='evr'``) for
+split and dense operators.  Every count is cross-checked by a certificate
+that does not depend on the eigensolver: a hand-rolled Sturm sequence for
+tridiagonal operators, and Sylvester's law of inertia on an LDL^H
+factorization of H - sigma I (LAPACK ``zhetrf``) at both window edges for
+dense ones.  A disagreement that cannot be blamed on window-edge ties raises
+``NumericalError`` instead of being papered over.
 
 States whose eigenvalue sits within ``edge_tol`` of a window edge are flagged
 so that callers can detect counting ties and re-run with a perturbed window.
@@ -31,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.lapack import zhetrf, zhetrf_lwork
 
 from .errors import NumericalError
 from .quantize import DiscreteOperator, Grid1D, dense_matrix, resolution_dx, schrodinger_box
@@ -60,7 +64,7 @@ class EigenWindow:
     vectors: np.ndarray | None  # (n, count) columns, l2-normalized
     edge_flags: np.ndarray  # True where the eigenvalue is edge-ambiguous
     residual_max: float | None
-    count_check: int | None  # independent Sturm count, tridiagonal only
+    count_check: int  # independent count: Sturm, or LDL^H inertia if dense
     grid: Grid1D | None = None
 
     @property
@@ -113,6 +117,38 @@ def count_in_window(diag, offdiag, lo: float, hi: float) -> int:
     return int(c[1] - c[0])
 
 
+def _inertia_count(m: np.ndarray, shift: float) -> int:
+    """Number of eigenvalues of the Hermitian matrix ``m`` below ``shift``.
+
+    Sylvester's law of inertia: m - shift I = L D L^H with D block diagonal
+    (1x1 and 2x2 Bunch-Kaufman pivots, LAPACK ``zhetrf``) has as many
+    negative eigenvalues as D.  The count shares no code with the
+    eigensolver, so it certifies dense window counts the way
+    ``sturm_count`` certifies tridiagonal ones.
+    """
+    n = m.shape[0]
+    # m.T is m's memory read in Fortran order and, m being Hermitian, equals
+    # conj(m), which has the same spectrum: a plain copy LAPACK can overwrite
+    a = np.array(m.T, dtype=complex, order="F")
+    idx = np.arange(n)
+    a[idx, idx] -= shift
+    # the default lwork runs the unblocked factorization, several times slower
+    work, info = zhetrf_lwork(n)
+    if info != 0:
+        raise NumericalError(f"zhetrf workspace query failed (info={info})")
+    ldu, ipiv, info = zhetrf(a, lwork=int(work.real), overwrite_a=1)
+    if info < 0:
+        raise NumericalError(f"zhetrf: illegal argument {-info}")
+    d = ldu.diagonal().real
+    count = int(np.sum(d[ipiv > 0] < 0.0))
+    # a 2x2 pivot block marks both of its rows with ipiv < 0; upper storage
+    # keeps its off-diagonal entry at (k, k + 1)
+    k = np.flatnonzero(ipiv < 0)[::2]
+    mid = 0.5 * (d[k] + d[k + 1])
+    rad = np.hypot(0.5 * (d[k] - d[k + 1]), np.abs(ldu[k, k + 1]))
+    return count + int(np.sum(mid - rad < 0.0) + np.sum(mid + rad < 0.0))
+
+
 def _operator_scale(op: DiscreteOperator) -> float:
     if op.form == "tridiagonal":
         return float(np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.offdiag)))
@@ -121,9 +157,13 @@ def _operator_scale(op: DiscreteOperator) -> float:
     return float(np.max(np.abs(op.matrix)) * op.size ** 0.5)
 
 
-def _window_solve(op: DiscreteOperator, lo: float, hi: float, want_vectors: bool,
-                  pad: float):
-    """Raw LAPACK call over a slightly widened half-open range."""
+def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: float,
+                  want_vectors: bool, pad: float):
+    """Raw LAPACK call over a slightly widened half-open range.
+
+    ``m`` is the dense matrix of a split or dense operator (None when
+    tridiagonal); only the eigenpairs inside the range are computed.
+    """
     nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), pad)
     vl, vu = lo - nudge, hi + nudge
     if op.form == "tridiagonal":
@@ -134,12 +174,10 @@ def _window_solve(op: DiscreteOperator, lo: float, hi: float, want_vectors: bool
                                  select_range=(vl, vu), eigvals_only=True)
             v = None
         return w, v
-    m = dense_matrix(op)
-    m = 0.5 * (m + m.conj().T)
     if want_vectors:
-        w, v = np.linalg.eigh(m)
+        w, v = eigh(m, subset_by_value=(vl, vu), driver="evr")
     else:
-        w = np.linalg.eigvalsh(m)
+        w = eigh(m, subset_by_value=(vl, vu), driver="evr", eigvals_only=True)
         v = None
     keep = (w >= vl) & (w <= vu)
     return w[keep], (v[:, keep] if v is not None else None)
@@ -167,20 +205,26 @@ def eigs_in_window(
     # computed eigenvalues carry O(eps * ||H||) rounding; resolve window
     # membership only up to that certainty and let edge_flags carry the rest
     eps_keep = 1e-12 * max(scale, 1.0)
-    w, v = _window_solve(op, lo, hi, vectors, pad=2.0 * eps_keep)
+    m = None if op.form == "tridiagonal" else dense_matrix(op)
+    w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep)
     keep = (w >= lo - eps_keep) & (w <= hi + eps_keep)
     w = w[keep]
     if v is not None:
         v = v[:, keep]
     flags = (np.abs(w - lo) <= edge_tol) | (np.abs(w - hi) <= edge_tol)
 
-    check = None
+    # the Sturm pass allows two unflagged misses; the inertia count of an
+    # exactly Hermitian matrix allows none
     if op.form == "tridiagonal":
-        check = count_in_window(op.diag, op.offdiag, lo, hi)
-        if abs(check - w.size) > int(np.sum(flags)) + 2:
-            raise NumericalError(
-                f"window count disagreement: LAPACK {w.size}, Sturm {check} "
-                f"on [{lo:.6g}, {hi:.6g}]")
+        check, slack, method = count_in_window(op.diag, op.offdiag, lo, hi), 2, "Sturm"
+    else:
+        check = (_inertia_count(m, np.nextafter(hi, np.inf))
+                 - _inertia_count(m, np.nextafter(lo, -np.inf)))
+        slack, method = 0, "LDL^H inertia"
+    if abs(check - w.size) > int(np.sum(flags)) + slack:
+        raise NumericalError(
+            f"window count disagreement: LAPACK {w.size}, {method} {check} "
+            f"on [{lo:.6g}, {hi:.6g}]")
 
     resid = None
     if v is not None and w.size:

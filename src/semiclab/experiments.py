@@ -283,6 +283,10 @@ def run_scan(
         raise ConfigError("empty h grid")
     if min(hs) <= 0:
         raise ConfigError("h values must be positive")
+    if not (math.isfinite(d) and d > 0):
+        raise ConfigError(f"window half-width d must be finite and positive, got {d!r}")
+    if ppw < 1:
+        raise ConfigError(f"ppw must be at least 1, got {ppw!r}")
     obs = tuple(parse_observable(o) if isinstance(o, str) else o for o in observables)
     if route == "radial":
         for o in obs:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import circulant
 
 from .errors import NumericalError
 from .model import Polynomial1D, _poly_roots_in
@@ -272,17 +273,30 @@ def build_split(
 
 
 def dense_matrix(op: DiscreteOperator) -> np.ndarray:
+    """The operator as a full matrix, exactly Hermitian for split operators.
+
+    Grids past ``DENSE_CAP`` points are refused before anything is
+    allocated.  A split operator f(x) + g(h D) is diag(f) + C with C the
+    circulant C[i, j] = c[(i - j) % n], c = ifft(g); c is made exactly
+    Hermitian-symmetric, c[n - k] = conj(c[k]), so C is exactly Hermitian.
+    """
     if op.form == "dense":
         return op.matrix
     n = op.size
+    if n > DENSE_CAP:
+        raise NumericalError(
+            f"dense matrix needs {n} > {DENSE_CAP} points at h={op.h:.3g}; use a coarser grid")
     if op.form == "tridiagonal":
         m = np.diag(op.diag)
         m += np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
         return m
-    # split: apply to the identity columns via one batched FFT
-    eye = np.eye(n, dtype=complex)
-    m = np.fft.ifft(op.mult_xi[:, None] * np.fft.fft(eye, axis=0), axis=0)
-    m += np.diag(op.mult_x)
+    c = np.fft.ifft(op.mult_xi)
+    c[0] = c[0].real
+    c[n // 2] = c[n // 2].real
+    c[n // 2 + 1:] = np.conj(c[1:n // 2][::-1])
+    m = circulant(c)
+    idx = np.arange(n)
+    m[idx, idx] += op.mult_x
     return m
 
 

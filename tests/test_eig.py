@@ -1,18 +1,30 @@
-"""Windowed eigensolves: Sturm certificates, radial channels, oscillators."""
+"""Windowed eigensolves: Sturm and inertia certificates, radial channels, oscillators."""
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zhetrf
 
+import semiclab.eig
 from semiclab.eig import (
+    _inertia_count,
     count_in_window,
     eigs_in_window,
     radial_channels,
     radial_grid,
     sturm_count,
 )
-from semiclab.microlocal import upsilon
-from semiclab.model import Polynomial1D
-from semiclab.quantize import Grid1D, build_schrodinger, build_split, grid_for_schrodinger, grid_for_split
+from semiclab.errors import NumericalError
+from semiclab.microlocal import upsilon, weyl_averages
+from semiclab.model import Polynomial1D, get_model
+from semiclab.observables import parse_observable
+from semiclab.quantize import (
+    Grid1D,
+    build_schrodinger,
+    build_split,
+    build_weyl_observable,
+    grid_for_schrodinger,
+    grid_for_split,
+)
 
 X2 = Polynomial1D((0.0, 0.0, 1.0))
 
@@ -46,6 +58,78 @@ class TestSturm:
         e = np.array([1e-3, 1e-3])
         out = sturm_count(d, e, [-1.0, 0.5, 1.5, 3.0])
         assert out.tolist() == [0, 1, 2, 3]
+
+
+class TestInertia:
+    @staticmethod
+    def random_hermitian(rng, n):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return 0.5 * (a + a.conj().T)
+
+    def assert_counts_match(self, m, shifts):
+        ev = np.linalg.eigvalsh(m)
+        for s in shifts:
+            assert _inertia_count(m, float(s)) == int(np.sum(ev < s))
+
+    def test_matches_eigvalsh_counts(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 7, 40, 97):
+            m = self.random_hermitian(rng, n)
+            ev = np.linalg.eigvalsh(m)
+            self.assert_counts_match(m, rng.uniform(ev[0] - 1, ev[-1] + 1, size=6))
+            real = m.real.copy()
+            evr = np.linalg.eigvalsh(real)
+            self.assert_counts_match(real, rng.uniform(evr[0] - 1, evr[-1] + 1, size=6))
+
+    def test_zero_diagonal_forces_two_by_two_pivots(self):
+        rng = np.random.default_rng(23)
+        m = self.random_hermitian(rng, 60)
+        np.fill_diagonal(m, 0.0)
+        _ldu, ipiv, _info = zhetrf(m.T.copy())
+        assert np.any(ipiv < 0)
+        ev = np.linalg.eigvalsh(m)
+        self.assert_counts_match(m, np.concatenate([[0.0], 0.5 * (ev[1:] + ev[:-1])]))
+
+
+def k3_window(h, vectors=True):
+    f, g = get_model("pseudo-k3").phase_poly.split_parts()
+    op = build_split(f, g, h, grid_for_split(f, g, h, 0.0), window_top=5.0 * h)
+    return op, eigs_in_window(op, -5.0 * h, 5.0 * h, vectors=vectors)
+
+
+class TestDenseCertificate:
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+    def test_inertia_count_matches_window(self, h):
+        _op, win = k3_window(h, vectors=False)
+        assert win.count > 0 and not win.has_ties
+        assert win.count_check == win.count
+
+    def test_dropped_state_raises(self, monkeypatch):
+        solve = semiclab.eig._window_solve
+
+        def drop_one(*args, **kwargs):
+            w, v = solve(*args, **kwargs)
+            return w[1:], (None if v is None else v[:, 1:])
+
+        monkeypatch.setattr("semiclab.eig._window_solve", drop_one)
+        with pytest.raises(NumericalError, match="inertia"):
+            k3_window(0.05, vectors=False)
+
+    def test_weyl_averages_match_full_eigh(self):
+        h = 0.02
+        op, win = k3_window(h)
+        obs = parse_observable("exp(-x^2-xi^2)")
+        got, method = weyl_averages(win, obs)
+        assert method == "weyl-dense"
+        eye = np.eye(op.size, dtype=complex)
+        m = np.fft.ifft(op.mult_xi[:, None] * np.fft.fft(eye, axis=0), axis=0)
+        m += np.diag(op.mult_x)
+        w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+        inside = (w >= win.lo) & (w <= win.hi)
+        a = build_weyl_observable(lambda x, xi: obs(x, xi), h, op.grid).matrix
+        ref = np.einsum("ij,ij->j", v[:, inside].conj(), a @ v[:, inside]).real
+        assert np.max(np.abs(win.eigenvalues - w[inside])) < 1e-10
+        assert np.max(np.abs(got - ref)) < 1e-10
 
 
 class TestWindowSolve:

@@ -97,6 +97,20 @@ class TestRunScan:
         with pytest.raises(ConfigError):
             run_scan("harmonic", h_values=[0.1, -0.01])
 
+    @pytest.mark.parametrize("d", [0.0, -1.0])
+    def test_nonpositive_window_half_width(self, d):
+        with pytest.raises(ConfigError, match="half-width"):
+            run_scan("harmonic", h_values=[0.1], d=d)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf])
+    def test_nonfinite_window_half_width(self, d):
+        with pytest.raises(ConfigError, match="half-width"):
+            run_scan("harmonic", h_values=[0.1], d=d)
+
+    def test_ppw_below_one(self):
+        with pytest.raises(ConfigError, match="ppw"):
+            run_scan("harmonic", h_values=[0.1], ppw=0)
+
     def test_defaults(self):
         fd = default_h_values("fd")
         assert len(fd) == 12 and fd[0] == pytest.approx(0.1)

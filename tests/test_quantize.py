@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from semiclab.errors import NumericalError
-from semiclab.model import Polynomial1D
+from semiclab.model import Polynomial1D, get_model
 from semiclab.quantize import (
     Grid1D,
     antiwick_batch,
@@ -123,6 +123,28 @@ class TestSplit:
         g = Grid1D(-3.0, 3.0, 64, "periodic")
         with pytest.raises(NumericalError):
             build_split(X2, X2, 0.01, g, window_top=4.0)
+
+    def test_circulant_matrix_matches_fft_of_identity(self):
+        f, gk = get_model("pseudo-k3").phase_poly.split_parts()
+        h = 0.02
+        op = build_split(f, gk, h, grid_for_split(f, gk, h, 0.0))
+        m = dense_matrix(op)
+        eye = np.eye(op.size, dtype=complex)
+        ref = np.fft.ifft(op.mult_xi[:, None] * np.fft.fft(eye, axis=0), axis=0)
+        ref += np.diag(op.mult_x)
+        assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(m, m.conj().T)
+
+    def test_dense_route_refuses_grids_past_cap(self, monkeypatch, capsys):
+        from semiclab.cli import main
+
+        monkeypatch.setattr("semiclab.quantize.DENSE_CAP", 64)
+        op = build_split(X2, X2, 0.05, Grid1D(-3.0, 3.0, 128, "periodic"))
+        with pytest.raises(NumericalError, match="128 > 64"):
+            dense_matrix(op)
+        argv = ["spectrum", "--model", "pseudo-k3", "--h", "0.05", "--n", "128", "--box=-3,3"]
+        assert main(argv) == 3
+        assert "128 > 64" in capsys.readouterr().err
 
     def test_apply_matches_dense(self):
         h = 0.05
