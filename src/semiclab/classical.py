@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import CriticalPoint, Polynomial1D, SymbolModel, _poly_roots_in
+from .model import SEARCH_BOX, CriticalPoint, Polynomial1D, SymbolModel, _poly_roots_in
 
 __all__ = [
     "LiouvilleResult",
@@ -60,7 +60,11 @@ __all__ = [
 DIVERGENCE_RATIO = 0.99
 SHELL_COUNT = 14
 DEGENERATE_SLOPE_TOL = 1e-7
-SEARCH_BOX = (-12.0, 12.0)
+LIOUVILLE_RTOL = 1e-8  # node-doubling tolerance of the 1D and radial quadratures
+LEVELSET_RESOLUTION = 512  # marching-squares cells per side for level-set topology
+COAREA_RESOLUTION = 3000  # lattice cells per side of the coarea band count
+COAREA_QUAD_NODES = 24  # Gauss-Legendre nodes of the energy integral
+FLOW_DRIFT_TOL = 1e-6  # energy drift allowed per unit of 1 + max|E|
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,7 @@ def _gauss_chebyshev(f, lo: float, hi: float, n: int) -> float:
     return float(np.pi / n * np.sum(f(x)))
 
 
-def _interval_integral(V, a, energy: float, lo: float, hi: float,
-                       rtol: float) -> tuple[float, float]:
+def _interval_integral(V, a, energy: float, lo: float, hi: float) -> tuple[float, float]:
     """One allowed interval with simple turning points at both ends.
 
     Returns (value, error estimate); the estimate is the last node-doubling
@@ -128,7 +131,7 @@ def _interval_integral(V, a, energy: float, lo: float, hi: float,
         cur = _gauss_chebyshev(f, lo, hi, n)
         if prev is not None:
             delta = abs(cur - prev)
-            if delta <= rtol * (abs(cur) + 1e-300):
+            if delta <= LIOUVILLE_RTOL * (abs(cur) + 1e-300):
                 return cur, delta
         prev = cur
         n *= 2
@@ -163,12 +166,11 @@ def _tail_divergent(ratios: list[float]) -> bool:
     return float(np.mean(ratios[-4:])) >= DIVERGENCE_RATIO
 
 
-def _liouville_schrodinger(V: Polynomial1D, a, energy: float, rtol: float,
-                           search: tuple[float, float],
+def _liouville_schrodinger(V: Polynomial1D, a, energy: float,
                            allow_critical: bool) -> LiouvilleResult:
     a = _as_symbol_callable(a)
     dV = V.derivative()
-    intervals = allowed_intervals(V, energy, search)
+    intervals = allowed_intervals(V, energy)
     if not intervals:
         return LiouvilleResult(0.0, False, energy=energy, detail="empty level set")
     slope_scale = max(V.scale(), 1.0)
@@ -176,7 +178,7 @@ def _liouville_schrodinger(V: Polynomial1D, a, energy: float, rtol: float,
     all_ratios: list[float] = []
     for lo, hi in intervals:
         for x_t, side in ((lo, +1.0), (hi, -1.0)):
-            if x_t == search[0] or x_t == search[1]:
+            if x_t in SEARCH_BOX:
                 continue  # box edge, not a turning point
             if abs(dV(x_t)) > DEGENERATE_SLOPE_TOL * slope_scale:
                 continue
@@ -194,18 +196,17 @@ def _liouville_schrodinger(V: Polynomial1D, a, energy: float, rtol: float,
     total = 0.0
     err = 0.0
     for lo, hi in intervals:
-        val, delta = _interval_integral(V, a, energy, lo, hi, rtol)
+        val, delta = _interval_integral(V, a, energy, lo, hi)
         total += val
         err += delta
     return LiouvilleResult(total, False, energy=energy, error_estimate=err,
                            shell_ratios=tuple(np.round(all_ratios, 4)))
 
 
-def _liouville_radial(V: Polynomial1D, a, energy: float, rtol: float,
-                      r_cap: float) -> LiouvilleResult:
+def _liouville_radial(V: Polynomial1D, a, energy: float) -> LiouvilleResult:
     from scipy.integrate import quad
     a = _as_symbol_callable(a)
-    intervals = allowed_intervals(V, energy, (0.0, r_cap))
+    intervals = allowed_intervals(V, energy, (0.0, SEARCH_BOX[1]))
     if not intervals:
         return LiouvilleResult(0.0, False, energy=energy, detail="empty level set")
     total = 0.0
@@ -214,7 +215,7 @@ def _liouville_radial(V: Polynomial1D, a, energy: float, rtol: float,
         def integrand(r):
             s = math.sqrt(max(energy - float(V(r)), 0.0))
             return float(a(r, s)) * 2.0 * np.pi**2 * r
-        val, abserr = quad(integrand, lo, hi, epsrel=max(rtol, 1e-12), limit=200)
+        val, abserr = quad(integrand, lo, hi, epsrel=max(LIOUVILLE_RTOL, 1e-12), limit=200)
         total += val
         err += abserr
     return LiouvilleResult(total, False, energy=energy, error_estimate=err)
@@ -372,7 +373,7 @@ def _shell_ratios_2d(p_func, grad_func, energy: float, z0: tuple[float, float],
     return [cur / prev for prev, cur in zip(vals[:-1], vals[1:]) if prev > 0 and cur > 0]
 
 
-def _liouville_phase(model: SymbolModel, a, energy: float, rtol: float,
+def _liouville_phase(model: SymbolModel, a, energy: float,
                      resolution: int, allow_critical: bool) -> LiouvilleResult:
     a = _as_symbol_callable(a)
     p = model.phase_poly
@@ -411,9 +412,7 @@ def _liouville_phase(model: SymbolModel, a, energy: float, rtol: float,
                            detail="marching squares at max resolution")
 
 
-def liouville_integral(model: SymbolModel, a, energy: float, rtol: float = 1e-8,
-                       resolution: int = 2048,
-                       search: tuple[float, float] = SEARCH_BOX,
+def liouville_integral(model: SymbolModel, a, energy: float, resolution: int = 2048,
                        allow_critical: bool = False) -> LiouvilleResult:
     """Liouville-measure integral of a over the level set {symbol = energy}.
 
@@ -426,12 +425,11 @@ def liouville_integral(model: SymbolModel, a, energy: float, rtol: float = 1e-8,
     ``divergent=True`` with value +inf instead of a garbage number.
     """
     if model.family == "schrodinger1d":
-        return _liouville_schrodinger(model.potential, a, energy, rtol, search,
-                                      allow_critical)
+        return _liouville_schrodinger(model.potential, a, energy, allow_critical)
     if model.family == "radial2d":
-        return _liouville_radial(model.potential, a, energy, rtol, search[1])
+        return _liouville_radial(model.potential, a, energy)
     if model.family == "phase1d":
-        return _liouville_phase(model, a, energy, rtol, resolution, allow_critical)
+        return _liouville_phase(model, a, energy, resolution, allow_critical)
     raise ValueError(f"unknown family {model.family}")
 
 
@@ -482,8 +480,7 @@ def classify_integrability(cp: CriticalPoint, model: SymbolModel) -> str:
     raise ValueError(f"unknown family {model.family}")
 
 
-def levelset_components(model: SymbolModel, energy: float, resolution: int = 512,
-                        box: tuple[float, float, float, float] | None = None) -> int:
+def levelset_components(model: SymbolModel, energy: float) -> int:
     """Number of connected components of {symbol = energy} in the plane.
 
     Components meeting at a critical point on the level set are counted as
@@ -501,12 +498,12 @@ def levelset_components(model: SymbolModel, energy: float, resolution: int = 512
         grad_func = p.gradient
     else:
         raise ValueError("component counting is planar only")
-    if box is None:
-        box = _phase_box(p_func, energy)
-    segments, uf = _march(p_func, energy, box, resolution)
+    box = _phase_box(p_func, energy)
+    n = LEVELSET_RESOLUTION
+    segments, uf = _march(p_func, energy, box, n)
     if not segments:
         return 0
-    cell_diag = math.hypot((box[1] - box[0]) / resolution, (box[3] - box[2]) / resolution)
+    cell_diag = math.hypot((box[1] - box[0]) / n, (box[3] - box[2]) / n)
     for cp in model.critical_points_at(energy):
         z0 = cp.z0
         anchor = ("node", z0)
@@ -516,10 +513,9 @@ def levelset_components(model: SymbolModel, energy: float, resolution: int = 512
     return len({uf.find(s.key_a) for s in segments})
 
 
-def levelset_connected(model: SymbolModel, energy: float,
-                       resolution: int = 512) -> tuple[bool, int]:
+def levelset_connected(model: SymbolModel, energy: float) -> tuple[bool, int]:
     """(is connected, component count) for the planar level set {p = energy}."""
-    count = levelset_components(model, energy, resolution)
+    count = levelset_components(model, energy)
     return count == 1, count
 
 
@@ -546,8 +542,7 @@ def _band_box(model: SymbolModel, e_hi: float) -> tuple[float, float, float, flo
     return (x_lo - pad_x, x_hi + pad_x, -s_hi - pad_s, s_hi + pad_s)
 
 
-def coarea_area(model: SymbolModel, e_lo: float, e_hi: float,
-                resolution: int = 3000) -> float:
+def coarea_area(model: SymbolModel, e_lo: float, e_hi: float) -> float:
     """Phase-space measure of {e_lo <= p <= e_hi} by cell counting.
 
     Planar families count lattice cells directly; the radial family counts
@@ -562,8 +557,8 @@ def coarea_area(model: SymbolModel, e_lo: float, e_hi: float,
         r_hi = max(hi for _, hi in intervals)
         v_min = float(np.min(V(np.linspace(0.0, r_hi, 4001))))
         s_hi = math.sqrt(max(e_hi - v_min, 0.0)) * 1.05
-        r = np.linspace(0.0, r_hi * 1.05, resolution + 1)
-        s = np.linspace(0.0, s_hi, resolution + 1)
+        r = np.linspace(0.0, r_hi * 1.05, COAREA_RESOLUTION + 1)
+        s = np.linspace(0.0, s_hi, COAREA_RESOLUTION + 1)
         rc = 0.5 * (r[:-1] + r[1:])
         sc = 0.5 * (s[:-1] + s[1:])
         rr, ss = np.meshgrid(rc, sc, indexing="ij")
@@ -579,8 +574,8 @@ def coarea_area(model: SymbolModel, e_lo: float, e_hi: float,
         poly = model.phase_poly
         p_func = lambda x, xi: np.asarray(poly(x, xi), dtype=float)
     x0, x1, y0, y1 = _band_box(model, e_hi)
-    xs = np.linspace(x0, x1, resolution + 1)
-    ys = np.linspace(y0, y1, resolution + 1)
+    xs = np.linspace(x0, x1, COAREA_RESOLUTION + 1)
+    ys = np.linspace(y0, y1, COAREA_RESOLUTION + 1)
     xc = 0.5 * (xs[:-1] + xs[1:])
     yc = 0.5 * (ys[:-1] + ys[1:])
     xx, yy = np.meshgrid(xc, yc, indexing="ij")
@@ -590,8 +585,7 @@ def coarea_area(model: SymbolModel, e_lo: float, e_hi: float,
     return float(np.count_nonzero(band)) * cell
 
 
-def coarea_check(model: SymbolModel, e_lo: float, e_hi: float,
-                 quad_nodes: int = 24, resolution: int = 3000) -> dict:
+def coarea_check(model: SymbolModel, e_lo: float, e_hi: float) -> dict:
     """Compare the energy integral of the level volume with the band area.
 
     The coarea identity makes integral of V(E) dE over [e_lo, e_hi] equal to
@@ -601,7 +595,7 @@ def coarea_check(model: SymbolModel, e_lo: float, e_hi: float,
     difference.
     """
     from numpy.polynomial.legendre import leggauss
-    nodes, weights = leggauss(quad_nodes)
+    nodes, weights = leggauss(COAREA_QUAD_NODES)
     c, w = 0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo)
     integral = 0.0
     for u, wt in zip(nodes, weights):
@@ -610,7 +604,7 @@ def coarea_check(model: SymbolModel, e_lo: float, e_hi: float,
             raise NumericalError("divergent level volume inside the band")
         integral += wt * vol.value
     integral *= w
-    area = coarea_area(model, e_lo, e_hi, resolution)
+    area = coarea_area(model, e_lo, e_hi)
     denom = max(abs(area), abs(integral), 1e-300)
     return {
         "band_integral": integral,
@@ -670,13 +664,13 @@ def _rk4(grad, x, xi, t: float, dt: float):
     return x, xi
 
 
-def flow_points(model: SymbolModel, x0, xi0, t: float, dt: float | None = None,
-                drift_tol: float = 1e-6, check_reversibility: bool = False) -> FlowResult:
+def flow_points(model: SymbolModel, x0, xi0, t: float,
+                check_reversibility: bool = False) -> FlowResult:
     """Hamiltonian flow of the model symbol from (x0, xi0) for time t.
 
     Split symbols use Verlet (symplectic), general planar ones classic RK4.
     The step starts at t/1000 and is halved until the energy drift passes
-    ``drift_tol * (1 + max|E|)``; persistent failure raises
+    ``FLOW_DRIFT_TOL * (1 + max|E|)``; persistent failure raises
     ``NumericalError``.  Inputs broadcast to arrays of phase points.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -697,14 +691,14 @@ def flow_points(model: SymbolModel, x0, xi0, t: float, dt: float | None = None,
     else:
         raise ValueError(f"no flow for family {model.family}")
 
-    dt0 = dt if dt is not None else 1e-3 * max(abs(t), 1.0)
+    dt0 = 1e-3 * max(abs(t), 1.0)
     last_drift = math.inf
     for attempt in range(7):
         cur_dt = dt0 * 0.5**attempt
         x1, xi1 = forward(cur_dt)
         drift = float(np.max(np.abs(np.asarray(model.eval(x1, xi1), dtype=float) - e0)))
         last_drift = drift
-        if drift <= drift_tol * scale:
+        if drift <= FLOW_DRIFT_TOL * scale:
             rev = None
             if check_reversibility:
                 xb, xib = backward(x1, xi1, cur_dt)
@@ -712,6 +706,6 @@ def flow_points(model: SymbolModel, x0, xi0, t: float, dt: float | None = None,
             return FlowResult(x=x1, xi=xi1, t=t, dt=cur_dt, energy_drift=drift,
                               stepper=stepper, reversibility_error=rev)
     raise NumericalError(
-        f"energy drift {last_drift:.3e} still above {drift_tol:.1e} * {scale:.3g} "
+        f"energy drift {last_drift:.3e} still above {FLOW_DRIFT_TOL:.1e} * {scale:.3g} "
         f"after 6 step halvings")
 

@@ -12,8 +12,9 @@ factorization of H - sigma I (LAPACK ``zhetrf``) at both window edges for
 dense ones.  A disagreement that cannot be blamed on window-edge ties raises
 ``NumericalError`` instead of being papered over.
 
-States whose eigenvalue sits within ``edge_tol`` of a window edge are flagged
-so that callers can detect counting ties and re-run with a perturbed window.
+States whose eigenvalue sits within ``EDGE_FRACTION`` of the window width of
+a window edge are flagged so that callers can detect counting ties and
+re-run with a perturbed window.
 
 2D radial models reduce to a family of half-line problems, one per angular
 momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
@@ -38,7 +39,15 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.lapack import zhetrf, zhetrf_lwork
 
 from .errors import NumericalError
-from .quantize import DiscreteOperator, Grid1D, dense_matrix, resolution_dx, schrodinger_box
+from .model import SEARCH_BOX
+from .quantize import (
+    DiscreteOperator,
+    Grid1D,
+    _box_margin,
+    dense_matrix,
+    resolution_dx,
+    schrodinger_box,
+)
 
 __all__ = [
     "EigenWindow",
@@ -51,6 +60,8 @@ __all__ = [
 ]
 
 MAX_CHANNELS = 512
+EDGE_FRACTION = 5e-3  # edge-tie band, as a fraction of the window width
+RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the operator scale
 
 
 @dataclass(frozen=True)
@@ -159,10 +170,11 @@ def _operator_scale(op: DiscreteOperator) -> float:
 
 def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: float,
                   want_vectors: bool, pad: float):
-    """Raw LAPACK call over a slightly widened half-open range.
+    """Raw LAPACK call over a slightly widened range.
 
     ``m`` is the dense matrix of a split or dense operator (None when
-    tridiagonal); only the eigenpairs inside the range are computed.
+    tridiagonal); only the eigenpairs inside the range are computed, and
+    the caller filters them to the window.
     """
     nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), pad)
     vl, vu = lo - nudge, hi + nudge
@@ -175,12 +187,8 @@ def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: flo
             v = None
         return w, v
     if want_vectors:
-        w, v = eigh(m, subset_by_value=(vl, vu), driver="evr")
-    else:
-        w = eigh(m, subset_by_value=(vl, vu), driver="evr", eigvals_only=True)
-        v = None
-    keep = (w >= vl) & (w <= vu)
-    return w[keep], (v[:, keep] if v is not None else None)
+        return eigh(m, subset_by_value=(vl, vu), driver="evr")
+    return eigh(m, subset_by_value=(vl, vu), driver="evr", eigvals_only=True), None
 
 
 def eigs_in_window(
@@ -188,19 +196,16 @@ def eigs_in_window(
     lo: float,
     hi: float,
     vectors: bool = True,
-    edge_tol: float | None = None,
-    residual_tol: float = 1e-9,
 ) -> EigenWindow:
     """All eigenpairs of ``op`` with lo <= lambda <= hi.
 
-    edge_tol defaults to 0.5 percent of the window width.  Residuals
-    ||H psi - lambda psi|| are certified against ``residual_tol`` times the
-    operator scale when vectors are requested.
+    States within ``EDGE_FRACTION`` of the window width of an edge are
+    flagged.  Residuals ||H psi - lambda psi|| are certified against
+    ``RESIDUAL_TOL`` times the operator scale when vectors are requested.
     """
     if hi <= lo:
         raise ValueError("empty window")
-    if edge_tol is None:
-        edge_tol = 5e-3 * (hi - lo)
+    edge_tol = EDGE_FRACTION * (hi - lo)
     scale = _operator_scale(op)
     # computed eigenvalues carry O(eps * ||H||) rounding; resolve window
     # membership only up to that certainty and let edge_flags carry the rest
@@ -213,15 +218,14 @@ def eigs_in_window(
         v = v[:, keep]
     flags = (np.abs(w - lo) <= edge_tol) | (np.abs(w - hi) <= edge_tol)
 
-    # the Sturm pass allows two unflagged misses; the inertia count of an
-    # exactly Hermitian matrix allows none
+    # only edge-flagged states may account for a disagreement
     if op.form == "tridiagonal":
-        check, slack, method = count_in_window(op.diag, op.offdiag, lo, hi), 2, "Sturm"
+        check, method = count_in_window(op.diag, op.offdiag, lo, hi), "Sturm"
     else:
         check = (_inertia_count(m, np.nextafter(hi, np.inf))
                  - _inertia_count(m, np.nextafter(lo, -np.inf)))
-        slack, method = 0, "LDL^H inertia"
-    if abs(check - w.size) > int(np.sum(flags)) + slack:
+        method = "LDL^H inertia"
+    if abs(check - w.size) > int(np.sum(flags)):
         raise NumericalError(
             f"window count disagreement: LAPACK {w.size}, {method} {check} "
             f"on [{lo:.6g}, {hi:.6g}]")
@@ -233,9 +237,9 @@ def eigs_in_window(
             col = v[:, i]
             r = op.apply(col.astype(complex) if op.form == "split" else col)
             resid = max(resid, float(np.linalg.norm(r - w[i] * col)))
-        if resid > residual_tol * scale:
+        if resid > RESIDUAL_TOL * scale:
             raise NumericalError(
-                f"eigenpair residual {resid:.3e} exceeds {residual_tol:.1e} * scale {scale:.3e}")
+                f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}")
 
     return EigenWindow(h=op.h, lo=lo, hi=hi, eigenvalues=w, vectors=v,
                        edge_flags=flags, residual_max=resid, count_check=check,
@@ -274,7 +278,6 @@ def radial_channels(
     h_max: float | None = None,
     ppw: int = 64,
     vectors: bool = True,
-    r_cap: float = 12.0,
 ) -> list[RadialChannel]:
     """Windowed spectra of all angular channels of -h^2 Lap + V(r) in 2D.
 
@@ -283,9 +286,9 @@ def radial_channels(
     channels only push the floor further up, so they are spectrally empty
     on [lo, hi].
     """
-    eps0 = max(1.0, 10.0 * d * (h_max if h_max is not None else h))
     e_center = 0.5 * (lo + hi)
-    _, r_turn = schrodinger_box(V, e_center + eps0, pad=0.0, search=(0.0, r_cap))
+    _, r_turn = schrodinger_box(V, e_center + _box_margin(d, h, h_max), 0.0,
+                                search=(0.0, SEARCH_BOX[1]))
     r_max = 1.25 * max(r_turn, 1e-2)
     probe = np.linspace(1e-6, r_max, 4097)
     pot_min = float(np.min(V(probe)))

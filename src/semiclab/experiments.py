@@ -78,6 +78,7 @@ _INT_TOL = 1e-9
 _ALPHA_MIN = -1.5  # low end of the exponent grid of the free fit
 # smallest h whose fit weights h^_ALPHA_MIN |log h| stay finite
 _H_MIN = 1e-200
+_BUMP_WIDTH = 12.0  # Gaussian bumps of the two-wells experiment
 
 
 def default_center(model: SymbolModel) -> float:
@@ -755,9 +756,7 @@ class TwoWellsResult:
                     if math.isfinite(r.left_fraction)), default=math.nan)
 
 
-def two_wells_experiment(h_values=(0.05, 0.035, 0.025, 0.018, 0.012, 0.008),
-                         e_center: float | None = None, d: float = 5.0,
-                         ppw: int = 64, bump_width: float = 12.0) -> TwoWellsResult:
+def two_wells_experiment(h_values=(0.05, 0.035, 0.025, 0.018, 0.012, 0.008)) -> TwoWellsResult:
     """Mass distribution between two symmetric critical points.
 
     The two-max potential x^2 (x^2 - 1)^2 carries two barrier tops at
@@ -772,14 +771,13 @@ def two_wells_experiment(h_values=(0.05, 0.035, 0.025, 0.018, 0.012, 0.008),
     model = get_model("two-max")
     tops = [c for c in model.critical_points if c.kind == "max"]
     x0 = max(abs(c.z0[0]) for c in tops)
-    if e_center is None:
-        e_center = tops[0].critical_energy
-    left = parse_observable(f"exp(-{bump_width:.12g}*(x + {x0:.12g})^2)")
-    right = parse_observable(f"exp(-{bump_width:.12g}*(x - {x0:.12g})^2)")
+    e_center = tops[0].critical_energy
+    left = parse_observable(f"exp(-{_BUMP_WIDTH:.12g}*(x + {x0:.12g})^2)")
+    right = parse_observable(f"exp(-{_BUMP_WIDTH:.12g}*(x - {x0:.12g})^2)")
     rows = []
     hs = sorted(float(v) for v in h_values)
     for h in reversed(hs):
-        win = solve_window(model, h, e_center, d=d, ppw=ppw, h_max=max(hs))
+        win = solve_window(model, h, e_center, h_max=max(hs))
         if win.count == 0:
             rows.append(TwoWellsRow(h=h, count=0, left_fraction=math.nan,
                                     pair_gaps=(), state_splits=()))

@@ -18,7 +18,9 @@ functions: ``upsilon`` is the plain (multiplicity-weighted) number of window
 states, ``upsilon_a`` the a-weighted count through the Weyl route, so that
 ``upsilon_a == upsilon`` when a is identically 1.  Mixed observables on
 grids past the dense cap fall back to the anti-Wick value as the reference
-(the record's method label says so).
+(the record's method label says so).  An average that is not finite (an
+observable that overflows on the grid) raises ``NumericalError`` on either
+route.
 
 Radial 2D windows support position-only observables a(r); their records
 carry NaN in the anti-Wick slot since no planar coherent frame exists for
@@ -57,6 +59,8 @@ __all__ = [
     "egorov_defect",
 ]
 
+MASS_FLOOR = 0.99  # least Husimi mass a coherent frame must capture per state
+
 
 @dataclass(frozen=True)
 class MicrolocalRecord:
@@ -80,43 +84,48 @@ def _window_matrix(window: EigenWindow) -> np.ndarray:
     return window.vectors
 
 
+def _finite(values: np.ndarray, obs, route: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        name = repr(obs.id) if isinstance(obs, Observable) else "the observable"
+        raise NumericalError(
+            f"{route} average of {name} is not finite on this grid "
+            "(the observable overflows)")
+    return values
+
+
 def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str]:
-    """<Op(a) psi, psi> for every window state, plus the method label."""
+    """<Op(a) psi, psi> for every window state, plus the method label.
+
+    A non-finite average raises ``NumericalError``.
+    """
     v = _window_matrix(window)
     grid = window.grid
     h = window.h
     dens = np.abs(v) ** 2  # (n, k)
+    xi = grid.xi_values(h)
 
     if obs.routing == "position_only":
         ax = np.asarray(obs(grid.nodes, 0.0), dtype=float)
-        return ax @ dens, "diagonal"
-
-    xi = grid.xi_values(h)
-    if obs.routing == "momentum_only":
+        out, method = ax @ dens, "diagonal"
+    elif obs.routing == "momentum_only":
         spec = np.fft.fft(v, axis=0) / math.sqrt(grid.n)
         axi = np.asarray(obs(0.0, xi), dtype=float)
-        return axi @ (np.abs(spec) ** 2), "multiplier"
-
-    if obs.routing == "split":
+        out, method = axi @ (np.abs(spec) ** 2), "multiplier"
+    elif obs.routing == "split":
         x_part, xi_part = obs.split_parts()
-        out = np.zeros(v.shape[1])
+        out, method = np.zeros(v.shape[1]), "split"
         if x_part is not None:
             out += np.asarray(x_part.eval(grid.nodes, 0.0), dtype=float) @ dens
         if xi_part is not None:
             spec = np.fft.fft(v, axis=0) / math.sqrt(grid.n)
             out += np.asarray(xi_part.eval(0.0, xi), dtype=float) @ (np.abs(spec) ** 2)
-        return out, "split"
-
-    if grid.n > DENSE_CAP:
-        raise NumericalError(
-            f"mixed observable {obs.id!r} needs a dense Weyl matrix but the grid "
-            f"has {grid.n} > {DENSE_CAP} points; use the anti-Wick reference route")
-    op = build_weyl_observable(lambda x, s: obs(x, s), h, grid)
-    out = np.empty(v.shape[1])
-    for j in range(v.shape[1]):
-        col = v[:, j].astype(complex)
-        out[j] = float(np.real(np.vdot(col, op.matrix @ col)))
-    return out, "weyl-dense"
+    else:
+        op = build_weyl_observable(lambda x, s: obs(x, s), h, grid)
+        out, method = np.empty(v.shape[1]), "weyl-dense"
+        for j in range(v.shape[1]):
+            col = v[:, j].astype(complex)
+            out[j] = float(np.real(np.vdot(col, op.matrix @ col)))
+    return _finite(out, obs, "Weyl"), method
 
 
 def _auto_xi_span(window: EigenWindow, coverage: float = 0.999) -> tuple[float, float]:
@@ -148,14 +157,15 @@ def antiwick_averages(
     """Anti-Wick averages and captured masses for every window state.
 
     ``obs`` is a callable a(x, xi) or a precomputed table over the frame
-    lattice (x_centers by xi_centers).
+    lattice (x_centers by xi_centers).  A non-finite average raises
+    ``NumericalError``.
     """
     if frame is None:
         frame = default_frame(window)
     v = _window_matrix(window)
     psis = np.ascontiguousarray(v.T)
-    vals, masses, _low = antiwick_batch(frame, window.grid, psis, obs)
-    return vals, masses, frame
+    vals, masses = antiwick_batch(frame, window.grid, psis, obs)
+    return _finite(vals, obs, "anti-Wick"), masses, frame
 
 
 def _weyl_or_reference(window: EigenWindow, obs: Observable,
@@ -177,9 +187,12 @@ def microlocal_records(
     window: EigenWindow,
     obs: Observable,
     frame: CoherentFrame | None = None,
-    mass_floor: float = 0.99,
 ) -> list[MicrolocalRecord]:
-    """Both measure routes per window state; warns through the mass column."""
+    """Both measure routes per window state.
+
+    Raises ``NumericalError`` when the frame captures less than
+    ``MASS_FLOOR`` of some state's Husimi mass.
+    """
     nw, method, frame = _weyl_or_reference(window, obs, frame)
     na, masses, frame = antiwick_averages(window, obs, frame)
     recs = []
@@ -188,8 +201,8 @@ def microlocal_records(
             j=j, h=window.h, eigenvalue=float(window.eigenvalues[j]),
             observable_id=obs.id, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]),
             antiwick_mass=float(masses[j]), method=method))
-    if recs and min(r.antiwick_mass for r in recs) < mass_floor:
-        worst = min(r.antiwick_mass for r in recs)
+    worst = min((r.antiwick_mass for r in recs), default=1.0)
+    if worst < MASS_FLOOR:
         raise NumericalError(
             f"coherent frame captures only {worst:.4f} of the Husimi mass; "
             "widen the frame or the grid")
@@ -222,18 +235,11 @@ def radial_state_averages(channels: list[RadialChannel], obs: Observable) -> lis
     """<a> of every state of every radial channel, one array per channel.
 
     Eigenvectors hold sqrt(r dr) psi(r), so the plane average of a position
-    observable a(r) is a plain l2 sum over the vector entries.
+    observable a(r) is the diagonal route of :func:`weyl_averages`.
     """
     if obs.routing != "position_only":
         raise ValueError("radial windows take position observables a(r) only")
-    out = []
-    for ch in channels:
-        win = ch.window
-        if win.vectors is None:
-            raise ValueError("radial channels were solved without eigenvectors")
-        ar = np.asarray(obs(win.grid.nodes, 0.0), dtype=float)
-        out.append(ar @ (win.vectors ** 2))
-    return out
+    return [weyl_averages(ch.window, obs)[0] for ch in channels]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 GRAD_TOL = 1e-12
+# x range searched for turning points and allowed intervals of potentials;
+# radial searches run over [0, SEARCH_BOX[1]]
+SEARCH_BOX = (-12.0, 12.0)
 
 # Taylor coefficients below this fraction of the largest one are treated as
 # zero when the order of a critical point is read off.

@@ -5,8 +5,10 @@ storage forms:
 
 * ``tridiagonal``  -- real symmetric, second-order finite differences;
 * ``split``        -- f(x) + g(h D) on a periodic grid, applied by FFT;
-* ``dense``        -- full Hermitian matrix (Weyl-quantized observables,
-                      or split operators assembled column by column).
+* ``dense``        -- full Hermitian matrix (Weyl-quantized observables).
+
+Eigensolves that need a split operator as a matrix take it from
+``dense_matrix``, which assembles it as a diagonal plus a circulant.
 
 The Weyl matrix of a(x, xi) on an N-point grid uses the discrete kernel
 
@@ -15,7 +17,9 @@ The Weyl matrix of a(x, xi) on an N-point grid uses the discrete kernel
 with xi_k the FFT frequencies scaled by 2 pi h / (N dx).  For a == 1 this is
 exactly the identity, for a = a(x) a diagonal matrix, and for a = g(xi) the
 usual Fourier multiplier, so the split and Weyl routes coincide on split
-symbols.
+symbols.  Each anti-diagonal kernel is averaged with its conjugate
+reflection before it is scattered, so the matrix is exactly Hermitian by
+construction.
 
 The anti-Wick side quantizes against a lattice of Gaussian coherent states
 of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
@@ -29,7 +33,7 @@ import numpy as np
 from scipy.linalg import circulant
 
 from .errors import NumericalError
-from .model import Polynomial1D, _poly_roots_in
+from .model import SEARCH_BOX, Polynomial1D, _poly_roots_in
 
 __all__ = [
     "Grid1D",
@@ -49,8 +53,10 @@ __all__ = [
 ]
 
 PPW_FLOOR = 16  # grid points per shortest de Broglie wavelength, minimum
-HERMITICITY_TOL = 1e-8
 DENSE_CAP = 4096
+FD_BOX_PAD = 0.25  # finite-difference box: padding of the allowed interval
+SPLIT_BOX_PAD = 0.5  # split box: padding of the allowed interval
+SPLIT_XI_COVERAGE = 1.25  # split grid: xi_max over the classical momentum
 
 
 @dataclass(frozen=True)
@@ -106,15 +112,6 @@ class DiscreteOperator:
     mult_xi: np.ndarray | None = None
     matrix: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.form == "dense":
-            m = self.matrix
-            scale = float(np.max(np.abs(m))) or 1.0
-            defect = float(np.max(np.abs(m - m.conj().T))) / scale
-            if defect > HERMITICITY_TOL:
-                raise NumericalError(
-                    f"dense operator hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL}")
-
     @property
     def size(self) -> int:
         return self.grid.n
@@ -137,7 +134,15 @@ def resolution_dx(h: float, e_window_top: float, pot_min: float, ppw: int = PPW_
     return 2.0 * np.pi * h / (ppw * k)
 
 
-def _outer_turning(V, e_top: float, search: tuple[float, float] = (-12.0, 12.0)) -> tuple[float, float]:
+def _box_margin(d: float, h: float, h_max: float | None) -> float:
+    """Energy above the window centre that sizes a box shared by a scan.
+
+    ``h_max`` is the largest h of the surrounding scan (``None``: this h).
+    """
+    return max(1.0, 10.0 * d * (h_max if h_max is not None else h))
+
+
+def _outer_turning(V, e_top: float, search: tuple[float, float] = SEARCH_BOX) -> tuple[float, float]:
     if isinstance(V, Polynomial1D):
         shifted = Polynomial1D((V.coefficients[0] - e_top,) + V.coefficients[1:])
         roots = _poly_roots_in(shifted, search[0], search[1])
@@ -151,8 +156,8 @@ def _outer_turning(V, e_top: float, search: tuple[float, float] = (-12.0, 12.0))
     return min(roots), max(roots)
 
 
-def schrodinger_box(V, e_top: float, pad: float = 0.25,
-                    search: tuple[float, float] = (-12.0, 12.0)) -> tuple[float, float]:
+def schrodinger_box(V, e_top: float, pad: float,
+                    search: tuple[float, float] = SEARCH_BOX) -> tuple[float, float]:
     """Classically allowed interval at e_top, padded on both sides."""
     lo, hi = _outer_turning(V, e_top, search)
     c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -167,15 +172,13 @@ def grid_for_schrodinger(
     d: float = 5.0,
     h_max: float | None = None,
     ppw: int = PPW_FLOOR,
-    pad: float = 0.25,
 ) -> Grid1D:
     """Auto grid: box from the confinement region, dx from the window policy.
 
     ``h_max`` is the largest h of the surrounding scan; the box is chosen once
     per scan so rows share geometry.
     """
-    eps0 = max(1.0, 10.0 * d * (h_max if h_max is not None else h))
-    lo, hi = schrodinger_box(V, e_center + eps0, pad=pad)
+    lo, hi = schrodinger_box(V, e_center + _box_margin(d, h, h_max), FD_BOX_PAD)
     xs = np.linspace(lo, hi, 4097)
     pot_min = float(np.min(V(xs)))
     dx_max = resolution_dx(h, e_center + d * h, pot_min, ppw)
@@ -198,23 +201,20 @@ def grid_for_split(
     e_center: float,
     d: float = 5.0,
     h_max: float | None = None,
-    pad: float = 0.5,
-    coverage: float = 1.25,
-    n_cap: int = DENSE_CAP,
 ) -> Grid1D:
     """Periodic grid whose momentum range covers the classical window."""
-    eps0 = max(1.0, 10.0 * d * (h_max if h_max is not None else h))
-    e_top = e_center + eps0
-    g_min = float(np.min(g(np.linspace(-12, 12, 8193))))
-    f_min = float(np.min(f(np.linspace(-12, 12, 8193))))
-    lo, hi = schrodinger_box(f, e_top - g_min, pad=pad)
+    e_top = e_center + _box_margin(d, h, h_max)
+    probe = np.linspace(*SEARCH_BOX, 8193)
+    g_min = float(np.min(g(probe)))
+    f_min = float(np.min(f(probe)))
+    lo, hi = schrodinger_box(f, e_top - g_min, SPLIT_BOX_PAD)
     xi_lo, xi_hi = _outer_turning(g, e_top - f_min)
-    xi_need = coverage * max(abs(xi_lo), abs(xi_hi))
+    xi_need = SPLIT_XI_COVERAGE * max(abs(xi_lo), abs(xi_hi))
     length = hi - lo
     n = _next_pow2(int(np.ceil(length * xi_need / (np.pi * h))))
-    if n > n_cap:
+    if n > DENSE_CAP:
         raise NumericalError(
-            f"split grid needs {n} > {n_cap} points at h={h:.3g}; shrink the scan")
+            f"split grid needs {n} > {DENSE_CAP} points at h={h:.3g}; shrink the scan")
     return Grid1D(lo, hi, n, "periodic")
 
 
@@ -304,7 +304,11 @@ def build_weyl_observable(a, h: float, grid: Grid1D) -> DiscreteOperator:
     """Dense Weyl matrix of a(x, xi) on the grid (see module docstring).
 
     ``a`` is any callable of two array arguments.  Assembly runs along
-    anti-diagonals i + j = s, one inverse FFT per midpoint.
+    anti-diagonals i + j = s, one inverse FFT per midpoint.  Entry (i, j)
+    of anti-diagonal s is c[(i - j) % n], so replacing c by
+    (c[k] + conj(c[-k])) / 2 before the scatter makes the matrix exactly
+    Hermitian; no pass over the whole matrix follows.  Grids past
+    ``DENSE_CAP`` points are refused before anything is allocated.
     """
     n = grid.n
     if n > DENSE_CAP:
@@ -314,19 +318,16 @@ def build_weyl_observable(a, h: float, grid: Grid1D) -> DiscreteOperator:
     mat = np.empty((n, n), dtype=complex)
     x0 = x[0]
     dx = grid.dx
+    reflect = (-np.arange(n)) % n
     for s in range(2 * n - 1):
         mid = x0 + 0.5 * s * dx
         row = np.asarray(a(np.full(n, mid), xi), dtype=float)
         c = np.fft.ifft(row)
+        c = 0.5 * (c + np.conj(c[reflect]))
         i_lo = max(0, s - n + 1)
         i_hi = min(n - 1, s)
         ii = np.arange(i_lo, i_hi + 1)
         mat[ii, s - ii] = c[(2 * ii - s) % n]
-    scale = float(np.max(np.abs(mat))) or 1.0
-    defect = float(np.max(np.abs(mat - mat.conj().T))) / scale
-    if defect > HERMITICITY_TOL:
-        raise NumericalError(f"Weyl matrix defect {defect:.3e} (symbol too rough for grid)")
-    mat = 0.5 * (mat + mat.conj().T)
     return DiscreteOperator("dense", h, grid, matrix=mat)
 
 
@@ -358,14 +359,9 @@ class CoherentFrame:
         return psi * np.sqrt(grid.dx)
 
 
-def build_coherent_frame(
-    grid: Grid1D,
-    h: float,
-    xi_span: tuple[float, float],
-    spacing: float | None = None,
-) -> CoherentFrame:
-    if spacing is None:
-        spacing = float(np.sqrt(h)) / 4.0
+def build_coherent_frame(grid: Grid1D, h: float, xi_span: tuple[float, float]) -> CoherentFrame:
+    """Lattice of spacing sqrt(h)/4 over the grid box and ``xi_span``."""
+    spacing = float(np.sqrt(h)) / 4.0
     xc = np.arange(grid.x_min, grid.x_max + 0.5 * spacing, spacing)
     xilo, xihi = xi_span
     xic = np.arange(xilo, xihi + 0.5 * spacing, spacing)
@@ -377,8 +373,7 @@ def antiwick_batch(
     grid: Grid1D,
     psis: np.ndarray,
     a_values,
-    mass_floor: float = 0.999,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Anti-Wick averages of many states at once.
 
     Parameters
@@ -390,8 +385,8 @@ def antiwick_batch(
     Returns
     -------
     values : (P,) anti-Wick averages (2 pi h)^-1 sum a * husimi * cell.
-    masses : (P,) the same sums with a == 1 (captured Husimi mass).
-    low_mass : (P,) bool flags, True where mass < mass_floor.
+    masses : (P,) the same sums with a == 1 (captured Husimi mass); the
+        caller judges whether the frame captured enough of it.
     """
     h = frame.h
     psis = np.atleast_2d(psis)
@@ -434,6 +429,5 @@ def antiwick_batch(
             a_col = np.asarray(a_values[ci], dtype=float)
         values += pref * (a_col @ hus)
         masses += pref * np.sum(hus, axis=0)
-    low = masses < mass_floor
-    return values, masses, low
+    return values, masses
 

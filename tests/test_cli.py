@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiclab.cli import main
-from semiclab.experiments import ScanResult, ScanRow, scan_to_csv
+from semiclab.experiments import ScanResult, ScanRow, scan_from_csv, scan_to_csv
 
 
 def run_cli(capsys, argv):
@@ -170,6 +170,16 @@ class TestMeasure:
         assert code == 4
         assert "xi" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_observable_is_a_numerical_error(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "measure", "--model", "quad-max", "--h", "0.05",
+            "--obs", "exp(x*xi^3)", "--quantization", "weyl"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("semiclab: ") and err.count("\n") == 1
+        assert "not finite" in err
+
 
 class TestLiouville:
     def test_radial_average(self, capsys):
@@ -223,6 +233,19 @@ class TestScanFit:
         assert payload["law"] == "regular_weyl"
         assert payload["alpha_hat"] == pytest.approx(0.0)
         assert payload["coeff_hat"] == pytest.approx(5.0, rel=0.1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_observable_is_a_row_error(self, tmp_path):
+        csv_path = tmp_path / "scan.csv"
+        code = main(["scan", "--model", "quad-max", "--h-from", "0.1",
+                     "--h-to", "0.05", "--h-steps", "2", "--obs", "exp(x*xi^3)",
+                     "--out", str(csv_path)])
+        assert code == 0
+        scan = scan_from_csv(csv_path.read_text())
+        assert len(scan.rows) == 2
+        for row in scan.rows:
+            assert "not finite" in row.error
+            assert math.isnan(row.upsilon_obs[0])
 
     def test_fit_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["fit", "--in", "/no/such/file.csv"])

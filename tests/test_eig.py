@@ -105,6 +105,8 @@ class TestDenseCertificate:
         assert win.count_check == win.count
 
     def test_dropped_state_raises(self, monkeypatch):
+        # one lost state is caught on both routes: LDL^H inertia (split) and
+        # Sturm (tridiagonal), with no edge ties to excuse it
         solve = semiclab.eig._window_solve
 
         def drop_one(*args, **kwargs):
@@ -114,6 +116,8 @@ class TestDenseCertificate:
         monkeypatch.setattr("semiclab.eig._window_solve", drop_one)
         with pytest.raises(NumericalError, match="inertia"):
             k3_window(0.05, vectors=False)
+        with pytest.raises(NumericalError, match="Sturm"):
+            eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False)
 
     def test_weyl_averages_match_full_eigh(self):
         h = 0.02

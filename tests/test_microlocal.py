@@ -107,8 +107,10 @@ class TestAntiWick:
 
     def test_oversize_grid_substitutes_reference_route(self, monkeypatch):
         # mixed symbols on grids past the dense cap take the anti-Wick value
-        # as the reference; the label records the substitution
+        # as the reference; the label records the substitution, and the
+        # Weyl route itself is refused by the Weyl builder's cap
         monkeypatch.setattr("semiclab.microlocal.DENSE_CAP", 64)
+        monkeypatch.setattr("semiclab.quantize.DENSE_CAP", 64)
         win = harmonic_window(0.1, ppw=64)
         obs = parse_observable("exp(-x^2 - xi^2)")
         recs = microlocal_records(win, obs)
@@ -116,6 +118,15 @@ class TestAntiWick:
         assert all(r.gap == 0.0 for r in recs)
         with pytest.raises(NumericalError):
             weyl_averages(win, obs)
+
+
+class TestNonFinite:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("route", [weyl_averages, antiwick_averages])
+    def test_overflowing_observable_raises(self, route):
+        win = harmonic_window(0.1, ppw=64)
+        with pytest.raises(NumericalError, match="not finite"):
+            route(win, parse_observable("exp(1000*x^2)"))
 
 
 class TestCounting:
