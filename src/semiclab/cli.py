@@ -33,7 +33,15 @@ from .experiments import (
     scan_to_csv,
     solve_window,
 )
-from .microlocal import microlocal_records, radial_state_averages, upsilon, upsilon_a
+from .microlocal import (
+    antiwick_averages,
+    check_frame_mass,
+    microlocal_records,
+    radial_state_averages,
+    upsilon,
+    upsilon_a,
+    weyl_or_reference,
+)
 from .model import PhasePolynomial, Polynomial1D, SymbolModel, catalog, get_model
 from .observables import ObservableParseError, parse_observable
 from .quantize import Grid1D
@@ -341,19 +349,23 @@ def cmd_measure(args) -> int:
                    "weighted_mean": upsilon_a(chans, obs) / ups, "records": records}
     else:
         win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"])
-        recs = microlocal_records(win, obs)
-        records = []
-        for r in recs:
-            rec = {"j": int(r.j), "eigenvalue": float(r.eigenvalue),
-                   "method": r.method}
-            if quant in ("weyl", "both"):
-                rec["nu_weyl"] = float(r.nu_weyl)
-            if quant in ("antiwick", "both"):
-                rec["nu_antiwick"] = float(r.nu_antiwick)
-                rec["antiwick_mass"] = float(r.antiwick_mass)
-            if quant == "both":
-                rec["gap"] = float(r.gap)
-            records.append(rec)
+        # each route runs only when it is reported, so a route left out
+        # can neither cost time nor refuse the window
+        records = [{"j": j, "eigenvalue": float(lam)} for j, lam in enumerate(win.eigenvalues)]
+        if quant == "both":
+            for rec, r in zip(records, microlocal_records(win, obs)):
+                rec.update(method=r.method, nu_weyl=float(r.nu_weyl),
+                           nu_antiwick=float(r.nu_antiwick),
+                           antiwick_mass=float(r.antiwick_mass), gap=float(r.gap))
+        elif quant == "weyl":
+            nw, method, _frame = weyl_or_reference(win, obs)
+            for rec, nu in zip(records, nw):
+                rec.update(method=method, nu_weyl=float(nu))
+        else:
+            na, masses, _frame = antiwick_averages(win, obs)
+            check_frame_mass(masses)
+            for rec, nu, mass in zip(records, na, masses):
+                rec.update(method="antiwick", nu_antiwick=float(nu), antiwick_mass=float(mass))
         payload = {"config": _echo("measure", cfg),
                    "upsilon": float(win.count), "records": records}
     _emit_json(payload, cfg.get("out"))

@@ -16,6 +16,24 @@ States whose eigenvalue sits within ``EDGE_FRACTION`` of the window width of
 a window edge are flagged so that callers can detect counting ties and
 re-run with a perturbed window.
 
+Count-only windows (``values=False``, tridiagonal route) are priced by the
+decisions they feed rather than by machine precision.  A window reports its
+count and its edge flags, and both are threshold tests on each eigenvalue:
+kept if it lies in [lo - eps_keep, hi + eps_keep], flagged if it lies
+within edge_tol = ``EDGE_FRACTION`` * (hi - lo) of lo or of hi.  The
+bisection therefore stops at the absolute tolerance
+tau = ``COUNT_TOL_FRACTION`` * edge_tol, and LAPACK's ``stebz`` returns the
+midpoint of an interval of width tau around each eigenvalue, so every coarse
+value is within tau / 2 of the full-precision one.  The selected set is
+fixed by exact Sturm counts at the range ends, independent of tau.  If no
+coarse value lies within tau of one of the six thresholds (lo - eps_keep,
+hi + eps_keep, lo +- edge_tol, hi +- edge_tol), each test comes out as it
+would at full precision.  Otherwise the window is solved again at full
+precision.  The Sturm certificate and the zero-slack rule are the same on
+both paths.  The count and the flags are exact; the reported eigenvalues of
+such a window are the coarse ones.  The split/dense route's ``evr`` driver
+takes no tolerance, so it always solves at full precision.
+
 2D radial models reduce to a family of half-line problems, one per angular
 momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
 the operator -h^2 (psi'' + psi'/r) + (V + h^2 m^2 / r^2) psi is discretized
@@ -61,6 +79,8 @@ __all__ = [
 
 MAX_CHANNELS = 512
 EDGE_FRACTION = 5e-3  # edge-tie band, as a fraction of the window width
+COUNT_TOL_FRACTION = 1e-2  # count-only bisection tolerance, as a fraction of the edge band
+STURM_SCALAR_ROWS = 4096  # Sturm counts up to this size run row by row on Python floats
 RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the operator scale
 
 
@@ -71,7 +91,7 @@ class EigenWindow:
     h: float
     lo: float
     hi: float
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # within COUNT_TOL_FRACTION * edge band / 2 if values=False
     vectors: np.ndarray | None  # (n, count) columns, l2-normalized
     edge_flags: np.ndarray  # True where the eigenvalue is edge-ambiguous
     residual_max: float | None
@@ -90,32 +110,129 @@ class EigenWindow:
 def sturm_count(diag, offdiag, values):
     """Number of eigenvalues strictly below each query value.
 
-    Plain LDL^T sign-count recursion with an underflow pivot guard; used as
-    an independent check on the LAPACK window solves.
+    LDL^T sign count: T - x I has as many negative pivots
+    q_i = a_i - x - b_{i-1}^2 / q_{i-1} as T has eigenvalues below x.  A pivot
+    smaller than ``pivmin`` counts as -pivmin, so an eigenvalue exactly at x
+    may count as below it (``count_in_window`` steps one ulp outside its
+    edges).  Used as an independent check on the LAPACK window solves.  Matrices of more than ``STURM_SCALAR_ROWS``
+    rows are counted in chunks by ``_sturm_chunked``.
     """
-    d = np.asarray(diag, dtype=float).tolist()
-    e2 = np.square(np.asarray(offdiag, dtype=float)).tolist()
-    n = len(d)
-    if len(e2) != n - 1:
+    a = np.asarray(diag, dtype=float)
+    b2 = np.square(np.asarray(offdiag, dtype=float))
+    if b2.size != a.size - 1:
         raise ValueError("offdiag must have one fewer entry than diag")
-    pivmin = 1e-290 * max(1.0, max(e2) if e2 else 0.0)
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    out = np.empty(arr.size, dtype=int)
-    for j, x in enumerate(arr.tolist()):
-        q = d[0] - x
+    x = np.atleast_1d(np.asarray(values, dtype=float))
+    if a.size <= STURM_SCALAR_ROWS:
+        out = _sturm_scalar(a, b2, x)
+    else:
+        out = _sturm_chunked(a, b2, x)
+    if np.ndim(values) == 0:
+        return int(out[0])
+    return out
+
+
+def _pivmin(b2: np.ndarray) -> float:
+    return 1e-290 * max(1.0, float(b2.max()) if b2.size else 0.0)
+
+
+def _sturm_scalar(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The pivot recurrence row by row on Python floats."""
+    d, e2 = a.tolist(), b2.tolist()
+    pivmin = _pivmin(b2)
+    out = np.empty(x.size, dtype=int)
+    for j, s in enumerate(x.tolist()):
+        q = d[0] - s
         if abs(q) < pivmin:
             q = -pivmin
         count = 1 if q < 0.0 else 0
-        for i in range(1, n):
-            q = d[i] - x - e2[i - 1] / q
+        for i in range(1, len(d)):
+            q = d[i] - s - e2[i - 1] / q
             if abs(q) < pivmin:
                 q = -pivmin
             if q < 0.0:
                 count += 1
         out[j] = count
-    if np.isscalar(values) or np.asarray(values).ndim == 0:
-        return int(out[0])
     return out
+
+
+def _sturm_chunked(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The pivot recurrence in K chunks of L rows, L about sqrt(n) / 2.
+
+    The step q -> alpha - c / q is the Moebius map [[alpha, -c], [1, 0]]
+    acting on q = num / den.  Pass 1 multiplies out the map of every chunk,
+    all chunks and shifts at once, one row per vector step, renormalized
+    each step.  A short scalar sweep then carries the pivot through the
+    chunk maps, so each chunk learns the pivot it starts from.  Pass 2 runs
+    the plain recurrence inside every chunk at once from those pivots and
+    counts the negative ones.  Both passes take L vector steps.
+
+    A decoupled row (c = 0) forgets what came before: its pivot is alpha.
+    Pass 1 restarts the chunk map there instead of multiplying through a
+    rank-one factor, which would lose the map whenever the pivot before it
+    is exactly zero.
+    """
+    # counts are invariant under positive scaling; a power of two is exact,
+    # and entries of order one keep pass 1's products out of the subnormals
+    top = max(float(np.max(np.abs(a))), float(np.max(np.abs(x))),
+              float(np.sqrt(b2.max())) if b2.size else 0.0)
+    if 0.0 < top < np.inf:
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        a, x, b2 = a * scale, x * scale, b2 * (scale * scale)
+    pivmin = _pivmin(b2)
+    n, S = a.size, x.size
+    L = max(8, int(np.sqrt(n)) // 2)
+    K = -(-n // L)
+    # row j of every chunk as one (K, S) slice; padding rows at the end are
+    # decoupled, with pivot 1, far above pivmin after the rescaling
+    alpha = np.ones((K * L, S))
+    np.subtract(a[:, None], x, out=alpha[:n])
+    alpha = np.ascontiguousarray(alpha.reshape(K, L, S).transpose(1, 0, 2))
+    c = np.zeros(K * L)
+    c[1:n] = b2  # coupling of each row to the row before it
+    c = np.ascontiguousarray(c.reshape(K, L).T)[:, :, None]
+    decoupled = c[:, :, 0] == 0.0
+    restart = decoupled.any(axis=1).tolist()
+
+    # pass 1: chunk maps [[num0, num1], [den0, den1]]; big = max |num_i|
+    num = np.zeros((2, K, S))
+    num[0] = 1.0
+    den = np.zeros((2, K, S))
+    den[1] = 1.0
+    big = np.ones((K, S))
+    for j in range(L):
+        if restart[j]:
+            r = decoupled[j]
+            num[0, r], num[1, r], big[r] = 1.0, 0.0, 1.0
+        new = alpha[j] * num - c[j] * den
+        new_big = np.abs(new).max(axis=0)
+        norm = np.maximum(new_big, big)
+        num, den, big = new / norm, num / norm, new_big / norm
+
+    # carry: the pivot entering each chunk, guarded like every other pivot
+    n0, n1 = num[0].T.tolist(), num[1].T.tolist()
+    d0, d1 = den[0].T.tolist(), den[1].T.tolist()
+    entry = []
+    for s in range(S):
+        q, col = np.inf, []  # no row before the first chunk
+        for k in range(K):
+            col.append(q)
+            if q == np.inf:
+                u, v = n0[s][k], d0[s][k]
+            else:
+                u, v = n0[s][k] * q + n1[s][k], d0[s][k] * q + d1[s][k]
+            q = u / v if v else np.inf
+            if abs(q) < pivmin:
+                q = -pivmin
+        entry.append(col)
+
+    # pass 2: the plain recurrence in every chunk at once
+    q = np.array(entry).T.copy()
+    negative = np.zeros((K, S), dtype=int)
+    for j in range(L):
+        q = alpha[j] - c[j] / q
+        q[np.abs(q) < pivmin] = -pivmin
+        negative += q < 0.0
+    return negative.sum(axis=0)
 
 
 def count_in_window(diag, offdiag, lo: float, hi: float) -> int:
@@ -169,12 +286,13 @@ def _operator_scale(op: DiscreteOperator) -> float:
 
 
 def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: float,
-                  want_vectors: bool, pad: float):
+                  want_vectors: bool, pad: float, tol: float = 0.0):
     """Raw LAPACK call over a slightly widened range.
 
     ``m`` is the dense matrix of a split or dense operator (None when
     tridiagonal); only the eigenpairs inside the range are computed, and
-    the caller filters them to the window.
+    the caller filters them to the window.  ``tol`` is the absolute
+    bisection tolerance of a tridiagonal eigenvalue solve (0: full precision).
     """
     nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), pad)
     vl, vu = lo - nudge, hi + nudge
@@ -183,7 +301,7 @@ def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: flo
             w, v = eigh_tridiagonal(op.diag, op.offdiag, select="v", select_range=(vl, vu))
         else:
             w = eigh_tridiagonal(op.diag, op.offdiag, select="v",
-                                 select_range=(vl, vu), eigvals_only=True)
+                                 select_range=(vl, vu), eigvals_only=True, tol=tol)
             v = None
         return w, v
     if want_vectors:
@@ -196,22 +314,38 @@ def eigs_in_window(
     lo: float,
     hi: float,
     vectors: bool = True,
+    *,
+    values: bool = True,
 ) -> EigenWindow:
     """All eigenpairs of ``op`` with lo <= lambda <= hi.
 
     States within ``EDGE_FRACTION`` of the window width of an edge are
     flagged.  Residuals ||H psi - lambda psi|| are certified against
     ``RESIDUAL_TOL`` times the operator scale when vectors are requested.
+    ``values=False`` (which needs ``vectors=False``) promises that only the
+    count, ``count_check`` and ``edge_flags`` are read: the tridiagonal
+    route then bisects to a tolerance tied to the edge band and keeps each
+    of those exact (see the module docstring).
     """
     if hi <= lo:
         raise ValueError("empty window")
+    if vectors and not values:
+        raise ValueError("values=False reads counts only; it needs vectors=False")
     edge_tol = EDGE_FRACTION * (hi - lo)
     scale = _operator_scale(op)
     # computed eigenvalues carry O(eps * ||H||) rounding; resolve window
     # membership only up to that certainty and let edge_flags carry the rest
     eps_keep = 1e-12 * max(scale, 1.0)
     m = None if op.form == "tridiagonal" else dense_matrix(op)
-    w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep)
+    tol = COUNT_TOL_FRACTION * edge_tol if not values and m is None else 0.0
+    w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep, tol=tol)
+    if tol > 0.0:
+        # a coarse value within tol of a decision threshold could sit on the
+        # other side of it at full precision
+        thresholds = np.array([lo - eps_keep, hi + eps_keep, lo - edge_tol,
+                               lo + edge_tol, hi - edge_tol, hi + edge_tol])
+        if np.any(np.abs(w[:, None] - thresholds) <= tol):
+            w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep)
     keep = (w >= lo - eps_keep) & (w <= hi + eps_keep)
     w = w[keep]
     if v is not None:
@@ -278,13 +412,16 @@ def radial_channels(
     h_max: float | None = None,
     ppw: int = 64,
     vectors: bool = True,
+    *,
+    values: bool = True,
 ) -> list[RadialChannel]:
     """Windowed spectra of all angular channels of -h^2 Lap + V(r) in 2D.
 
     Channels are enumerated from m = 0 upward and the loop stops at the
     first m whose effective potential floor clears the window top: higher
     channels only push the floor further up, so they are spectrally empty
-    on [lo, hi].
+    on [lo, hi].  ``values`` is passed to every channel's
+    :func:`eigs_in_window`.
     """
     e_center = 0.5 * (lo + hi)
     _, r_turn = schrodinger_box(V, e_center + _box_margin(d, h, h_max), 0.0,
@@ -312,7 +449,7 @@ def radial_channels(
             break  # kinetic term is positive: no channel spectrum below min V_eff
         diag = 2.0 * t + v_eff
         op = DiscreteOperator("tridiagonal", h, grid, diag=diag, offdiag=off)
-        win = eigs_in_window(op, lo, hi, vectors=vectors)
+        win = eigs_in_window(op, lo, hi, vectors=vectors, values=values)
         channels.append(RadialChannel(m=m, weight=1.0 if m == 0 else 2.0,
                                       window=win, v_centrifugal=cent))
     return channels

@@ -186,7 +186,7 @@ def default_h_values(route: str) -> tuple[float, ...]:
 
 def solve_window(model: SymbolModel, h: float, e_center: float, d: float = 5.0,
                  ppw: int = 64, vectors: bool = True, h_max: float | None = None,
-                 grid: Grid1D | None = None) -> EigenWindow:
+                 grid: Grid1D | None = None, *, values: bool = True) -> EigenWindow:
     """Eigenpairs of a 1D model in the window [e_center - d h, e_center + d h].
 
     Potential models take the finite-difference route, split phase symbols
@@ -194,6 +194,7 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = 5.0,
     box from ``h_max``, the largest h of the surrounding scan (``None``: this
     h), and ``grid`` replaces it.  Either way the operator is checked
     against the resolution or aliasing policy at the window top.
+    ``values=False`` solves a count-only window (see :func:`eigs_in_window`).
     """
     lo, hi = e_center - d * h, e_center + d * h
     if model.family == "schrodinger1d":
@@ -211,7 +212,7 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = 5.0,
         op = build_split(f, g, h, grid, window_top=hi)
     else:
         raise ConfigError(f"{model.family} models are solved by radial_channels")
-    return eigs_in_window(op, lo, hi, vectors=vectors)
+    return eigs_in_window(op, lo, hi, vectors=vectors, values=values)
 
 
 def _scan_route(model: SymbolModel) -> str:
@@ -227,7 +228,8 @@ def _scan_one(model: SymbolModel, route: str, h: float, h_max: float,
     try:
         if route == "radial":
             chans = radial_channels(model.potential, h, e_center - d * h, e_center + d * h,
-                                    d=d, h_max=h_max, ppw=ppw, vectors=need_vectors)
+                                    d=d, h_max=h_max, ppw=ppw, vectors=need_vectors,
+                                    values=need_vectors)
             ups = upsilon(chans)
             obs_vals = tuple(upsilon_a(chans, o) for o in observables)
             n_grid = max((c.window.grid.n for c in chans), default=0)
@@ -236,7 +238,7 @@ def _scan_one(model: SymbolModel, route: str, h: float, h_max: float,
             tie = any(c.window.has_ties for c in chans)
         else:
             win = solve_window(model, h, e_center, d=d, ppw=ppw, vectors=need_vectors,
-                               h_max=h_max)
+                               h_max=h_max, values=need_vectors)
             ups = upsilon(win)
             frame = None
             obs_vals = []

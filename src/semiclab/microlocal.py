@@ -51,6 +51,8 @@ __all__ = [
     "MicrolocalRecord",
     "weyl_averages",
     "antiwick_averages",
+    "weyl_or_reference",
+    "check_frame_mass",
     "microlocal_records",
     "default_frame",
     "upsilon",
@@ -96,7 +98,8 @@ def _finite(values: np.ndarray, obs, route: str) -> np.ndarray:
 def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str]:
     """<Op(a) psi, psi> for every window state, plus the method label.
 
-    A non-finite average raises ``NumericalError``.
+    A non-finite average raises ``NumericalError``; numpy's floating-point
+    warnings on the way there are silenced, so that error is the one report.
     """
     v = _window_matrix(window)
     grid = window.grid
@@ -104,27 +107,28 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
     dens = np.abs(v) ** 2  # (n, k)
     xi = grid.xi_values(h)
 
-    if obs.routing == "position_only":
-        ax = np.asarray(obs(grid.nodes, 0.0), dtype=float)
-        out, method = ax @ dens, "diagonal"
-    elif obs.routing == "momentum_only":
-        spec = np.fft.fft(v, axis=0) / math.sqrt(grid.n)
-        axi = np.asarray(obs(0.0, xi), dtype=float)
-        out, method = axi @ (np.abs(spec) ** 2), "multiplier"
-    elif obs.routing == "split":
-        x_part, xi_part = obs.split_parts()
-        out, method = np.zeros(v.shape[1]), "split"
-        if x_part is not None:
-            out += np.asarray(x_part.eval(grid.nodes, 0.0), dtype=float) @ dens
-        if xi_part is not None:
+    with np.errstate(all="ignore"):
+        if obs.routing == "position_only":
+            ax = np.asarray(obs(grid.nodes, 0.0), dtype=float)
+            out, method = ax @ dens, "diagonal"
+        elif obs.routing == "momentum_only":
             spec = np.fft.fft(v, axis=0) / math.sqrt(grid.n)
-            out += np.asarray(xi_part.eval(0.0, xi), dtype=float) @ (np.abs(spec) ** 2)
-    else:
-        op = build_weyl_observable(lambda x, s: obs(x, s), h, grid)
-        out, method = np.empty(v.shape[1]), "weyl-dense"
-        for j in range(v.shape[1]):
-            col = v[:, j].astype(complex)
-            out[j] = float(np.real(np.vdot(col, op.matrix @ col)))
+            axi = np.asarray(obs(0.0, xi), dtype=float)
+            out, method = axi @ (np.abs(spec) ** 2), "multiplier"
+        elif obs.routing == "split":
+            x_part, xi_part = obs.split_parts()
+            out, method = np.zeros(v.shape[1]), "split"
+            if x_part is not None:
+                out += np.asarray(x_part.eval(grid.nodes, 0.0), dtype=float) @ dens
+            if xi_part is not None:
+                spec = np.fft.fft(v, axis=0) / math.sqrt(grid.n)
+                out += np.asarray(xi_part.eval(0.0, xi), dtype=float) @ (np.abs(spec) ** 2)
+        else:
+            op = build_weyl_observable(lambda x, s: obs(x, s), h, grid)
+            out, method = np.empty(v.shape[1]), "weyl-dense"
+            for j in range(v.shape[1]):
+                col = v[:, j].astype(complex)
+                out[j] = float(np.real(np.vdot(col, op.matrix @ col)))
     return _finite(out, obs, "Weyl"), method
 
 
@@ -158,29 +162,41 @@ def antiwick_averages(
 
     ``obs`` is a callable a(x, xi) or a precomputed table over the frame
     lattice (x_centers by xi_centers).  A non-finite average raises
-    ``NumericalError``.
+    ``NumericalError``, as in :func:`weyl_averages`.
     """
     if frame is None:
         frame = default_frame(window)
     v = _window_matrix(window)
     psis = np.ascontiguousarray(v.T)
-    vals, masses = antiwick_batch(frame, window.grid, psis, obs)
+    with np.errstate(all="ignore"):
+        vals, masses = antiwick_batch(frame, window.grid, psis, obs)
     return _finite(vals, obs, "anti-Wick"), masses, frame
 
 
-def _weyl_or_reference(window: EigenWindow, obs: Observable,
-                       frame: CoherentFrame | None):
+def weyl_or_reference(window: EigenWindow, obs: Observable,
+                      frame: CoherentFrame | None = None):
     """Weyl averages, or the anti-Wick values when no dense route exists.
 
     Mixed observables on grids past the dense cap have no affordable exact
     Weyl matrix; the anti-Wick average then serves as the reference value
-    and the method label records the substitution.
+    and the method label records the substitution.  Returns the values,
+    the method label and the coherent frame (built only when used).
     """
     if obs.routing == "general" and window.grid.n > DENSE_CAP:
         vals, _masses, frame = antiwick_averages(window, obs, frame)
         return vals, "antiwick-reference", frame
     nw, method = weyl_averages(window, obs)
     return nw, method, frame
+
+
+def check_frame_mass(masses: np.ndarray) -> None:
+    """Raise ``NumericalError`` when the coherent frame captured less than
+    ``MASS_FLOOR`` of some state's Husimi mass."""
+    worst = float(np.min(masses, initial=1.0))
+    if worst < MASS_FLOOR:
+        raise NumericalError(
+            f"coherent frame captures only {worst:.4f} of the Husimi mass; "
+            "widen the frame or the grid")
 
 
 def microlocal_records(
@@ -193,20 +209,13 @@ def microlocal_records(
     Raises ``NumericalError`` when the frame captures less than
     ``MASS_FLOOR`` of some state's Husimi mass.
     """
-    nw, method, frame = _weyl_or_reference(window, obs, frame)
+    nw, method, frame = weyl_or_reference(window, obs, frame)
     na, masses, frame = antiwick_averages(window, obs, frame)
-    recs = []
-    for j in range(window.count):
-        recs.append(MicrolocalRecord(
-            j=j, h=window.h, eigenvalue=float(window.eigenvalues[j]),
-            observable_id=obs.id, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]),
-            antiwick_mass=float(masses[j]), method=method))
-    worst = min((r.antiwick_mass for r in recs), default=1.0)
-    if worst < MASS_FLOOR:
-        raise NumericalError(
-            f"coherent frame captures only {worst:.4f} of the Husimi mass; "
-            "widen the frame or the grid")
-    return recs
+    check_frame_mass(masses)
+    return [MicrolocalRecord(
+        j=j, h=window.h, eigenvalue=float(window.eigenvalues[j]),
+        observable_id=obs.id, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]),
+        antiwick_mass=float(masses[j]), method=method) for j in range(window.count)]
 
 
 def upsilon(window) -> float:
@@ -225,7 +234,7 @@ def upsilon_a(window, obs: Observable, frame: CoherentFrame | None = None) -> fl
     observables only in the radial case).
     """
     if isinstance(window, EigenWindow):
-        vals, _method, _frame = _weyl_or_reference(window, obs, frame)
+        vals, _method, _frame = weyl_or_reference(window, obs, frame)
         return float(np.sum(vals))
     return sum((ch.weight * float(np.sum(vals))
                 for ch, vals in zip(window, radial_state_averages(window, obs))), 0.0)

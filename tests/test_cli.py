@@ -170,7 +170,32 @@ class TestMeasure:
         assert code == 4
         assert "xi" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_weyl_route_needs_no_antiwick_frame(self, capsys, monkeypatch):
+        # a mass floor above 1 makes every coherent frame refuse; only the
+        # routes that are reported may run into it
+        monkeypatch.setattr("semiclab.microlocal.MASS_FLOOR", 1.5)
+        argv = ["measure", "--model", "quad-max", "--h", "0.05", "--obs", "exp(-x^2-xi^2)"]
+        code, out, _ = run_cli(capsys, argv + ["--quantization", "weyl"])
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert records and all(set(r) == {"j", "eigenvalue", "method", "nu_weyl"}
+                               for r in records)
+        for quant in ("antiwick", "both"):
+            code, _, err = run_cli(capsys, argv + ["--quantization", quant])
+            assert code == 3 and "Husimi mass" in err
+
+    def test_antiwick_route_reports_its_own_method(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "measure", "--model", "quad-max", "--h", "0.05",
+            "--obs", "exp(-x^2-xi^2)", "--quantization", "antiwick"])
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert set(rec) == {"j", "eigenvalue", "method", "nu_antiwick", "antiwick_mass"}
+        assert rec["method"] == "antiwick" and rec["antiwick_mass"] >= 0.99
+
+    # numpy's overflow warnings would print before the one semiclab: line;
+    # as errors they would turn the exit 3 into a traceback
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_observable_is_a_numerical_error(self, capsys):
         code, out, err = run_cli(capsys, [
             "measure", "--model", "quad-max", "--h", "0.05",
@@ -179,6 +204,15 @@ class TestMeasure:
         assert out == ""
         assert err.startswith("semiclab: ") and err.count("\n") == 1
         assert "not finite" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_on_both_routes_is_one_line(self, capsys):
+        # the anti-Wick average of this symbol is finite (the frame lattice
+        # is bounded), so the Weyl route's error is the one report
+        code, out, err = run_cli(capsys, [
+            "measure", "--model", "quad-max", "--h", "0.05", "--obs", "exp(x*xi^3)"])
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("semiclab: ") and "Weyl average" in err
 
 
 class TestLiouville:
@@ -234,7 +268,7 @@ class TestScanFit:
         assert payload["alpha_hat"] == pytest.approx(0.0)
         assert payload["coeff_hat"] == pytest.approx(5.0, rel=0.1)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_observable_is_a_row_error(self, tmp_path):
         csv_path = tmp_path / "scan.csv"
         code = main(["scan", "--model", "quad-max", "--h-from", "0.1",

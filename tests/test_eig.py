@@ -14,8 +14,9 @@ from semiclab.eig import (
     sturm_count,
 )
 from semiclab.errors import NumericalError
+from semiclab.experiments import default_center, solve_window
 from semiclab.microlocal import upsilon, weyl_averages
-from semiclab.model import Polynomial1D, get_model
+from semiclab.model import Polynomial1D, catalog, get_model
 from semiclab.observables import parse_observable
 from semiclab.quantize import (
     Grid1D,
@@ -58,6 +59,104 @@ class TestSturm:
         e = np.array([1e-3, 1e-3])
         out = sturm_count(d, e, [-1.0, 0.5, 1.5, 3.0])
         assert out.tolist() == [0, 1, 2, 3]
+
+
+def random_tridiagonal(rng, n, zero_share=0.0):
+    d = rng.standard_normal(n) * rng.choice([1.0, 50.0])
+    e = rng.standard_normal(n - 1)
+    e[rng.random(n - 1) < zero_share] = 0.0
+    return d, e
+
+
+def dense_counts(d, e, shifts):
+    ev = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    return [int(np.sum(ev < x)) for x in shifts]
+
+
+class TestChunkedSturm:
+    """The chunked recurrence, forced onto small matrices, against eigvalsh
+    and against the row-by-row recurrence it replaces above the cutoff."""
+
+    @pytest.fixture(autouse=True)
+    def chunked(self, monkeypatch):
+        monkeypatch.setattr(semiclab.eig, "STURM_SCALAR_ROWS", 0)
+
+    @staticmethod
+    def check(d, e, shifts, expected=None):
+        got = sturm_count(d, e, shifts).tolist()
+        assert got == (dense_counts(d, e, shifts) if expected is None else expected)
+        assert got == semiclab.eig._sturm_scalar(
+            np.asarray(d, float), np.square(np.asarray(e, float)),
+            np.asarray(shifts, float)).tolist()
+
+    # 1 and 2 rows: one chunk, mostly padding; 97 and 1001 rows: the last
+    # chunk is partial
+    @pytest.mark.parametrize("n", [1, 2, 3, 97, 1001])
+    def test_matches_eigvalsh(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            d, e = random_tridiagonal(rng, n)
+            self.check(d, e, rng.standard_normal(6) * 30.0)
+
+    @pytest.mark.parametrize("zero_share", [0.3, 1.0])
+    def test_decoupled_blocks(self, zero_share):
+        rng = np.random.default_rng(7)
+        for n in (2, 40, 333):
+            d, e = random_tridiagonal(rng, n, zero_share)
+            self.check(d, e, rng.standard_normal(6) * 30.0)
+
+    def test_zero_pivot(self):
+        # a shift equal to the entry of a row right after a zero coupling
+        # makes that pivot exactly zero; sliding it along the rows puts it on
+        # every chunk boundary, ahead of a decoupled row two rows on
+        rng = np.random.default_rng(11)
+        d, e = random_tridiagonal(rng, 200)
+        for k in range(1, 60):
+            ek = e.copy()
+            ek[[k - 1, k + 2]] = 0.0
+            self.check(d, ek, [d[k]])
+
+    def test_zero_pivot_on_a_lone_row(self):
+        # row k coupled to neither neighbour: its eigenvalue d[k] equals the
+        # shift and, as in the row-by-row loop, counts as below it; the next
+        # row restarts the recurrence after that zero pivot
+        rng = np.random.default_rng(12)
+        d, e = random_tridiagonal(rng, 200)
+        for k in range(1, 60):
+            ek = e.copy()
+            ek[[k - 1, k]] = 0.0
+            above = np.nextafter(d[k], np.inf)
+            self.check(d, ek, [d[k]], dense_counts(d, ek, [above]))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_scales(self, scale):
+        # b^2 reaches 1e+-300: the pivot floor must not count padding, and
+        # pass 1's products must not sink into subnormals (shifts equal to
+        # diagonal entries exposed that before the power-of-two rescaling)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            d, e = random_tridiagonal(rng, 100)
+            shifts = np.concatenate([d[[0, 50, 99]], rng.standard_normal(3) * 30.0])
+            expected = semiclab.eig._sturm_scalar(d, np.square(e), shifts).tolist()
+            self.check(d * scale, e * scale, shifts * scale, expected)
+
+    def test_scalar_in_int_out(self):
+        out = sturm_count(np.array([0.0, 1.0, 2.0]), np.array([1e-3, 1e-3]), 1.5)
+        assert isinstance(out, int) and out == 2
+
+    def test_long_matrix_takes_the_chunked_route(self, monkeypatch):
+        monkeypatch.undo()
+        calls = []
+        chunked = semiclab.eig._sturm_chunked
+        monkeypatch.setattr(semiclab.eig, "_sturm_chunked",
+                            lambda *a: calls.append(1) or chunked(*a))
+        rng = np.random.default_rng(17)
+        d, e = random_tridiagonal(rng, semiclab.eig.STURM_SCALAR_ROWS + 3)
+        shifts = [-20.0, 0.0, 35.0]
+        a, b2 = np.asarray(d), np.square(e)
+        assert sturm_count(d, e, shifts).tolist() == semiclab.eig._sturm_scalar(
+            a, b2, np.asarray(shifts)).tolist()
+        assert calls
 
 
 class TestInertia:
@@ -118,6 +217,8 @@ class TestDenseCertificate:
             k3_window(0.05, vectors=False)
         with pytest.raises(NumericalError, match="Sturm"):
             eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False)
+        with pytest.raises(NumericalError, match="Sturm"):
+            eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False, values=False)
 
     def test_weyl_averages_match_full_eigh(self):
         h = 0.02
@@ -179,6 +280,79 @@ class TestWindowSolve:
         exact = h * (2 * np.arange(7) + 1)
         assert w.size == 7
         assert np.max(np.abs(w - exact)) < 1e-8
+
+
+FD_MODELS = [m for m in catalog() if get_model(m).family == "schrodinger1d"]
+
+
+def window_decisions(win):
+    return win.count, win.count_check, win.edge_flags.tolist()
+
+
+class TestCountOnly:
+    """values=False windows bisect coarsely but decide exactly."""
+
+    @pytest.mark.parametrize("name", FD_MODELS)
+    def test_decisions_match_full_precision(self, name):
+        model = get_model(name)
+        for e_center in (default_center(model), 0.5):
+            for h in np.geomspace(1e-1, 1e-3, 5):
+                full = solve_window(model, h, e_center, vectors=False)
+                coarse = solve_window(model, h, e_center, vectors=False, values=False)
+                assert window_decisions(coarse) == window_decisions(full)
+                assert np.all(np.abs(coarse.eigenvalues - full.eigenvalues)
+                              <= 0.5 * semiclab.eig.COUNT_TOL_FRACTION
+                              * semiclab.eig.EDGE_FRACTION * 10.0 * h)
+
+    def test_value_near_a_threshold_solves_again(self, monkeypatch):
+        # put the discrete level near 7h = (2j+1)h, j = 3, exactly on
+        # lo + edge_tol, the inner edge of the lower tie band
+        h = 0.05
+        op = harmonic_op(h)
+        lam = eigs_in_window(op, 6.5 * h, 7.5 * h, vectors=False).eigenvalues
+        assert lam.size == 1 and abs(lam[0] - 7 * h) < 1e-4 * h
+        width = 10 * h
+        lo = float(lam[0]) - semiclab.eig.EDGE_FRACTION * width
+        hi = lo + width
+        tols = []
+        solve = semiclab.eig.eigh_tridiagonal
+        monkeypatch.setattr(semiclab.eig, "eigh_tridiagonal",
+                            lambda *a, **kw: tols.append(kw.get("tol", 0.0)) or solve(*a, **kw))
+        coarse = eigs_in_window(op, lo, hi, vectors=False, values=False)
+        assert len(tols) == 2 and tols[0] > 0.0 and tols[1] == 0.0
+        full = eigs_in_window(op, lo, hi, vectors=False)
+        assert window_decisions(coarse) == window_decisions(full)
+        assert np.array_equal(coarse.eigenvalues, full.eigenvalues)
+
+    def test_no_solve_again_away_from_thresholds(self, monkeypatch):
+        tols = []
+        solve = semiclab.eig.eigh_tridiagonal
+        monkeypatch.setattr(semiclab.eig, "eigh_tridiagonal",
+                            lambda *a, **kw: tols.append(kw.get("tol", 0.0)) or solve(*a, **kw))
+        win = eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False, values=False)
+        assert win.count == 6 and not win.has_ties
+        assert tols == [pytest.approx(semiclab.eig.COUNT_TOL_FRACTION * semiclab.eig.EDGE_FRACTION * 0.52)]
+
+    @pytest.mark.parametrize("h", [0.05, 0.01])
+    def test_radial_channels_decide_alike(self, h):
+        V = get_model("radial-deg").potential
+        args = (V, h, -5.0 * h, 5.0 * h)
+        full = radial_channels(*args, vectors=False)
+        coarse = radial_channels(*args, vectors=False, values=False)
+        assert [c.m for c in coarse] == [c.m for c in full]
+        assert ([window_decisions(c.window) for c in coarse]
+                == [window_decisions(c.window) for c in full])
+
+    def test_needs_vectors_off(self):
+        with pytest.raises(ValueError, match="vectors=False"):
+            eigs_in_window(harmonic_op(0.05), 0.34, 0.86, values=False)
+
+    def test_dense_route_ignores_the_flag(self):
+        _op, full = k3_window(0.05, vectors=False)
+        f, g = get_model("pseudo-k3").phase_poly.split_parts()
+        op = build_split(f, g, 0.05, grid_for_split(f, g, 0.05, 0.0), window_top=0.25)
+        coarse = eigs_in_window(op, -0.25, 0.25, vectors=False, values=False)
+        assert np.array_equal(coarse.eigenvalues, full.eigenvalues)
 
 
 class TestRadial:

@@ -121,7 +121,7 @@ class TestAntiWick:
 
 
 class TestNonFinite:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("route", [weyl_averages, antiwick_averages])
     def test_overflowing_observable_raises(self, route):
         win = harmonic_window(0.1, ppw=64)
