@@ -44,6 +44,7 @@ __all__ = [
     "FlowResult",
     "liouville_integral",
     "level_volume",
+    "normalizing_volume",
     "mu_average",
     "classify_integrability",
     "allowed_intervals",
@@ -437,17 +438,26 @@ def level_volume(model: SymbolModel, energy: float, **kw) -> LiouvilleResult:
     return liouville_integral(model, None, energy, **kw)
 
 
-def mu_average(model: SymbolModel, a, energy: float, **kw) -> float:
-    """Normalized Liouville average of a on {symbol = energy}."""
-    kw.setdefault("allow_critical", True)
+def normalizing_volume(model: SymbolModel, energy: float, **kw) -> float:
+    """Level-set volume that normalizes a Liouville average.
+
+    A divergent or empty level set has no normalized average: both raise
+    ``NumericalError``.
+    """
     vol = level_volume(model, energy, **kw)
     if vol.divergent:
         raise NumericalError(
             f"Liouville volume divergent at E={energy:.6g}: {vol.detail}")
     if vol.value <= 0.0:
         raise NumericalError(f"empty level set at E={energy:.6g}")
-    num = liouville_integral(model, a, energy, **kw)
-    return num.value / vol.value
+    return vol.value
+
+
+def mu_average(model: SymbolModel, a, energy: float, **kw) -> float:
+    """Normalized Liouville average of a on {symbol = energy}."""
+    kw.setdefault("allow_critical", True)
+    vol = normalizing_volume(model, energy, **kw)
+    return liouville_integral(model, a, energy, **kw).value / vol
 
 
 def classify_integrability(cp: CriticalPoint, model: SymbolModel) -> str:

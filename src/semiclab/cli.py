@@ -3,8 +3,12 @@
 Every run is deterministic; identical invocations produce byte-identical
 output.  JSON payloads embed the fully resolved configuration under the
 ``config`` key, CSV payloads carry it in leading ``# key=value`` comment
-lines.  Options may come from a flat key=value config file (``--config``),
-with command-line flags taking precedence and unknown keys rejected.
+lines.  The options of ``spectrum``, ``measure``, ``liouville``, ``scan``
+and ``fit`` are declared once, in ``OPTIONS``: each entry gives the
+``--flag`` (underscores become dashes), the key of a flat key=value config
+file (``--config``), the type, the default and the checks.  Flags take
+precedence over the file, unknown keys are rejected, and both sources go
+through the same conversion and checks.
 
 Exit codes: 0 success, 1 failed scenario verdict, 2 violated model
 hypothesis, 3 numerical failure, 4 configuration or parse error.
@@ -14,17 +18,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .classical import liouville_integral, mu_average
+from .classical import liouville_integral, normalizing_volume
 # eigs_in_window is unused here; perfbench/test_perfbench.py::
 # test_wrapper_reaches_from_import_aliases_and_restores expects this module to hold it
 from .eig import eigs_in_window, radial_channels  # noqa: F401
 from .errors import ConfigError, HypothesisError, NumericalError, exit_code_for
 from .experiments import (
+    _fmt,
     default_center,
     fit_scaling,
     run_scan,
@@ -36,7 +44,6 @@ from .experiments import (
 from .microlocal import (
     antiwick_averages,
     check_frame_mass,
-    microlocal_records,
     radial_state_averages,
     upsilon,
     upsilon_a,
@@ -44,12 +51,62 @@ from .microlocal import (
 )
 from .model import PhasePolynomial, Polynomial1D, SymbolModel, catalog, get_model
 from .observables import ObservableParseError, parse_observable
-from .quantize import Grid1D
+from .quantize import WINDOW_D, WINDOW_PPW, Grid1D
 from .scenarios import run_scenario
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
+def _parse_bool(text: str) -> bool:
+    t = text.strip().lower()
+    if t in ("1", "true", "yes", "on"):
+        return True
+    if t in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: the flag ``--key`` and the config key ``key``.
+
+    Both sources hand ``type`` a string; a ``_parse_bool`` option is a flag
+    without a value.
+    """
+
+    key: str
+    type: Callable[[str], object] = str
+    default: object = None
+    required: bool = False
+    positive: bool = False
+    choices: tuple[str, ...] = ()
+    help: str | None = None
+
+
+_MODEL = Option("model", required=True)
+_OBS = Option("obs", required=True)
+_H = Option("h", float, required=True, positive=True)
+_WINDOW = (Option("ecenter", float), Option("d", float, WINDOW_D, positive=True),
+           Option("ppw", int, WINDOW_PPW, positive=True))
+_OUT = Option("out")
+
+OPTIONS: dict[str, tuple[Option, ...]] = {
+    "spectrum": (_MODEL, _H, *_WINDOW, Option("n", int),
+                 Option("box", help="A,B grid interval override"), _OUT),
+    "measure": (_MODEL, _H, _OBS,
+                Option("quantization", default="both",
+                       choices=("weyl", "antiwick", "both")),
+                *_WINDOW, _OUT),
+    "liouville": (_MODEL, _OBS, Option("energy", float, required=True),
+                  Option("allow_critical", _parse_bool, False), _OUT),
+    "scan": (_MODEL,
+             Option("h_from", float, required=True, positive=True),
+             Option("h_to", float, required=True, positive=True),
+             Option("h_steps", int, required=True, positive=True),
+             Option("obs", help="comma-separated observable expressions"),
+             *_WINDOW, _OUT),
+    "fit": (Option("in", required=True),
+            Option("law", default="auto", choices=("auto", "regular", "critical")),
+            _OUT),
+}
 
 
 def _round0(v: float, tol: float = 1e-9) -> float:
@@ -68,15 +125,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -98,41 +146,34 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args, spec: dict, defaults: dict) -> dict:
-    """Merge option sources: defaults, then config file, then flags."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_map = read_config_file(config_path)
-        unknown = sorted(set(file_map) - set(spec))
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys: {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(spec))})")
-        for key, raw in file_map.items():
-            try:
-                resolved[key] = spec[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
-    for key in spec:
-        attr = "in_path" if key == "in" else key
-        value = getattr(args, attr, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
-
-
-def _require(cfg: dict, keys) -> None:
-    missing = [k for k in keys if cfg.get(k) is None]
+def _resolve(args) -> dict:
+    """The subcommand's options: defaults, then config file, then flags; checked."""
+    table = {opt.key: opt for opt in args.options}
+    given = read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)} "
+                          f"(known: {', '.join(sorted(table))})")
+    given.update((k, getattr(args, k)) for k in table if getattr(args, k) is not None)
+    cfg = {}
+    for key, opt in table.items():
+        try:
+            cfg[key] = opt.type(given[key]) if key in given else opt.default
+        except ValueError as exc:
+            raise ConfigError(f"option {key!r}: {exc}") from None
+    missing = [k for k, opt in table.items() if opt.required and cfg[k] is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
-
-
-def _check_positive(cfg: dict, keys) -> None:
-    for k in keys:
-        v = cfg.get(k)
-        if v is not None and not (np.isfinite(v) and v > 0):
-            raise ConfigError(f"option {k!r} must be positive and finite, got {v}")
+    for key, opt in table.items():
+        v = cfg[key]
+        if v is None:
+            continue
+        if opt.positive and not 0 < v < math.inf:
+            raise ConfigError(f"option {key!r} must be positive and finite, got {v}")
+        if opt.choices and v not in opt.choices:
+            raise ConfigError(f"option {key!r} must be one of "
+                              f"{', '.join(opt.choices)}, got {v!r}")
+    return cfg
 
 
 def _echo(command: str, cfg: dict) -> dict:
@@ -173,48 +214,35 @@ def _csv_text(command: str, cfg: dict, header: list[str], rows) -> str:
 
 # -- models ------------------------------------------------------------------
 
-def _poly_text(p: Polynomial1D, var: str) -> str:
-    pieces: list[tuple[str, str]] = []
-    for power, coeff in enumerate(p.coefficients):
+def _power(var: str, k: int) -> str:
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+
+def _signed_sum(terms) -> str:
+    """``a - b + c`` text of (coefficient, monomial) terms; '' is the constant."""
+    text = ""
+    for coeff, mono in terms:
         if coeff == 0.0:
             continue
         mag = abs(coeff)
-        if power == 0:
+        if not mono:
             body = _fmt(mag)
         else:
-            base = var if power == 1 else f"{var}^{power}"
-            body = base if mag == 1.0 else f"{_fmt(mag)}*{base}"
-        pieces.append(("-" if coeff < 0 else "+", body))
-    if not pieces:
-        return "0"
-    sign, body = pieces[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+            body = mono if mag == 1.0 else f"{_fmt(mag)}*{mono}"
+        if text:
+            text += f" {'-' if coeff < 0 else '+'} {body}"
+        else:
+            text = ("-" if coeff < 0 else "") + body
+    return text or "0"
+
+
+def _poly_text(p: Polynomial1D, var: str) -> str:
+    return _signed_sum((c, _power(var, k)) for k, c in enumerate(p.coefficients))
 
 
 def _phase_text(p: PhasePolynomial) -> str:
-    pieces: list[tuple[str, str]] = []
-    for xp, xip, coeff in sorted(p.terms):
-        if coeff == 0.0:
-            continue
-        parts = []
-        if xp:
-            parts.append("x" if xp == 1 else f"x^{xp}")
-        if xip:
-            parts.append("xi" if xip == 1 else f"xi^{xip}")
-        mono = "*".join(parts) if parts else "1"
-        mag = abs(coeff)
-        body = mono if mag == 1.0 else f"{_fmt(mag)}*{mono}"
-        pieces.append(("-" if coeff < 0 else "+", body))
-    if not pieces:
-        return "0"
-    sign, body = pieces[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _signed_sum((c, "*".join(filter(None, (_power("x", xp), _power("xi", xip)))))
+                       for xp, xip, c in sorted(p.terms))
 
 
 def _symbol_text(m: SymbolModel) -> str:
@@ -261,13 +289,13 @@ def _parse_box(text: str) -> tuple[float, float]:
 
 
 def _grid_override(m: SymbolModel, cfg: dict) -> Grid1D | None:
-    n, box = cfg.get("n"), cfg.get("box")
+    n, box = cfg["n"], cfg["box"]
     if n is None and box is None:
         return None
-    if n is None or box is None:
-        raise ConfigError("grid overrides need both --n and --box")
     if m.family == "radial2d":
         raise ConfigError("grid overrides --n/--box apply to 1d models only")
+    if n is None or box is None:
+        raise ConfigError("grid overrides need both --n and --box")
     a, b = _parse_box(box)
     boundary = "periodic" if m.family == "phase1d" else "dirichlet"
     try:
@@ -276,52 +304,34 @@ def _grid_override(m: SymbolModel, cfg: dict) -> Grid1D | None:
         raise ConfigError(str(exc)) from None
 
 
-SPECTRUM_SPEC = {"model": str, "h": float, "ecenter": float, "d": float,
-                 "ppw": int, "n": int, "box": str, "out": str}
-
-
 def cmd_spectrum(args) -> int:
-    cfg = _resolve(args, SPECTRUM_SPEC, {"d": 5.0, "ppw": 64})
-    _require(cfg, ("model", "h"))
-    _check_positive(cfg, ("h", "d", "ppw"))
+    cfg = _resolve(args)
     m = _get_model(cfg["model"])
-    if cfg.get("ecenter") is None:
+    if cfg["ecenter"] is None:
         cfg["ecenter"] = default_center(m)
     h, e_center, d = cfg["h"], cfg["ecenter"], cfg["d"]
+    grid = _grid_override(m, cfg)
     if m.family == "radial2d":
-        if cfg.get("n") is not None or cfg.get("box") is not None:
-            raise ConfigError("grid overrides --n/--box apply to 1d models only")
         chans = radial_channels(m.potential, h, e_center - d * h, e_center + d * h,
                                 d=d, ppw=cfg["ppw"], vectors=False)
         header = ["m", "weight", "j", "eigenvalue"]
         rows = [[ch.m, ch.weight, j, _fmt(lam)]
                 for ch in chans for j, lam in enumerate(ch.window.eigenvalues)]
     else:
-        win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"], vectors=False,
-                           grid=_grid_override(m, cfg))
+        win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"], vectors=False, grid=grid)
         header = ["j", "eigenvalue"]
         rows = [[j, _fmt(lam)] for j, lam in enumerate(win.eigenvalues)]
-    _emit_text(_csv_text("spectrum", cfg, header, rows), cfg.get("out"))
+    _emit_text(_csv_text("spectrum", cfg, header, rows), cfg["out"])
     return 0
 
 
 # -- measure -----------------------------------------------------------------
 
-MEASURE_SPEC = {"model": str, "h": float, "obs": str, "quantization": str,
-                "ecenter": float, "d": float, "ppw": int, "out": str}
-
-
 def cmd_measure(args) -> int:
-    cfg = _resolve(args, MEASURE_SPEC, {"quantization": "both", "d": 5.0,
-                                        "ppw": 64})
-    _require(cfg, ("model", "h", "obs"))
-    _check_positive(cfg, ("h", "d", "ppw"))
+    cfg = _resolve(args)
     quant = cfg["quantization"]
-    if quant not in ("weyl", "antiwick", "both"):
-        raise ConfigError(
-            f"quantization must be weyl, antiwick or both, got {quant!r}")
     m = _get_model(cfg["model"])
-    if cfg.get("ecenter") is None:
+    if cfg["ecenter"] is None:
         cfg["ecenter"] = default_center(m)
     obs = parse_observable(cfg["obs"])
     h, e_center, d = cfg["h"], cfg["ecenter"], cfg["d"]
@@ -352,88 +362,70 @@ def cmd_measure(args) -> int:
         # each route runs only when it is reported, so a route left out
         # can neither cost time nor refuse the window
         records = [{"j": j, "eigenvalue": float(lam)} for j, lam in enumerate(win.eigenvalues)]
-        if quant == "both":
-            for rec, r in zip(records, microlocal_records(win, obs)):
-                rec.update(method=r.method, nu_weyl=float(r.nu_weyl),
-                           nu_antiwick=float(r.nu_antiwick),
-                           antiwick_mass=float(r.antiwick_mass), gap=float(r.gap))
-        elif quant == "weyl":
-            nw, method, _frame = weyl_or_reference(win, obs)
+        frame = None
+        if quant != "antiwick":
+            nw, method, frame = weyl_or_reference(win, obs)
             for rec, nu in zip(records, nw):
                 rec.update(method=method, nu_weyl=float(nu))
-        else:
-            na, masses, _frame = antiwick_averages(win, obs)
+        if quant != "weyl":
+            na, masses, frame = antiwick_averages(win, obs, frame)
             check_frame_mass(masses)
             for rec, nu, mass in zip(records, na, masses):
-                rec.update(method="antiwick", nu_antiwick=float(nu), antiwick_mass=float(mass))
+                rec.setdefault("method", "antiwick")
+                rec.update(nu_antiwick=float(nu), antiwick_mass=float(mass))
+                if "nu_weyl" in rec:
+                    rec["gap"] = abs(rec["nu_weyl"] - rec["nu_antiwick"])
         payload = {"config": _echo("measure", cfg),
                    "upsilon": float(win.count), "records": records}
-    _emit_json(payload, cfg.get("out"))
+    _emit_json(payload, cfg["out"])
     return 0
 
 
 # -- liouville ---------------------------------------------------------------
 
-LIOUVILLE_SPEC = {"model": str, "obs": str, "energy": float,
-                  "allow_critical": _parse_bool, "out": str}
-
-
 def cmd_liouville(args) -> int:
-    cfg = _resolve(args, LIOUVILLE_SPEC, {"allow_critical": False})
-    _require(cfg, ("model", "obs", "energy"))
+    cfg = _resolve(args)
     m = _get_model(cfg["model"])
     obs = parse_observable(cfg["obs"])
     res = liouville_integral(m, obs, cfg["energy"],
                              allow_critical=cfg["allow_critical"])
+    value = float(res.value)
     average = None
     if not res.divergent:
-        average = float(mu_average(m, obs, cfg["energy"]))
-    value = float(res.value)
+        # res is the numerator of the average: allow_critical only decides
+        # whether a critical energy is refused or probed, never the value
+        average = float(value / normalizing_volume(m, cfg["energy"], allow_critical=True))
     payload = {"config": _echo("liouville", cfg),
                "value": value if np.isfinite(value) else None,
                "divergent": bool(res.divergent),
                "error_estimate": float(res.error_estimate),
                "average": average}
-    _emit_json(payload, cfg.get("out"))
+    _emit_json(payload, cfg["out"])
     return 0
 
 
 # -- scan --------------------------------------------------------------------
 
-SCAN_SPEC = {"model": str, "h_from": float, "h_to": float, "h_steps": int,
-             "obs": str, "ecenter": float, "d": float, "ppw": int, "out": str}
-
-
 def cmd_scan(args) -> int:
-    cfg = _resolve(args, SCAN_SPEC, {"d": 5.0, "ppw": 64})
-    _require(cfg, ("model", "h_from", "h_to", "h_steps"))
-    _check_positive(cfg, ("h_from", "h_to", "d", "ppw"))
-    if cfg["h_steps"] < 1:
-        raise ConfigError(f"h_steps must be >= 1, got {cfg['h_steps']}")
+    cfg = _resolve(args)
     _get_model(cfg["model"])
     observables = ()
-    if cfg.get("obs"):
+    if cfg["obs"]:
         observables = tuple(s.strip() for s in cfg["obs"].split(",") if s.strip())
         for text in observables:
             parse_observable(text)
     hs = np.geomspace(cfg["h_from"], cfg["h_to"], cfg["h_steps"])
     scan = run_scan(cfg["model"], h_values=hs, observables=observables,
-                    e_center=cfg.get("ecenter"), d=cfg["d"], ppw=cfg["ppw"])
-    _emit_text(scan_to_csv(scan), cfg.get("out"))
+                    e_center=cfg["ecenter"], d=cfg["d"], ppw=cfg["ppw"])
+    _emit_text(scan_to_csv(scan), cfg["out"])
     return 0
 
 
 # -- fit ---------------------------------------------------------------------
 
-FIT_SPEC = {"in": str, "law": str, "out": str}
-
-
 def cmd_fit(args) -> int:
-    cfg = _resolve(args, FIT_SPEC, {"law": "auto"})
-    _require(cfg, ("in",))
+    cfg = _resolve(args)
     law = cfg["law"]
-    if law not in ("auto", "regular", "critical"):
-        raise ConfigError(f"law must be auto, regular or critical, got {law!r}")
     try:
         text = Path(cfg["in"]).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -454,7 +446,7 @@ def cmd_fit(args) -> int:
     fit = fit_scaling(scan, candidates=candidates, model=model)
     payload = {"config": _echo("fit", cfg), "model": scan.model,
                "e_center": float(scan.e_center), **fit.as_dict()}
-    _emit_json(payload, cfg.get("out"))
+    _emit_json(payload, cfg["out"])
     return 0
 
 
@@ -479,58 +471,23 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_models)
 
-    def common(p):
+    for name, help_text, func in (
+            ("spectrum", "eigenvalues in one window", cmd_spectrum),
+            ("measure", "per-eigenpair observable averages", cmd_measure),
+            ("liouville", "surface integral of an observable", cmd_liouville),
+            ("scan", "window counts across an h grid", cmd_scan),
+            ("fit", "scaling-law fit of a scan CSV", cmd_fit)):
+        p = sub.add_parser(name, help=help_text)
+        for opt in OPTIONS[name]:
+            flag = "--" + opt.key.replace("_", "-")
+            if opt.type is _parse_bool:
+                p.add_argument(flag, dest=opt.key, action="store_const", const="true")
+            else:
+                # choices are checked in _resolve, for flags and config keys alike
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                p.add_argument(flag, dest=opt.key, metavar=metavar, help=opt.help)
         p.add_argument("--config", help="flat key=value option file")
-        p.add_argument("--out")
-
-    p = sub.add_parser("spectrum", help="eigenvalues in one window")
-    p.add_argument("--model")
-    p.add_argument("--h", type=float)
-    p.add_argument("--ecenter", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--ppw", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--box", help="A,B grid interval override")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("measure", help="per-eigenpair observable averages")
-    p.add_argument("--model")
-    p.add_argument("--h", type=float)
-    p.add_argument("--obs")
-    p.add_argument("--quantization", choices=["weyl", "antiwick", "both"])
-    p.add_argument("--ecenter", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--ppw", type=int)
-    common(p)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("liouville", help="surface integral of an observable")
-    p.add_argument("--model")
-    p.add_argument("--obs")
-    p.add_argument("--energy", type=float)
-    p.add_argument("--allow-critical", dest="allow_critical",
-                   action="store_const", const=True)
-    common(p)
-    p.set_defaults(func=cmd_liouville)
-
-    p = sub.add_parser("scan", help="window counts across an h grid")
-    p.add_argument("--model")
-    p.add_argument("--h-from", dest="h_from", type=float)
-    p.add_argument("--h-to", dest="h_to", type=float)
-    p.add_argument("--h-steps", dest="h_steps", type=int)
-    p.add_argument("--obs", help="comma-separated observable expressions")
-    p.add_argument("--ecenter", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--ppw", type=int)
-    common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("fit", help="scaling-law fit of a scan CSV")
-    p.add_argument("--in", dest="in_path")
-    p.add_argument("--law", choices=["auto", "regular", "critical"])
-    common(p)
-    p.set_defaults(func=cmd_fit)
+        p.set_defaults(func=func, options=OPTIONS[name])
 
     p = sub.add_parser("scenario", help="run an acceptance scenario")
     p.add_argument("action", choices=["run"])

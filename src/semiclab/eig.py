@@ -59,6 +59,8 @@ from scipy.linalg.lapack import zhetrf, zhetrf_lwork
 from .errors import NumericalError
 from .model import SEARCH_BOX
 from .quantize import (
+    WINDOW_D,
+    WINDOW_PPW,
     DiscreteOperator,
     Grid1D,
     _box_margin,
@@ -408,9 +410,9 @@ def radial_channels(
     h: float,
     lo: float,
     hi: float,
-    d: float = 5.0,
+    d: float = WINDOW_D,
     h_max: float | None = None,
-    ppw: int = 64,
+    ppw: int = WINDOW_PPW,
     vectors: bool = True,
     *,
     values: bool = True,

@@ -36,13 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import level_volume, mu_average
+from .classical import mu_average
 from .eig import EigenWindow, eigs_in_window, radial_channels
 from .errors import ConfigError, HypothesisError, NumericalError
 from .microlocal import default_frame, upsilon, upsilon_a, weyl_averages
 from .model import SymbolModel, get_model
 from .observables import Observable, parse_observable
 from .quantize import (
+    WINDOW_D,
+    WINDOW_PPW,
     Grid1D,
     build_schrodinger,
     build_split,
@@ -90,7 +92,6 @@ def default_center(model: SymbolModel) -> float:
 class ScalingLaw:
     alpha: float
     beta: int  # 0 or 1
-    coefficient: float | None  # known only for the regular branch
     origin: str  # "regular_weyl" | "schrodinger_critical" | "homogeneous_critical"
 
     def weight(self, h: float) -> float:
@@ -100,16 +101,7 @@ class ScalingLaw:
 def scaling_branches(model: SymbolModel, e_center: float) -> tuple[ScalingLaw, ...]:
     """All predicted branches of the window count at this center energy."""
     n = model.n
-    coeff = None
-    try:
-        vol = level_volume(model, e_center)
-        if not vol.divergent and vol.value > 0:
-            # regular Weyl rate: (2 pi h)^-n volume growth across the window
-            coeff = 2.0 * 5.0 * vol.value / (2.0 * math.pi) ** n
-    except (ConfigError, NumericalError):
-        coeff = None
-    laws = [ScalingLaw(alpha=float(1 - n), beta=0, coefficient=coeff,
-                       origin="regular_weyl")]
+    laws = [ScalingLaw(alpha=float(1 - n), beta=0, origin="regular_weyl")]
     for cp in model.critical_points_at(e_center):
         if model.family in ("schrodinger1d", "radial2d"):
             if cp.order % 2 != 0:
@@ -118,15 +110,13 @@ def scaling_branches(model: SymbolModel, e_center: float) -> tuple[ScalingLaw, .
             alpha = -n + n / 2.0 + n / (2.0 * k)
             ratio = n * (k + 1) / (2.0 * k)
             beta = 1 if (abs(ratio - round(ratio)) < _INT_TOL and n % 2 == 1) else 0
-            laws.append(ScalingLaw(alpha=alpha, beta=beta, coefficient=None,
-                                   origin="schrodinger_critical"))
+            laws.append(ScalingLaw(alpha=alpha, beta=beta, origin="schrodinger_critical"))
         else:
             k = cp.order
             alpha = 2.0 * n / k - n
             ratio = 2.0 * n / k
             beta = 1 if abs(ratio - round(ratio)) < _INT_TOL else 0
-            laws.append(ScalingLaw(alpha=alpha, beta=beta, coefficient=None,
-                                   origin="homogeneous_critical"))
+            laws.append(ScalingLaw(alpha=alpha, beta=beta, origin="homogeneous_critical"))
     return tuple(laws)
 
 
@@ -184,8 +174,8 @@ def default_h_values(route: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(0.1, 0.01, 8))
 
 
-def solve_window(model: SymbolModel, h: float, e_center: float, d: float = 5.0,
-                 ppw: int = 64, vectors: bool = True, h_max: float | None = None,
+def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDOW_D,
+                 ppw: int = WINDOW_PPW, vectors: bool = True, h_max: float | None = None,
                  grid: Grid1D | None = None, *, values: bool = True) -> EigenWindow:
     """Eigenpairs of a 1D model in the window [e_center - d h, e_center + d h].
 
@@ -264,8 +254,8 @@ def run_scan(
     h_values=None,
     observables=(),
     e_center: float | None = None,
-    d: float = 5.0,
-    ppw: int = 64,
+    d: float = WINDOW_D,
+    ppw: int = WINDOW_PPW,
 ) -> ScanResult:
     """Windowed counts (and a-weighted counts) across an h grid.
 
@@ -284,8 +274,8 @@ def run_scan(
     hs = sorted((float(v) for v in h_values), reverse=True)
     if not hs:
         raise ConfigError("empty h grid")
-    if min(hs) <= 0:
-        raise ConfigError("h values must be positive")
+    if not all(math.isfinite(h) and h > 0 for h in hs):
+        raise ConfigError("h values must be finite and positive")
     if not (math.isfinite(d) and d > 0):
         raise ConfigError(f"window half-width d must be finite and positive, got {d!r}")
     if ppw < 1:
@@ -303,7 +293,7 @@ def run_scan(
 
 
 def _fmt(v: float) -> str:
-    return format(v, ".12g")
+    return format(float(v), ".12g")
 
 
 def _csv_header(observable_ids) -> list[str]:

@@ -50,9 +50,14 @@ __all__ = [
     "dense_matrix",
     "resolution_dx",
     "PPW_FLOOR",
+    "WINDOW_D",
+    "WINDOW_PPW",
 ]
 
 PPW_FLOOR = 16  # grid points per shortest de Broglie wavelength, minimum
+# default window [E_c - d h, E_c + d h] half-width d and its grid resolution
+WINDOW_D = 5.0
+WINDOW_PPW = 64
 DENSE_CAP = 4096
 FD_BOX_PAD = 0.25  # finite-difference box: padding of the allowed interval
 SPLIT_BOX_PAD = 0.5  # split box: padding of the allowed interval
@@ -169,7 +174,7 @@ def grid_for_schrodinger(
     V,
     h: float,
     e_center: float,
-    d: float = 5.0,
+    d: float = WINDOW_D,
     h_max: float | None = None,
     ppw: int = PPW_FLOOR,
 ) -> Grid1D:
@@ -199,7 +204,7 @@ def grid_for_split(
     g: Polynomial1D,
     h: float,
     e_center: float,
-    d: float = 5.0,
+    d: float = WINDOW_D,
     h_max: float | None = None,
 ) -> Grid1D:
     """Periodic grid whose momentum range covers the classical window."""

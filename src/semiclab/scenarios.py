@@ -152,8 +152,8 @@ def _fixed_h(value: float, target: float, hs, values, sl) -> dict:
 
 def scenario_harmonic_weyl() -> ScenarioReport:
     """Window counts and eigenvalues of the exactly solvable oscillator."""
-    model = get_model("harmonic")
-    e_center, d, ppw = 1.0, 5.0, 160
+    name, e_center, d, ppw = "harmonic", 1.0, 5.0, 160
+    model = get_model(name)
     hs = (0.04, 0.02, 0.01, 0.005)
     counts: list[int] = []
     rel_worst = 0.0
@@ -172,7 +172,7 @@ def scenario_harmonic_weyl() -> ScenarioReport:
         Check("eigenvalue_accuracy", rel_worst <= 1e-4, rel_worst,
               "relative error against (2j+1)h <= 1e-4"),
     )
-    config = {"model": "harmonic", "e_center": e_center, "d": d, "ppw": ppw,
+    config = {"model": name, "e_center": e_center, "d": d, "ppw": ppw,
               "h_values": [float(h) for h in hs]}
     return _report("harmonic-weyl", checks, config,
                    {"counts": counts, "eigenvalue_rel_error": rel_worst})
@@ -180,8 +180,10 @@ def scenario_harmonic_weyl() -> ScenarioReport:
 
 def scenario_critical_exponent_k2() -> ScenarioReport:
     """Fractional count exponent at a fourth-order potential maximum."""
-    hs = np.geomspace(1e-1, 1e-3, 16)
-    scan = run_scan("deg-max", h_values=hs, e_center=0.0, d=5.0)
+    name, e_center, d, ppw = "deg-max", 0.0, 5.0, 64
+    h_from, h_to, h_steps = 1e-1, 1e-3, 16
+    scan = run_scan(name, h_values=np.geomspace(h_from, h_to, h_steps),
+                    e_center=e_center, d=d, ppw=ppw)
     fit = fit_scaling(scan)
     checks = (
         Check("alpha_hat", abs(fit.alpha_hat + 0.25) <= 0.05,
@@ -189,8 +191,8 @@ def scenario_critical_exponent_k2() -> ScenarioReport:
         Check("beta_hat", fit.beta_hat == 0, int(fit.beta_hat),
               "0 (no log factor)"),
     )
-    config = {"model": "deg-max", "e_center": 0.0, "d": 5.0, "ppw": 64,
-              "h_from": 1e-1, "h_to": 1e-3, "h_steps": 16}
+    config = {"model": name, "e_center": e_center, "d": d, "ppw": ppw,
+              "h_from": h_from, "h_to": h_to, "h_steps": h_steps}
     data = {"fit": fit.as_dict(),
             "counts": [float(r.upsilon) for r in scan.valid_rows()],
             "h": [float(r.h) for r in scan.valid_rows()]}
@@ -199,10 +201,12 @@ def scenario_critical_exponent_k2() -> ScenarioReport:
 
 def scenario_log_law_k1() -> ScenarioReport:
     """Log-law selection at a quadratic maximum plus the curvature ratio."""
-    hs = np.geomspace(1e-1, 3e-5, 24)
-    scan_main = run_scan("quad-max", h_values=hs, e_center=0.0, d=5.0)
+    models, e_center, d, ppw = ["quad-max", "quad-max-steep"], 0.0, 5.0, 64
+    h_from, h_to, h_steps = 1e-1, 3e-5, 24
+    hs = np.geomspace(h_from, h_to, h_steps)
+    scan_main, scan_steep = (run_scan(m, h_values=hs, e_center=e_center, d=d, ppw=ppw)
+                             for m in models)
     fit = fit_scaling(scan_main)
-    scan_steep = run_scan("quad-max-steep", h_values=hs, e_center=0.0, d=5.0)
     offset_main, slope_main = fit_log_coefficient(scan_main)
     offset_steep, slope_steep = fit_log_coefficient(scan_steep)
     ratio = slope_main / slope_steep
@@ -214,8 +218,8 @@ def scenario_log_law_k1() -> ScenarioReport:
         Check("log_coefficient_ratio", abs(ratio - 2.0) <= 0.4, float(ratio),
               "2 +- 20% (inverse square-root curvature law)"),
     )
-    config = {"models": ["quad-max", "quad-max-steep"], "e_center": 0.0,
-              "d": 5.0, "ppw": 64, "h_from": 1e-1, "h_to": 3e-5, "h_steps": 24}
+    config = {"models": models, "e_center": e_center, "d": d, "ppw": ppw,
+              "h_from": h_from, "h_to": h_to, "h_steps": h_steps}
     data = {"fit": fit.as_dict(),
             "log_fit_main": {"offset": float(offset_main),
                              "slope": float(slope_main)},
@@ -235,17 +239,19 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
     scenario once gated on ride along in ``data["fixed_h"]`` with their
     fitted decay laws.
     """
-    model = get_model("quad-max")
+    name, e_center, d, ppw = "quad-max", 0.0, 5.0, 64
+    h_from, h_to, h_steps = 1e-1, 1e-3, 10
+    model = get_model(name)
     gauss = parse_observable(GAUSS_PHASE)
     xsq = parse_observable("x^2")
     target = 1.0  # observable value at the unstable equilibrium
-    connected, n_components = levelset_connected(model, 0.0)
-    hs = [float(v) for v in np.geomspace(1e-1, 1e-3, 10)]
+    connected, n_components = levelset_connected(model, e_center)
+    hs = [float(v) for v in np.geomspace(h_from, h_to, h_steps)]
     gaps: list[float] = []
     moments: list[float] = []
     rows: list[ScanRow] = []
     for h in hs:
-        win = solve_window(model, h, 0.0, h_max=hs[0])
+        win = solve_window(model, h, e_center, d=d, ppw=ppw, h_max=hs[0])
         recs = microlocal_records(win, gauss)
         gaps.append(max(abs(r.nu_weyl - target) for r in recs))
         lam = np.asarray(win.eigenvalues, dtype=float)
@@ -260,8 +266,8 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
                             ratios=tuple(v / ups for v in obs_vals),
                             residual_max=float(win.residual_max or 0.0),
                             tie=win.has_ties))
-    scan = ScanResult(model="quad-max", family=model.family, e_center=0.0,
-                      d=5.0, route="fd", ppw=64,
+    scan = ScanResult(model=name, family=model.family, e_center=e_center,
+                      d=d, route="fd", ppw=ppw,
                       observable_ids=(gauss.id, xsq.id), rows=tuple(rows))
     sl = singular_limit(scan, GAUSS_PHASE, model=model, target="dirac", tol=0.15)
     spread_slope = log_decay_slope(scan, xsq.id, model=model)
@@ -277,9 +283,9 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
         Check("spread_decay", spread_slope > 0.0, float(spread_slope),
               "upsilon/upsilon_{x^2} grows like |log h|: positive slope"),
     )
-    config = {"model": "quad-max", "e_center": 0.0, "d": 5.0, "ppw": 64,
-              "observable": GAUSS_PHASE, "h_from": 1e-1, "h_to": 1e-3,
-              "h_steps": 10}
+    config = {"model": name, "e_center": e_center, "d": d, "ppw": ppw,
+              "observable": GAUSS_PHASE, "h_from": h_from, "h_to": h_to,
+              "h_steps": h_steps}
     data = {"h": hs, "gaps": [float(g) for g in gaps],
             "trend_exponent": float(trend),
             "singular_limit": asdict(sl),
@@ -295,11 +301,13 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
 
 def scenario_liouville_limit_2d() -> ScenarioReport:
     """Observable ratio against the Liouville average in the radial model."""
-    hs = np.geomspace(1e-1, 1e-2, 10)
-    scan = run_scan("radial-deg", h_values=hs, observables=(GAUSS_1D,),
-                    e_center=0.0, d=5.0)
-    rl = ratio_limit(scan, GAUSS_1D, target="liouville", tol=0.10)
-    co = coarea_check(get_model("radial-deg"), 0.05, 0.15)
+    name, e_center, d, ppw = "radial-deg", 0.0, 5.0, 64
+    h_from, h_to, h_steps = 1e-1, 1e-2, 10
+    model = get_model(name)
+    scan = run_scan(model, h_values=np.geomspace(h_from, h_to, h_steps),
+                    observables=(GAUSS_1D,), e_center=e_center, d=d, ppw=ppw)
+    rl = ratio_limit(scan, GAUSS_1D, model=model, target="liouville", tol=0.10)
+    co = coarea_check(model, 0.05, 0.15)
     checks = (
         Check("ratio_gap_at_hmin", rl.gap_at_h_min <= 0.10,
               float(rl.gap_at_h_min),
@@ -310,9 +318,9 @@ def scenario_liouville_limit_2d() -> ScenarioReport:
               float(co["rel_diff"]),
               "band integral matches lattice area within 1%"),
     )
-    config = {"model": "radial-deg", "e_center": 0.0, "d": 5.0, "ppw": 64,
-              "observable": GAUSS_1D, "h_from": 1e-1, "h_to": 1e-2,
-              "h_steps": 10}
+    config = {"model": name, "e_center": e_center, "d": d, "ppw": ppw,
+              "observable": GAUSS_1D, "h_from": h_from, "h_to": h_to,
+              "h_steps": h_steps}
     return _report("liouville-limit-2d", checks, config,
                    {"ratio_limit": _ratio_payload(rl)})
 
@@ -325,14 +333,15 @@ def scenario_pseudo_concentration_k3() -> ScenarioReport:
     limit c_a/c (``singular_limit``); the smallest-h gap and its fitted
     decay law ride along in ``data["fixed_h"]``.
     """
-    model = get_model("pseudo-k3")
+    name, e_center, d = "pseudo-k3", 0.0, 5.0
+    h_from, h_to, h_steps = 1e-1, 1.25e-3, 16
+    model = get_model(name)
     cp = next(c for c in model.critical_points if c.order == 3)
     verdict = classify_integrability(cp, model)
-    hs = np.geomspace(1e-1, 1.25e-3, 16)
-    scan = run_scan("pseudo-k3", h_values=hs, observables=(GAUSS_PHASE,),
-                    e_center=0.0, d=5.0)
+    scan = run_scan(model, h_values=np.geomspace(h_from, h_to, h_steps),
+                    observables=(GAUSS_PHASE,), e_center=e_center, d=d)
     fit = fit_scaling(scan)
-    rl = ratio_limit(scan, GAUSS_PHASE, target="dirac", tol=0.15)
+    rl = ratio_limit(scan, GAUSS_PHASE, model=model, target="dirac", tol=0.15)
     sl = singular_limit(scan, GAUSS_PHASE, model=model, target="dirac", tol=0.15)
     n_max = max((r.n_grid for r in scan.valid_rows()), default=0)
     checks = (
@@ -348,9 +357,9 @@ def scenario_pseudo_concentration_k3() -> ScenarioReport:
         Check("grid_cap", n_max <= 4096, int(n_max),
               "dense path stays within 4096 points"),
     )
-    config = {"model": "pseudo-k3", "e_center": 0.0, "d": 5.0,
-              "observable": GAUSS_PHASE, "h_from": 1e-1, "h_to": 1.25e-3,
-              "h_steps": 16}
+    config = {"model": name, "e_center": e_center, "d": d,
+              "observable": GAUSS_PHASE, "h_from": h_from, "h_to": h_to,
+              "h_steps": h_steps}
     data = {"fit": fit.as_dict(), "ratio_limit": _ratio_payload(rl),
             "singular_limit": asdict(sl),
             "n_grid_max": int(n_max),
@@ -365,16 +374,19 @@ def scenario_property_suite() -> ScenarioReport:
     unit = parse_observable("1")
     xsq = parse_observable("x^2")
 
+    d, ppw = 5.0, 64
+    harmonic, model_qm = get_model("harmonic"), get_model("quad-max")
+
     # (a) normalization and (f) count agreement on two reference windows.
-    windows = [solve_window(get_model("harmonic"), 0.02, 1.0),
-               solve_window(get_model("quad-max"), 0.01, 0.5)]
+    specs = ((harmonic, 0.02, 1.0), (model_qm, 0.01, 0.5))
+    windows = [solve_window(m, h, e, d=d, ppw=ppw) for m, h, e in specs]
     norm_worst = 0.0
     counts_ok = True
     for win in windows:
         recs = microlocal_records(win, unit)
         norm_worst = max(norm_worst,
                          max(abs(r.nu_weyl - 1.0) for r in recs))
-        counts_ok = counts_ok and bool(win.count_check)
+        counts_ok = counts_ok and bool(win.count_check == win.count)
 
     # (b) anti-Wick positivity for nonnegative observables.
     aw_min = math.inf
@@ -386,22 +398,21 @@ def scenario_property_suite() -> ScenarioReport:
     hs_gap = np.geomspace(0.1, 0.02, 5)
     gap_vals = []
     for h in hs_gap:
-        win = solve_window(get_model("harmonic"), float(h), 1.0, h_max=float(hs_gap[0]))
+        win = solve_window(harmonic, float(h), 1.0, d=d, ppw=ppw, h_max=float(hs_gap[0]))
         recs = microlocal_records(win, gauss)
         gap_vals.append(max(r.gap for r in recs))
     gap_slope = _slope(hs_gap, gap_vals)
 
     # (d) flow invariance defect decays in h on a regular window.
-    model_qm = get_model("quad-max")
-    hs_eg = np.geomspace(0.1, 0.02, 5)
+    hs_eg, t_eg = np.geomspace(0.1, 0.02, 5), 0.5
     defects = []
     for h in hs_eg:
-        win = solve_window(model_qm, float(h), 0.5, h_max=float(hs_eg[0]))
-        defects.append(egorov_defect(model_qm, gauss, 0.5, win))
+        win = solve_window(model_qm, float(h), 0.5, d=d, ppw=ppw, h_max=float(hs_eg[0]))
+        defects.append(egorov_defect(model_qm, gauss, t_eg, win))
     egorov_slope = _slope(hs_eg, defects)
 
     # (e) coarea consistency on regular bands, 1D and radial.
-    co_1d = coarea_check(get_model("harmonic"), 0.8, 1.2)
+    co_1d = coarea_check(harmonic, 0.8, 1.2)
     co_2d = coarea_check(get_model("radial-deg"), 0.05, 0.15)
     coarea_worst = max(float(co_1d["rel_diff"]), float(co_2d["rel_diff"]))
 
@@ -435,10 +446,9 @@ def scenario_property_suite() -> ScenarioReport:
               f"alpha {fit_pow.alpha_hat:+.4f}/{fit_log.alpha_hat:+.4f}",
               "synthetic exponents recovered within 0.01"),
     )
-    config = {"windows": [{"model": "harmonic", "h": 0.02, "e_center": 1.0},
-                          {"model": "quad-max", "h": 0.01, "e_center": 0.5}],
+    config = {"windows": [{"model": m.name, "h": h, "e_center": e} for m, h, e in specs],
               "gap_h": [float(v) for v in hs_gap],
-              "egorov_h": [float(v) for v in hs_eg], "egorov_t": 0.5,
+              "egorov_h": [float(v) for v in hs_eg], "egorov_t": t_eg,
               "fit_h": [float(v) for v in hs_fit]}
     data = {"normalization_gap": float(norm_worst),
             "antiwick_min": float(aw_min),

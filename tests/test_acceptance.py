@@ -7,8 +7,11 @@ measurement missed its numeric target, not that the pipeline broke; the
 tolerances live in the scenario definitions and are not relaxed here.
 """
 
+import dataclasses
+
 import pytest
 
+import semiclab.scenarios
 from semiclab.scenarios import run_scenario
 
 
@@ -63,6 +66,20 @@ def test_cubic_phase_concentration():
 def test_invariant_property_suite():
     report, line = _run("property-suite")
     assert report.passed, line
+
+
+def test_property_suite_count_agreement_compares_counts(monkeypatch):
+    # a certificate that disagrees by one state must fail the check, however
+    # nonzero both counts are
+    solve = semiclab.scenarios.solve_window
+
+    def off_by_one(*args, **kwargs):
+        win = solve(*args, **kwargs)
+        return dataclasses.replace(win, count_check=win.count + 1)
+
+    monkeypatch.setattr(semiclab.scenarios, "solve_window", off_by_one)
+    checks = {c.name: c for c in run_scenario("property-suite").checks}
+    assert not checks["count_agreement"].passed
 
 
 def test_two_wells_split_is_reported():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiclab.cli import main
+from semiclab.cli import OPTIONS, _parse_bool, _resolve, build_parser, main
 from semiclab.experiments import ScanResult, ScanRow, scan_from_csv, scan_to_csv
 
 
@@ -92,6 +92,63 @@ class TestConfigFile:
         assert "key=value" in err
 
 
+def _sample(opt) -> str:
+    """A value of the option's type that differs from its default."""
+    if opt.type is _parse_bool:
+        return "true"
+    if opt.choices:
+        return next(c for c in opt.choices if c != opt.default)
+    return {float: "0.25", int: "3", str: "abc"}[opt.type]
+
+
+def _flags(pairs) -> list[str]:
+    argv = []
+    for opt, value in pairs:
+        argv.append("--" + opt.key.replace("_", "-"))
+        if opt.type is not _parse_bool:
+            argv.append(value)
+    return argv
+
+
+class TestOptionTable:
+    """Each table option is one flag and one config key with one type."""
+
+    def test_table_covers_the_option_commands(self):
+        assert set(OPTIONS) == {"spectrum", "measure", "liouville", "scan", "fit"}
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_flag_and_config_key_agree(self, command, tmp_path):
+        parser = build_parser()
+        conf = tmp_path / "opts.conf"
+        required = [o for o in OPTIONS[command] if o.required]
+        for opt in OPTIONS[command]:
+            pairs = [(o, _sample(o)) for o in required if o is not opt] + [(opt, _sample(opt))]
+            conf.write_text("".join(f"{o.key}={v}\n" for o, v in pairs))
+            via_file = _resolve(parser.parse_args([command, "--config", str(conf)]))
+            conf.write_text("")
+            via_flag = _resolve(parser.parse_args([command, *_flags(pairs), "--config", str(conf)]))
+            expected = opt.type(_sample(opt))
+            assert expected != opt.default
+            for got in (via_flag[opt.key], via_file[opt.key]):
+                assert got == expected and type(got) is type(expected), (command, opt.key)
+            assert via_flag == via_file
+
+    @pytest.mark.parametrize("command,opt", [
+        (c, o) for c in sorted(OPTIONS) for o in OPTIONS[c] if o.choices])
+    def test_bad_choice_exits_4_from_either_source(self, capsys, tmp_path, command, opt):
+        required = [(o, _sample(o)) for o in OPTIONS[command] if o.required]
+        conf = tmp_path / "opts.conf"
+        conf.write_text(f"{opt.key}=nope\n")
+        for argv in ([*_flags(required), "--" + opt.key, "nope"],
+                     [*_flags(required), "--config", str(conf)]):
+            code, _, err = run_cli(capsys, [command, *argv])
+            assert code == 4
+            assert "must be one of" in err and "nope" in err
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "{" + ",".join(opt.choices) + "}" in capsys.readouterr().out
+
+
 class TestModels:
     def test_list_covers_catalog(self, capsys):
         code, out, _ = run_cli(capsys, ["models", "list"])
@@ -139,6 +196,13 @@ class TestSpectrum:
             "spectrum", "--model", "harmonic", "--h", "0.04", "--n", "512"])
         assert code == 4
         assert "box" in err
+
+    @pytest.mark.parametrize("extra", [["--n", "512"], ["--n", "512", "--box", "0,3"]])
+    def test_radial_refuses_grid_override(self, capsys, extra):
+        code, _, err = run_cli(capsys, [
+            "spectrum", "--model", "radial-deg", "--h", "0.05", *extra])
+        assert code == 4
+        assert "1d models only" in err
 
 
 class TestMeasure:
