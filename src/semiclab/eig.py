@@ -3,14 +3,29 @@
 Eigenvalues in a closed energy window [lo, hi] are computed by solvers whose
 cost follows the window population rather than the matrix size: LAPACK's
 bisection + inverse-iteration driver for tridiagonal operators (scipy
-``eigh_tridiagonal`` with ``select='v'``), and the MRRR driver restricted to
-the window (scipy ``eigh`` with ``subset_by_value``, ``driver='evr'``) for
-split and dense operators.  Every count is cross-checked by a certificate
-that does not depend on the eigensolver: a hand-rolled Sturm sequence for
-tridiagonal operators, and Sylvester's law of inertia on an LDL^H
-factorization of H - sigma I (LAPACK ``zhetrf``) at both window edges for
-dense ones.  A disagreement that cannot be blamed on window-edge ties raises
-``NumericalError`` instead of being papered over.
+``eigh_tridiagonal`` with ``select='v'``), and shift-invert Lanczos on an
+LDL^H factorization for split and dense operators.  Every count is
+cross-checked by a certificate that does not depend on the eigensolver: a
+hand-rolled Sturm sequence for tridiagonal operators, and Sylvester's law of
+inertia on an LDL^H factorization of H - sigma I (LAPACK ``zhetrf``) at both
+window edges for dense ones.  A disagreement that cannot be blamed on
+window-edge ties raises ``NumericalError`` instead of being papered over.
+
+The dense certificate runs before the solve, because its count prices the
+solve.  The matrix is factored once more at the window centre sigma
+(``zhetrf``; a singular pivot moves sigma by ``SHIFT_STEP`` of the edge-tie
+band), and ARPACK's shift-invert mode (the spectral transformation of
+Ericsson and Ruhe) applies (H - sigma I)^-1 through ``zhetrs`` solves on that
+factorization.  It asks for the certified count plus ``LANCZOS_MARGIN``
+states nearest sigma, from a fixed start vector, so a window solves the same
+way on every run.  A Rayleigh-Ritz step (QR, then ``eigh`` of the projected
+matrix) makes the returned vectors orthonormal inside near-degenerate pairs.
+Only one factorization is alive at a time.  The MRRR driver restricted to the
+window (scipy ``eigh`` with ``subset_by_value``, ``driver='evr'``), which
+reduces all N rows to tridiagonal form, is the fallback: when ARPACK does not
+converge or fails otherwise, when its subspace of 2k + 1 vectors does not fit
+in N, and when the shift-invert states disagree with the certificate.  A
+window the certificate proves empty is not solved at all.
 
 States whose eigenvalue sits within ``EDGE_FRACTION`` of the window width of
 a window edge are flagged so that callers can detect counting ties and
@@ -31,8 +46,8 @@ hi + eps_keep, lo +- edge_tol, hi +- edge_tol), each test comes out as it
 would at full precision.  Otherwise the window is solved again at full
 precision.  The Sturm certificate and the zero-slack rule are the same on
 both paths.  The count and the flags are exact; the reported eigenvalues of
-such a window are the coarse ones.  The split/dense route's ``evr`` driver
-takes no tolerance, so it always solves at full precision.
+such a window are the coarse ones.  The split/dense route always solves at
+full precision.
 
 2D radial models reduce to a family of half-line problems, one per angular
 momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
@@ -53,8 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.linalg.lapack import zhetrf, zhetrf_lwork
+from scipy.linalg import eigh, eigh_tridiagonal, qr
+from scipy.linalg.lapack import zhetrf, zhetrf_lwork, zhetrs
 
 from .errors import NumericalError
 from .model import SEARCH_BOX
@@ -84,6 +99,8 @@ EDGE_FRACTION = 5e-3  # edge-tie band, as a fraction of the window width
 COUNT_TOL_FRACTION = 1e-2  # count-only bisection tolerance, as a fraction of the edge band
 STURM_SCALAR_ROWS = 4096  # Sturm counts up to this size run row by row on Python floats
 RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the operator scale
+LANCZOS_MARGIN = 4  # shift-invert asks for the certified count plus this many states
+SHIFT_STEP = 1e-3  # a singular centre shift moves by this fraction of the edge-tie band
 
 
 @dataclass(frozen=True)
@@ -247,18 +264,15 @@ def count_in_window(diag, offdiag, lo: float, hi: float) -> int:
     return int(c[1] - c[0])
 
 
-def _inertia_count(m: np.ndarray, shift: float) -> int:
-    """Number of eigenvalues of the Hermitian matrix ``m`` below ``shift``.
+def _ldlh(m: np.ndarray, shift: float):
+    """Bunch-Kaufman LDL^H factorization of conj(m) - shift I (LAPACK ``zhetrf``).
 
-    Sylvester's law of inertia: m - shift I = L D L^H with D block diagonal
-    (1x1 and 2x2 Bunch-Kaufman pivots, LAPACK ``zhetrf``) has as many
-    negative eigenvalues as D.  The count shares no code with the
-    eigensolver, so it certifies dense window counts the way
-    ``sturm_count`` certifies tridiagonal ones.
+    Returns LAPACK's packed factor, its pivots and ``info`` (> 0: an exactly
+    zero pivot, so ``shift`` is an eigenvalue).  m.T is m's memory read in
+    Fortran order and, m being Hermitian, equals conj(m), which has the same
+    spectrum: a plain copy LAPACK can overwrite.
     """
     n = m.shape[0]
-    # m.T is m's memory read in Fortran order and, m being Hermitian, equals
-    # conj(m), which has the same spectrum: a plain copy LAPACK can overwrite
     a = np.array(m.T, dtype=complex, order="F")
     idx = np.arange(n)
     a[idx, idx] -= shift
@@ -269,6 +283,19 @@ def _inertia_count(m: np.ndarray, shift: float) -> int:
     ldu, ipiv, info = zhetrf(a, lwork=int(work.real), overwrite_a=1)
     if info < 0:
         raise NumericalError(f"zhetrf: illegal argument {-info}")
+    return ldu, ipiv, info
+
+
+def _inertia_count(m: np.ndarray, shift: float) -> int:
+    """Number of eigenvalues of the Hermitian matrix ``m`` below ``shift``.
+
+    Sylvester's law of inertia: m - shift I = L D L^H with D block diagonal
+    (1x1 and 2x2 Bunch-Kaufman pivots, :func:`_ldlh`) has as many negative
+    eigenvalues as D.  The count shares no code with the eigensolver's
+    iteration, so it certifies dense window counts the way ``sturm_count``
+    certifies tridiagonal ones.
+    """
+    ldu, ipiv, _info = _ldlh(m, shift)
     d = ldu.diagonal().real
     count = int(np.sum(d[ipiv > 0] < 0.0))
     # a 2x2 pivot block marks both of its rows with ipiv < 0; upper storage
@@ -277,6 +304,50 @@ def _inertia_count(m: np.ndarray, shift: float) -> int:
     mid = 0.5 * (d[k] + d[k + 1])
     rad = np.hypot(0.5 * (d[k] - d[k + 1]), np.abs(ldu[k, k + 1]))
     return count + int(np.sum(mid - rad < 0.0) + np.sum(mid + rad < 0.0))
+
+
+def _shift_invert(m: np.ndarray, lo: float, hi: float, count: int):
+    """The ``count`` + ``LANCZOS_MARGIN`` eigenpairs of ``m`` nearest the
+    window centre, by shift-invert Lanczos (see the module docstring).
+
+    Returns (values, orthonormal vectors) after a Rayleigh-Ritz step, or
+    None when ARPACK's subspace does not fit in the matrix, the shift stays
+    singular, or ARPACK fails (no convergence among them).
+    """
+    # imported here: ARPACK adds about 40 ms to every process start, and
+    # only split and dense windows use it
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = m.shape[0]
+    k = count + LANCZOS_MARGIN
+    if 2 * k + 1 > n:
+        return None
+    sigma = 0.5 * (lo + hi)
+    ldu, ipiv, info = _ldlh(m, sigma)
+    if info > 0:
+        ldu = None  # one factorization alive at a time
+        sigma += SHIFT_STEP * EDGE_FRACTION * (hi - lo)
+        ldu, ipiv, info = _ldlh(m, sigma)
+        if info > 0:
+            return None
+
+    def solve(x):
+        # ldu factors conj(m) - sigma I: conjugate in and out
+        y, status = zhetrs(ldu, ipiv, np.conj(x))
+        if status != 0:
+            raise NumericalError(f"zhetrs: illegal argument {-status}")
+        return np.conj(y)
+
+    start = np.random.default_rng(0).standard_normal((2, n))
+    try:
+        _w, v = eigsh(m.astype(complex, copy=False), k=k, sigma=sigma,
+                      OPinv=LinearOperator((n, n), matvec=solve, dtype=complex),
+                      v0=start[0] + 1j * start[1])
+    except ArpackError:
+        return None
+    q = qr(v, mode="economic")[0]
+    w, z = eigh(q.conj().T @ (m @ q))
+    return w, q @ z
 
 
 def _operator_scale(op: DiscreteOperator) -> float:
@@ -288,13 +359,16 @@ def _operator_scale(op: DiscreteOperator) -> float:
 
 
 def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: float,
-                  want_vectors: bool, pad: float, tol: float = 0.0):
-    """Raw LAPACK call over a slightly widened range.
+                  want_vectors: bool, pad: float, tol: float = 0.0,
+                  count: int | None = None):
+    """One window solve over a slightly widened range.
 
     ``m`` is the dense matrix of a split or dense operator (None when
-    tridiagonal); only the eigenpairs inside the range are computed, and
-    the caller filters them to the window.  ``tol`` is the absolute
-    bisection tolerance of a tridiagonal eigenvalue solve (0: full precision).
+    tridiagonal).  Given its certified window ``count``, a dense window is
+    solved by :func:`_shift_invert`, or by ``evr`` when that cannot run or
+    ARPACK fails; without a count, by ``evr``.  The caller filters the
+    states to the window.  ``tol`` is the absolute bisection tolerance of a
+    tridiagonal eigenvalue solve (0: full precision).
     """
     nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), pad)
     vl, vu = lo - nudge, hi + nudge
@@ -306,9 +380,23 @@ def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: flo
                                  select_range=(vl, vu), eigvals_only=True, tol=tol)
             v = None
         return w, v
+    if count == 0:
+        return np.empty(0), (np.empty((m.shape[0], 0), dtype=complex) if want_vectors else None)
+    found = None if count is None else _shift_invert(m, lo, hi, count)
+    if found is not None:
+        return found[0], (found[1] if want_vectors else None)
     if want_vectors:
         return eigh(m, subset_by_value=(vl, vu), driver="evr")
     return eigh(m, subset_by_value=(vl, vu), driver="evr", eigvals_only=True), None
+
+
+def _in_window(w: np.ndarray, v: np.ndarray | None, lo: float, hi: float,
+               eps_keep: float, edge_tol: float):
+    """The states kept in [lo - eps_keep, hi + eps_keep], and their edge flags."""
+    keep = (w >= lo - eps_keep) & (w <= hi + eps_keep)
+    w = w[keep]
+    flags = (np.abs(w - lo) <= edge_tol) | (np.abs(w - hi) <= edge_tol)
+    return w, (None if v is None else v[:, keep]), flags
 
 
 def eigs_in_window(
@@ -339,8 +427,15 @@ def eigs_in_window(
     # membership only up to that certainty and let edge_flags carry the rest
     eps_keep = 1e-12 * max(scale, 1.0)
     m = None if op.form == "tridiagonal" else dense_matrix(op)
+    # the certificate comes first: its count sizes the dense solve
+    if m is None:
+        check, method = count_in_window(op.diag, op.offdiag, lo, hi), "Sturm"
+    else:
+        check = (_inertia_count(m, np.nextafter(hi, np.inf))
+                 - _inertia_count(m, np.nextafter(lo, -np.inf)))
+        method = "LDL^H inertia"
     tol = COUNT_TOL_FRACTION * edge_tol if not values and m is None else 0.0
-    w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep, tol=tol)
+    w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep, tol=tol, count=check)
     if tol > 0.0:
         # a coarse value within tol of a decision threshold could sit on the
         # other side of it at full precision
@@ -348,19 +443,13 @@ def eigs_in_window(
                                lo + edge_tol, hi - edge_tol, hi + edge_tol])
         if np.any(np.abs(w[:, None] - thresholds) <= tol):
             w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep)
-    keep = (w >= lo - eps_keep) & (w <= hi + eps_keep)
-    w = w[keep]
-    if v is not None:
-        v = v[:, keep]
-    flags = (np.abs(w - lo) <= edge_tol) | (np.abs(w - hi) <= edge_tol)
+    w, v, flags = _in_window(w, v, lo, hi, eps_keep, edge_tol)
 
-    # only edge-flagged states may account for a disagreement
-    if op.form == "tridiagonal":
-        check, method = count_in_window(op.diag, op.offdiag, lo, hi), "Sturm"
-    else:
-        check = (_inertia_count(m, np.nextafter(hi, np.inf))
-                 - _inertia_count(m, np.nextafter(lo, -np.inf)))
-        method = "LDL^H inertia"
+    # only edge-flagged states may account for a disagreement; on the dense
+    # route evr solves the window again before that is decided
+    if m is not None and abs(check - w.size) > int(np.sum(flags)):
+        w, v, flags = _in_window(*_window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep),
+                                 lo, hi, eps_keep, edge_tol)
     if abs(check - w.size) > int(np.sum(flags)):
         raise NumericalError(
             f"window count disagreement: LAPACK {w.size}, {method} {check} "

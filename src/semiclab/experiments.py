@@ -39,7 +39,7 @@ import numpy as np
 from .classical import mu_average
 from .eig import EigenWindow, eigs_in_window, radial_channels
 from .errors import ConfigError, HypothesisError, NumericalError
-from .microlocal import default_frame, upsilon, upsilon_a, weyl_averages
+from .microlocal import upsilon, upsilon_a, weyl_averages
 from .model import SymbolModel, get_model
 from .observables import Observable, parse_observable
 from .quantize import (
@@ -230,13 +230,7 @@ def _scan_one(model: SymbolModel, route: str, h: float, h_max: float,
             win = solve_window(model, h, e_center, d=d, ppw=ppw, vectors=need_vectors,
                                h_max=h_max, values=need_vectors)
             ups = upsilon(win)
-            frame = None
-            obs_vals = []
-            for o in observables:
-                if o.routing == "general" and frame is None and win.count > 0:
-                    frame = default_frame(win)
-                obs_vals.append(upsilon_a(win, o, frame) if win.count else 0.0)
-            obs_vals = tuple(obs_vals)
+            obs_vals = tuple(upsilon_a(win, o) if win.count else 0.0 for o in observables)
             n_grid = win.grid.n
             residual = win.residual_max if win.residual_max is not None else 0.0
             tie = win.has_ties

@@ -125,10 +125,7 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
                 out += np.asarray(xi_part.eval(0.0, xi), dtype=float) @ (np.abs(spec) ** 2)
         else:
             op = build_weyl_observable(lambda x, s: obs(x, s), h, grid)
-            out, method = np.empty(v.shape[1]), "weyl-dense"
-            for j in range(v.shape[1]):
-                col = v[:, j].astype(complex)
-                out[j] = float(np.real(np.vdot(col, op.matrix @ col)))
+            out, method = np.einsum("ij,ij->j", v.conj(), op.matrix @ v).real, "weyl-dense"
     return _finite(out, obs, "Weyl"), method
 
 

@@ -17,9 +17,12 @@ The Weyl matrix of a(x, xi) on an N-point grid uses the discrete kernel
 with xi_k the FFT frequencies scaled by 2 pi h / (N dx).  For a == 1 this is
 exactly the identity, for a = a(x) a diagonal matrix, and for a = g(xi) the
 usual Fourier multiplier, so the split and Weyl routes coincide on split
-symbols.  Each anti-diagonal kernel is averaged with its conjugate
-reflection before it is scattered, so the matrix is exactly Hermitian by
-construction.
+symbols.  The row a((x_i + x_j)/2, .) is real, so the kernel of each
+anti-diagonal i + j comes from a real FFT of the symbol, its other half
+filled by conjugate symmetry: the matrix is exactly Hermitian by
+construction.  Anti-diagonals are assembled in blocks, one symbol
+evaluation and one real FFT per block, and each block is written into the
+matrix through strided views (see ``build_weyl_observable``).
 
 The anti-Wick side quantizes against a lattice of Gaussian coherent states
 of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
@@ -28,8 +31,10 @@ of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import circulant
 
 from .errors import NumericalError
@@ -59,6 +64,7 @@ PPW_FLOOR = 16  # grid points per shortest de Broglie wavelength, minimum
 WINDOW_D = 5.0
 WINDOW_PPW = 64
 DENSE_CAP = 4096
+WEYL_BLOCK_BYTES = 8 * 2**20  # working memory of one block of Weyl anti-diagonals, at most
 FD_BOX_PAD = 0.25  # finite-difference box: padding of the allowed interval
 SPLIT_BOX_PAD = 0.5  # split box: padding of the allowed interval
 SPLIT_XI_COVERAGE = 1.25  # split grid: xi_max over the classical momentum
@@ -308,31 +314,65 @@ def dense_matrix(op: DiscreteOperator) -> np.ndarray:
 def build_weyl_observable(a, h: float, grid: Grid1D) -> DiscreteOperator:
     """Dense Weyl matrix of a(x, xi) on the grid (see module docstring).
 
-    ``a`` is any callable of two array arguments.  Assembly runs along
-    anti-diagonals i + j = s, one inverse FFT per midpoint.  Entry (i, j)
-    of anti-diagonal s is c[(i - j) % n], so replacing c by
-    (c[k] + conj(c[-k])) / 2 before the scatter makes the matrix exactly
-    Hermitian; no pass over the whole matrix follows.  Grids past
-    ``DENSE_CAP`` points are refused before anything is allocated.
+    ``a`` is any callable of two broadcasting array arguments.  Entry
+    (i, j) lies on the anti-diagonal s = i + j, at the midpoint
+    x_0 + s dx / 2, and equals c_s[(i - j) % n], where c_s is the inverse
+    FFT of the real row a(x_0 + s dx / 2, xi).  Anti-diagonals are
+    assembled in blocks of consecutive s: the symbol is evaluated on the
+    block's midpoints at once, and one real FFT per block gives their half
+    spectra.  The other half is filled as c[n - k] = conj(c[k]); the real
+    FFT returns c[0] and c[n / 2] with zero imaginary part, so the matrix is
+    exactly Hermitian by construction.
+    A block covers a contiguous run of every row it touches, and on the
+    rows it crosses whole that run is the strided view flat[s0 + i (n - 1)
+    + b] of the matrix, written in one assignment; the few rows at the
+    block's corners are written one by one.  A block's working arrays stay
+    within ``WEYL_BLOCK_BYTES`` and within an eighth of the matrix, so a
+    build allocates about one matrix.  Grids past ``DENSE_CAP`` points are
+    refused before anything is allocated.
     """
     n = grid.n
     if n > DENSE_CAP:
         raise NumericalError(f"dense Weyl assembly capped at {DENSE_CAP} points, got {n}")
-    x = grid.nodes
     xi = grid.xi_values(h)
     mat = np.empty((n, n), dtype=complex)
-    x0 = x[0]
-    dx = grid.dx
-    reflect = (-np.arange(n)) % n
-    for s in range(2 * n - 1):
-        mid = x0 + 0.5 * s * dx
-        row = np.asarray(a(np.full(n, mid), xi), dtype=float)
-        c = np.fft.ifft(row)
-        c = 0.5 * (c + np.conj(c[reflect]))
-        i_lo = max(0, s - n + 1)
-        i_hi = min(n - 1, s)
-        ii = np.arange(i_lo, i_hi + 1)
-        mat[ii, s - ii] = c[(2 * ii - s) % n]
+    flat = mat.reshape(-1)
+    item = mat.itemsize
+    half = n // 2 + 1
+    # per anti-diagonal: the symbol row and its temporaries (8 bytes per
+    # entry each, about four), the half spectrum and the doubled kernel;
+    # at most n of them, so every block crosses some row whole
+    rows = min(n, max(1, min(WEYL_BLOCK_BYTES, mat.nbytes // 8) // (96 * n)))
+    # ext[b, n + k] = c_{s0 + b}[k % n] for -n <= k < n, so entry (i, j) of
+    # a block is ext[b, n + 2 i - s], b = s - s0, s = i + j: the flat index
+    # n - s0 + 2 i + b (2 n - 1)
+    ext = np.empty((rows, 2 * n), dtype=complex)
+    src = ext.reshape(-1)
+    step = 2 * n - 1
+    x0 = grid.nodes[0]
+    for s0 in range(0, 2 * n - 1, rows):
+        s1 = min(s0 + rows, 2 * n - 1)
+        mid = x0 + 0.5 * grid.dx * np.arange(s0, s1)
+        sym = np.broadcast_to(np.asarray(a(mid[:, None], xi[None, :]), dtype=float),
+                              (s1 - s0, n))
+        # the inverse FFT of a real row: c[k] = conj(spec[k]) for k <= n / 2
+        # and c[n - k] = spec[k]
+        spec = np.fft.rfft(sym, axis=1, norm="forward")
+        del sym  # each block's temporaries go before the next block's evaluation
+        c = ext[:s1 - s0, n:]
+        np.conjugate(spec, out=c[:, :half])
+        c[:, half:] = spec[:, n - half:0:-1]
+        del spec
+        ext[:s1 - s0, :n] = c
+        # rows crossed whole: j = s - i stays in [0, n) for every s of the block
+        i_a, i_b = max(0, s1 - n), min(n - 1, s0)
+        as_strided(flat[s0 + i_a * (n - 1):], (i_b - i_a + 1, s1 - s0),
+                   ((n - 1) * item, item))[...] = \
+            as_strided(src[n - s0 + 2 * i_a:], (i_b - i_a + 1, s1 - s0), (2 * item, step * item))
+        for i in chain(range(max(0, s0 - n + 1), i_a), range(i_b + 1, min(n, s1))):
+            j_lo, j_hi = max(0, s0 - i), min(n - 1, s1 - 1 - i)
+            start = n - s0 + 2 * i + (i + j_lo - s0) * step
+            mat[i, j_lo:j_hi + 1] = src[start:start + (j_hi - j_lo) * step + 1:step]
     return DiscreteOperator("dense", h, grid, matrix=mat)
 
 

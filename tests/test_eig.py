@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg.lapack import zhetrf
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import semiclab.eig
 from semiclab.eig import (
@@ -19,15 +21,18 @@ from semiclab.microlocal import upsilon, weyl_averages
 from semiclab.model import Polynomial1D, catalog, get_model
 from semiclab.observables import parse_observable
 from semiclab.quantize import (
+    DiscreteOperator,
     Grid1D,
     build_schrodinger,
     build_split,
     build_weyl_observable,
+    dense_matrix,
     grid_for_schrodinger,
     grid_for_split,
 )
 
 X2 = Polynomial1D((0.0, 0.0, 1.0))
+ZERO = Polynomial1D((0.0,))
 
 
 def harmonic_op(h, ppw=160):
@@ -280,6 +285,113 @@ class TestWindowSolve:
         exact = h * (2 * np.arange(7) + 1)
         assert w.size == 7
         assert np.max(np.abs(w - exact)) < 1e-8
+
+
+class TestShiftInvert:
+    """The dense route: shift-invert Lanczos sized by the certificate, with
+    evr as the fallback."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Count the ARPACK calls and the evr solves of the dense route."""
+        calls = {"eigsh": [], "evr": 0}
+        eigsh, eigh = scipy.sparse.linalg.eigsh, semiclab.eig.eigh
+
+        def spy_eigsh(*args, **kwargs):
+            calls["eigsh"].append(kwargs["sigma"])
+            return eigsh(*args, **kwargs)
+
+        def spy_eigh(*args, **kwargs):
+            calls["evr"] += kwargs.get("driver") == "evr"
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
+        monkeypatch.setattr(semiclab.eig, "eigh", spy_eigh)
+        return calls
+
+    def test_reference_route_is_shift_invert(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        _op, win = k3_window(0.01)
+        assert win.count == win.count_check == 15
+        assert calls == {"eigsh": [0.0], "evr": 0}
+
+    def test_no_convergence_falls_back_to_evr(self, monkeypatch):
+        _op, ref = k3_window(0.01)
+
+        def give_up(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", give_up)
+        calls = self.record(monkeypatch)
+        _op, win = k3_window(0.01)
+        assert calls["evr"] == 1
+        assert win.count == ref.count == win.count_check
+        assert np.max(np.abs(win.eigenvalues - ref.eigenvalues)) <= 1e-12
+
+    def test_dropped_state_is_never_lost(self, monkeypatch):
+        _op, ref = k3_window(0.01)
+        solve = semiclab.eig._shift_invert
+
+        def drop_one(*args, **kwargs):
+            w, v = solve(*args, **kwargs)
+            keep = np.arange(w.size) != np.argmin(np.abs(w))  # the state at the centre
+            return w[keep], v[:, keep]
+
+        monkeypatch.setattr(semiclab.eig, "_shift_invert", drop_one)
+        calls = self.record(monkeypatch)
+        _op, win = k3_window(0.01)
+        assert calls["evr"] == 1
+        assert win.count == ref.count == win.count_check
+        assert np.max(np.abs(win.eigenvalues - ref.eigenvalues)) <= 1e-12
+
+    def test_empty_window_solves_nothing(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        h = 0.05
+        op = build_split(X2, X2, h, grid_for_split(X2, X2, h, 1.0, d=5.0), window_top=1.25)
+        win = eigs_in_window(op, 0.36, 0.44)  # between the levels 7h and 9h
+        assert win.count == win.count_check == 0
+        assert win.vectors.shape == (op.size, 0)
+        assert calls == {"eigsh": [], "evr": 0}
+
+    def test_subspace_too_large_uses_evr(self, monkeypatch):
+        op = build_split(X2, X2, 0.1, Grid1D(-6.0, 6.0, 64, "periodic"))
+        exact = np.linalg.eigvalsh(dense_matrix(op))
+        lo, hi = 0.5 * (exact[0] + exact[1]), 0.5 * (exact[40] + exact[41])
+        calls = self.record(monkeypatch)
+        win = eigs_in_window(op, lo, hi)
+        assert 2 * (win.count_check + semiclab.eig.LANCZOS_MARGIN) + 1 > op.size
+        assert calls == {"eigsh": [], "evr": 1}
+        assert win.count == 40
+        assert np.max(np.abs(win.eigenvalues - exact[1:41])) <= 1e-12
+
+    def test_shift_on_an_eigenvalue(self, monkeypatch):
+        # a diagonal matrix factors with an exactly zero pivot at sigma = 20
+        n = 64
+        op = DiscreteOperator("dense", 1.0, Grid1D(0.0, 1.0, n, "periodic"),
+                              matrix=np.diag(np.arange(n)).astype(complex))
+        calls = self.record(monkeypatch)
+        win = eigs_in_window(op, 17.5, 22.5)
+        assert calls["evr"] == 0 and len(calls["eigsh"]) == 1
+        assert calls["eigsh"][0] != 20.0
+        assert win.count == win.count_check == 5
+        assert np.max(np.abs(win.eigenvalues - np.arange(18, 23))) <= 1e-12
+
+    def test_degenerate_pairs_come_back_orthonormal(self):
+        # free motion on a circle: the levels (h k)^2, k = +-3, +-4, +-5,
+        # are exactly double
+        h = 0.1
+        op = build_split(ZERO, X2, h, Grid1D(-np.pi, np.pi, 256, "periodic"))
+        win = eigs_in_window(op, 0.085, 0.255)
+        assert win.count == win.count_check == 6
+        assert np.max(np.abs(win.eigenvalues - np.repeat([0.09, 0.16, 0.25], 2))) <= 1e-12
+        v = win.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-12
+
+    def test_repeated_solves_are_bitwise_identical(self):
+        _op, first = k3_window(0.01)
+        _op, second = k3_window(0.01)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.vectors, second.vectors)
 
 
 FD_MODELS = [m for m in catalog() if get_model(m).family == "schrodinger1d"]

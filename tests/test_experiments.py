@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from semiclab import microlocal
 from semiclab.cli import main
 from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import (
@@ -88,6 +89,21 @@ class TestRunScan:
         assert ok[1e-4] is False
         bad = [r for r in scan.rows if not r.ok][0]
         assert bad.error != "" and math.isnan(bad.upsilon)
+
+    def test_coherent_frame_only_on_the_reference_route(self, monkeypatch):
+        # mixed observables take the dense Weyl matrix up to DENSE_CAP points
+        # and read no frame; past it, each takes the anti-Wick reference
+        built = []
+        frame = microlocal.build_coherent_frame
+        monkeypatch.setattr(microlocal, "build_coherent_frame",
+                            lambda *args: built.append(args) or frame(*args))
+        obs = ["exp(-x^2-xi^2)", "x*xi"]
+        assert run_scan("pseudo-k3", h_values=[0.05], observables=obs).rows[0].ok
+        assert built == []
+        monkeypatch.setattr(microlocal, "DENSE_CAP", 64)
+        scan = run_scan("quad-max", h_values=[0.05], observables=obs)
+        assert scan.rows[0].ok and scan.rows[0].n_grid > 64
+        assert len(built) == 2
 
     def test_bad_h_grids(self):
         with pytest.raises(ConfigError):
