@@ -8,7 +8,8 @@ and ``fit`` are declared once, in ``OPTIONS``: each entry gives the
 ``--flag`` (underscores become dashes), the key of a flat key=value config
 file (``--config``), the type, the default and the checks.  Flags take
 precedence over the file, unknown keys are rejected, and both sources go
-through the same conversion and checks.
+through the same conversion and checks.  ``ppw`` sizes finite-difference
+grids only: it defaults to ``WINDOW_PPW``, and a phase model refuses it.
 
 Exit codes: 0 success, 1 failed scenario verdict, 2 violated model
 hypothesis, 3 numerical failure, 4 configuration or parse error.
@@ -84,8 +85,9 @@ class Option:
 _MODEL = Option("model", required=True)
 _OBS = Option("obs", required=True)
 _H = Option("h", float, required=True, positive=True)
+# ppw has no table default, so _window_model can tell a given ppw from none
 _WINDOW = (Option("ecenter", float), Option("d", float, WINDOW_D, positive=True),
-           Option("ppw", int, WINDOW_PPW, positive=True))
+           Option("ppw", int, positive=True))
 _OUT = Option("out")
 
 OPTIONS: dict[str, tuple[Option, ...]] = {
@@ -118,6 +120,21 @@ def _get_model(name: str) -> SymbolModel:
         return get_model(name)
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from None
+
+
+def _window_model(cfg: dict) -> SymbolModel:
+    """The model of a window command; sets ``cfg["ppw"]`` when it is not given.
+
+    ppw sizes finite-difference grids only.  A phase model's split grid is
+    sized from its symbol, so a ppw given for one would be echoed unused.
+    """
+    m = _get_model(cfg["model"])
+    if cfg["ppw"] is None:
+        cfg["ppw"] = WINDOW_PPW
+    elif m.family == "phase1d":
+        raise ConfigError(f"option 'ppw' does not apply to phase model {m.name!r}: "
+                          "its split grid is sized from the symbol")
+    return m
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,7 +323,7 @@ def _grid_override(m: SymbolModel, cfg: dict) -> Grid1D | None:
 
 def cmd_spectrum(args) -> int:
     cfg = _resolve(args)
-    m = _get_model(cfg["model"])
+    m = _window_model(cfg)
     if cfg["ecenter"] is None:
         cfg["ecenter"] = default_center(m)
     h, e_center, d = cfg["h"], cfg["ecenter"], cfg["d"]
@@ -330,7 +347,7 @@ def cmd_spectrum(args) -> int:
 def cmd_measure(args) -> int:
     cfg = _resolve(args)
     quant = cfg["quantization"]
-    m = _get_model(cfg["model"])
+    m = _window_model(cfg)
     if cfg["ecenter"] is None:
         cfg["ecenter"] = default_center(m)
     obs = parse_observable(cfg["obs"])
@@ -408,7 +425,7 @@ def cmd_liouville(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _resolve(args)
-    _get_model(cfg["model"])
+    _window_model(cfg)
     observables = ()
     if cfg["obs"]:
         observables = tuple(s.strip() for s in cfg["obs"].split(",") if s.strip())

@@ -31,23 +31,16 @@ States whose eigenvalue sits within ``EDGE_FRACTION`` of the window width of
 a window edge are flagged so that callers can detect counting ties and
 re-run with a perturbed window.
 
-Count-only windows (``values=False``, tridiagonal route) are priced by the
-decisions they feed rather than by machine precision.  A window reports its
-count and its edge flags, and both are threshold tests on each eigenvalue:
-kept if it lies in [lo - eps_keep, hi + eps_keep], flagged if it lies
-within edge_tol = ``EDGE_FRACTION`` * (hi - lo) of lo or of hi.  The
-bisection therefore stops at the absolute tolerance
-tau = ``COUNT_TOL_FRACTION`` * edge_tol, and LAPACK's ``stebz`` returns the
-midpoint of an interval of width tau around each eigenvalue, so every coarse
-value is within tau / 2 of the full-precision one.  The selected set is
-fixed by exact Sturm counts at the range ends, independent of tau.  If no
-coarse value lies within tau of one of the six thresholds (lo - eps_keep,
-hi + eps_keep, lo +- edge_tol, hi +- edge_tol), each test comes out as it
-would at full precision.  Otherwise the window is solved again at full
-precision.  The Sturm certificate and the zero-slack rule are the same on
-both paths.  The count and the flags are exact; the reported eigenvalues of
-such a window are the coarse ones.  The split/dense route always solves at
-full precision.
+Count-only windows (``values=False``, tridiagonal route) compute no
+eigenvalue.  A window reports its count and its edge flags, and each is a
+threshold test on the eigenvalues: kept if in [lo - eps_keep, hi + eps_keep],
+flagged if within edge_tol = ``EDGE_FRACTION`` * (hi - lo) of lo or of hi.
+Three eigenvalue counts at those thresholds decide them (LAPACK ``dstebz``,
+whose bisection stops at its first midpoint when its tolerance is wider than
+the interval): the kept range gives the count, and the two edge bands give
+the number of flagged states at each end of the sorted window.  The Sturm
+certificate and the zero-slack rule are those of every other window.  The
+eigenvalues of such a window are NaN.  The split/dense route always solves.
 
 2D radial models reduce to a family of half-line problems, one per angular
 momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
@@ -69,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, qr
-from scipy.linalg.lapack import zhetrf, zhetrf_lwork, zhetrs
+from scipy.linalg.lapack import dstebz, zhetrf, zhetrf_lwork, zhetrs
 
 from .errors import NumericalError
 from .model import SEARCH_BOX
@@ -96,7 +89,6 @@ __all__ = [
 
 MAX_CHANNELS = 512
 EDGE_FRACTION = 5e-3  # edge-tie band, as a fraction of the window width
-COUNT_TOL_FRACTION = 1e-2  # count-only bisection tolerance, as a fraction of the edge band
 STURM_SCALAR_ROWS = 4096  # Sturm counts up to this size run row by row on Python floats
 RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the operator scale
 LANCZOS_MARGIN = 4  # shift-invert asks for the certified count plus this many states
@@ -110,7 +102,7 @@ class EigenWindow:
     h: float
     lo: float
     hi: float
-    eigenvalues: np.ndarray  # within COUNT_TOL_FRACTION * edge band / 2 if values=False
+    eigenvalues: np.ndarray  # NaN on a count-only tridiagonal window (values=False)
     vectors: np.ndarray | None  # (n, count) columns, l2-normalized
     edge_flags: np.ndarray  # True where the eigenvalue is edge-ambiguous
     residual_max: float | None
@@ -359,16 +351,14 @@ def _operator_scale(op: DiscreteOperator) -> float:
 
 
 def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: float,
-                  want_vectors: bool, pad: float, tol: float = 0.0,
-                  count: int | None = None):
+                  want_vectors: bool, pad: float, count: int | None = None):
     """One window solve over a slightly widened range.
 
     ``m`` is the dense matrix of a split or dense operator (None when
     tridiagonal).  Given its certified window ``count``, a dense window is
     solved by :func:`_shift_invert`, or by ``evr`` when that cannot run or
     ARPACK fails; without a count, by ``evr``.  The caller filters the
-    states to the window.  ``tol`` is the absolute bisection tolerance of a
-    tridiagonal eigenvalue solve (0: full precision).
+    states to the window.
     """
     nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), pad)
     vl, vu = lo - nudge, hi + nudge
@@ -377,7 +367,7 @@ def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: flo
             w, v = eigh_tridiagonal(op.diag, op.offdiag, select="v", select_range=(vl, vu))
         else:
             w = eigh_tridiagonal(op.diag, op.offdiag, select="v",
-                                 select_range=(vl, vu), eigvals_only=True, tol=tol)
+                                 select_range=(vl, vu), eigvals_only=True)
             v = None
         return w, v
     if count == 0:
@@ -392,11 +382,46 @@ def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: flo
 
 def _in_window(w: np.ndarray, v: np.ndarray | None, lo: float, hi: float,
                eps_keep: float, edge_tol: float):
-    """The states kept in [lo - eps_keep, hi + eps_keep], and their edge flags."""
+    """The states kept in [lo - eps_keep, hi + eps_keep], and their edge flags.
+
+    A state is flagged if it lies within edge_tol of lo or of hi.  Every test
+    compares a value with one of six thresholds, the numbers
+    :func:`_count_window` counts at, so both routes decide a tie alike.
+    """
     keep = (w >= lo - eps_keep) & (w <= hi + eps_keep)
     w = w[keep]
-    flags = (np.abs(w - lo) <= edge_tol) | (np.abs(w - hi) <= edge_tol)
+    flags = (((w >= lo - edge_tol) & (w <= lo + edge_tol))
+             | ((w >= hi - edge_tol) & (w <= hi + edge_tol)))
     return w, (None if v is None else v[:, keep]), flags
+
+
+def _stebz_count(diag, offdiag, vl: float, vu: float) -> int:
+    """Eigenvalue count of a symmetric tridiagonal matrix in the closed [vl, vu].
+
+    LAPACK ``dstebz`` with range 'V' counts the half-open (vl, vu] by Sturm
+    counts at its ends, so vl steps one ulp down.  A tolerance wider than the
+    interval ends the bisection after its first midpoint: only the count
+    ``m`` is read, never a value.
+    """
+    vl = float(np.nextafter(vl, -np.inf))
+    m, _w, _block, _split, info = dstebz(diag, offdiag, 1, vl, vu, 1, 1, 2.0 * (vu - vl), "E")
+    if info != 0:
+        raise NumericalError(f"dstebz failed (info={info})")
+    return int(m)
+
+
+def _count_window(diag, offdiag, lo: float, hi: float, eps_keep: float, edge_tol: float):
+    """What :func:`_in_window` decides, read off eigenvalue counts.
+
+    The kept count is the count in [lo - eps_keep, hi + eps_keep]; the kept
+    values are sorted, so the flagged ones are the first n_lo and the last
+    n_hi, the counts in the two edge bands.  The values are NaN.
+    """
+    count = _stebz_count(diag, offdiag, lo - eps_keep, hi + eps_keep)
+    n_lo = _stebz_count(diag, offdiag, lo - min(eps_keep, edge_tol), lo + edge_tol)
+    n_hi = _stebz_count(diag, offdiag, hi - edge_tol, hi + min(eps_keep, edge_tol))
+    j = np.arange(count)
+    return np.full(count, np.nan), None, (j < n_lo) | (j >= count - n_hi)
 
 
 def eigs_in_window(
@@ -414,8 +439,8 @@ def eigs_in_window(
     ``RESIDUAL_TOL`` times the operator scale when vectors are requested.
     ``values=False`` (which needs ``vectors=False``) promises that only the
     count, ``count_check`` and ``edge_flags`` are read: the tridiagonal
-    route then bisects to a tolerance tied to the edge band and keeps each
-    of those exact (see the module docstring).
+    route then reads them off eigenvalue counts at the decision thresholds
+    and leaves the eigenvalues NaN (see the module docstring).
     """
     if hi <= lo:
         raise ValueError("empty window")
@@ -434,16 +459,12 @@ def eigs_in_window(
         check = (_inertia_count(m, np.nextafter(hi, np.inf))
                  - _inertia_count(m, np.nextafter(lo, -np.inf)))
         method = "LDL^H inertia"
-    tol = COUNT_TOL_FRACTION * edge_tol if not values and m is None else 0.0
-    w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep, tol=tol, count=check)
-    if tol > 0.0:
-        # a coarse value within tol of a decision threshold could sit on the
-        # other side of it at full precision
-        thresholds = np.array([lo - eps_keep, hi + eps_keep, lo - edge_tol,
-                               lo + edge_tol, hi - edge_tol, hi + edge_tol])
-        if np.any(np.abs(w[:, None] - thresholds) <= tol):
-            w, v = _window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep)
-    w, v, flags = _in_window(w, v, lo, hi, eps_keep, edge_tol)
+    if m is None and not values:
+        w, v, flags = _count_window(op.diag, op.offdiag, lo, hi, eps_keep, edge_tol)
+    else:
+        w, v, flags = _in_window(*_window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep,
+                                                count=check),
+                                 lo, hi, eps_keep, edge_tol)
 
     # only edge-flagged states may account for a disagreement; on the dense
     # route evr solves the window again before that is decided

@@ -184,7 +184,9 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDO
     box from ``h_max``, the largest h of the surrounding scan (``None``: this
     h), and ``grid`` replaces it.  Either way the operator is checked
     against the resolution or aliasing policy at the window top.
-    ``values=False`` solves a count-only window (see :func:`eigs_in_window`).
+    ``values=False`` makes a count-only window: its count and edge flags
+    come from eigenvalue counts, and its eigenvalues are NaN (see
+    :func:`eigs_in_window`).
     """
     lo, hi = e_center - d * h, e_center + d * h
     if model.family == "schrodinger1d":

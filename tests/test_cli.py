@@ -59,6 +59,21 @@ class TestExitCodes:
             "--energy", "0.0"])
         assert code == 4
 
+    @pytest.mark.parametrize("command", [
+        ["scan", "--h-from", "0.1", "--h-to", "0.05", "--h-steps", "2"],
+        ["spectrum", "--h", "0.05"]])
+    def test_ppw_refused_for_phase_models(self, capsys, tmp_path, command):
+        # a split grid is sized from the symbol, so a ppw would be echoed unused
+        conf = tmp_path / "opts.conf"
+        conf.write_text("ppw=8\n")
+        for source in (["--ppw", "8"], ["--config", str(conf)]):
+            code, out, err = run_cli(capsys, [*command, "--model", "pseudo-k3", *source])
+            assert code == 4 and out == ""
+            assert err.startswith("semiclab:") and err.count("\n") == 1
+            assert "sized from the symbol" in err
+        code, out, _ = run_cli(capsys, [*command, "--model", "pseudo-k3"])
+        assert code == 0 and "# ppw=64\n" in out
+
 
 class TestConfigFile:
     def test_file_supplies_options(self, capsys, tmp_path):

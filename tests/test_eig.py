@@ -222,6 +222,10 @@ class TestDenseCertificate:
             k3_window(0.05, vectors=False)
         with pytest.raises(NumericalError, match="Sturm"):
             eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False)
+        # a count-only window loses the state from its LAPACK count instead
+        count = semiclab.eig._stebz_count
+        monkeypatch.setattr("semiclab.eig._stebz_count",
+                            lambda *args: max(count(*args) - 1, 0))
         with pytest.raises(NumericalError, match="Sturm"):
             eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False, values=False)
 
@@ -402,7 +406,7 @@ def window_decisions(win):
 
 
 class TestCountOnly:
-    """values=False windows bisect coarsely but decide exactly."""
+    """values=False windows decide from eigenvalue counts alone."""
 
     @pytest.mark.parametrize("name", FD_MODELS)
     def test_decisions_match_full_precision(self, name):
@@ -410,49 +414,55 @@ class TestCountOnly:
         for e_center in (default_center(model), 0.5):
             for h in np.geomspace(1e-1, 1e-3, 5):
                 full = solve_window(model, h, e_center, vectors=False)
-                coarse = solve_window(model, h, e_center, vectors=False, values=False)
-                assert window_decisions(coarse) == window_decisions(full)
-                assert np.all(np.abs(coarse.eigenvalues - full.eigenvalues)
-                              <= 0.5 * semiclab.eig.COUNT_TOL_FRACTION
-                              * semiclab.eig.EDGE_FRACTION * 10.0 * h)
+                counted = solve_window(model, h, e_center, vectors=False, values=False)
+                assert window_decisions(counted) == window_decisions(full)
+                assert np.isnan(counted.eigenvalues).all()
 
-    def test_value_near_a_threshold_solves_again(self, monkeypatch):
-        # put the discrete level near 7h = (2j+1)h, j = 3, exactly on
-        # lo + edge_tol, the inner edge of the lower tie band
-        h = 0.05
-        op = harmonic_op(h)
-        lam = eigs_in_window(op, 6.5 * h, 7.5 * h, vectors=False).eigenvalues
-        assert lam.size == 1 and abs(lam[0] - 7 * h) < 1e-4 * h
-        width = 10 * h
-        lo = float(lam[0]) - semiclab.eig.EDGE_FRACTION * width
-        hi = lo + width
-        tols = []
-        solve = semiclab.eig.eigh_tridiagonal
-        monkeypatch.setattr(semiclab.eig, "eigh_tridiagonal",
-                            lambda *a, **kw: tols.append(kw.get("tol", 0.0)) or solve(*a, **kw))
-        coarse = eigs_in_window(op, lo, hi, vectors=False, values=False)
-        assert len(tols) == 2 and tols[0] > 0.0 and tols[1] == 0.0
-        full = eigs_in_window(op, lo, hi, vectors=False)
-        assert window_decisions(coarse) == window_decisions(full)
-        assert np.array_equal(coarse.eigenvalues, full.eigenvalues)
+    def test_no_eigenvalue_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a count-only window solved for eigenvalues")
 
-    def test_no_solve_again_away_from_thresholds(self, monkeypatch):
-        tols = []
-        solve = semiclab.eig.eigh_tridiagonal
-        monkeypatch.setattr(semiclab.eig, "eigh_tridiagonal",
-                            lambda *a, **kw: tols.append(kw.get("tol", 0.0)) or solve(*a, **kw))
+        monkeypatch.setattr(semiclab.eig, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(semiclab.eig, "_window_solve", refuse)
         win = eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False, values=False)
-        assert win.count == 6 and not win.has_ties
-        assert tols == [pytest.approx(semiclab.eig.COUNT_TOL_FRACTION * semiclab.eig.EDGE_FRACTION * 0.52)]
+        assert win.count == 6 and win.count_check == 6 and not win.has_ties
+
+    @pytest.mark.parametrize("threshold", range(6))
+    def test_level_on_a_threshold(self, threshold):
+        # the oscillator in its eigenbasis: levels (2j+1)h are the exact
+        # eigenvalues of a decoupled tridiagonal matrix, so the level 7h can
+        # sit exactly on a threshold (a finite-difference level is known only
+        # to O(eps * ||H||), which is many ulps)
+        h, width = 0.05, 0.5
+        diag = h * (2 * np.arange(40) + 1.0)
+        op = DiscreteOperator("tridiagonal", h, Grid1D(0.0, 1.0, diag.size, "dirichlet"),
+                              diag=diag, offdiag=np.zeros(diag.size - 1))
+        level = diag[3]
+        eps_keep = 1e-12 * semiclab.eig._operator_scale(op)
+
+        def at(lo):
+            # the six thresholds of [lo, lo + width], as eigs_in_window makes them
+            hi = lo + width
+            edge_tol = semiclab.eig.EDGE_FRACTION * (hi - lo)
+            return (lo - eps_keep, hi + eps_keep, lo - edge_tol, lo + edge_tol,
+                    hi - edge_tol, hi + edge_tol)[threshold]
+
+        guess = level - (at(level) - level)
+        for target in (np.nextafter(level, 0.0), level, np.nextafter(level, 1.0)):
+            lo = guess + (target - level)
+            lo = next(x for x in lo + np.spacing(lo) * np.arange(-64, 65) if at(x) == target)
+            full = eigs_in_window(op, lo, lo + width, vectors=False)
+            counted = eigs_in_window(op, lo, lo + width, vectors=False, values=False)
+            assert window_decisions(counted) == window_decisions(full)
 
     @pytest.mark.parametrize("h", [0.05, 0.01])
     def test_radial_channels_decide_alike(self, h):
         V = get_model("radial-deg").potential
         args = (V, h, -5.0 * h, 5.0 * h)
         full = radial_channels(*args, vectors=False)
-        coarse = radial_channels(*args, vectors=False, values=False)
-        assert [c.m for c in coarse] == [c.m for c in full]
-        assert ([window_decisions(c.window) for c in coarse]
+        counted = radial_channels(*args, vectors=False, values=False)
+        assert [c.m for c in counted] == [c.m for c in full]
+        assert ([window_decisions(c.window) for c in counted]
                 == [window_decisions(c.window) for c in full])
 
     def test_needs_vectors_off(self):
@@ -463,8 +473,8 @@ class TestCountOnly:
         _op, full = k3_window(0.05, vectors=False)
         f, g = get_model("pseudo-k3").phase_poly.split_parts()
         op = build_split(f, g, 0.05, grid_for_split(f, g, 0.05, 0.0), window_top=0.25)
-        coarse = eigs_in_window(op, -0.25, 0.25, vectors=False, values=False)
-        assert np.array_equal(coarse.eigenvalues, full.eigenvalues)
+        counted = eigs_in_window(op, -0.25, 0.25, vectors=False, values=False)
+        assert np.array_equal(counted.eigenvalues, full.eigenvalues)
 
 
 class TestRadial:
