@@ -22,8 +22,9 @@ marching squares with per-segment contributions a / |grad p| times segment
 length, plus the same dyadic-shell divergence probe around any critical
 point lying on the level set.
 
-Connectivity of planar level sets is decided by a union-find over the
-cell-edge crossings of the marching-squares graph; components meeting at a
+Connectivity of planar level sets is read from the connected components of
+the crossing graph, whose nodes are the cell edges the level crosses and
+whose links are the marching-squares segments; components meeting at a
 critical point on the level (curve nodes, e.g. the waist of a figure-eight)
 are merged, since the level set is a closed curve there even though the
 local branches separate numerically.
@@ -62,6 +63,7 @@ DIVERGENCE_RATIO = 0.99
 SHELL_COUNT = 14
 DEGENERATE_SLOPE_TOL = 1e-7
 LIOUVILLE_RTOL = 1e-8  # node-doubling tolerance of the 1D and radial quadratures
+LIOUVILLE_RESOLUTION = 2048  # planar Liouville integrals march at 1/2, 1 and 2 times it
 LEVELSET_RESOLUTION = 512  # marching-squares cells per side for level-set topology
 COAREA_RESOLUTION = 3000  # lattice cells per side of the coarea band count
 COAREA_QUAD_NODES = 24  # Gauss-Legendre nodes of the energy integral
@@ -225,127 +227,85 @@ def _liouville_radial(V: Polynomial1D, a, energy: float) -> LiouvilleResult:
 # ---------------------------------------------------------------------------
 # Marching squares for planar polynomial symbols
 
-# corner bits: 1=(i,j)  2=(i+1,j)  4=(i+1,j+1)  8=(i,j+1), set when p < E;
-# edges: 0 bottom, 1 right, 2 top, 3 left
-_EDGE_TABLE = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)],
-    7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)], 11: [(2, 1)], 12: [(1, 3)],
-    13: [(1, 0)], 14: [(0, 3)],
-}
+
+def _crossing_table() -> np.ndarray:
+    """Segments of a cell as local edge pairs, indexed [code, centre inside].
+
+    Corner bits: 1=(i,j)  2=(i+1,j)  4=(i+1,j+1)  8=(i,j+1), set when p < E;
+    edges: 0 bottom, 1 right, 2 top, 3 left.  A cell has at most two
+    segments; -1 pads the unused one.  Only the saddle codes 5 and 10 (two
+    opposite corners inside) read the centre.
+    """
+    table = np.full((16, 2, 2, 2), -1)
+    single = {1: (3, 0), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2), 7: (3, 2),
+              8: (2, 3), 9: (0, 2), 11: (2, 1), 12: (1, 3), 13: (1, 0), 14: (0, 3)}
+    for code, pair in single.items():
+        table[code, :, 0] = pair
+    table[5] = ((3, 0), (1, 2)), ((3, 2), (1, 0))
+    table[10] = ((0, 1), (2, 3)), ((0, 3), (2, 1))
+    return table
 
 
-def _cell_segments(code: int, center_inside: bool):
-    if code in _EDGE_TABLE:
-        return _EDGE_TABLE[code]
-    if code == 5:  # opposite corners inside: saddle cell, centre decides
-        return [(3, 2), (1, 0)] if center_inside else [(3, 0), (1, 2)]
-    if code == 10:
-        return [(0, 3), (2, 1)] if center_inside else [(0, 1), (2, 3)]
-    return []
+_CROSSINGS = _crossing_table()
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, k):
-        p = self.parent.setdefault(k, k)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[k] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-@dataclass(frozen=True)
-class _Segment:
-    key_a: tuple
-    key_b: tuple
-    mid: tuple[float, float]
-    length: float
-
-
-def _march(p_func, energy: float, box: tuple[float, float, float, float], n: int):
+def _march(model: SymbolModel, energy: float, box: tuple[float, float, float, float], n: int):
     """Marching-squares crossing graph of {p = energy} in the box.
 
-    Returns (segments, union_find); keys are grid-edge identifiers, so the
-    connectivity is exact cell topology rather than coordinate rounding.
+    Returns (ends, mid, length) with one entry per segment: ``ends`` (m, 2)
+    holds the ids of the grid edges at its two ends, so connectivity is exact
+    cell topology rather than coordinate rounding; ``mid`` (2, m) holds the
+    midpoints and ``length`` (m,) the lengths.  Horizontal edge (i, j) joins
+    nodes (i, j), (i+1, j) and has id i (n+1) + j; vertical edge (i, j) joins
+    (i, j), (i, j+1) and has id n (n+1) + i n + j.
     """
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.asarray(p_func(xx, yy), dtype=float) - energy
-    inside = vals < 0.0
+    vals = np.asarray(model.eval(xs[:, None], ys[None, :]), dtype=float) - energy
+    inside = (vals < 0.0).astype(np.uint8)
+    code = inside[:-1, :-1] + 2 * inside[1:, :-1] + 4 * inside[1:, 1:] + 8 * inside[:-1, 1:]
+    i, j = np.nonzero((code != 0) & (code != 15))
+    code = code[i, j]
 
-    code = (inside[:-1, :-1].astype(int)
-            + 2 * inside[1:, :-1].astype(int)
-            + 4 * inside[1:, 1:].astype(int)
-            + 8 * inside[:-1, 1:].astype(int))
-    active = np.argwhere((code != 0) & (code != 15))
+    saddle = (code == 5) | (code == 10)
+    si, sj = i[saddle], j[saddle]
+    centre_inside = np.zeros(len(code), dtype=np.intp)
+    centre_inside[saddle] = np.asarray(
+        model.eval(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))) - energy < 0
+    edges = _CROSSINGS[code, centre_inside].reshape(-1, 2)
+    cell = np.repeat(np.arange(len(code)), 2)
+    kept = edges[:, 0] >= 0
+    edges, cell = edges[kept], cell[kept]
 
-    dx = xs[1] - xs[0]
-    dy = ys[1] - ys[0]
-    uf = _UnionFind()
-    segments: list[_Segment] = []
-
-    def edge_point(i, j, e):
-        if e == 0:
-            va, vb = vals[i, j], vals[i + 1, j]
-            t = va / (va - vb)
-            return (xs[i] + t * dx, ys[j]), ("h", i, j)
-        if e == 1:
-            va, vb = vals[i + 1, j], vals[i + 1, j + 1]
-            t = va / (va - vb)
-            return (xs[i + 1], ys[j] + t * dy), ("v", i + 1, j)
-        if e == 2:
-            va, vb = vals[i, j + 1], vals[i + 1, j + 1]
-            t = va / (va - vb)
-            return (xs[i] + t * dx, ys[j + 1]), ("h", i, j + 1)
-        va, vb = vals[i, j], vals[i, j + 1]
-        t = va / (va - vb)
-        return (xs[i], ys[j] + t * dy), ("v", i, j)
-
-    for i, j in active:
-        c = int(code[i, j])
-        if c in (5, 10):
-            centre = p_func(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])) - energy
-            segs = _cell_segments(c, bool(centre < 0))
-        else:
-            segs = _cell_segments(c, True)
-        for ea, eb in segs:
-            pa, ka = edge_point(i, j, ea)
-            pb, kb = edge_point(i, j, eb)
-            uf.union(ka, kb)
-            segments.append(_Segment(
-                key_a=ka, key_b=kb,
-                mid=(0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1])),
-                length=math.hypot(pb[0] - pa[0], pb[1] - pa[1])))
-    return segments, uf
+    # (ia, ja) is the first node of an end's edge and (ia + 1, ja) or
+    # (ia, ja + 1) the second; the crossing sits at t = va / (va - vb) along it
+    horiz = edges % 2 == 0
+    ia = i[cell, None] + (edges == 1)
+    ja = j[cell, None] + (edges == 2)
+    va = vals[ia, ja]
+    vb = vals[ia + horiz, ja + ~horiz]
+    t = va / (va - vb)
+    px = np.where(horiz, xs[ia] + t * (xs[1] - xs[0]), xs[ia])
+    py = np.where(horiz, ys[ja], ys[ja] + t * (ys[1] - ys[0]))
+    ends = np.where(horiz, ia * (n + 1) + ja, n * (n + 1) + ia * n + ja)
+    mid = 0.5 * np.stack([px[:, 0] + px[:, 1], py[:, 0] + py[:, 1]])
+    length = np.hypot(px[:, 1] - px[:, 0], py[:, 1] - py[:, 0])
+    return ends, mid, length
 
 
-def _march_integral(p_func, a_func, grad_func, energy, box, n) -> float:
-    total = 0.0
-    segments, _uf = _march(p_func, energy, box, n)
-    for seg in segments:
-        if seg.length == 0.0:
-            continue
-        gx, gy = grad_func(seg.mid[0], seg.mid[1])
-        gn = math.hypot(float(gx), float(gy))
-        if gn > 0.0:
-            total += float(a_func(seg.mid[0], seg.mid[1])) / gn * seg.length
-    return total
+def _march_integral(model: SymbolModel, a, energy, box, n) -> float:
+    _, mid, length = _march(model, energy, box, n)
+    gn = np.hypot(*model.phase_poly.gradient(*mid))
+    kept = (length > 0.0) & (gn > 0.0)
+    x, xi = mid[:, kept]
+    return float(np.sum(np.asarray(a(x, xi), dtype=float) / gn[kept] * length[kept]))
 
 
-def _phase_box(p_func, energy: float, margin: float = 1.0) -> tuple[float, float, float, float]:
+def _phase_box(model: SymbolModel, energy: float,
+               margin: float = 1.0) -> tuple[float, float, float, float]:
     xs = np.linspace(-6.0, 6.0, 257)
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    mask = np.asarray(p_func(xx, yy), dtype=float) <= energy + margin
+    mask = np.asarray(model.eval(xs[:, None], xs[None, :]), dtype=float) <= energy + margin
     if not np.any(mask):
         return (-1.0, 1.0, -1.0, 1.0)
     gx = xs[np.any(mask, axis=1)]
@@ -354,53 +314,42 @@ def _phase_box(p_func, energy: float, margin: float = 1.0) -> tuple[float, float
     return (float(gx[0] - pad), float(gx[-1] + pad), float(gy[0] - pad), float(gy[-1] + pad))
 
 
-def _shell_ratios_2d(p_func, grad_func, energy: float, z0: tuple[float, float],
+def _shell_ratios_2d(model: SymbolModel, energy: float, z0: tuple[float, float],
                      radius: float) -> list[float]:
     vals = []
     for j in range(10):
         r_hi = radius * 2.0 ** (-j)
-        r_lo = 0.5 * r_hi
         box = (z0[0] - r_hi, z0[0] + r_hi, z0[1] - r_hi, z0[1] + r_hi)
-        segments, _uf = _march(p_func, energy, box, 192)
-        acc = 0.0
-        for seg in segments:
-            d = math.hypot(seg.mid[0] - z0[0], seg.mid[1] - z0[1])
-            if r_lo <= d <= r_hi and seg.length > 0:
-                gx, gy = grad_func(seg.mid[0], seg.mid[1])
-                gn = math.hypot(float(gx), float(gy))
-                if gn > 0.0:
-                    acc += seg.length / gn
-        vals.append(acc)
+        _, mid, length = _march(model, energy, box, 192)
+        d = np.hypot(mid[0] - z0[0], mid[1] - z0[1])
+        gn = np.hypot(*model.phase_poly.gradient(*mid))
+        kept = (0.5 * r_hi <= d) & (d <= r_hi) & (length > 0.0) & (gn > 0.0)
+        vals.append(float(np.sum(length[kept] / gn[kept])))
     return [cur / prev for prev, cur in zip(vals[:-1], vals[1:]) if prev > 0 and cur > 0]
 
 
 def _liouville_phase(model: SymbolModel, a, energy: float,
-                     resolution: int, allow_critical: bool) -> LiouvilleResult:
+                     allow_critical: bool) -> LiouvilleResult:
     a = _as_symbol_callable(a)
-    p = model.phase_poly
-    p_func = lambda x, xi: p(x, xi)
-    grad_func = p.gradient
-
     all_ratios: list[float] = []
     for cp in model.critical_points_at(energy):
         if not allow_critical:
             raise ConfigError(
                 f"E={energy:.6g} passes through the critical point at "
                 f"{cp.z0}; pass allow_critical=True to probe it")
-        ratios = _shell_ratios_2d(p_func, grad_func, energy, (cp.z0[0], cp.z0[1]), 0.5)
+        ratios = _shell_ratios_2d(model, energy, (cp.z0[0], cp.z0[1]), 0.5)
         all_ratios.extend(ratios[-4:])
         if _tail_divergent(ratios):
             return LiouvilleResult(math.inf, True, energy=energy,
                                    shell_ratios=tuple(np.round(ratios, 4)),
                                    detail=f"critical point on level set at {cp.z0}")
 
-    box = _phase_box(p_func, energy)
-    a_scalar = lambda x, y: float(np.asarray(a(np.asarray(x), np.asarray(y))))
+    box = _phase_box(model, energy)
     prev = None
     delta = math.inf
-    n = max(resolution // 2, 128)
-    while n <= 2 * resolution:
-        total = _march_integral(p_func, a_scalar, grad_func, energy, box, n)
+    n = LIOUVILLE_RESOLUTION // 2
+    while n <= 2 * LIOUVILLE_RESOLUTION:
+        total = _march_integral(model, a, energy, box, n)
         if prev is not None:
             delta = abs(total - prev)
             if delta <= 2e-3 * (abs(total) + 1e-300):
@@ -413,7 +362,7 @@ def _liouville_phase(model: SymbolModel, a, energy: float,
                            detail="marching squares at max resolution")
 
 
-def liouville_integral(model: SymbolModel, a, energy: float, resolution: int = 2048,
+def liouville_integral(model: SymbolModel, a, energy: float,
                        allow_critical: bool = False) -> LiouvilleResult:
     """Liouville-measure integral of a over the level set {symbol = energy}.
 
@@ -430,21 +379,23 @@ def liouville_integral(model: SymbolModel, a, energy: float, resolution: int = 2
     if model.family == "radial2d":
         return _liouville_radial(model.potential, a, energy)
     if model.family == "phase1d":
-        return _liouville_phase(model, a, energy, resolution, allow_critical)
+        return _liouville_phase(model, a, energy, allow_critical)
     raise ValueError(f"unknown family {model.family}")
 
 
-def level_volume(model: SymbolModel, energy: float, **kw) -> LiouvilleResult:
-    return liouville_integral(model, None, energy, **kw)
+def level_volume(model: SymbolModel, energy: float,
+                 allow_critical: bool = False) -> LiouvilleResult:
+    return liouville_integral(model, None, energy, allow_critical)
 
 
-def normalizing_volume(model: SymbolModel, energy: float, **kw) -> float:
+def normalizing_volume(model: SymbolModel, energy: float,
+                       allow_critical: bool = False) -> float:
     """Level-set volume that normalizes a Liouville average.
 
     A divergent or empty level set has no normalized average: both raise
     ``NumericalError``.
     """
-    vol = level_volume(model, energy, **kw)
+    vol = level_volume(model, energy, allow_critical)
     if vol.divergent:
         raise NumericalError(
             f"Liouville volume divergent at E={energy:.6g}: {vol.detail}")
@@ -453,11 +404,10 @@ def normalizing_volume(model: SymbolModel, energy: float, **kw) -> float:
     return vol.value
 
 
-def mu_average(model: SymbolModel, a, energy: float, **kw) -> float:
+def mu_average(model: SymbolModel, a, energy: float, allow_critical: bool = True) -> float:
     """Normalized Liouville average of a on {symbol = energy}."""
-    kw.setdefault("allow_critical", True)
-    vol = normalizing_volume(model, energy, **kw)
-    return liouville_integral(model, a, energy, **kw).value / vol
+    vol = normalizing_volume(model, energy, allow_critical)
+    return liouville_integral(model, a, energy, allow_critical).value / vol
 
 
 def classify_integrability(cp: CriticalPoint, model: SymbolModel) -> str:
@@ -497,30 +447,29 @@ def levelset_components(model: SymbolModel, energy: float) -> int:
     one: the level set is a single closed set through such a node even
     though marching squares separates the local branches.
     """
-    if model.family == "schrodinger1d":
-        V = model.potential
-        dV = V.derivative()
-        p_func = lambda x, xi: xi**2 + V(x)
-        grad_func = lambda x, xi: (dV(x), 2.0 * xi)
-    elif model.family == "phase1d":
-        p = model.phase_poly
-        p_func = lambda x, xi: p(x, xi)
-        grad_func = p.gradient
-    else:
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    if model.family not in ("schrodinger1d", "phase1d"):
         raise ValueError("component counting is planar only")
-    box = _phase_box(p_func, energy)
+    box = _phase_box(model, energy)
     n = LEVELSET_RESOLUTION
-    segments, uf = _march(p_func, energy, box, n)
-    if not segments:
+    ends, mid, _ = _march(model, energy, box, n)
+    if not len(ends):
         return 0
+    # node ids: grid edges first, then one node per critical point, joined to
+    # every segment within three cell diagonals of it
+    links = [ends]
+    node = 2 * n * (n + 1)
     cell_diag = math.hypot((box[1] - box[0]) / n, (box[3] - box[2]) / n)
     for cp in model.critical_points_at(energy):
-        z0 = cp.z0
-        anchor = ("node", z0)
-        for seg in segments:
-            if math.hypot(seg.mid[0] - z0[0], seg.mid[1] - z0[1]) <= 3.0 * cell_diag:
-                uf.union(seg.key_a, anchor)
-    return len({uf.find(s.key_a) for s in segments})
+        near = ends[np.hypot(mid[0] - cp.z0[0], mid[1] - cp.z0[1]) <= 3.0 * cell_diag, 0]
+        links.append(np.column_stack([near, np.full(len(near), node)]))
+        node += 1
+    u, v = np.concatenate(links).T
+    graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(node, node))
+    _, label = connected_components(graph, directed=False)
+    return len(np.unique(label[ends[:, 0]]))
 
 
 def levelset_connected(model: SymbolModel, energy: float) -> tuple[bool, int]:
@@ -536,17 +485,24 @@ def levelset_connected(model: SymbolModel, energy: float) -> tuple[bool, int]:
 
 
 def _band_box(model: SymbolModel, e_hi: float) -> tuple[float, float, float, float]:
+    """Lattice box holding the band below e_hi.
+
+    An (x, xi) box for the planar families; for the radial family the (r, s)
+    quadrant r, s >= 0, s = |xi|.
+    """
     if model.family == "phase1d":
-        p = model.phase_poly
-        return _phase_box(lambda x, xi: p(x, xi), e_hi, margin=0.0)
+        return _phase_box(model, e_hi, margin=0.0)
     V = model.potential
-    intervals = allowed_intervals(V, e_hi)
+    radial = model.family == "radial2d"
+    intervals = allowed_intervals(V, e_hi, (0.0, SEARCH_BOX[1]) if radial else SEARCH_BOX)
     if not intervals:
         raise NumericalError(f"empty band below E={e_hi:.6g}")
-    x_lo = min(lo for lo, _ in intervals)
+    x_lo = 0.0 if radial else min(lo for lo, _ in intervals)
     x_hi = max(hi for _, hi in intervals)
     v_min = float(np.min(V(np.linspace(x_lo, x_hi, 4001))))
     s_hi = math.sqrt(max(e_hi - v_min, 0.0))
+    if radial:
+        return (0.0, x_hi * 1.05, 0.0, s_hi * 1.05)
     pad_x = 0.05 * (x_hi - x_lo + 1.0)
     pad_s = 0.05 * (s_hi + 1.0)
     return (x_lo - pad_x, x_hi + pad_x, -s_hi - pad_s, s_hi + pad_s)
@@ -556,42 +512,22 @@ def coarea_area(model: SymbolModel, e_lo: float, e_hi: float) -> float:
     """Phase-space measure of {e_lo <= p <= e_hi} by cell counting.
 
     Planar families count lattice cells directly; the radial family counts
-    in the (r, s) half-plane with the weight 4 pi^2 r s of the two angular
-    variables integrated out.
+    in the (r, s) quadrant with the weight 4 pi^2 r s of the two angular
+    variables integrated out.  A potential with no allowed region below e_hi
+    raises ``NumericalError``.
     """
-    if model.family == "radial2d":
-        V = model.potential
-        intervals = allowed_intervals(V, e_hi, (0.0, SEARCH_BOX[1]))
-        if not intervals:
-            return 0.0
-        r_hi = max(hi for _, hi in intervals)
-        v_min = float(np.min(V(np.linspace(0.0, r_hi, 4001))))
-        s_hi = math.sqrt(max(e_hi - v_min, 0.0)) * 1.05
-        r = np.linspace(0.0, r_hi * 1.05, COAREA_RESOLUTION + 1)
-        s = np.linspace(0.0, s_hi, COAREA_RESOLUTION + 1)
-        rc = 0.5 * (r[:-1] + r[1:])
-        sc = 0.5 * (s[:-1] + s[1:])
-        rr, ss = np.meshgrid(rc, sc, indexing="ij")
-        p = ss**2 + np.asarray(V(rr), dtype=float)
-        band = (p >= e_lo) & (p <= e_hi)
-        cell = (r[1] - r[0]) * (s[1] - s[0])
-        return float(np.sum(4.0 * np.pi**2 * rr[band] * ss[band]) * cell)
-
-    if model.family == "schrodinger1d":
-        V = model.potential
-        p_func = lambda x, xi: xi**2 + np.asarray(V(x), dtype=float)
-    else:
-        poly = model.phase_poly
-        p_func = lambda x, xi: np.asarray(poly(x, xi), dtype=float)
     x0, x1, y0, y1 = _band_box(model, e_hi)
     xs = np.linspace(x0, x1, COAREA_RESOLUTION + 1)
     ys = np.linspace(y0, y1, COAREA_RESOLUTION + 1)
-    xc = 0.5 * (xs[:-1] + xs[1:])
-    yc = 0.5 * (ys[:-1] + ys[1:])
-    xx, yy = np.meshgrid(xc, yc, indexing="ij")
-    p = p_func(xx, yy)
+    xc = 0.5 * (xs[:-1] + xs[1:])[:, None]
+    yc = 0.5 * (ys[:-1] + ys[1:])[None, :]
+    p = model.eval(xc, yc)
     band = (p >= e_lo) & (p <= e_hi)
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
+    if model.family == "radial2d":
+        r = np.broadcast_to(xc, band.shape)[band]
+        s = np.broadcast_to(yc, band.shape)[band]
+        return float(np.sum(4.0 * np.pi**2 * r * s) * cell)
     return float(np.count_nonzero(band)) * cell
 
 

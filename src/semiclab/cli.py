@@ -187,6 +187,8 @@ def _resolve(args) -> dict:
             continue
         if opt.positive and not 0 < v < math.inf:
             raise ConfigError(f"option {key!r} must be positive and finite, got {v}")
+        if opt.type is float and not math.isfinite(v):
+            raise ConfigError(f"option {key!r} must be finite, got {v}")
         if opt.choices and v not in opt.choices:
             raise ConfigError(f"option {key!r} must be one of "
                               f"{', '.join(opt.choices)}, got {v!r}")

@@ -153,15 +153,10 @@ def _box_margin(d: float, h: float, h_max: float | None) -> float:
     return max(1.0, 10.0 * d * (h_max if h_max is not None else h))
 
 
-def _outer_turning(V, e_top: float, search: tuple[float, float] = SEARCH_BOX) -> tuple[float, float]:
-    if isinstance(V, Polynomial1D):
-        shifted = Polynomial1D((V.coefficients[0] - e_top,) + V.coefficients[1:])
-        roots = _poly_roots_in(shifted, search[0], search[1])
-    else:
-        xs = np.linspace(search[0], search[1], 8193)
-        vals = np.asarray(V(xs)) - e_top
-        roots = [float(xs[i]) for i in range(len(xs) - 1)
-                 if (vals[i] <= 0) != (vals[i + 1] <= 0)]
+def _outer_turning(V: Polynomial1D, e_top: float,
+                   search: tuple[float, float] = SEARCH_BOX) -> tuple[float, float]:
+    shifted = Polynomial1D((V.coefficients[0] - e_top,) + V.coefficients[1:])
+    roots = _poly_roots_in(shifted, search[0], search[1])
     if not roots:
         raise NumericalError(f"no classical turning points at energy {e_top:.6g}")
     return min(roots), max(roots)

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from semiclab.classical import (
+    COAREA_RESOLUTION,
+    _band_box,
+    _march,
     allowed_intervals,
     classify_integrability,
+    coarea_area,
     coarea_check,
     flow_points,
     level_volume,
@@ -145,9 +149,9 @@ class TestRadial2D:
 class TestPhasePlane:
     def test_circle_volume(self):
         circ = phase_model(((2, 0, 1.0), (0, 2, 1.0)))
-        r = level_volume(circ, 1.0, resolution=512)
+        r = level_volume(circ, 1.0)
         assert not r.divergent
-        assert r.value == pytest.approx(math.pi, rel=5e-4)
+        assert r.value == pytest.approx(math.pi, abs=5e-4)
 
     def test_cubic_crossing_diverges(self):
         r = level_volume(get_model("pseudo-k3"), 0.0, allow_critical=True)
@@ -160,7 +164,7 @@ class TestPhasePlane:
         assert r.shell_ratios[-1] == pytest.approx(4.0, abs=0.2)
 
     def test_regular_energy_finite(self):
-        r = level_volume(get_model("pseudo-k3"), 0.5, resolution=512)
+        r = level_volume(get_model("pseudo-k3"), 0.5)
         assert not r.divergent and r.value > 0
 
     def test_phase_average_matches_1d_route(self):
@@ -169,9 +173,23 @@ class TestPhasePlane:
         circ = phase_model(((2, 0, 1.0), (0, 2, 1.0)))
         harm = get_model("harmonic")
         a = lambda x, xi: 1.0 + 0.3 * x**2
-        v_phase = liouville_integral(circ, a, 1.0, resolution=512).value
+        v_phase = liouville_integral(circ, a, 1.0).value
         v_1d = liouville_integral(harm, a, 1.0).value
         assert v_phase == pytest.approx(v_1d, rel=2e-3)
+
+
+class TestMarch:
+    @pytest.mark.parametrize("sign, energy, pairs", [
+        (1.0, 0.5, {(0, 2), (1, 3)}),  # code 10, centre inside
+        (1.0, -0.5, {(0, 3), (1, 2)}),  # code 10, centre outside
+        (-1.0, 0.5, {(0, 3), (1, 2)}),  # code 5, centre inside
+        (-1.0, -0.5, {(0, 2), (1, 3)})])  # code 5, centre outside
+    def test_saddle_cell_follows_centre(self, sign, energy, pairs):
+        # one cell of p = +-x xi on [-1, 1]^2; edge ids: bottom 0, top 1,
+        # left 2, right 3.  The two corners on the centre's side stay joined.
+        m = phase_model(((1, 1, sign),))
+        ends, _, _ = _march(m, energy, (-1.0, 1.0, -1.0, 1.0), 1)
+        assert {tuple(sorted(e)) for e in ends.tolist()} == pairs
 
 
 class TestComponents:
@@ -194,6 +212,12 @@ class TestComponents:
     def test_empty(self):
         assert levelset_components(get_model("harmonic"), -1.0) == 0
 
+    @pytest.mark.parametrize("name, energy", [
+        ("pseudo-k3", 0.0), ("pseudo-k4", 0.0), ("two-max", 4 / 27)])
+    def test_branches_joined_at_critical_point(self, name, energy):
+        # the local branches through the critical point form one closed set
+        assert levelset_components(get_model(name), energy) == 1
+
     def test_connected_wrapper(self):
         ok, count = levelset_connected(get_model("deg-max"), -0.07)
         assert not ok and count == 2
@@ -201,7 +225,30 @@ class TestComponents:
         assert ok and count == 1
 
 
+def meshgrid_band_area(model, e_lo, e_hi):
+    """Reference band count: the symbol on full meshgrid arrays."""
+    x0, x1, y0, y1 = _band_box(model, e_hi)
+    xs = np.linspace(x0, x1, COAREA_RESOLUTION + 1)
+    ys = np.linspace(y0, y1, COAREA_RESOLUTION + 1)
+    xx, yy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]), indexing="ij")
+    if model.family == "phase1d":
+        p = model.phase_poly(xx, yy)
+    else:
+        p = yy**2 + model.potential(xx)
+    band = (p >= e_lo) & (p <= e_hi)
+    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
+    if model.family == "radial2d":
+        return float(np.sum(4.0 * np.pi**2 * xx[band] * yy[band]) * cell)
+    return float(np.count_nonzero(band)) * cell
+
+
 class TestCoarea:
+    @pytest.mark.parametrize("name, e_lo, e_hi", [
+        ("harmonic", 0.8, 1.2), ("radial-deg", 0.05, 0.15), ("pseudo-k3", 0.1, 0.3)])
+    def test_area_matches_meshgrid_reference(self, name, e_lo, e_hi):
+        model = get_model(name)
+        assert coarea_area(model, e_lo, e_hi) == meshgrid_band_area(model, e_lo, e_hi)
+
     def test_harmonic_band(self):
         # area of the annulus {0.5 <= x^2 + xi^2 <= 1} is pi/2
         rep = coarea_check(get_model("harmonic"), 0.5, 1.0)

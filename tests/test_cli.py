@@ -74,6 +74,20 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, [*command, "--model", "pseudo-k3"])
         assert code == 0 and "# ppw=64\n" in out
 
+    @pytest.mark.parametrize("command, key, value", [
+        (["scan", "--h-from", "0.1", "--h-to", "0.05", "--h-steps", "2"], "ecenter", "inf"),
+        (["spectrum", "--h", "0.05"], "ecenter", "nan"),
+        (["measure", "--h", "0.05", "--obs", "x"], "ecenter", "inf"),
+        (["liouville", "--obs", "1"], "energy", "inf"),
+        (["liouville", "--obs", "1"], "energy", "nan")])
+    def test_non_finite_float_refused(self, capsys, tmp_path, command, key, value):
+        conf = tmp_path / "opts.conf"
+        conf.write_text(f"{key}={value}\n")
+        for source in ([f"--{key}", value], ["--config", str(conf)]):
+            code, out, err = run_cli(capsys, [*command, "--model", "quad-max", *source])
+            assert code == 4 and out == ""
+            assert err == f"semiclab: option {key!r} must be finite, got {value}\n"
+
 
 class TestConfigFile:
     def test_file_supplies_options(self, capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Public names: every export resolves and the README library example is covered."""
 
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import semiclab
 
@@ -22,3 +25,17 @@ def test_readme_library_example_is_exported():
     used = set(re.findall(r"\bsl\.(\w+)", example))
     assert used
     assert used <= set(semiclab.__all__)
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # sparse graphs, quadrature and optimizers are imported by the functions
+    # that use them, so importing the package stays cheap
+    src = str(pathlib.Path(semiclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, semiclab; "
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
