@@ -302,12 +302,14 @@ def _march_integral(model: SymbolModel, a, energy, box, n) -> float:
     return float(np.sum(np.asarray(a(x, xi), dtype=float) / gn[kept] * length[kept]))
 
 
-def _phase_box(model: SymbolModel, energy: float,
-               margin: float = 1.0) -> tuple[float, float, float, float]:
+def _phase_box(model: SymbolModel, energy: float, margin: float = 1.0,
+               empty=(-1.0, 1.0, -1.0, 1.0)) -> tuple[float, float, float, float]:
+    """Padded box around the probed set {p <= energy + margin}, or ``empty``
+    when no probe point lies in it."""
     xs = np.linspace(-6.0, 6.0, 257)
     mask = np.asarray(model.eval(xs[:, None], xs[None, :]), dtype=float) <= energy + margin
     if not np.any(mask):
-        return (-1.0, 1.0, -1.0, 1.0)
+        return empty
     gx = xs[np.any(mask, axis=1)]
     gy = xs[np.any(mask, axis=0)]
     pad = 0.2 * max(gx[-1] - gx[0], gy[-1] - gy[0], 0.5)
@@ -491,7 +493,10 @@ def _band_box(model: SymbolModel, e_hi: float) -> tuple[float, float, float, flo
     quadrant r, s >= 0, s = |xi|.
     """
     if model.family == "phase1d":
-        return _phase_box(model, e_hi, margin=0.0)
+        box = _phase_box(model, e_hi, margin=0.0, empty=None)
+        if box is None:
+            raise NumericalError(f"empty band below E={e_hi:.6g}")
+        return box
     V = model.potential
     radial = model.family == "radial2d"
     intervals = allowed_intervals(V, e_hi, (0.0, SEARCH_BOX[1]) if radial else SEARCH_BOX)
@@ -513,8 +518,8 @@ def coarea_area(model: SymbolModel, e_lo: float, e_hi: float) -> float:
 
     Planar families count lattice cells directly; the radial family counts
     in the (r, s) quadrant with the weight 4 pi^2 r s of the two angular
-    variables integrated out.  A potential with no allowed region below e_hi
-    raises ``NumericalError``.
+    variables integrated out.  A band with no allowed region below e_hi
+    raises ``NumericalError`` in every family.
     """
     x0, x1, y0, y1 = _band_box(model, e_hi)
     xs = np.linspace(x0, x1, COAREA_RESOLUTION + 1)

@@ -6,8 +6,13 @@ observable a:
 * the Weyl route <Op(a) psi_j, psi_j>, evaluated by the cheapest exact
   discretization the observable's routing class allows: position-only
   symbols are diagonal sums, momentum-only symbols one FFT, split symbols
-  the sum of both, and genuinely mixed symbols a dense Weyl matrix (grid
-  capped, so mixed observables belong on the moderate-size spectral grids);
+  the sum of both, and genuinely mixed symbols a dense Weyl matrix.  That
+  matrix is built on the grid of every q-th node, applied to the states
+  sqrt(q) psi_j[::q]: q is the largest power of two for which every state
+  keeps at most ``WEYL_LEAK`` (1e-24) of its spectral power beyond
+  xi_max / (2 q) and the sub-grid keeps at least 16 points.  Finite-
+  difference windows oversample their states (q = 8 on most of them);
+  split grids are sized by the classical momentum and get q = 1;
 
 * the anti-Wick route, a nonnegative average of the Husimi density over a
   coherent-state lattice.
@@ -62,6 +67,9 @@ __all__ = [
 ]
 
 MASS_FLOOR = 0.99  # least Husimi mass a coherent frame must capture per state
+# relative spectral power a state may keep beyond half the band of the
+# decimated grid its mixed Weyl average is taken on
+WEYL_LEAK = 1e-24
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,12 @@ def _finite(values: np.ndarray, obs, route: str) -> np.ndarray:
 def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str]:
     """<Op(a) psi, psi> for every window state, plus the method label.
 
+    A mixed symbol takes the dense Weyl matrix on the grid of every q-th
+    node, applied to sqrt(q) psi[::q].  q is the largest power of two for
+    which every state keeps at most ``WEYL_LEAK`` (1e-24) of its spectral
+    power beyond xi_max / (2 q), the band whose Wigner function the
+    sub-grid still resolves, and for which the sub-grid keeps at least 16
+    points.  The averages then agree with the full-grid matrix to rounding.
     A non-finite average raises ``NumericalError``; numpy's floating-point
     warnings on the way there are silenced, so that error is the one report.
     """
@@ -124,17 +138,41 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
                 spec = np.fft.fft(v, axis=0) / math.sqrt(grid.n)
                 out += np.asarray(xi_part.eval(0.0, xi), dtype=float) @ (np.abs(spec) ** 2)
         else:
-            op = build_weyl_observable(lambda x, s: obs(x, s), h, grid)
-            out, method = np.einsum("ij,ij->j", v.conj(), op.matrix @ v).real, "weyl-dense"
+            q = _decimation(window)
+            op = build_weyl_observable(lambda x, s: obs(x, s), h, grid.every(q))
+            w = math.sqrt(q) * v[::q]
+            out, method = np.einsum("ij,ij->j", w.conj(), op.matrix @ w).real, "weyl-dense"
     return _finite(out, obs, "Weyl"), method
+
+
+def _state_power(window: EigenWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral power |FFT psi_j|^2 of every window state (n by count),
+    and the grid momenta in FFT order."""
+    v = _window_matrix(window)
+    return np.abs(np.fft.fft(v, axis=0)) ** 2, window.grid.xi_values(window.h)
+
+
+def _decimation(window: EigenWindow) -> int:
+    """Largest power of two q whose every-q-th-node grid keeps the Weyl
+    averages of the window states.
+
+    Each state may keep at most ``WEYL_LEAK`` of its spectral power beyond
+    xi_max / (2 q), and the sub-grid at least 16 points.
+    """
+    power, xi = _state_power(window)
+    power /= np.sum(power, axis=0)
+    n, xi_max = window.grid.n, window.grid.xi_max(window.h)
+    q = 1
+    while n >= 32 * q and np.all(
+            np.sum(power[np.abs(xi) > xi_max / (4 * q)], axis=0) <= WEYL_LEAK):
+        q *= 2
+    return q
 
 
 def _auto_xi_span(window: EigenWindow, coverage: float = 0.999) -> tuple[float, float]:
     """Momentum span actually occupied by the window states, with margin."""
-    v = _window_matrix(window)
-    grid = window.grid
-    xi = grid.xi_values(window.h)
-    power = np.sum(np.abs(np.fft.fft(v, axis=0)) ** 2, axis=1)
+    power, xi = _state_power(window)
+    power = np.sum(power, axis=1)
     power /= np.sum(power)
     order = np.argsort(np.abs(xi))
     cum = np.cumsum(power[order])
@@ -179,11 +217,16 @@ def weyl_or_reference(window: EigenWindow, obs: Observable,
     and the method label records the substitution.  Returns the values,
     the method label and the coherent frame (built only when used).
     """
-    if obs.routing == "general" and window.grid.n > DENSE_CAP:
+    if _substitutes(window, obs):
         vals, _masses, frame = antiwick_averages(window, obs, frame)
         return vals, "antiwick-reference", frame
     nw, method = weyl_averages(window, obs)
     return nw, method, frame
+
+
+def _substitutes(window: EigenWindow, obs: Observable) -> bool:
+    """Whether :func:`weyl_or_reference` takes the anti-Wick values."""
+    return obs.routing == "general" and window.grid.n > DENSE_CAP
 
 
 def check_frame_mass(masses: np.ndarray) -> None:
@@ -206,8 +249,13 @@ def microlocal_records(
     Raises ``NumericalError`` when the frame captures less than
     ``MASS_FLOOR`` of some state's Husimi mass.
     """
-    nw, method, frame = weyl_or_reference(window, obs, frame)
-    na, masses, frame = antiwick_averages(window, obs, frame)
+    if _substitutes(window, obs):
+        # the reference values are the anti-Wick averages: one batch serves both
+        na, masses, frame = antiwick_averages(window, obs, frame)
+        nw, method = na, "antiwick-reference"
+    else:
+        nw, method = weyl_averages(window, obs)
+        na, masses, frame = antiwick_averages(window, obs, frame)
     check_frame_mass(masses)
     return [MicrolocalRecord(
         j=j, h=window.h, eigenvalue=float(window.eigenvalues[j]),

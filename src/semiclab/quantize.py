@@ -111,6 +111,17 @@ class Grid1D:
     def xi_max(self, h: float) -> float:
         return np.pi * h / self.dx
 
+    def every(self, q: int) -> Grid1D:
+        """The grid of every q-th node: same boundary, step q dx, nodes
+        ``nodes[::q]`` (up to rounding)."""
+        if q == 1:
+            return self
+        m = -(-self.n // q)
+        step = q * self.dx
+        x_min = self.x_min if self.boundary == "periodic" else self.x_min + self.dx - step
+        x_max = x_min + (m if self.boundary == "periodic" else m + 1) * step
+        return Grid1D(x_min, x_max, m, self.boundary)
+
 
 @dataclass(frozen=True)
 class DiscreteOperator:

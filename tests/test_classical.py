@@ -249,6 +249,11 @@ class TestCoarea:
         model = get_model(name)
         assert coarea_area(model, e_lo, e_hi) == meshgrid_band_area(model, e_lo, e_hi)
 
+    @pytest.mark.parametrize("name", ["harmonic", "radial-deg", "pseudo-k3"])
+    def test_empty_band_raises(self, name):
+        with pytest.raises(NumericalError, match="empty band below E=-4"):
+            coarea_area(get_model(name), -5.0, -4.0)
+
     def test_harmonic_band(self):
         # area of the annulus {0.5 <= x^2 + xi^2 <= 1} is pi/2
         rep = coarea_check(get_model("harmonic"), 0.5, 1.0)

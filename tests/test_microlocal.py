@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import semiclab.microlocal as microlocal
 from semiclab.eig import eigs_in_window, radial_channels
 from semiclab.errors import NumericalError
+from semiclab.experiments import solve_window
 from semiclab.microlocal import (
     antiwick_averages,
     default_frame,
@@ -17,7 +19,14 @@ from semiclab.microlocal import (
 )
 from semiclab.model import Polynomial1D, get_model
 from semiclab.observables import parse_observable
-from semiclab.quantize import build_schrodinger, grid_for_schrodinger, grid_for_split, build_split
+from semiclab.quantize import (
+    Grid1D,
+    build_schrodinger,
+    build_split,
+    build_weyl_observable,
+    grid_for_schrodinger,
+    grid_for_split,
+)
 
 XI_SQ = Polynomial1D((0.0, 0.0, 1.0))
 
@@ -118,6 +127,79 @@ class TestAntiWick:
         assert all(r.gap == 0.0 for r in recs)
         with pytest.raises(NumericalError):
             weyl_averages(win, obs)
+
+
+    def test_one_antiwick_batch_past_the_cap(self, monkeypatch):
+        # the reference values past the cap are the anti-Wick averages the
+        # records report anyway: one batch serves both
+        calls = []
+        batch = microlocal.antiwick_batch
+        monkeypatch.setattr(microlocal, "antiwick_batch",
+                            lambda *args: calls.append(args) or batch(*args))
+        monkeypatch.setattr(microlocal, "DENSE_CAP", 64)
+        recs = microlocal_records(harmonic_window(0.1, ppw=64),
+                                  parse_observable("exp(-x^2 - xi^2)"))
+        assert all(r.method == "antiwick-reference" for r in recs)
+        assert len(calls) == 1
+
+
+GAUSS = parse_observable("exp(-x^2 - xi^2)")
+
+
+@pytest.fixture(scope="module")
+def dirac_window():
+    # dirac-concentration-1d's fifth row: quad-max at E = 0, box of h = 0.1
+    h = float(np.geomspace(0.1, 1e-3, 10)[4])
+    return solve_window(get_model("quad-max"), h, 0.0, h_max=0.1)
+
+
+def full_grid_weyl(win, obs):
+    a = build_weyl_observable(lambda x, xi: obs(x, xi), win.h, win.grid).matrix
+    return np.einsum("ij,ij->j", win.vectors.conj(), a @ win.vectors).real
+
+
+class TestDecimatedWeyl:
+    def test_dirac_window_matches_full_grid(self, dirac_window):
+        assert dirac_window.grid.n == 3294
+        assert microlocal._decimation(dirac_window) == 8
+        vals, method = weyl_averages(dirac_window, GAUSS)
+        assert method == "weyl-dense"
+        assert np.max(np.abs(vals - full_grid_weyl(dirac_window, GAUSS))) < 1e-12
+
+    def test_harmonic_window_matches_full_grid(self):
+        win = solve_window(get_model("harmonic"), 0.02, 1.0, h_max=0.1)
+        assert win.grid.n == 3271 and microlocal._decimation(win) > 1
+        vals, _ = weyl_averages(win, GAUSS)
+        assert np.max(np.abs(vals - full_grid_weyl(win, GAUSS))) < 1e-12
+
+    def test_split_window_keeps_the_full_grid(self):
+        # split grids are sized at 1.25 times the classical momentum: nothing
+        # to decimate, and the averages are the full-grid ones bit for bit
+        win = solve_window(get_model("pseudo-k3"), 0.0022, 0.0, h_max=0.1)
+        assert win.grid.n == 2048 and win.count > 0
+        assert microlocal._decimation(win) == 1
+        vals, _ = weyl_averages(win, GAUSS)
+        assert np.array_equal(vals, full_grid_weyl(win, GAUSS))
+
+    def test_no_full_grid_build(self, dirac_window, monkeypatch):
+        sizes = []
+        build = microlocal.build_weyl_observable
+        monkeypatch.setattr(microlocal, "build_weyl_observable",
+                            lambda a, h, grid: sizes.append(grid.n) or build(a, h, grid))
+        weyl_averages(dirac_window, GAUSS)
+        assert sizes and max(sizes) <= -(-3294 // 8)
+        # with no leak bound the sub-grid floor of 16 points alone stops q
+        monkeypatch.setattr(microlocal, "WEYL_LEAK", np.inf)
+        weyl_averages(dirac_window, GAUSS)
+        assert 16 <= sizes[-1] < 32
+
+    @pytest.mark.parametrize("q", [1, 2, 8])
+    def test_subgrid_nodes_are_every_qth_node(self, dirac_window, q):
+        for grid in (dirac_window.grid, Grid1D(-2.0, 3.0, 256, "periodic")):
+            sub = grid.every(q)
+            assert sub.boundary == grid.boundary
+            assert sub.dx == pytest.approx(q * grid.dx, rel=1e-12)
+            assert np.allclose(sub.nodes, grid.nodes[::q], rtol=0, atol=1e-12)
 
 
 class TestNonFinite:
