@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -462,9 +462,9 @@ def cmd_fit(args) -> int:
             raise ConfigError(
                 f"no {law} scaling branch for model {scan.model!r} at "
                 f"E_c={_fmt(scan.e_center)}")
-    fit = fit_scaling(scan, candidates=candidates, model=model)
+    fit = fit_scaling(scan, candidates=candidates)
     payload = {"config": _echo("fit", cfg), "model": scan.model,
-               "e_center": float(scan.e_center), **fit.as_dict()}
+               "e_center": float(scan.e_center), **asdict(fit)}
     _emit_json(payload, cfg["out"])
     return 0
 

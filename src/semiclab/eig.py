@@ -64,13 +64,14 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, qr
 from scipy.linalg.lapack import dstebz, zhetrf, zhetrf_lwork, zhetrs
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import SEARCH_BOX
 from .quantize import (
     WINDOW_D,
     WINDOW_PPW,
     DiscreteOperator,
     Grid1D,
+    _auto_rows,
     _box_margin,
     dense_matrix,
     resolution_dx,
@@ -424,6 +425,15 @@ def _count_window(diag, offdiag, lo: float, hi: float, eps_keep: float, edge_tol
     return np.full(count, np.nan), None, (j < n_lo) | (j >= count - n_hi)
 
 
+def _check_window(lo: float, hi: float) -> None:
+    """ConfigError when the window [lo, hi] is empty, as when rounding
+    collapses it: its half-width d h is below the floating-point spacing at
+    its centre.  The window builders call it before they size a grid."""
+    if not lo < hi:
+        raise ConfigError(f"energy window [{lo:.17g}, {hi:.17g}] is empty; a half-width "
+                          "d*h below the floating-point spacing at its centre collapses it")
+
+
 def eigs_in_window(
     op: DiscreteOperator,
     lo: float,
@@ -442,8 +452,7 @@ def eigs_in_window(
     route then reads them off eigenvalue counts at the decision thresholds
     and leaves the eigenvalues NaN (see the module docstring).
     """
-    if hi <= lo:
-        raise ValueError("empty window")
+    _check_window(lo, hi)
     if vectors and not values:
         raise ValueError("values=False reads counts only; it needs vectors=False")
     edge_tol = EDGE_FRACTION * (hi - lo)
@@ -535,6 +544,7 @@ def radial_channels(
     on [lo, hi].  ``values`` is passed to every channel's
     :func:`eigs_in_window`.
     """
+    _check_window(lo, hi)
     e_center = 0.5 * (lo + hi)
     _, r_turn = schrodinger_box(V, e_center + _box_margin(d, h, h_max), 0.0,
                                 search=(0.0, SEARCH_BOX[1]))
@@ -542,8 +552,7 @@ def radial_channels(
     probe = np.linspace(1e-6, r_max, 4097)
     pot_min = float(np.min(V(probe)))
     dr_max = resolution_dx(h, hi, pot_min, ppw)
-    n = max(int(np.ceil(r_max / dr_max - 0.5)), 16)
-    grid = radial_grid(r_max, n)
+    grid = radial_grid(r_max, _auto_rows(np.ceil(r_max / dr_max - 0.5), h))
     r = grid.nodes
     v_base = np.asarray(V(r), dtype=float)
     t = h * h / (grid.dx * grid.dx)

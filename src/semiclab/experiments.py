@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import mu_average
-from .eig import EigenWindow, eigs_in_window, radial_channels
+from .eig import EigenWindow, _check_window, eigs_in_window, radial_channels
 from .errors import ConfigError, HypothesisError, NumericalError
 from .microlocal import upsilon, upsilon_a, weyl_averages
 from .model import SymbolModel, get_model
@@ -189,6 +189,7 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDO
     :func:`eigs_in_window`).
     """
     lo, hi = e_center - d * h, e_center + d * h
+    _check_window(lo, hi)
     if model.family == "schrodinger1d":
         if grid is None:
             grid = grid_for_schrodinger(model.potential, h, e_center, d=d,
@@ -276,6 +277,7 @@ def run_scan(
         raise ConfigError(f"window half-width d must be finite and positive, got {d!r}")
     if ppw < 1:
         raise ConfigError(f"ppw must be at least 1, got {ppw!r}")
+    _check_window(e_center - d * hs[-1], e_center + d * hs[-1])
     obs = tuple(parse_observable(o) if isinstance(o, str) else o for o in observables)
     if route == "radial":
         for o in obs:
@@ -398,20 +400,6 @@ class FitResult:
     decades: float
     burned: int  # rows dropped because their window touched another critical level
 
-    def as_dict(self) -> dict:
-        """The fields as plain Python numbers, for byte-stable JSON."""
-        return {
-            "alpha_hat": float(self.alpha_hat),
-            "beta_hat": int(self.beta_hat),
-            "coeff_hat": float(self.coeff_hat),
-            "offset_hat": float(self.offset_hat),
-            "residual": float(self.residual),
-            "law": self.law,
-            "n_rows": int(self.n_rows),
-            "decades": float(self.decades),
-            "burned": int(self.burned),
-        }
-
 
 def _fit_rows(scan_or_rows):
     if isinstance(scan_or_rows, ScanResult):
@@ -432,22 +420,23 @@ def _decades(rows) -> float:
     return math.log10(max(hs) / min(hs))
 
 
-def _burn_in(rows, scan_or_rows, model):
+def _burn_in(rows, scan_or_rows):
     """Drop rows whose count window reaches another critical energy.
 
     Rows are tuples whose first entry is h.
 
     A window [E_c - d h, E_c + d h] that contains a second critical level
     counts states from a different spectral regime; such rows do not follow
-    the E_c law and would bias the exponent.  The filter applies only when
-    it leaves enough rows for a valid fit.
+    the E_c law and would bias the exponent.  The critical levels come from
+    the scan's catalog model: bare rows, and a scan whose model is not in
+    the catalog, keep every row.  The filter applies only when it leaves
+    enough rows for a valid fit.
     """
-    if model is None and isinstance(scan_or_rows, ScanResult):
-        try:
-            model = get_model(scan_or_rows.model)
-        except (KeyError, ConfigError):
-            return rows, 0
-    if model is None or not isinstance(scan_or_rows, ScanResult):
+    if not isinstance(scan_or_rows, ScanResult):
+        return rows, 0
+    try:
+        model = get_model(scan_or_rows.model)
+    except KeyError:
         return rows, 0
     e_center, d = scan_or_rows.e_center, scan_or_rows.d
     on_center = model.critical_points_at(e_center)
@@ -480,7 +469,7 @@ def _family_fit(hs, us, beta, offset, alpha_hi=0.5):
     return best
 
 
-def fit_scaling(scan_or_rows, candidates=(), model: SymbolModel | None = None) -> FitResult:
+def fit_scaling(scan_or_rows, candidates=()) -> FitResult:
     """Fit the window-count law A + c h^alpha |log h|^beta to scan rows.
 
     Free fit (no candidates): after the burn-in filter, four model families
@@ -498,7 +487,7 @@ def fit_scaling(scan_or_rows, candidates=(), model: SymbolModel | None = None) -
     Needs >= 5 usable rows spanning at least a decade of h.
     """
     rows = _fit_rows(scan_or_rows)
-    rows, burned = _burn_in(rows, scan_or_rows, model)
+    rows, burned = _burn_in(rows, scan_or_rows)
     decades = _decades(rows)
     if decades < 1.0 - 1e-9:
         raise ConfigError(f"h range spans {decades:.2f} decades; need at least one")
@@ -557,9 +546,29 @@ def fit_log_coefficient(scan_or_rows) -> tuple[float, float]:
         raise ConfigError("h range must span at least one decade")
     hs = np.array([h for h, _ in rows])
     us = np.array([u for _, u in rows])
-    design = np.column_stack([np.ones_like(hs), np.abs(np.log(hs))])
-    sol, *_ = np.linalg.lstsq(design, us, rcond=None)
-    return float(sol[0]), float(sol[1])
+    offset, slope = _line_fit(np.abs(np.log(hs)), us)
+    return float(offset), float(slope)
+
+
+def _line_fit(w, y):
+    """Least-squares (A, B) of y = A + B w; y may hold one column per series."""
+    design = np.column_stack([np.ones(len(w)), w])
+    (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
+    return a, b
+
+
+def _log_log_slope(hs, values) -> float:
+    """Slope of log(value) against log(h); positive means decay as h -> 0.
+
+    Points whose value is not positive and finite have no logarithm and are
+    left out; at least 3 must remain.
+    """
+    hs = np.asarray(hs, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    keep = np.isfinite(vals) & (vals > 0.0)
+    if keep.sum() < 3:
+        raise NumericalError("log-log slope needs at least 3 positive values")
+    return float(_line_fit(np.log(hs[keep]), np.log(vals[keep]))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +596,10 @@ def _observable_column(scan: ScanResult, observable_id: str) -> tuple[Observable
     return obs, scan.observable_ids.index(obs.id)
 
 
-def _ratio_target(scan: ScanResult, observable_id: str, model: SymbolModel | None,
+def _ratio_target(scan: ScanResult, observable_id: str,
                   target: str) -> tuple[SymbolModel, int, float]:
     """(model, observable column, target value) of a ratio-limit check."""
-    if model is None:
-        model = get_model(scan.model)
+    model = get_model(scan.model)
     obs, idx = _observable_column(scan, observable_id)
     if target == "liouville":
         target_value = mu_average(model, obs, scan.e_center)
@@ -607,18 +615,19 @@ def _ratio_target(scan: ScanResult, observable_id: str, model: SymbolModel | Non
     return model, idx, target_value
 
 
-def ratio_limit(scan: ScanResult, observable_id: str, model: SymbolModel | None = None,
-                target: str = "liouville", tol: float = 0.15) -> RatioLimit:
+def ratio_limit(scan: ScanResult, observable_id: str, target: str = "liouville",
+                tol: float = 0.15) -> RatioLimit:
     """Convergence of Upsilon_a / Upsilon toward its semiclassical target.
 
     ``liouville`` compares against the normalized Liouville average of a on
     the center energy surface and refuses divergent surfaces; ``dirac``
     compares against a evaluated at the critical point sitting on that
-    surface.  The trend exponent is the log-log slope of the gap; a
-    positive slope plus a final gap within ``tol`` counts as converged.
+    surface.  The trend exponent is the log-log slope of the gap (a gap of
+    exactly zero has no logarithm and is left out of it); a positive slope
+    plus a final gap within ``tol`` counts as converged.
     The extrapolated column is the Aitken limit of the ratio sequence.
     """
-    model, idx, target_value = _ratio_target(scan, observable_id, model, target)
+    _, idx, target_value = _ratio_target(scan, observable_id, target)
     pts = [(r.h, r.ratios[idx]) for r in scan.valid_rows()
            if math.isfinite(r.ratios[idx])]
     if len(pts) < 3:
@@ -626,10 +635,7 @@ def ratio_limit(scan: ScanResult, observable_id: str, model: SymbolModel | None 
     hs = tuple(h for h, _ in pts)
     ratios = tuple(q for _, q in pts)
     gaps = tuple(abs(q - target_value) for q in ratios)
-
-    log_h = np.log([h for h in hs])
-    safe = np.maximum(gaps, 1e-15)
-    slope = float(np.polyfit(log_h, np.log(safe), 1)[0])
+    slope = _log_log_slope(hs, gaps)
 
     r1, r2, r3 = ratios[-3], ratios[-2], ratios[-1]
     denom = (r3 - r2) - (r2 - r1)
@@ -659,8 +665,8 @@ class SingularLimit:
     passed: bool
 
 
-def singular_limit(scan: ScanResult, observable_id: str, model: SymbolModel | None = None,
-                   target: str = "dirac", tol: float = 0.15) -> SingularLimit:
+def singular_limit(scan: ScanResult, observable_id: str, target: str = "dirac",
+                   tol: float = 0.15) -> SingularLimit:
     """h -> 0 limit of Upsilon_a / Upsilon from the singular parts of both counts.
 
     The window count grows like A + c w(h) with w(h) = h^alpha |log h|^beta
@@ -673,7 +679,7 @@ def singular_limit(scan: ScanResult, observable_id: str, model: SymbolModel | No
     positive does not grow by the singular law: its limit and gap are NaN
     and the verdict fails, with no division.
     """
-    model, idx, target_value = _ratio_target(scan, observable_id, model, target)
+    model, idx, target_value = _ratio_target(scan, observable_id, target)
     law = predict_scaling(model, scan.e_center)
     if law.alpha == 0.0 and law.beta == 0:
         raise ConfigError(
@@ -681,13 +687,12 @@ def singular_limit(scan: ScanResult, observable_id: str, model: SymbolModel | No
             "from its offset; use ratio_limit")
     rows = [(r.h, r.upsilon, r.upsilon_obs[idx]) for r in scan.valid_rows()
             if math.isfinite(r.upsilon_obs[idx])]
-    rows, burned = _burn_in(rows, scan, model)
+    rows, burned = _burn_in(rows, scan)
     if len(rows) < 3:
         raise NumericalError("need at least 3 valid rows for a singular-part fit")
     hs, us, uas = (np.array(col) for col in zip(*rows))
-    design = np.column_stack([np.ones_like(hs), [law.weight(h) for h in hs]])
-    sol, *_ = np.linalg.lstsq(design, np.column_stack([us, uas]), rcond=None)
-    (offset, offset_a), (coeff, coeff_a) = sol
+    (offset, offset_a), (coeff, coeff_a) = _line_fit([law.weight(h) for h in hs],
+                                                     np.column_stack([us, uas]))
     limit = gap = math.nan
     if coeff > 0.0:
         limit = float(coeff_a / coeff)
@@ -700,8 +705,7 @@ def singular_limit(scan: ScanResult, observable_id: str, model: SymbolModel | No
                          burned=burned, passed=bool(gap <= tol))
 
 
-def log_decay_slope(scan: ScanResult, observable_id: str,
-                    model: SymbolModel | None = None) -> float:
+def log_decay_slope(scan: ScanResult, observable_id: str) -> float:
     """Slope B of Upsilon / Upsilon_a = A + B |log h| on the burn-in rows.
 
     For a nonnegative a vanishing at the critical point, a count that
@@ -709,12 +713,10 @@ def log_decay_slope(scan: ScanResult, observable_id: str,
     Upsilon_a / Upsilon fall like 1 / |log h|, so B > 0; at a regular
     energy the average settles to a constant and B is about zero.
     """
-    if model is None:
-        model = get_model(scan.model)
     _obs, idx = _observable_column(scan, observable_id)
     rows = [(r.h, r.upsilon / r.upsilon_obs[idx]) for r in scan.valid_rows()
             if r.upsilon_obs[idx] > 0.0]
-    rows, _burned = _burn_in(rows, scan, model)
+    rows, _burned = _burn_in(rows, scan)
     return fit_log_coefficient(rows)[1]
 
 

@@ -118,24 +118,18 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
     v = _window_matrix(window)
     grid = window.grid
     h = window.h
-    dens = np.abs(v) ** 2  # (n, k)
-    xi = grid.xi_values(h)
 
     with np.errstate(all="ignore"):
-        if obs.routing == "position_only":
-            ax = np.asarray(obs(grid.nodes, 0.0), dtype=float)
-            out, method = ax @ dens, "diagonal"
-        elif obs.routing == "momentum_only":
-            spec = np.fft.fft(v, axis=0) / math.sqrt(grid.n)
-            axi = np.asarray(obs(0.0, xi), dtype=float)
-            out, method = axi @ (np.abs(spec) ** 2), "multiplier"
-        elif obs.routing == "split":
+        if obs.routing != "general":
             x_part, xi_part = obs.split_parts()
-            out, method = np.zeros(v.shape[1]), "split"
+            method = ("diagonal" if xi_part is None else
+                      "multiplier" if x_part is None else "split")
+            out = np.zeros(v.shape[1])
             if x_part is not None:
-                out += np.asarray(x_part.eval(grid.nodes, 0.0), dtype=float) @ dens
+                out += np.asarray(x_part.eval(grid.nodes, 0.0), dtype=float) @ (np.abs(v) ** 2)
             if xi_part is not None:
                 spec = np.fft.fft(v, axis=0) / math.sqrt(grid.n)
+                xi = grid.xi_values(h)
                 out += np.asarray(xi_part.eval(0.0, xi), dtype=float) @ (np.abs(spec) ** 2)
         else:
             q = _decimation(window)

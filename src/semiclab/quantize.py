@@ -64,6 +64,8 @@ PPW_FLOOR = 16  # grid points per shortest de Broglie wavelength, minimum
 WINDOW_D = 5.0
 WINDOW_PPW = 64
 DENSE_CAP = 4096
+# rows of any grid; the largest the scenarios build is 3,796,137 (quad-max-steep, h = 3e-5)
+GRID_CAP = 2**22
 WEYL_BLOCK_BYTES = 8 * 2**20  # working memory of one block of Weyl anti-diagonals, at most
 FD_BOX_PAD = 0.25  # finite-difference box: padding of the allowed interval
 SPLIT_BOX_PAD = 0.5  # split box: padding of the allowed interval
@@ -82,6 +84,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if self.n < 16:
             raise ValueError(f"grid needs at least 16 points, got {self.n}")
+        if self.n > GRID_CAP:
+            raise ValueError(f"grid of {self.n} points is past the cap of {GRID_CAP}")
         if self.x_max <= self.x_min:
             raise ValueError("empty grid interval")
         if self.boundary not in ("dirichlet", "periodic"):
@@ -156,6 +160,14 @@ def resolution_dx(h: float, e_window_top: float, pot_min: float, ppw: int = PPW_
     return 2.0 * np.pi * h / (ppw * k)
 
 
+def _auto_rows(cells: float, h: float) -> int:
+    """Row count of an automatic grid, at least 16; past ``GRID_CAP`` (or
+    not finite) it raises ``NumericalError`` before anything is allocated."""
+    if not cells <= GRID_CAP:
+        raise NumericalError(f"grid needs {cells:.3g} > {GRID_CAP} points at h={h:.3g}")
+    return max(int(cells), 16)
+
+
 def _box_margin(d: float, h: float, h_max: float | None) -> float:
     """Energy above the window centre that sizes a box shared by a scan.
 
@@ -199,8 +211,7 @@ def grid_for_schrodinger(
     xs = np.linspace(lo, hi, 4097)
     pot_min = float(np.min(V(xs)))
     dx_max = resolution_dx(h, e_center + d * h, pot_min, ppw)
-    n = int(np.ceil((hi - lo) / dx_max)) - 1
-    n = max(n, 16)
+    n = _auto_rows(np.ceil((hi - lo) / dx_max) - 1, h)
     return Grid1D(lo, hi, n, "dirichlet")
 
 
@@ -228,7 +239,7 @@ def grid_for_split(
     xi_lo, xi_hi = _outer_turning(g, e_top - f_min)
     xi_need = SPLIT_XI_COVERAGE * max(abs(xi_lo), abs(xi_hi))
     length = hi - lo
-    n = _next_pow2(int(np.ceil(length * xi_need / (np.pi * h))))
+    n = _next_pow2(_auto_rows(np.ceil(length * xi_need / (np.pi * h)), h))
     if n > DENSE_CAP:
         raise NumericalError(
             f"split grid needs {n} > {DENSE_CAP} points at h={h:.3g}; shrink the scan")

@@ -29,6 +29,8 @@ from .errors import ConfigError
 from .experiments import (
     ScanResult,
     ScanRow,
+    _line_fit,
+    _log_log_slope,
     fit_log_coefficient,
     fit_scaling,
     log_decay_slope,
@@ -55,14 +57,6 @@ class Check:
     value: float | int | str | bool
     target: str
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "target": self.target,
-        }
-
 
 @dataclass(frozen=True)
 class ScenarioReport:
@@ -78,7 +72,7 @@ class ScenarioReport:
             "scenario": self.name,
             "gating": self.gating,
             "passed": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "config": dict(self.config),
             "data": dict(self.data),
         }
@@ -90,18 +84,6 @@ def _report(name: str, checks, config: dict, data: dict | None = None,
     return ScenarioReport(name=name, gating=gating, passed=passed,
                           checks=tuple(checks), config=dict(config),
                           data=dict(data or {}))
-
-
-def _slope(hs, values) -> float:
-    """Log-log slope of values against h; positive means decay as h -> 0."""
-    hs = np.asarray(hs, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    keep = np.isfinite(vals) & (vals > 0.0)
-    if keep.sum() < 3:
-        raise ConfigError("slope fit needs at least 3 positive points")
-    design = np.vstack([np.ones(int(keep.sum())), np.log(hs[keep])]).T
-    coef, *_ = np.linalg.lstsq(design, np.log(vals[keep]), rcond=None)
-    return float(coef[1])
 
 
 def _ratio_payload(rl) -> dict:
@@ -132,8 +114,7 @@ def _fixed_h(value: float, target: float, hs, values, sl) -> dict:
     pts = [(h, v) for h, v in zip(hs, values) if h in fit_h]
     w = np.array([h ** sl.alpha * abs(math.log(h)) ** sl.beta for h, _ in pts])
     inv = np.array([1.0 / v for _, v in pts])
-    design = np.column_stack([np.ones_like(w), w])
-    (a, b), *_ = np.linalg.lstsq(design, inv, rcond=None)
+    a, b = _line_fit(w, inv)
     w_target = (1.0 / target - a) / b if b > 0.0 else math.nan
     if not w_target > 0.0:
         h_at = math.nan
@@ -144,7 +125,7 @@ def _fixed_h(value: float, target: float, hs, values, sl) -> dict:
     decay = {"law": "1/value = a + b * h^alpha * |log h|^beta",
              "alpha": float(sl.alpha), "beta": int(sl.beta),
              "a": float(a), "b": float(b),
-             "rms": float(np.sqrt(np.mean((design @ (a, b) - inv) ** 2))),
+             "rms": float(np.sqrt(np.mean((a + b * w - inv) ** 2))),
              "h_at_target": float(h_at)}
     return {"value": float(value), "target": float(target), "gating": False,
             "decay": decay}
@@ -193,7 +174,7 @@ def scenario_critical_exponent_k2() -> ScenarioReport:
     )
     config = {"model": name, "e_center": e_center, "d": d, "ppw": ppw,
               "h_from": h_from, "h_to": h_to, "h_steps": h_steps}
-    data = {"fit": fit.as_dict(),
+    data = {"fit": asdict(fit),
             "counts": [float(r.upsilon) for r in scan.valid_rows()],
             "h": [float(r.h) for r in scan.valid_rows()]}
     return _report("critical-exponent-k2", checks, config, data)
@@ -220,7 +201,7 @@ def scenario_log_law_k1() -> ScenarioReport:
     )
     config = {"models": models, "e_center": e_center, "d": d, "ppw": ppw,
               "h_from": h_from, "h_to": h_to, "h_steps": h_steps}
-    data = {"fit": fit.as_dict(),
+    data = {"fit": asdict(fit),
             "log_fit_main": {"offset": float(offset_main),
                              "slope": float(slope_main)},
             "log_fit_steep": {"offset": float(offset_steep),
@@ -269,9 +250,9 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
     scan = ScanResult(model=name, family=model.family, e_center=e_center,
                       d=d, route="fd", ppw=ppw,
                       observable_ids=(gauss.id, xsq.id), rows=tuple(rows))
-    sl = singular_limit(scan, GAUSS_PHASE, model=model, target="dirac", tol=0.15)
-    spread_slope = log_decay_slope(scan, xsq.id, model=model)
-    trend = _slope(hs, gaps)
+    sl = singular_limit(scan, GAUSS_PHASE, target="dirac", tol=0.15)
+    spread_slope = log_decay_slope(scan, xsq.id)
+    trend = _log_log_slope(hs, gaps)
     checks = (
         Check("levelset_connected", bool(connected), int(n_components),
               "level set at the critical energy is one component"),
@@ -306,7 +287,7 @@ def scenario_liouville_limit_2d() -> ScenarioReport:
     model = get_model(name)
     scan = run_scan(model, h_values=np.geomspace(h_from, h_to, h_steps),
                     observables=(GAUSS_1D,), e_center=e_center, d=d, ppw=ppw)
-    rl = ratio_limit(scan, GAUSS_1D, model=model, target="liouville", tol=0.10)
+    rl = ratio_limit(scan, GAUSS_1D, target="liouville", tol=0.10)
     co = coarea_check(model, 0.05, 0.15)
     checks = (
         Check("ratio_gap_at_hmin", rl.gap_at_h_min <= 0.10,
@@ -341,8 +322,8 @@ def scenario_pseudo_concentration_k3() -> ScenarioReport:
     scan = run_scan(model, h_values=np.geomspace(h_from, h_to, h_steps),
                     observables=(GAUSS_PHASE,), e_center=e_center, d=d)
     fit = fit_scaling(scan)
-    rl = ratio_limit(scan, GAUSS_PHASE, model=model, target="dirac", tol=0.15)
-    sl = singular_limit(scan, GAUSS_PHASE, model=model, target="dirac", tol=0.15)
+    rl = ratio_limit(scan, GAUSS_PHASE, target="dirac", tol=0.15)
+    sl = singular_limit(scan, GAUSS_PHASE, target="dirac", tol=0.15)
     n_max = max((r.n_grid for r in scan.valid_rows()), default=0)
     checks = (
         Check("classifier", verdict == "non_integrable", verdict,
@@ -360,7 +341,7 @@ def scenario_pseudo_concentration_k3() -> ScenarioReport:
     config = {"model": name, "e_center": e_center, "d": d,
               "observable": GAUSS_PHASE, "h_from": h_from, "h_to": h_to,
               "h_steps": h_steps}
-    data = {"fit": fit.as_dict(), "ratio_limit": _ratio_payload(rl),
+    data = {"fit": asdict(fit), "ratio_limit": _ratio_payload(rl),
             "singular_limit": asdict(sl),
             "n_grid_max": int(n_max),
             "fixed_h": {"ratio_gap_at_hmin": _fixed_h(
@@ -401,7 +382,7 @@ def scenario_property_suite() -> ScenarioReport:
         win = solve_window(harmonic, float(h), 1.0, d=d, ppw=ppw, h_max=float(hs_gap[0]))
         recs = microlocal_records(win, gauss)
         gap_vals.append(max(r.gap for r in recs))
-    gap_slope = _slope(hs_gap, gap_vals)
+    gap_slope = _log_log_slope(hs_gap, gap_vals)
 
     # (d) flow invariance defect decays in h on a regular window.
     hs_eg, t_eg = np.geomspace(0.1, 0.02, 5), 0.5
@@ -409,7 +390,7 @@ def scenario_property_suite() -> ScenarioReport:
     for h in hs_eg:
         win = solve_window(model_qm, float(h), 0.5, d=d, ppw=ppw, h_max=float(hs_eg[0]))
         defects.append(egorov_defect(model_qm, gauss, t_eg, win))
-    egorov_slope = _slope(hs_eg, defects)
+    egorov_slope = _log_log_slope(hs_eg, defects)
 
     # (e) coarea consistency on regular bands, 1D and radial.
     co_1d = coarea_check(harmonic, 0.8, 1.2)
@@ -458,8 +439,8 @@ def scenario_property_suite() -> ScenarioReport:
             "egorov_slope": float(egorov_slope),
             "coarea_rel_diff": {"harmonic": float(co_1d["rel_diff"]),
                                 "radial-deg": float(co_2d["rel_diff"])},
-            "fit_recovery": {"power": fit_pow.as_dict(),
-                             "log": fit_log.as_dict()}}
+            "fit_recovery": {"power": asdict(fit_pow),
+                             "log": asdict(fit_log)}}
     return _report("property-suite", checks, config, data)
 
 

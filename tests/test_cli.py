@@ -89,6 +89,30 @@ class TestExitCodes:
             assert err == f"semiclab: option {key!r} must be finite, got {value}\n"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--model", "harmonic", "--h", "0.05", "--obs", "x"],
+        ["scan", "--model", "harmonic", "--h-from", "0.1", "--h-to", "0.05",
+         "--h-steps", "2"],
+        ["measure", "--model", "radial-deg", "--h", "0.05", "--obs", "x",
+         "--ecenter", "1"]])
+    def test_collapsed_window_is_a_config_error(self, capsys, argv):
+        # d*h = 5e-302 is below the floating-point spacing at E = 1
+        code, out, err = run_cli(capsys, [*argv, "--d", "1e-300"])
+        assert code == 4 and out == ""
+        assert err.startswith("semiclab: energy window") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--model", "harmonic", "--h", "1e-300"], 4),  # the window collapses first
+        (["--model", "quad-max", "--h", "1e-300"], 3),
+        (["--model", "radial-deg", "--h", "1e-300"], 3),
+        (["--model", "pseudo-k3", "--h", "1e-300"], 3),
+        (["--model", "harmonic", "--h", "0.05", "--n", str(10**12), "--box", "0,1"], 4)])
+    def test_oversized_grid_refused_before_allocation(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, ["spectrum", *argv])
+        assert code == expected and out == ""
+        assert err.startswith("semiclab:") and err.count("\n") == 1
+
+
 class TestConfigFile:
     def test_file_supplies_options(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

@@ -11,6 +11,8 @@ from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import (
     ScanResult,
     ScanRow,
+    _line_fit,
+    _log_log_slope,
     default_h_values,
     fit_log_coefficient,
     fit_scaling,
@@ -127,6 +129,16 @@ class TestRunScan:
     def test_ppw_below_one(self):
         with pytest.raises(ConfigError, match="ppw"):
             run_scan("harmonic", h_values=[0.1], ppw=0)
+
+    def test_collapsed_window_rejected_up_front(self):
+        # at E = 1, d*h = 5e-302 is below the floating-point spacing
+        with pytest.raises(ConfigError, match="energy window"):
+            run_scan("harmonic", h_values=[0.1, 0.05], d=1e-300)
+
+    def test_grid_past_the_cap_is_a_row_error(self):
+        # at E = 0 the window stays open, but its grid would need ~1e301 rows
+        scan = run_scan("quad-max", h_values=[1e-300])
+        assert scan.rows[0].error.startswith("grid needs")
 
     def test_defaults(self):
         fd = default_h_values("fd")
@@ -245,6 +257,55 @@ class TestFitScaling:
         a, b = fit_log_coefficient(_rows(self.hs, us))
         assert a == pytest.approx(2.0, abs=1e-9)
         assert b == pytest.approx(1.5, abs=1e-9)
+
+
+    def test_model_outside_the_catalog_fits_without_burn_in(self):
+        # deg-max has a second critical level at E = 4/27, which the three
+        # rows with d*h > 4/27 reach; a scan read back under a name the
+        # catalog does not know has no critical levels to burn in against
+        hs = np.geomspace(0.1, 1e-3, 12)
+        rows = tuple(ScanRow(h=float(h), n_grid=100, upsilon=float(3.7 * h ** -0.25),
+                             upsilon_obs=(), ratios=(), residual_max=0.0, tie=False)
+                     for h in hs)
+        scan = ScanResult(model="deg-max", family="schrodinger1d", e_center=0.0, d=5.0,
+                          route="fd", ppw=64, observable_ids=(), rows=rows)
+        assert fit_scaling(scan).burned == 3
+        text = scan_to_csv(scan).replace("# model=deg-max", "# model=lab-made")
+        fit = fit_scaling(scan_from_csv(text))
+        assert fit.burned == 0 and fit.n_rows == 12
+        assert fit.alpha_hat == pytest.approx(-0.25, abs=0.01)
+
+
+class TestLineFit:
+    def test_matches_polyfit_on_a_random_line(self):
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-3.0, 5.0, 20)
+        y = 1.7 - 0.6 * w + rng.normal(scale=0.1, size=w.size)
+        a, b = _line_fit(w, y)
+        slope, intercept = np.polyfit(w, y, 1)
+        assert a == pytest.approx(intercept, rel=1e-12)
+        assert b == pytest.approx(slope, rel=1e-12)
+
+    def test_fits_each_column_of_a_two_column_right_hand_side(self):
+        rng = np.random.default_rng(11)
+        w = rng.uniform(0.0, 4.0, 15)
+        y = np.column_stack([2.0 + 3.0 * w, -1.0 + 0.5 * w]) + rng.normal(
+            scale=0.05, size=(w.size, 2))
+        a, b = _line_fit(w, y)
+        for k in range(2):
+            slope, intercept = np.polyfit(w, y[:, k], 1)
+            assert a[k] == pytest.approx(intercept, rel=1e-12)
+            assert b[k] == pytest.approx(slope, rel=1e-12)
+
+    def test_log_log_slope_leaves_out_values_without_a_logarithm(self):
+        hs = np.geomspace(0.1, 1e-3, 6)
+        vals = 4.0 * hs**0.75
+        assert _log_log_slope(hs, vals) == pytest.approx(0.75, rel=1e-12)
+        holed = vals.copy()
+        holed[[1, 4]] = (0.0, math.nan)
+        assert _log_log_slope(hs, holed) == pytest.approx(0.75, rel=1e-12)
+        with pytest.raises(NumericalError, match="3 positive"):
+            _log_log_slope(hs[:3], [1.0, 0.0, -1.0])
 
 
 class TestRatioLimit:
