@@ -575,7 +575,6 @@ class FlowResult:
     t: float
     dt: float
     energy_drift: float
-    stepper: str = ""
     reversibility_error: float | None = None
 
 
@@ -633,12 +632,10 @@ def flow_points(model: SymbolModel, x0, xi0, t: float,
         V_prime = model.potential.derivative()
         forward = lambda d: _verlet(V_prime, x0, xi0, t, d)
         backward = lambda x, xi, d: _verlet(V_prime, x, xi, -t, d)
-        stepper = "verlet"
     elif model.family == "phase1d":
         grad = model.phase_poly.gradient
         forward = lambda d: _rk4(grad, x0, xi0, t, d)
         backward = lambda x, xi, d: _rk4(grad, x, xi, -t, d)
-        stepper = "rk4"
     else:
         raise ValueError(f"no flow for family {model.family}")
 
@@ -655,7 +652,7 @@ def flow_points(model: SymbolModel, x0, xi0, t: float,
                 xb, xib = backward(x1, xi1, cur_dt)
                 rev = float(np.max(np.hypot(xb - x0, xib - xi0)))
             return FlowResult(x=x1, xi=xi1, t=t, dt=cur_dt, energy_drift=drift,
-                              stepper=stepper, reversibility_error=rev)
+                              reversibility_error=rev)
     raise NumericalError(
         f"energy drift {last_drift:.3e} still above {FLOW_DRIFT_TOL:.1e} * {scale:.3g} "
         f"after 6 step halvings")

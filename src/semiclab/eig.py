@@ -510,7 +510,6 @@ class RadialChannel:
     m: int
     weight: float  # angular multiplicity: 1 for m=0, else 2
     window: EigenWindow
-    v_centrifugal: float  # coefficient of 1/r^2, i.e. h^2 m^2
 
 
 def radial_grid(r_max: float, n: int) -> Grid1D:
@@ -572,6 +571,6 @@ def radial_channels(
         op = DiscreteOperator("tridiagonal", h, grid, diag=diag, offdiag=off)
         win = eigs_in_window(op, lo, hi, vectors=vectors, values=values)
         channels.append(RadialChannel(m=m, weight=1.0 if m == 0 else 2.0,
-                                      window=win, v_centrifugal=cent))
+                                      window=win))
     return channels
 

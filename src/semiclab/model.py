@@ -241,7 +241,6 @@ class HypothesisReport:
     epsilon0: float
     passed: bool
     failures: tuple[tuple[str, str], ...]  # (hypothesis, detail)
-    notes: tuple[str, ...] = ()
 
     def raise_if_failed(self) -> None:
         if not self.passed:
@@ -274,27 +273,22 @@ def _poly_roots_in(poly: Polynomial1D, lo: float, hi: float, samples: int = 4096
     xs = np.linspace(lo, hi, samples + 1)
     vals = poly(xs)
     scale = max(poly.scale(), 1.0)
-    roots: list[float] = []
-    for i in range(samples):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif (a < 0) != (b < 0):
-            roots.append(_bisect_root(poly, float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    neg = vals < 0
+    roots = [float(xs[i]) for i in np.flatnonzero(vals == 0.0)]
+    roots += [_bisect_root(poly, float(xs[i]), float(xs[i + 1]))
+              for i in np.flatnonzero((vals[:-1] != 0.0) & (neg[:-1] != neg[1:]))]
     # Even-multiplicity roots: local minima of |poly| that dip to zero
     # without a sign change.
     mag = np.abs(vals)
-    for i in range(1, samples):
-        if mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1] and mag[i] < 1e-8 * scale:
-            x_ref = float(xs[i])
-            d = poly.derivative()
-            da, db = d(xs[i - 1]), d(xs[i + 1])
-            if (da < 0) != (db < 0):
-                x_ref = _bisect_root(d, float(xs[i - 1]), float(xs[i + 1]))
-            if abs(poly(x_ref)) < 1e-10 * scale:
-                roots.append(x_ref)
+    mid = mag[1:-1]
+    dips = 1 + np.flatnonzero((mid <= mag[:-2]) & (mid <= mag[2:]) & (mid < 1e-8 * scale))
+    d = poly.derivative()
+    for i, da, db in zip(dips, d(xs[dips - 1]), d(xs[dips + 1])):
+        x_ref = float(xs[i])
+        if (da < 0) != (db < 0):
+            x_ref = _bisect_root(d, float(xs[i - 1]), float(xs[i + 1]))
+        if abs(poly(x_ref)) < 1e-10 * scale:
+            roots.append(x_ref)
     roots.sort()
     merged: list[float] = []
     for r in roots:
@@ -394,39 +388,35 @@ def find_critical_points(
     if box is None:
         box = (-4.0, 4.0, -4.0, 4.0)
     xlo, xhi, xilo, xihi = box
-    points: list[tuple[float, float]] = []
+    px, pxi = p.partial("x"), p.partial("xi")
     if p.is_split():
         fx, gxi = p.split_parts()
-        for rx in _poly_roots_in(fx.derivative(), xlo, xhi):
-            for rxi in _poly_roots_in(gxi.derivative(), xilo, xihi):
-                points.append((rx, rxi))
+        rxis = _poly_roots_in(gxi.derivative(), xilo, xihi)
+        points = [(rx, rxi) for rx in _poly_roots_in(fx.derivative(), xlo, xhi)
+                  for rxi in rxis]
     else:
-        px, pxi = p.partial("x"), p.partial("xi")
+        hxx_p, hxxi_p, hxixi_p = px.partial("x"), px.partial("xi"), pxi.partial("xi")
         xs = np.linspace(xlo, xhi, 257)
         xis = np.linspace(xilo, xihi, 257)
         X, XI = np.meshgrid(xs, xis, indexing="ij")
         G = px(X, XI) ** 2 + pxi(X, XI) ** 2
         scale2 = (p.scale() or 1.0) ** 2
         cand = np.argwhere(G < 1e-4 * scale2)
-        seen: list[tuple[float, float]] = []
+        points: list[tuple[float, float]] = []
         for i, j in cand:
             x, xi = float(X[i, j]), float(XI[i, j])
             for _ in range(60):
                 gx, gxi_ = px(x, xi), pxi(x, xi)
                 # Newton on the gradient map
-                hxx = px.partial("x")(x, xi)
-                hxxi = px.partial("xi")(x, xi)
-                hxixi = pxi.partial("xi")(x, xi)
+                hxx, hxxi, hxixi = hxx_p(x, xi), hxxi_p(x, xi), hxixi_p(x, xi)
                 det = hxx * hxixi - hxxi * hxxi
                 if abs(det) < 1e-14:
                     break
                 x -= (hxixi * gx - hxxi * gxi_) / det
                 xi -= (-hxxi * gx + hxx * gxi_) / det
             if abs(px(x, xi)) < GRAD_TOL and abs(pxi(x, xi)) < GRAD_TOL:
-                if all((x - a) ** 2 + (xi - b) ** 2 > 1e-16 for a, b in seen):
-                    seen.append((x, xi))
-        points = seen
-    px, pxi = p.partial("x"), p.partial("xi")
+                if all((x - a) ** 2 + (xi - b) ** 2 > 1e-16 for a, b in points):
+                    points.append((x, xi))
     scale = max(p.scale(), 1.0)
     out = []
     for x, xi in points:
@@ -444,31 +434,26 @@ def _principal_type_ok(form: PhasePolynomial, samples: int = 8192) -> tuple[bool
     with a nonzero tangential derivative.
     """
     th = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    x, xi = np.cos(th), np.sin(th)
-    v = form(x, xi)
-    scale = float(np.max(np.abs(v))) or 1.0
+    v = form(np.cos(th), np.sin(th))
+    mag = np.abs(v)
+    scale = float(np.max(mag)) or 1.0
     fx, fxi = form.partial("x"), form.partial("xi")
 
     def val(t):
         return form(math.cos(t), math.sin(t))
 
-    zeros: list[float] = []
-    for i in range(samples):
-        a, b = v[i], v[(i + 1) % samples]
-        if a == 0.0:
-            zeros.append(float(th[i]))
-        elif (a < 0) != (b < 0):
-            t1 = float(th[i])
-            t2 = t1 + 2 * np.pi / samples
-            zeros.append(_bisect_root(val, t1, t2))
+    step = 2 * np.pi / samples
+    neg = v < 0
+    after = np.roll(neg, -1)
+    zeros = [float(th[i]) if v[i] == 0.0 else _bisect_root(val, float(th[i]), float(th[i]) + step)
+             for i in np.flatnonzero((v == 0.0) | (neg != after))]
     # touching zeros: |form| dips near zero with no sign change
-    mag = np.abs(v)
-    for i in range(samples):
-        prev_i, next_i = (i - 1) % samples, (i + 1) % samples
-        if mag[i] < 1e-10 * scale and (v[prev_i] < 0) == (v[next_i] < 0) and mag[i] <= mag[prev_i] and mag[i] <= mag[next_i]:
-            close_to_crossing = any(abs(th[i] - z) < 2 * np.pi / samples * 2 for z in zeros)
-            if not close_to_crossing:
-                return False, f"leading form has a degenerate zero near angle {th[i]:.6f}"
+    touch = np.flatnonzero((mag < 1e-10 * scale) & (np.roll(neg, 1) == after)
+                           & (mag <= np.roll(mag, 1)) & (mag <= np.roll(mag, -1)))
+    near = np.abs(th[touch, None] - np.asarray(zeros)) < step * 2
+    lone = touch[~near.any(axis=1)]
+    if lone.size:
+        return False, f"leading form has a degenerate zero near angle {th[lone[0]]:.6f}"
     for z in zeros:
         cx, sx = math.cos(z), math.sin(z)
         gnorm = math.hypot(fx(cx, sx), fxi(cx, sx))
@@ -492,7 +477,6 @@ def check_hypotheses(
     principal-type condition on their circle zeros.
     """
     failures: list[tuple[str, str]] = []
-    notes: list[str] = []
     e_top = e_center + epsilon0
 
     if model.family in ("schrodinger1d", "radial2d"):
@@ -506,32 +490,13 @@ def check_hypotheses(
                 ("confinement",
                  f"potential reaches {min(bdry):.6g} <= {e_top:.6g} on the box boundary")
             )
-        lead = V.coefficients[V.degree]
-        if V.degree % 2 == 1 or lead < 0:
-            notes.append("potential is not globally confining (leading term)")
-        cps = model.critical_points or find_critical_points(model, box)
-        on_surface = [p for p in cps if abs(p.critical_energy - e_center) <= 1e-9]
         if model.family == "radial2d":
             # critical circles of the radial profile sitting at e_center break
             # isolation even though they are filtered from the point list
-            dV = V.derivative()
-            ring = [r for r in _poly_roots_in(dV, max(lo, 1e-6), hi) if abs(V(r) - e_center) <= 1e-9]
+            ring = [r for r in _poly_roots_in(V.derivative(), max(lo, 1e-6), hi)
+                    if abs(V(r) - e_center) <= 1e-9]
             if ring:
                 failures.append(("isolated-critical-point", f"critical circle at r={ring[0]:.6g} on the energy surface"))
-        if len(on_surface) == 0:
-            failures.append(("critical-point", f"no critical point at energy {e_center:.6g}"))
-        elif len(on_surface) > 1:
-            failures.append(
-                ("isolated-critical-point",
-                 f"{len(on_surface)} critical points share the energy {e_center:.6g}")
-            )
-        for p in on_surface:
-            if p.kind == "saddle":
-                failures.append(("extremum", f"odd leading order {p.order} at x={p.z0[0]:.6g}"))
-            elif p.kind in ("max", "min"):
-                c = p.leading_form.coefficients[p.leading_form.degree]
-                if c == 0.0:
-                    failures.append(("definite-leading-form", "vanishing leading form"))
     else:
         if box is None:
             box = (-4.0, 4.0, -4.0, 4.0)
@@ -549,24 +514,23 @@ def check_hypotheses(
             failures.append(
                 ("confinement", f"symbol reaches {worst:.6g} <= {e_top:.6g} on the box boundary")
             )
-        cps = model.critical_points or find_critical_points(model, box)
-        on_surface = [q for q in cps if abs(q.critical_energy - e_center) <= 1e-9]
-        if len(on_surface) == 0:
-            failures.append(("critical-point", f"no critical point at energy {e_center:.6g}"))
-        elif len(on_surface) > 1:
-            failures.append(
-                ("isolated-critical-point",
-                 f"{len(on_surface)} critical points share the energy {e_center:.6g}")
-            )
-        for q in on_surface:
-            if q.kind == "non-extremal-homogeneous":
-                ok, why = _principal_type_ok(q.leading_form)
-                if not ok:
-                    failures.append(("principal-type", why))
-                if q.order <= 2:
-                    notes.append(f"homogeneous order {q.order} <= 2 at {q.z0}")
-            elif q.kind == "saddle":
-                failures.append(("extremum", f"odd leading order at {q.z0}"))
+
+    cps = model.critical_points or find_critical_points(model, box)
+    on_surface = [q for q in cps if abs(q.critical_energy - e_center) <= 1e-9]
+    if len(on_surface) == 0:
+        failures.append(("critical-point", f"no critical point at energy {e_center:.6g}"))
+    elif len(on_surface) > 1:
+        failures.append(
+            ("isolated-critical-point",
+             f"{len(on_surface)} critical points share the energy {e_center:.6g}")
+        )
+    for q in on_surface:
+        if q.kind == "saddle":
+            failures.append(("extremum", f"odd leading order {q.order} at x={q.z0[0]:.6g}"))
+        elif q.kind == "non-extremal-homogeneous":
+            ok, why = _principal_type_ok(q.leading_form)
+            if not ok:
+                failures.append(("principal-type", why))
 
     return HypothesisReport(
         model=model.name,
@@ -574,7 +538,6 @@ def check_hypotheses(
         epsilon0=epsilon0,
         passed=not failures,
         failures=tuple(failures),
-        notes=tuple(notes),
     )
 
 

@@ -104,10 +104,6 @@ class Grid1D:
             return self.x_min + self.dx * np.arange(self.n)
         return self.x_min + self.dx * (1.0 + np.arange(self.n))
 
-    @property
-    def length(self) -> float:
-        return self.x_max - self.x_min
-
     def xi_values(self, h: float) -> np.ndarray:
         """FFT frequencies as momenta: 2 pi h k / (N dx), FFT ordering."""
         return 2.0 * np.pi * h * np.fft.fftfreq(self.n, d=self.dx)
@@ -405,10 +401,6 @@ class CoherentFrame:
     x_centers: np.ndarray
     xi_centers: np.ndarray
     spacing: float
-
-    @property
-    def width(self) -> float:
-        return float(np.sqrt(self.h / 2.0))
 
     def cell_area(self) -> float:
         return self.spacing * self.spacing

@@ -8,6 +8,7 @@ from semiclab.model import (
     PhasePolynomial,
     Polynomial1D,
     SymbolModel,
+    _poly_roots_in,
     catalog,
     check_hypotheses,
     find_critical_points,
@@ -136,6 +137,36 @@ def test_hypotheses_pass_for_pseudo_models():
         assert rep.passed, (name, rep.failures)
 
 
+class TestPolyRootsIn:
+    def test_sign_change(self):
+        (r,) = _poly_roots_in(Polynomial1D((-0.3, 1.0)), -1.0, 1.0)
+        assert r == pytest.approx(0.3, abs=1e-14)
+
+    def test_root_on_a_sample(self):
+        # x = 0 is sample 2048 of [-1, 1]; the bracket that ends there finds it too
+        (r,) = _poly_roots_in(Polynomial1D((0.0, 1.0)), -1.0, 1.0)
+        assert abs(r) <= 1e-15
+
+    def test_double_root_without_sign_change(self):
+        # on [0, 1] a sample sits 4.9e-5 from 0.3, close enough for |p| < 1e-8
+        (r,) = _poly_roots_in(Polynomial1D((0.09, -0.6, 1.0)), 0.0, 1.0)
+        assert r == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("c1, end", [(-2.0, 1.0), (2.0, -1.0)])
+    def test_double_root_at_an_end(self, c1, end):
+        # (x -+ 1)^2 neither changes sign nor dips inside [-1, 1]
+        assert _poly_roots_in(Polynomial1D((1.0, c1, 1.0)), -1.0, 1.0) == [end]
+
+    def test_close_roots_merge(self):
+        # x^2 - 4e-20: roots +-2e-10 straddle the sample x = 0
+        (r,) = _poly_roots_in(Polynomial1D((-4e-20, 0.0, 1.0)), -1.0, 1.0)
+        assert r == pytest.approx(-2e-10, rel=1e-4)
+
+    def test_no_root(self):
+        assert _poly_roots_in(Polynomial1D((1.0, 0.0, 1.0)), -1.0, 1.0) == []
+        assert _poly_roots_in(Polynomial1D((-5.0, 1.0)), -1.0, 1.0) == []
+
+
 def test_confinement_fails_for_unbounded_well():
     # V = -(x^2-1)^2 tends to -infinity, so the boundary check must trip.
     V = Polynomial1D((-1.0, 0.0, 2.0, 0.0, -1.0))
@@ -151,6 +182,20 @@ def test_two_maxima_break_isolation():
     rep = check_hypotheses(m, e_center=4.0 / 27.0, epsilon0=1.0, box=(-2.0, 2.0))
     assert not rep.passed
     assert any(h == "isolated-critical-point" for h, _ in rep.failures)
+
+
+def test_critical_circle_breaks_isolation():
+    # V = r^4 - 2 r^2 has its critical circle r = 1 on the level -1
+    m = SymbolModel(name="ring", family="radial2d", n=2, potential=Polynomial1D((0, 0, -2, 0, 1)))
+    rep = check_hypotheses(m, e_center=-1.0, epsilon0=1.0, box=(0.0, 2.0))
+    assert ("isolated-critical-point", "critical circle at r=1 on the energy surface") in rep.failures
+
+
+def test_odd_order_point_is_not_an_extremum():
+    # V = x^3 + x^4: V' = x^2 (3 + 4x), a third-order point at x = 0 on the level 0
+    m = SymbolModel(name="cubic", family="schrodinger1d", n=1, potential=Polynomial1D((0, 0, 0, 1, 1)))
+    rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(-2.0, 2.0))
+    assert rep.failures == (("extremum", "odd leading order 3 at x=0"),)
 
 
 def test_principal_type_violation_detected():
