@@ -74,7 +74,6 @@ FLOW_DRIFT_TOL = 1e-6  # energy drift allowed per unit of 1 + max|E|
 class LiouvilleResult:
     value: float
     divergent: bool
-    energy: float = 0.0
     error_estimate: float = 0.0
     shell_ratios: tuple[float, ...] = ()
     detail: str = ""
@@ -175,7 +174,7 @@ def _liouville_schrodinger(V: Polynomial1D, a, energy: float,
     dV = V.derivative()
     intervals = allowed_intervals(V, energy)
     if not intervals:
-        return LiouvilleResult(0.0, False, energy=energy, detail="empty level set")
+        return LiouvilleResult(0.0, False, detail="empty level set")
     slope_scale = max(V.scale(), 1.0)
 
     all_ratios: list[float] = []
@@ -192,7 +191,7 @@ def _liouville_schrodinger(V: Polynomial1D, a, energy: float,
             ratios = _shell_ratios_1d(V, energy, x_t, side, 0.25 * (hi - lo))
             all_ratios.extend(ratios[-4:])
             if _tail_divergent(ratios):
-                return LiouvilleResult(math.inf, True, energy=energy,
+                return LiouvilleResult(math.inf, True,
                                        shell_ratios=tuple(np.round(ratios, 4)),
                                        detail=f"degenerate turning point at x={x_t:.6g}")
 
@@ -202,7 +201,7 @@ def _liouville_schrodinger(V: Polynomial1D, a, energy: float,
         val, delta = _interval_integral(V, a, energy, lo, hi)
         total += val
         err += delta
-    return LiouvilleResult(total, False, energy=energy, error_estimate=err,
+    return LiouvilleResult(total, False, error_estimate=err,
                            shell_ratios=tuple(np.round(all_ratios, 4)))
 
 
@@ -211,7 +210,7 @@ def _liouville_radial(V: Polynomial1D, a, energy: float) -> LiouvilleResult:
     a = _as_symbol_callable(a)
     intervals = allowed_intervals(V, energy, (0.0, SEARCH_BOX[1]))
     if not intervals:
-        return LiouvilleResult(0.0, False, energy=energy, detail="empty level set")
+        return LiouvilleResult(0.0, False, detail="empty level set")
     total = 0.0
     err = 0.0
     for lo, hi in intervals:
@@ -221,7 +220,7 @@ def _liouville_radial(V: Polynomial1D, a, energy: float) -> LiouvilleResult:
         val, abserr = quad(integrand, lo, hi, epsrel=max(LIOUVILLE_RTOL, 1e-12), limit=200)
         total += val
         err += abserr
-    return LiouvilleResult(total, False, energy=energy, error_estimate=err)
+    return LiouvilleResult(total, False, error_estimate=err)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,7 @@ def _liouville_phase(model: SymbolModel, a, energy: float,
         ratios = _shell_ratios_2d(model, energy, (cp.z0[0], cp.z0[1]), 0.5)
         all_ratios.extend(ratios[-4:])
         if _tail_divergent(ratios):
-            return LiouvilleResult(math.inf, True, energy=energy,
+            return LiouvilleResult(math.inf, True,
                                    shell_ratios=tuple(np.round(ratios, 4)),
                                    detail=f"critical point on level set at {cp.z0}")
 
@@ -355,11 +354,11 @@ def _liouville_phase(model: SymbolModel, a, energy: float,
         if prev is not None:
             delta = abs(total - prev)
             if delta <= 2e-3 * (abs(total) + 1e-300):
-                return LiouvilleResult(total, False, energy=energy, error_estimate=delta,
+                return LiouvilleResult(total, False, error_estimate=delta,
                                        shell_ratios=tuple(np.round(all_ratios, 4)))
         prev = total
         n *= 2
-    return LiouvilleResult(prev, False, energy=energy, error_estimate=delta,
+    return LiouvilleResult(prev, False, error_estimate=delta,
                            shell_ratios=tuple(np.round(all_ratios, 4)),
                            detail="marching squares at max resolution")
 
@@ -572,8 +571,6 @@ def coarea_check(model: SymbolModel, e_lo: float, e_hi: float) -> dict:
 class FlowResult:
     x: np.ndarray
     xi: np.ndarray
-    t: float
-    dt: float
     energy_drift: float
     reversibility_error: float | None = None
 
@@ -651,7 +648,7 @@ def flow_points(model: SymbolModel, x0, xi0, t: float,
             if check_reversibility:
                 xb, xib = backward(x1, xi1, cur_dt)
                 rev = float(np.max(np.hypot(xb - x0, xib - xi0)))
-            return FlowResult(x=x1, xi=xi1, t=t, dt=cur_dt, energy_drift=drift,
+            return FlowResult(x=x1, xi=xi1, energy_drift=drift,
                               reversibility_error=rev)
     raise NumericalError(
         f"energy drift {last_drift:.3e} still above {FLOW_DRIFT_TOL:.1e} * {scale:.3g} "

@@ -381,13 +381,12 @@ def cmd_measure(args) -> int:
         # each route runs only when it is reported, so a route left out
         # can neither cost time nor refuse the window
         records = [{"j": j, "eigenvalue": float(lam)} for j, lam in enumerate(win.eigenvalues)]
-        frame = None
         if quant != "antiwick":
-            nw, method, frame = weyl_or_reference(win, obs)
+            nw, method = weyl_or_reference(win, obs)
             for rec, nu in zip(records, nw):
                 rec.update(method=method, nu_weyl=float(nu))
         if quant != "weyl":
-            na, masses, frame = antiwick_averages(win, obs, frame)
+            na, masses = antiwick_averages(win, obs)
             check_frame_mass(masses)
             for rec, nu, mass in zip(records, na, masses):
                 rec.setdefault("method", "antiwick")
@@ -473,7 +472,7 @@ def cmd_fit(args) -> int:
 
 def cmd_scenario(args) -> int:
     report = run_scenario(args.name)
-    _emit_json(report.as_dict(), getattr(args, "out", None))
+    _emit_json(asdict(report), getattr(args, "out", None))
     return 0 if report.passed else 1
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from .model import HypothesisError
-
 __all__ = ["HypothesisError", "NumericalError", "ConfigError", "exit_code_for"]
+
+
+class HypothesisError(RuntimeError):
+    """A structural hypothesis required by a computation does not hold."""
 
 
 class NumericalError(RuntimeError):

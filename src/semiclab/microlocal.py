@@ -75,12 +75,8 @@ WEYL_LEAK = 1e-24
 @dataclass(frozen=True)
 class MicrolocalRecord:
     j: int  # index of the state inside its window
-    h: float
-    eigenvalue: float
-    observable_id: str
     nu_weyl: float
     nu_antiwick: float
-    antiwick_mass: float
     method: str  # discretization used on the Weyl side
 
     @property
@@ -186,7 +182,7 @@ def antiwick_averages(
     window: EigenWindow,
     obs,
     frame: CoherentFrame | None = None,
-) -> tuple[np.ndarray, np.ndarray, CoherentFrame]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Anti-Wick averages and captured masses for every window state.
 
     ``obs`` is a callable a(x, xi) or a precomputed table over the frame
@@ -199,23 +195,23 @@ def antiwick_averages(
     psis = np.ascontiguousarray(v.T)
     with np.errstate(all="ignore"):
         vals, masses = antiwick_batch(frame, window.grid, psis, obs)
-    return _finite(vals, obs, "anti-Wick"), masses, frame
+    return _finite(vals, obs, "anti-Wick"), masses
 
 
-def weyl_or_reference(window: EigenWindow, obs: Observable,
-                      frame: CoherentFrame | None = None):
+def weyl_or_reference(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str]:
     """Weyl averages, or the anti-Wick values when no dense route exists.
 
     Mixed observables on grids past the dense cap have no affordable exact
     Weyl matrix; the anti-Wick average then serves as the reference value
-    and the method label records the substitution.  Returns the values,
-    the method label and the coherent frame (built only when used).
+    and the method label records the substitution.  A substituted value
+    passes the same ``MASS_FLOOR`` check as :func:`microlocal_records`.
+    Returns the values and the method label.
     """
     if _substitutes(window, obs):
-        vals, _masses, frame = antiwick_averages(window, obs, frame)
-        return vals, "antiwick-reference", frame
-    nw, method = weyl_averages(window, obs)
-    return nw, method, frame
+        vals, masses = antiwick_averages(window, obs)
+        check_frame_mass(masses)
+        return vals, "antiwick-reference"
+    return weyl_averages(window, obs)
 
 
 def _substitutes(window: EigenWindow, obs: Observable) -> bool:
@@ -245,16 +241,14 @@ def microlocal_records(
     """
     if _substitutes(window, obs):
         # the reference values are the anti-Wick averages: one batch serves both
-        na, masses, frame = antiwick_averages(window, obs, frame)
+        na, masses = antiwick_averages(window, obs, frame)
         nw, method = na, "antiwick-reference"
     else:
         nw, method = weyl_averages(window, obs)
-        na, masses, frame = antiwick_averages(window, obs, frame)
+        na, masses = antiwick_averages(window, obs, frame)
     check_frame_mass(masses)
-    return [MicrolocalRecord(
-        j=j, h=window.h, eigenvalue=float(window.eigenvalues[j]),
-        observable_id=obs.id, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]),
-        antiwick_mass=float(masses[j]), method=method) for j in range(window.count)]
+    return [MicrolocalRecord(j=j, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]), method=method)
+            for j in range(window.count)]
 
 
 def upsilon(window) -> float:
@@ -264,7 +258,7 @@ def upsilon(window) -> float:
     return float(sum(c.weight * c.window.count for c in window))
 
 
-def upsilon_a(window, obs: Observable, frame: CoherentFrame | None = None) -> float:
+def upsilon_a(window, obs: Observable) -> float:
     """a-weighted state count: sum of multiplicity-weighted Weyl averages.
 
     Reduces to :func:`upsilon` when a is identically one, because every
@@ -273,7 +267,7 @@ def upsilon_a(window, obs: Observable, frame: CoherentFrame | None = None) -> fl
     observables only in the radial case).
     """
     if isinstance(window, EigenWindow):
-        vals, _method, _frame = weyl_or_reference(window, obs, frame)
+        vals, _method = weyl_or_reference(window, obs)
         return float(np.sum(vals))
     return sum((ch.weight * float(np.sum(vals))
                 for ch, vals in zip(window, radial_state_averages(window, obs))), 0.0)
@@ -295,21 +289,18 @@ def radial_state_averages(channels: list[RadialChannel], obs: Observable) -> lis
 
 
 def egorov_defect(model: SymbolModel, obs: Observable, t: float,
-                  window: EigenWindow, frame: CoherentFrame | None = None) -> float:
+                  window: EigenWindow) -> float:
     """max_j |nu_j(a) - nu_j(a o flow_t)| through the anti-Wick route.
 
     Microlocal measures of eigenfunctions are flow-invariant up to O(h); the
     pulled-back symbol is tabulated on the coherent lattice by integrating
     the classical flow from every lattice point.
     """
-    if frame is None:
-        frame = default_frame(window)
-    xc = frame.x_centers
-    xic = frame.xi_centers
-    xx, ss = np.meshgrid(xc, xic, indexing="ij")
+    frame = default_frame(window)
+    xx, ss = np.meshgrid(frame.x_centers, frame.xi_centers, indexing="ij")
     flowed = flow_points(model, xx.ravel(), ss.ravel(), t)
     table_t = np.asarray(obs(flowed.x, flowed.xi), dtype=float).reshape(xx.shape)
 
-    base, _m0, frame = antiwick_averages(window, lambda x, xi: obs(x, xi), frame)
-    moved, _m1, _ = antiwick_averages(window, table_t, frame)
+    base, _m0 = antiwick_averages(window, lambda x, xi: obs(x, xi), frame)
+    moved, _m1 = antiwick_averages(window, table_t, frame)
     return float(np.max(np.abs(base - moved)))

@@ -65,20 +65,8 @@ class ObservableExpr:
     def to_string(self) -> str:
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_string()!r})"
 
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
-
-    def _key(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Const(ObservableExpr):
     value: float
 
@@ -94,11 +82,8 @@ class Const(ObservableExpr):
     def to_string(self):
         return format(self.value, ".17g")
 
-    def _key(self):
-        return (self.value,)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Var(ObservableExpr):
     name: str  # "x" or "xi"
 
@@ -115,11 +100,8 @@ class Var(ObservableExpr):
     def to_string(self):
         return self.name
 
-    def _key(self):
-        return (self.name,)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Sum(ObservableExpr):
     # (sign, term) pairs; sign is +1.0 or -1.0
     terms: tuple[tuple[float, ObservableExpr], ...]
@@ -146,11 +128,8 @@ class Sum(ObservableExpr):
                 parts.append((" - " if s < 0 else " + ") + t.to_string())
         return "".join(parts)
 
-    def _key(self):
-        return self.terms
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Prod(ObservableExpr):
     factors: tuple[ObservableExpr, ...]
 
@@ -179,11 +158,8 @@ class Prod(ObservableExpr):
             parts.append(s)
         return " * ".join(parts)
 
-    def _key(self):
-        return self.factors
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Pow(ObservableExpr):
     base: ObservableExpr
     exponent: int
@@ -203,11 +179,8 @@ class Pow(ObservableExpr):
             s = f"({s})"
         return f"{s}^{self.exponent}"
 
-    def _key(self):
-        return (self.base, self.exponent)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Exp(ObservableExpr):
     arg: ObservableExpr
 
@@ -225,11 +198,8 @@ class Exp(ObservableExpr):
     def to_string(self):
         return f"exp({self.arg.to_string()})"
 
-    def _key(self):
-        return (self.arg,)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Group(ObservableExpr):
     """Explicit parentheses, kept so print -> parse round-trips exactly."""
 
@@ -246,9 +216,6 @@ class Group(ObservableExpr):
 
     def to_string(self):
         return f"({self.inner.to_string()})"
-
-    def _key(self):
-        return (self.inner,)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +281,6 @@ def tokenize(text: str) -> list[tuple[str, object, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
@@ -434,7 +400,6 @@ class Observable:
     """A parsed observable with routing metadata and an identity string."""
 
     expr: ObservableExpr
-    source: str
     routing: str
 
     @property
@@ -443,9 +408,6 @@ class Observable:
 
     def __call__(self, x, xi):
         return self.expr.eval(x, xi)
-
-    def variables(self) -> frozenset:
-        return self.expr.variables()
 
     def split_parts(self) -> tuple[ObservableExpr | None, ObservableExpr | None]:
         """(pure-x part, pure-xi part); only valid for split routing.
@@ -481,4 +443,4 @@ def parse_observable(text: str) -> Observable:
     and the token classes that would have been accepted there.
     """
     expr = _Parser(text).parse()
-    return Observable(expr=expr, source=text, routing=_routing(expr))
+    return Observable(expr=expr, routing=_routing(expr))

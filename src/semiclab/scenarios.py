@@ -60,28 +60,18 @@ class Check:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    name: str
+    scenario: str
     gating: bool
     passed: bool
     checks: tuple[Check, ...]
     config: dict
     data: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.name,
-            "gating": self.gating,
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-            "config": dict(self.config),
-            "data": dict(self.data),
-        }
-
 
 def _report(name: str, checks, config: dict, data: dict | None = None,
             gating: bool = True) -> ScenarioReport:
     passed = all(c.passed for c in checks) if gating else True
-    return ScenarioReport(name=name, gating=gating, passed=passed,
+    return ScenarioReport(scenario=name, gating=gating, passed=passed,
                           checks=tuple(checks), config=dict(config),
                           data=dict(data or {}))
 

@@ -1,6 +1,7 @@
 """Liouville integrals, divergence probes, level-set topology, flows."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from semiclab.model import (
 def phase_model(terms):
     m = SymbolModel(name="tmp", family="phase1d", n=1,
                     phase_poly=PhasePolynomial(terms))
-    return m.with_critical_points(find_critical_points(m))
+    return replace(m, critical_points=find_critical_points(m))
 
 
 class TestSchrodinger1D:

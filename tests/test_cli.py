@@ -409,6 +409,7 @@ class TestScenario:
         code, out, _ = run_cli(capsys, ["scenario", "run", "harmonic-weyl"])
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == {"checks", "config", "data", "gating", "passed", "scenario"}
         assert payload["scenario"] == "harmonic-weyl"
         assert payload["passed"] is True
         names = [c["name"] for c in payload["checks"]]

@@ -89,7 +89,7 @@ class TestWeylRoutes:
 class TestAntiWick:
     def test_nonnegative_for_nonnegative_symbol(self):
         win = harmonic_window(0.05, ppw=64)
-        vals, masses, _ = antiwick_averages(win, parse_observable("exp(-x^2 - xi^2)"))
+        vals, masses = antiwick_averages(win, parse_observable("exp(-x^2 - xi^2)"))
         assert np.min(vals) >= -1e-10
         assert np.min(masses) > 0.99
 
@@ -128,6 +128,15 @@ class TestAntiWick:
         with pytest.raises(NumericalError):
             weyl_averages(win, obs)
 
+    def test_substituted_reference_is_mass_checked(self, monkeypatch):
+        # the anti-Wick values that stand in for the Weyl route past the cap
+        # must pass the same mass floor as the records built from them
+        monkeypatch.setattr(microlocal, "DENSE_CAP", 64)
+        monkeypatch.setattr(microlocal, "_auto_xi_span", lambda *args: (-0.3, 0.3))
+        win = harmonic_window(0.1, ppw=64)
+        assert win.grid.n > 64
+        with pytest.raises(NumericalError, match="Husimi mass"):
+            upsilon_a(win, parse_observable("exp(-x^2 - xi^2)"))
 
     def test_one_antiwick_batch_past_the_cap(self, monkeypatch):
         # the reference values past the cap are the anti-Wick averages the

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_confinement_fails_for_unbounded_well():
     # V = -(x^2-1)^2 tends to -infinity, so the boundary check must trip.
     V = Polynomial1D((-1.0, 0.0, 2.0, 0.0, -1.0))
     m = SymbolModel(name="inverted", family="schrodinger1d", n=1, potential=V)
-    m = m.with_critical_points(find_critical_points(m, (-2.5, 2.5)))
+    m = replace(m, critical_points=find_critical_points(m, (-2.5, 2.5)))
     rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(-2.5, 2.5))
     assert not rep.passed
     assert any(h == "confinement" for h, _ in rep.failures)
@@ -198,15 +199,37 @@ def test_odd_order_point_is_not_an_extremum():
     assert rep.failures == (("extremum", "odd leading order 3 at x=0"),)
 
 
+# (x^2 - xi^2)^2 + x^6 + xi^6: the degree-4 leading form has degenerate
+# circle zeros, and along x = +-xi the gradient is only about 6 x^5
+DEGENERATE_QUARTIC = PhasePolynomial(
+    ((4, 0, 1.0), (2, 2, -2.0), (0, 4, 1.0), (6, 0, 1.0), (0, 6, 1.0)))
+
+
 def test_principal_type_violation_detected():
-    # xi^2 - well: leading form x^2*xi^0... use p3 = x^2*xi - xi^3/3?  Simpler:
-    # form (x^2 - xi^2)^2 is a degree-4 form with degenerate circle zeros.
-    bad = PhasePolynomial(((4, 0, 1.0), (2, 2, -2.0), (0, 4, 1.0), (6, 0, 1.0), (0, 6, 1.0)))
-    m = SymbolModel(name="degenerate", family="phase1d", n=1, phase_poly=bad)
-    m = m.with_critical_points(find_critical_points(m, (-2.0, 2.0, -2.0, 2.0)))
+    m = SymbolModel(name="degenerate", family="phase1d", n=1, phase_poly=DEGENERATE_QUARTIC)
+    m = replace(m, critical_points=find_critical_points(m, (-2.0, 2.0, -2.0, 2.0)))
     rep = check_hypotheses(m, e_center=0.0, epsilon0=0.5, box=(-2.0, 2.0, -2.0, 2.0))
-    assert not rep.passed
-    assert any(h == "principal-type" for h, _ in rep.failures)
+    assert [h for h, _ in rep.failures] == ["principal-type"]
+
+
+def test_degenerate_point_found_once():
+    # Newton stops up to ~1.6e-3 from the origin pass the gradient tolerance
+    m = SymbolModel(name="degenerate", family="phase1d", n=1, phase_poly=DEGENERATE_QUARTIC)
+    (p,) = find_critical_points(m)
+    assert p.z0 == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert p.order == 4 and p.critical_energy == pytest.approx(0.0, abs=1e-15)
+
+
+def test_mixed_cubic_points_found_once():
+    # x^3 - 3 x xi^2 + x^4 + xi^4 + x^2 xi^2: a third-order point at the
+    # origin and a minimum at (-3/4, 0); stops within 2e-8 of the origin
+    # pass the gradient tolerance
+    cubic = PhasePolynomial(((3, 0, 1.0), (1, 2, -3.0), (4, 0, 1.0), (0, 4, 1.0), (2, 2, 1.0)))
+    m = SymbolModel(name="monkey", family="phase1d", n=1, phase_poly=cubic)
+    pts = sorted(find_critical_points(m), key=lambda p: p.z0)
+    assert [(p.kind, p.order) for p in pts] == [("min", 2), ("non-extremal-homogeneous", 3)]
+    assert pts[0].z0 == pytest.approx((-0.75, 0.0), abs=1e-12)
+    assert pts[1].z0 == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 def test_radial_model_critical_point():

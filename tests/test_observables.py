@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiclab.observables import (
+    Const,
+    Group,
     ObservableParseError,
+    Var,
     parse_observable,
 )
 
@@ -85,6 +88,23 @@ def test_print_parse_round_trip():
         reparsed = parse_observable(printed)
         assert reparsed.expr == obs.expr, src
         assert reparsed.id == printed
+
+
+def test_parsed_expressions_compare_and_hash_by_value():
+    texts = ["exp(-x^2 - xi^2)", "2 * x * xi + 3.5", "(x + xi)^2 - exp(x)"]
+    first = [parse_observable(t).expr for t in texts]
+    again = [parse_observable(t).expr for t in texts]
+    for a, b in zip(first, again):
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+    assert set(first) == set(again) and len(set(first + again)) == len(texts)
+    assert first[0] != first[1]
+
+
+def test_nodes_of_different_types_differ():
+    assert Group(Var("x")) != Var("x")
+    assert Const(1.0) != Var("x")
+    assert parse_observable("(x)").expr != parse_observable("x").expr
 
 
 _leaf = st.sampled_from(["x", "xi", "2", "0.5", "3"])
