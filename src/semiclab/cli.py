@@ -45,6 +45,7 @@ from .experiments import (
 from .microlocal import (
     antiwick_averages,
     check_frame_mass,
+    microlocal_records,
     radial_state_averages,
     upsilon,
     upsilon_a,
@@ -381,18 +382,18 @@ def cmd_measure(args) -> int:
         # each route runs only when it is reported, so a route left out
         # can neither cost time nor refuse the window
         records = [{"j": j, "eigenvalue": float(lam)} for j, lam in enumerate(win.eigenvalues)]
-        if quant != "antiwick":
+        if quant == "both":  # one anti-Wick batch, also the reference past DENSE_CAP
+            for rec, r in zip(records, microlocal_records(win, obs)):
+                rec.update(asdict(r), gap=r.gap)
+        elif quant == "weyl":
             nw, method = weyl_or_reference(win, obs)
             for rec, nu in zip(records, nw):
                 rec.update(method=method, nu_weyl=float(nu))
-        if quant != "weyl":
+        else:
             na, masses = antiwick_averages(win, obs)
             check_frame_mass(masses)
             for rec, nu, mass in zip(records, na, masses):
-                rec.setdefault("method", "antiwick")
-                rec.update(nu_antiwick=float(nu), antiwick_mass=float(mass))
-                if "nu_weyl" in rec:
-                    rec["gap"] = abs(rec["nu_weyl"] - rec["nu_antiwick"])
+                rec.update(method="antiwick", nu_antiwick=float(nu), antiwick_mass=float(mass))
         payload = {"config": _echo("measure", cfg),
                    "upsilon": float(win.count), "records": records}
     _emit_json(payload, cfg["out"])

@@ -1,31 +1,41 @@
 """Windowed eigensolves with independent counting certificates.
 
 Eigenvalues in a closed energy window [lo, hi] are computed by solvers whose
-cost follows the window population rather than the matrix size: LAPACK's
-bisection + inverse-iteration driver for tridiagonal operators (scipy
-``eigh_tridiagonal`` with ``select='v'``), and shift-invert Lanczos on an
-LDL^H factorization for split and dense operators.  Every count is
-cross-checked by a certificate that does not depend on the eigensolver: a
-hand-rolled Sturm sequence for tridiagonal operators, and Sylvester's law of
-inertia on an LDL^H factorization of H - sigma I (LAPACK ``zhetrf``) at both
-window edges for dense ones.  A disagreement that cannot be blamed on
-window-edge ties raises ``NumericalError`` instead of being papered over.
+cost follows the window population rather than the operator size, and every
+count is cross-checked by a certificate that does not depend on the
+eigensolver.  A disagreement that cannot be blamed on window-edge ties
+raises ``NumericalError`` instead of being papered over.
 
-The dense certificate runs before the solve, because its count prices the
-solve.  The matrix is factored once more at the window centre sigma
-(``zhetrf``; a singular pivot moves sigma by ``SHIFT_STEP`` of the edge-tie
-band), and ARPACK's shift-invert mode (the spectral transformation of
-Ericsson and Ruhe) applies (H - sigma I)^-1 through ``zhetrs`` solves on that
-factorization.  It asks for the certified count plus ``LANCZOS_MARGIN``
-states nearest sigma, from a fixed start vector, so a window solves the same
-way on every run.  A Rayleigh-Ritz step (QR, then ``eigh`` of the projected
-matrix) makes the returned vectors orthonormal inside near-degenerate pairs.
-Only one factorization is alive at a time.  The MRRR driver restricted to the
-window (scipy ``eigh`` with ``subset_by_value``, ``driver='evr'``), which
-reduces all N rows to tridiagonal form, is the fallback: when ARPACK does not
-converge or fails otherwise, when its subspace of 2k + 1 vectors does not fit
-in N, and when the shift-invert states disagree with the certificate.  A
-window the certificate proves empty is not solved at all.
+Tridiagonal (finite-difference) operators are solved by LAPACK bisection
+and inverse iteration (scipy ``eigh_tridiagonal`` with ``select='v'``) and
+certified by a hand-rolled Sturm sequence.
+
+Split operators f(x) + g(h D), f and g polynomials, are solved in the
+displaced, squeezed Hermite basis psi_n(x) = (s sqrt h)^(-1/2) phi_n(y)
+exp(i xi0 (x - x0) / h), y = (x - x0) / (s sqrt h), where
+
+    X = x0 + s sqrt(h/2) (a + a^+),    P = xi0 + (i / s) sqrt(h/2) (a^+ - a)
+
+are tridiagonal, so f(X) + g(P) is a banded Hermitian matrix of bandwidth
+k = max(deg f, deg g).  Built on N + k functions and cut to N x N, it is
+exactly the operator compressed to the first N.  The basis rule: (x0, xi0)
+and (R_x, R_xi) are the centre and half-widths of the classical box
+{f + g <= hi}, s = sqrt(R_x / R_xi), and psi_n lives near radius
+sqrt((2n + 1) h) in the plane (x / s, s xi), so the basis reaches
+``BASIS_WIDTHS`` widths sqrt(h) past the box corner rho = sqrt(2 R_x R_xi)
+and ``BASIS_PAD`` functions more: N = ceil((rho / sqrt(h) + BASIS_WIDTHS)^2
+/ 2) + BASIS_PAD.  The values come from LAPACK ``zhbevx`` on the band
+(``eig_banded``, select='v'); the certificate is Sylvester's law of inertia
+on LDL^H factorizations (``zhetrf``) of the N x N matrix at both window
+edges.  Vectors: two inverse iteration steps per eigenvalue on the band
+(``solve_banded``) from fixed seeded starts, the shift nudged off the
+eigenvalue so that an exact one never makes the solve singular, then QR and
+a Rayleigh-Ritz step.  Their residuals are certified in the basis, since
+the split grid's own discretization leaves grid residuals of 1e-9 to 6e-6
+at h >= 0.0125.  Tail check: a window state with more than ``TAIL_MASS`` of
+its mass in its last ``TAIL_ROWS`` coefficients raises ``NumericalError``;
+N is never grown silently.  The vectors are mapped onto the split grid,
+sqrt(dx) psi_n(x_j) by the Hermite recurrence, where Weyl averages use them.
 
 States whose eigenvalue sits within ``EDGE_FRACTION`` of the window width of
 a window edge are flagged so that callers can detect counting ties and
@@ -40,7 +50,7 @@ whose bisection stops at its first midpoint when its tolerance is wider than
 the interval): the kept range gives the count, and the two edge bands give
 the number of flagged states at each end of the sorted window.  The Sturm
 certificate and the zero-slack rule are those of every other window.  The
-eigenvalues of such a window are NaN.  The split/dense route always solves.
+eigenvalues of such a window are NaN.  The split route always solves.
 
 2D radial models reduce to a family of half-line problems, one per angular
 momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
@@ -61,8 +71,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, qr
-from scipy.linalg.lapack import dstebz, zhetrf, zhetrf_lwork, zhetrs
+from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, qr, solve_banded
+from scipy.linalg.lapack import dstebz, zhetrf, zhetrf_lwork
 
 from .errors import ConfigError, NumericalError
 from .model import SEARCH_BOX
@@ -73,7 +83,7 @@ from .quantize import (
     Grid1D,
     _auto_rows,
     _box_margin,
-    dense_matrix,
+    _check_dense_cap,
     resolution_dx,
     schrodinger_box,
 )
@@ -92,8 +102,10 @@ MAX_CHANNELS = 512
 EDGE_FRACTION = 5e-3  # edge-tie band, as a fraction of the window width
 STURM_SCALAR_ROWS = 4096  # Sturm counts up to this size run row by row on Python floats
 RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the operator scale
-LANCZOS_MARGIN = 4  # shift-invert asks for the certified count plus this many states
-SHIFT_STEP = 1e-3  # a singular centre shift moves by this fraction of the edge-tie band
+BASIS_WIDTHS = 8.0  # the Hermite basis reaches this many sqrt(h) past the classical box
+BASIS_PAD = 32  # ... and this many functions more
+TAIL_MASS = 1e-18  # tail check: most mass a window state may keep in its last TAIL_ROWS
+TAIL_ROWS = 8  # basis coefficients
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,7 @@ class EigenWindow:
     vectors: np.ndarray | None  # (n, count) columns, l2-normalized
     edge_flags: np.ndarray  # True where the eigenvalue is edge-ambiguous
     residual_max: float | None
-    count_check: int  # independent count: Sturm, or LDL^H inertia if dense
+    count_check: int  # independent count: Sturm, or LDL^H inertia if split
     grid: Grid1D | None = None
 
     @property
@@ -260,8 +272,8 @@ def count_in_window(diag, offdiag, lo: float, hi: float) -> int:
 def _ldlh(m: np.ndarray, shift: float):
     """Bunch-Kaufman LDL^H factorization of conj(m) - shift I (LAPACK ``zhetrf``).
 
-    Returns LAPACK's packed factor, its pivots and ``info`` (> 0: an exactly
-    zero pivot, so ``shift`` is an eigenvalue).  m.T is m's memory read in
+    Returns LAPACK's packed factor and its pivots; an exactly zero pivot
+    (``shift`` is an eigenvalue) counts as not negative.  m.T is m's memory read in
     Fortran order and, m being Hermitian, equals conj(m), which has the same
     spectrum: a plain copy LAPACK can overwrite.
     """
@@ -276,7 +288,7 @@ def _ldlh(m: np.ndarray, shift: float):
     ldu, ipiv, info = zhetrf(a, lwork=int(work.real), overwrite_a=1)
     if info < 0:
         raise NumericalError(f"zhetrf: illegal argument {-info}")
-    return ldu, ipiv, info
+    return ldu, ipiv
 
 
 def _inertia_count(m: np.ndarray, shift: float) -> int:
@@ -285,10 +297,10 @@ def _inertia_count(m: np.ndarray, shift: float) -> int:
     Sylvester's law of inertia: m - shift I = L D L^H with D block diagonal
     (1x1 and 2x2 Bunch-Kaufman pivots, :func:`_ldlh`) has as many negative
     eigenvalues as D.  The count shares no code with the eigensolver's
-    iteration, so it certifies dense window counts the way ``sturm_count``
+    iteration, so it certifies split window counts the way ``sturm_count``
     certifies tridiagonal ones.
     """
-    ldu, ipiv, _info = _ldlh(m, shift)
+    ldu, ipiv = _ldlh(m, shift)
     d = ldu.diagonal().real
     count = int(np.sum(d[ipiv > 0] < 0.0))
     # a 2x2 pivot block marks both of its rows with ipiv < 0; upper storage
@@ -299,86 +311,115 @@ def _inertia_count(m: np.ndarray, shift: float) -> int:
     return count + int(np.sum(mid - rad < 0.0) + np.sum(mid + rad < 0.0))
 
 
-def _shift_invert(m: np.ndarray, lo: float, hi: float, count: int):
-    """The ``count`` + ``LANCZOS_MARGIN`` eigenpairs of ``m`` nearest the
-    window centre, by shift-invert Lanczos (see the module docstring).
-
-    Returns (values, orthonormal vectors) after a Rayleigh-Ritz step, or
-    None when ARPACK's subspace does not fit in the matrix, the shift stays
-    singular, or ARPACK fails (no convergence among them).
-    """
-    # imported here: ARPACK adds about 40 ms to every process start, and
-    # only split and dense windows use it
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-    n = m.shape[0]
-    k = count + LANCZOS_MARGIN
-    if 2 * k + 1 > n:
-        return None
-    sigma = 0.5 * (lo + hi)
-    ldu, ipiv, info = _ldlh(m, sigma)
-    if info > 0:
-        ldu = None  # one factorization alive at a time
-        sigma += SHIFT_STEP * EDGE_FRACTION * (hi - lo)
-        ldu, ipiv, info = _ldlh(m, sigma)
-        if info > 0:
-            return None
-
-    def solve(x):
-        # ldu factors conj(m) - sigma I: conjugate in and out
-        y, status = zhetrs(ldu, ipiv, np.conj(x))
-        if status != 0:
-            raise NumericalError(f"zhetrs: illegal argument {-status}")
-        return np.conj(y)
-
-    start = np.random.default_rng(0).standard_normal((2, n))
-    try:
-        _w, v = eigsh(m.astype(complex, copy=False), k=k, sigma=sigma,
-                      OPinv=LinearOperator((n, n), matvec=solve, dtype=complex),
-                      v0=start[0] + 1j * start[1])
-    except ArpackError:
-        return None
-    q = qr(v, mode="economic")[0]
-    w, z = eigh(q.conj().T @ (m @ q))
-    return w, q @ z
-
-
 def _operator_scale(op: DiscreteOperator) -> float:
     if op.form == "tridiagonal":
         return float(np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.offdiag)))
-    if op.form == "split":
-        return float(np.max(np.abs(op.mult_x)) + np.max(np.abs(op.mult_xi)))
-    return float(np.max(np.abs(op.matrix)) * op.size ** 0.5)
+    return float(np.max(np.abs(op.mult_x)) + np.max(np.abs(op.mult_xi)))
 
 
-def _window_solve(op: DiscreteOperator, m: np.ndarray | None, lo: float, hi: float,
-                  want_vectors: bool, pad: float, count: int | None = None):
-    """One window solve over a slightly widened range.
+def _hermite_basis(op: DiscreteOperator, lo: float,
+                   hi: float) -> tuple[float, float, float, int]:
+    """Centre (x0, xi0), squeeze s and size N of a split window's basis; a
+    window below the symbol's minimum sizes it from the bottom of the well."""
+    f, g = op.parts
+    f_min, g_min = float(np.min(op.mult_x)), float(np.min(op.mult_xi))
+    top = max(hi, f_min + g_min + (hi - lo))
+    x_lo, x_hi = schrodinger_box(f, top - g_min, 0.0)
+    xi_lo, xi_hi = schrodinger_box(g, top - f_min, 0.0)
+    r_x, r_xi = 0.5 * (x_hi - x_lo), 0.5 * (xi_hi - xi_lo)
+    radius = np.sqrt(2.0 * r_x * r_xi / op.h) + BASIS_WIDTHS
+    return (0.5 * (x_lo + x_hi), 0.5 * (xi_lo + xi_hi), float(np.sqrt(r_x / r_xi)),
+            int(np.ceil(0.5 * radius * radius)) + BASIS_PAD)
 
-    ``m`` is the dense matrix of a split or dense operator (None when
-    tridiagonal).  Given its certified window ``count``, a dense window is
-    solved by :func:`_shift_invert`, or by ``evr`` when that cannot run or
-    ARPACK fails; without a count, by ``evr``.  The caller filters the
-    states to the window.
-    """
+
+def _hermite_matrix(op: DiscreteOperator, x0: float, xi0: float, s: float,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """f(X) + g(P) on the first n functions of the basis (x0, xi0, s), in
+    LAPACK band storage (entry (i, j) at row k + i - j of column j) and as a
+    dense matrix.  Horner's rule on n + k functions: a product with the
+    tridiagonal X or P mixes neighbouring diagonals of neighbouring columns."""
+    f, g = op.parts
+    k = max(f.degree, g.degree)
+    ladder = np.sqrt(0.5 * op.h * np.arange(1, n + k))
+    band = np.zeros((2 * k + 1, n + k), dtype=complex)
+    for p, centre, sup in ((f, x0, s * ladder), (g, xi0, (-1j / s) * ladder)):
+        power = np.zeros_like(band)
+        for c in reversed(p.coefficients):
+            power, old = centre * power, power
+            power[:-1, 1:] += old[1:, :-1] * sup
+            power[1:, :-1] += old[:-1, 1:] * np.conj(sup)
+            power[k] += c
+        band += power
+    band = band[:, :n]
+    band[k] = band[k].real
+    for t in range(1, k + 1):  # the lower band mirrors the upper one
+        band[k + t] = 0.0
+        band[k + t, :n - t] = np.conj(band[k - t, t:])
+    mat = np.zeros((n, n), dtype=complex)
+    for d in range(-k, k + 1):  # diagonal d of mat, strided through its memory
+        diag = band[k - d, max(d, 0):n + min(d, 0)]
+        mat.reshape(-1)[max(d, -d * n)::n + 1][:diag.size] = diag
+    return band, mat
+
+
+def _basis_vectors(mat: np.ndarray, band: np.ndarray, w: np.ndarray,
+                   shift_pad: float) -> np.ndarray:
+    """Orthonormal eigenvectors of ``mat`` for its eigenvalues ``w``: two
+    inverse iteration steps each from fixed seeded starts, the shift
+    ``shift_pad`` off the eigenvalue so that an exact one leaves the solve
+    regular; then QR and a Rayleigh-Ritz step."""
+    k = band.shape[0] // 2
+    start = np.random.default_rng(0).standard_normal((2, mat.shape[0], w.size))
+    vecs = start[0] + 1j * start[1]
+    for j, lam in enumerate(w):
+        shifted = band.copy()
+        shifted[k] -= lam + shift_pad
+        for _ in range(2):
+            vecs[:, j] = solve_banded((k, k), shifted, vecs[:, j])
+            vecs[:, j] /= np.linalg.norm(vecs[:, j])
+    q = qr(vecs, mode="economic")[0]
+    return q @ eigh(q.conj().T @ (mat @ q))[1]
+
+
+def _window_solve(op: DiscreteOperator, band: np.ndarray | None, lo: float, hi: float,
+                  want_vectors: bool, pad: float):
+    """One window solve over a slightly widened range, values only on the
+    split route (``band``).  The caller filters the states to the window."""
     nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), pad)
     vl, vu = lo - nudge, hi + nudge
-    if op.form == "tridiagonal":
-        if want_vectors:
-            w, v = eigh_tridiagonal(op.diag, op.offdiag, select="v", select_range=(vl, vu))
-        else:
-            w = eigh_tridiagonal(op.diag, op.offdiag, select="v",
-                                 select_range=(vl, vu), eigvals_only=True)
-            v = None
-        return w, v
-    if count == 0:
-        return np.empty(0), (np.empty((m.shape[0], 0), dtype=complex) if want_vectors else None)
-    found = None if count is None else _shift_invert(m, lo, hi, count)
-    if found is not None:
-        return found[0], (found[1] if want_vectors else None)
+    if band is not None:
+        return eig_banded(band[:band.shape[0] // 2 + 1], eigvals_only=True, select="v",
+                          select_range=(vl, vu)), None
     if want_vectors:
-        return eigh(m, subset_by_value=(vl, vu), driver="evr")
-    return eigh(m, subset_by_value=(vl, vu), driver="evr", eigvals_only=True), None
+        return eigh_tridiagonal(op.diag, op.offdiag, select="v", select_range=(vl, vu))
+    return eigh_tridiagonal(op.diag, op.offdiag, select="v", select_range=(vl, vu),
+                            eigvals_only=True), None
+
+
+def _to_grid(coef: np.ndarray, grid: Grid1D, h: float, x0: float, xi0: float,
+             s: float) -> np.ndarray:
+    """Basis coefficients as l2 vectors sqrt(dx) psi(x_j) on the grid.  The
+    Hermite functions come from phi_{j+1} = sqrt(2 / (j+1)) y phi_j - sqrt(j /
+    (j+1)) phi_{j-1}, phi_0 = pi^(-1/4) exp(-y^2 / 2), each point carrying a
+    power of two apart: far out, exp(-y^2 / 2) underflows where later phi_j
+    are representable."""
+    width = s * np.sqrt(h)
+    dist = grid.nodes - x0
+    y = dist / width
+    t = 0.5 * y * y / np.log(2.0)  # exp(-y^2 / 2) = 2^-t
+    exponent = -np.floor(t).astype(int)
+    prev, cur = np.zeros_like(y), np.pi ** -0.25 * np.exp2(-t - exponent)
+    phi = np.empty((y.size, coef.shape[0]))
+    for j in range(coef.shape[0]):
+        if j:
+            prev, cur = cur, np.sqrt(2.0 / j) * y * cur - np.sqrt((j - 1) / j) * prev
+            big = np.abs(cur) > 2.0 ** 500
+            cur[big] *= 2.0 ** -500
+            prev[big] *= 2.0 ** -500
+            exponent[big] += 500
+        phi[:, j] = np.ldexp(cur, exponent)
+    phase = np.sqrt(grid.dx / width) * np.exp(1j * xi0 * dist / h)
+    return phase[:, None] * (phi @ coef.real + 1j * (phi @ coef.imag))
 
 
 def _in_window(w: np.ndarray, v: np.ndarray | None, lo: float, hi: float,
@@ -442,59 +483,68 @@ def eigs_in_window(
     *,
     values: bool = True,
 ) -> EigenWindow:
-    """All eigenpairs of ``op`` with lo <= lambda <= hi.
+    """All eigenpairs of a tridiagonal or split ``op`` with lo <= lambda <= hi.
 
     States within ``EDGE_FRACTION`` of the window width of an edge are
     flagged.  Residuals ||H psi - lambda psi|| are certified against
-    ``RESIDUAL_TOL`` times the operator scale when vectors are requested.
-    ``values=False`` (which needs ``vectors=False``) promises that only the
-    count, ``count_check`` and ``edge_flags`` are read: the tridiagonal
-    route then reads them off eigenvalue counts at the decision thresholds
-    and leaves the eigenvalues NaN (see the module docstring).
+    ``RESIDUAL_TOL`` times the operator scale: on the grid when a
+    tridiagonal window has vectors, in the Hermite basis on every split
+    window.  ``values=False`` (which needs ``vectors=False``) promises that
+    only the count, ``count_check`` and ``edge_flags`` are read: the
+    tridiagonal route then reads them off eigenvalue counts at the decision
+    thresholds and leaves the eigenvalues NaN (see the module docstring).
     """
     _check_window(lo, hi)
     if vectors and not values:
         raise ValueError("values=False reads counts only; it needs vectors=False")
+    if op.form not in ("tridiagonal", "split"):
+        raise ValueError(f"no window solve for {op.form} operators")
     edge_tol = EDGE_FRACTION * (hi - lo)
     scale = _operator_scale(op)
     # computed eigenvalues carry O(eps * ||H||) rounding; resolve window
     # membership only up to that certainty and let edge_flags carry the rest
     eps_keep = 1e-12 * max(scale, 1.0)
-    m = None if op.form == "tridiagonal" else dense_matrix(op)
-    # the certificate comes first: its count sizes the dense solve
-    if m is None:
+    band = None
+    if op.form == "tridiagonal":
         check, method = count_in_window(op.diag, op.offdiag, lo, hi), "Sturm"
     else:
-        check = (_inertia_count(m, np.nextafter(hi, np.inf))
-                 - _inertia_count(m, np.nextafter(lo, -np.inf)))
+        x0, xi0, s, n = _hermite_basis(op, lo, hi)
+        # the basis matrix is dense; the grid keeps to grid_for_split's cap
+        _check_dense_cap(max(n, op.size), "split window", op.h)
+        band, mat = _hermite_matrix(op, x0, xi0, s, n)
+        check = (_inertia_count(mat, np.nextafter(hi, np.inf))
+                 - _inertia_count(mat, np.nextafter(lo, -np.inf)))
         method = "LDL^H inertia"
-    if m is None and not values:
+    if band is None and not values:
         w, v, flags = _count_window(op.diag, op.offdiag, lo, hi, eps_keep, edge_tol)
     else:
-        w, v, flags = _in_window(*_window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep,
-                                                count=check),
+        w, v, flags = _in_window(*_window_solve(op, band, lo, hi, vectors, pad=2.0 * eps_keep),
                                  lo, hi, eps_keep, edge_tol)
-
-    # only edge-flagged states may account for a disagreement; on the dense
-    # route evr solves the window again before that is decided
-    if m is not None and abs(check - w.size) > int(np.sum(flags)):
-        w, v, flags = _in_window(*_window_solve(op, m, lo, hi, vectors, pad=2.0 * eps_keep),
-                                 lo, hi, eps_keep, edge_tol)
+    # only edge-flagged states may account for a disagreement
     if abs(check - w.size) > int(np.sum(flags)):
         raise NumericalError(
             f"window count disagreement: LAPACK {w.size}, {method} {check} "
             f"on [{lo:.6g}, {hi:.6g}]")
 
     resid = None
-    if v is not None and w.size:
-        resid = 0.0
-        for i in range(w.size):
-            col = v[:, i]
-            r = op.apply(col.astype(complex) if op.form == "split" else col)
-            resid = max(resid, float(np.linalg.norm(r - w[i] * col)))
-        if resid > RESIDUAL_TOL * scale:
-            raise NumericalError(
-                f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}")
+    if band is not None:
+        coef = np.empty((n, 0), dtype=complex)
+        if w.size:
+            coef = _basis_vectors(mat, band, w, eps_keep)
+            tail = float(np.max(np.sum(np.abs(coef[-TAIL_ROWS:]) ** 2, axis=0)))
+            if tail > TAIL_MASS:
+                raise NumericalError(
+                    f"Hermite basis of {n} functions too small at h={op.h:.3g}: a window "
+                    f"state keeps {tail:.1e} of its mass in the last {TAIL_ROWS} coefficients")
+            resid = float(np.max(np.linalg.norm(mat @ coef - coef * w, axis=0)))
+        if vectors:
+            v = _to_grid(coef, op.grid, op.h, x0, xi0, s)
+    elif v is not None and w.size:
+        resid = max(float(np.linalg.norm(op.apply(v[:, i]) - w[i] * v[:, i]))
+                    for i in range(w.size))
+    if resid is not None and resid > RESIDUAL_TOL * scale:
+        raise NumericalError(
+            f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}")
 
     return EigenWindow(h=op.h, lo=lo, hi=hi, eigenvalues=w, vectors=v,
                        edge_flags=flags, residual_max=resid, count_check=check,

@@ -166,8 +166,8 @@ class ScanResult:
 def default_h_values(route: str) -> tuple[float, ...]:
     """12 points over two decades for tridiagonal solvers, 8 over one otherwise.
 
-    Dense and radial routes stop at h = 1e-2: the dense eigensolve and the
-    channel sweep grow too fast below that.
+    Split and radial routes stop at h = 1e-2: the split grid's Weyl matrices
+    and the channel sweep grow too fast below that.
     """
     if route == "fd":
         return tuple(float(v) for v in np.geomspace(0.1, 0.001, 12))

@@ -78,6 +78,7 @@ class MicrolocalRecord:
     nu_weyl: float
     nu_antiwick: float
     method: str  # discretization used on the Weyl side
+    antiwick_mass: float  # Husimi mass the coherent frame captured
 
     @property
     def gap(self) -> float:
@@ -247,7 +248,8 @@ def microlocal_records(
         nw, method = weyl_averages(window, obs)
         na, masses = antiwick_averages(window, obs, frame)
     check_frame_mass(masses)
-    return [MicrolocalRecord(j=j, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]), method=method)
+    return [MicrolocalRecord(j=j, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]), method=method,
+                             antiwick_mass=float(masses[j]))
             for j in range(window.count)]
 
 

@@ -7,8 +7,8 @@ storage forms:
 * ``split``        -- f(x) + g(h D) on a periodic grid, applied by FFT;
 * ``dense``        -- full Hermitian matrix (Weyl-quantized observables).
 
-Eigensolves that need a split operator as a matrix take it from
-``dense_matrix``, which assembles it as a diagonal plus a circulant.
+A split operator keeps its polynomial parts (f, g) for the window solve;
+``dense_matrix`` assembles its grid matrix as a diagonal plus a circulant.
 
 The Weyl matrix of a(x, xi) on an N-point grid uses the discrete kernel
 
@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import circulant
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import SEARCH_BOX, Polynomial1D, _poly_roots_in
 
 __all__ = [
@@ -133,6 +133,7 @@ class DiscreteOperator:
     mult_x: np.ndarray | None = None
     mult_xi: np.ndarray | None = None
     matrix: np.ndarray | None = None
+    parts: tuple[Polynomial1D, Polynomial1D] | None = None  # split: (f, g)
 
     @property
     def size(self) -> int:
@@ -275,14 +276,17 @@ def build_split(
     grid: Grid1D,
     window_top: float | None = None,
 ) -> DiscreteOperator:
-    """Fourier-multiplier operator f(x) + g(h D) on a periodic grid."""
+    """Fourier-multiplier operator f(x) + g(h D) on a periodic grid, f and g
+    polynomials (``ConfigError`` otherwise)."""
     if grid.boundary != "periodic":
         raise ValueError("split operators require periodic grids")
+    if not (isinstance(f, Polynomial1D) and isinstance(g, Polynomial1D)):
+        raise ConfigError("split operators need polynomial parts f(x) and g(xi)")
     x = grid.nodes
     xi = grid.xi_values(h)
     mult_x = np.asarray(f(x), dtype=float)
     mult_xi = np.asarray(g(xi), dtype=float)
-    if window_top is not None and isinstance(g, Polynomial1D):
+    if window_top is not None:
         # aliasing guard: classical momenta at the window top must fit
         f_min = float(np.min(mult_x))
         try:
@@ -293,7 +297,14 @@ def build_split(
             raise NumericalError(
                 f"classical momentum {max(abs(xi_lo), abs(xi_hi)):.3g} exceeds grid "
                 f"xi_max {grid.xi_max(h):.3g} (aliasing)")
-    return DiscreteOperator("split", h, grid, mult_x=mult_x, mult_xi=mult_xi)
+    return DiscreteOperator("split", h, grid, mult_x=mult_x, mult_xi=mult_xi, parts=(f, g))
+
+
+def _check_dense_cap(n: int, what: str, h: float) -> None:
+    """``NumericalError`` before ``what``, an array of n rows, passes ``DENSE_CAP``."""
+    if n > DENSE_CAP:
+        raise NumericalError(
+            f"{what} needs {n} > {DENSE_CAP} points at h={h:.3g}; use a coarser grid")
 
 
 def dense_matrix(op: DiscreteOperator) -> np.ndarray:
@@ -307,9 +318,7 @@ def dense_matrix(op: DiscreteOperator) -> np.ndarray:
     if op.form == "dense":
         return op.matrix
     n = op.size
-    if n > DENSE_CAP:
-        raise NumericalError(
-            f"dense matrix needs {n} > {DENSE_CAP} points at h={op.h:.3g}; use a coarser grid")
+    _check_dense_cap(n, "dense matrix", op.h)
     if op.form == "tridiagonal":
         m = np.diag(op.diag)
         m += np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semiclab.microlocal as microlocal
 from semiclab.cli import OPTIONS, _parse_bool, _resolve, build_parser, main
 from semiclab.experiments import ScanResult, ScanRow, scan_from_csv, scan_to_csv
 
@@ -300,6 +301,27 @@ class TestMeasure:
         for quant in ("antiwick", "both"):
             code, _, err = run_cli(capsys, argv + ["--quantization", quant])
             assert code == 3 and "Husimi mass" in err
+
+    def test_both_routes_share_one_antiwick_batch(self, capsys, monkeypatch):
+        # past the dense cap the Weyl column is the anti-Wick reference; both
+        # columns come from one batch, and the output is byte for byte the
+        # merge of the two single-route outputs
+        monkeypatch.setattr(microlocal, "DENSE_CAP", 64)
+        calls = []
+        batch = microlocal.antiwick_batch
+        monkeypatch.setattr(microlocal, "antiwick_batch",
+                            lambda *args: calls.append(args) or batch(*args))
+        argv = ["measure", "--model", "quad-max", "--h", "0.05", "--obs", "exp(-x^2-xi^2)"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and len(calls) == 1
+        weyl = json.loads(run_cli(capsys, argv + ["--quantization", "weyl"])[1])
+        aw = json.loads(run_cli(capsys, argv + ["--quantization", "antiwick"])[1])
+        records = [{**a, **w, "gap": abs(w["nu_weyl"] - a["nu_antiwick"])}
+                   for w, a in zip(weyl["records"], aw["records"])]
+        assert records[0]["method"] == "antiwick-reference"
+        expected = {"config": {**weyl["config"], "quantization": "both"}, "records": records,
+                    "upsilon": weyl["upsilon"]}
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     def test_antiwick_route_reports_its_own_method(self, capsys):
         code, out, _ = run_cli(capsys, [

@@ -2,9 +2,7 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from scipy.linalg.lapack import zhetrf
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import semiclab.eig
 from semiclab.eig import (
@@ -15,7 +13,7 @@ from semiclab.eig import (
     radial_grid,
     sturm_count,
 )
-from semiclab.errors import NumericalError
+from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import default_center, solve_window
 from semiclab.microlocal import upsilon, weyl_averages
 from semiclab.model import Polynomial1D, catalog, get_model
@@ -32,7 +30,6 @@ from semiclab.quantize import (
 )
 
 X2 = Polynomial1D((0.0, 0.0, 1.0))
-ZERO = Polynomial1D((0.0,))
 
 
 def harmonic_op(h, ppw=160):
@@ -291,111 +288,102 @@ class TestWindowSolve:
         assert np.max(np.abs(w - exact)) < 1e-8
 
 
-class TestShiftInvert:
-    """The dense route: shift-invert Lanczos sized by the certificate, with
-    evr as the fallback."""
+class TestHermiteRoute:
+    """Split windows in the displaced Hermite basis: values from the band,
+    the LDL^H inertia certificate, the tail check, vectors on the grid."""
 
-    @staticmethod
-    def record(monkeypatch):
-        """Count the ARPACK calls and the evr solves of the dense route."""
-        calls = {"eigsh": [], "evr": 0}
-        eigsh, eigh = scipy.sparse.linalg.eigsh, semiclab.eig.eigh
+    @pytest.mark.parametrize("h", [0.1, 0.0125, 0.0022])
+    def test_window_matches_split_grid_eigvalsh(self, h):
+        op, win = k3_window(h, vectors=False)
+        ev = np.linalg.eigvalsh(dense_matrix(op))
+        inside = ev[(ev >= win.lo) & (ev <= win.hi)]
+        assert win.count == win.count_check == inside.size > 0
+        assert np.max(np.abs(win.eigenvalues - inside)) < 1e-10
 
-        def spy_eigsh(*args, **kwargs):
-            calls["eigsh"].append(kwargs["sigma"])
-            return eigsh(*args, **kwargs)
+    def test_dropped_state_raises_through_inertia(self, monkeypatch):
+        solve = semiclab.eig._window_solve
 
-        def spy_eigh(*args, **kwargs):
-            calls["evr"] += kwargs.get("driver") == "evr"
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy_eigsh)
-        monkeypatch.setattr(semiclab.eig, "eigh", spy_eigh)
-        return calls
-
-    def test_reference_route_is_shift_invert(self, monkeypatch):
-        calls = self.record(monkeypatch)
-        _op, win = k3_window(0.01)
-        assert win.count == win.count_check == 15
-        assert calls == {"eigsh": [0.0], "evr": 0}
-
-    def test_no_convergence_falls_back_to_evr(self, monkeypatch):
-        _op, ref = k3_window(0.01)
-
-        def give_up(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", give_up)
-        calls = self.record(monkeypatch)
-        _op, win = k3_window(0.01)
-        assert calls["evr"] == 1
-        assert win.count == ref.count == win.count_check
-        assert np.max(np.abs(win.eigenvalues - ref.eigenvalues)) <= 1e-12
-
-    def test_dropped_state_is_never_lost(self, monkeypatch):
-        _op, ref = k3_window(0.01)
-        solve = semiclab.eig._shift_invert
-
-        def drop_one(*args, **kwargs):
+        def drop_centre(*args, **kwargs):
             w, v = solve(*args, **kwargs)
-            keep = np.arange(w.size) != np.argmin(np.abs(w))  # the state at the centre
-            return w[keep], v[:, keep]
+            return w[np.arange(w.size) != np.argmin(np.abs(w))], v
 
-        monkeypatch.setattr(semiclab.eig, "_shift_invert", drop_one)
-        calls = self.record(monkeypatch)
-        _op, win = k3_window(0.01)
-        assert calls["evr"] == 1
-        assert win.count == ref.count == win.count_check
-        assert np.max(np.abs(win.eigenvalues - ref.eigenvalues)) <= 1e-12
+        monkeypatch.setattr(semiclab.eig, "_window_solve", drop_centre)
+        with pytest.raises(NumericalError, match="LAPACK 14, LDL\\^H inertia 15"):
+            k3_window(0.01)
+
+    def test_undersized_basis_trips_the_tail_check(self, monkeypatch):
+        monkeypatch.setattr(semiclab.eig, "BASIS_WIDTHS", 0.0)
+        monkeypatch.setattr(semiclab.eig, "BASIS_PAD", 0)
+        with pytest.raises(NumericalError, match="too small"):
+            k3_window(0.0125)
+
+    @pytest.mark.parametrize("h", [0.1, 0.0125])
+    def test_mapped_vectors_are_orthonormal_on_the_grid(self, h):
+        op, win = k3_window(h)
+        v = win.vectors
+        assert v.shape == (op.size, win.count)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(win.count))) < 1e-10
+        assert win.residual_max < 1e-12
+
+    def test_k4_count_matches_the_split_grid_inertia(self):
+        # degree 6: a band of width 6, never solved in this basis before
+        h = 0.0125
+        f, g = get_model("pseudo-k4").phase_poly.split_parts()
+        op = build_split(f, g, h, grid_for_split(f, g, h, 0.0), window_top=5.0 * h)
+        win = eigs_in_window(op, -5.0 * h, 5.0 * h)
+        m = dense_matrix(op)
+        dense = (_inertia_count(m, np.nextafter(5.0 * h, np.inf))
+                 - _inertia_count(m, np.nextafter(-5.0 * h, -np.inf)))
+        assert win.count == win.count_check == dense == 18
 
     def test_empty_window_solves_nothing(self, monkeypatch):
-        calls = self.record(monkeypatch)
+        calls = []
+        solve = semiclab.eig.solve_banded
+        monkeypatch.setattr(semiclab.eig, "solve_banded",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
         h = 0.05
         op = build_split(X2, X2, h, grid_for_split(X2, X2, h, 1.0, d=5.0), window_top=1.25)
         win = eigs_in_window(op, 0.36, 0.44)  # between the levels 7h and 9h
         assert win.count == win.count_check == 0
         assert win.vectors.shape == (op.size, 0)
-        assert calls == {"eigsh": [], "evr": 0}
+        assert calls == []
 
-    def test_subspace_too_large_uses_evr(self, monkeypatch):
-        op = build_split(X2, X2, 0.1, Grid1D(-6.0, 6.0, 64, "periodic"))
-        exact = np.linalg.eigvalsh(dense_matrix(op))
-        lo, hi = 0.5 * (exact[0] + exact[1]), 0.5 * (exact[40] + exact[41])
-        calls = self.record(monkeypatch)
-        win = eigs_in_window(op, lo, hi)
-        assert 2 * (win.count_check + semiclab.eig.LANCZOS_MARGIN) + 1 > op.size
-        assert calls == {"eigsh": [], "evr": 1}
-        assert win.count == 40
-        assert np.max(np.abs(win.eigenvalues - exact[1:41])) <= 1e-12
+    def test_shift_on_an_exact_eigenvalue(self):
+        # the harmonic oscillator is diagonal in the basis: every computed
+        # eigenvalue is exact, and the inverse iteration must step off it
+        h = 0.05
+        op = build_split(X2, X2, h, grid_for_split(X2, X2, h, 1.0, d=5.0), window_top=1.25)
+        x0, xi0, s, n = semiclab.eig._hermite_basis(op, 0.04, 0.66)
+        _band, mat = semiclab.eig._hermite_matrix(op, x0, xi0, s, n)
+        assert np.count_nonzero(mat - np.diag(mat.diagonal())) == 0
+        win = eigs_in_window(op, 0.04, 0.66)
+        assert win.count == win.count_check == 7
+        assert np.max(np.abs(win.eigenvalues - h * (2 * np.arange(7) + 1))) <= 1e-12
+        assert win.residual_max <= 1e-12
 
-    def test_shift_on_an_eigenvalue(self, monkeypatch):
-        # a diagonal matrix factors with an exactly zero pivot at sigma = 20
-        n = 64
-        op = DiscreteOperator("dense", 1.0, Grid1D(0.0, 1.0, n, "periodic"),
-                              matrix=np.diag(np.arange(n)).astype(complex))
-        calls = self.record(monkeypatch)
-        win = eigs_in_window(op, 17.5, 22.5)
-        assert calls["evr"] == 0 and len(calls["eigsh"]) == 1
-        assert calls["eigsh"][0] != 20.0
-        assert win.count == win.count_check == 5
-        assert np.max(np.abs(win.eigenvalues - np.arange(18, 23))) <= 1e-12
-
-    def test_degenerate_pairs_come_back_orthonormal(self):
-        # free motion on a circle: the levels (h k)^2, k = +-3, +-4, +-5,
-        # are exactly double
-        h = 0.1
-        op = build_split(ZERO, X2, h, Grid1D(-np.pi, np.pi, 256, "periodic"))
-        win = eigs_in_window(op, 0.085, 0.255)
+    def test_near_degenerate_pairs_come_back_orthonormal(self):
+        # a symmetric double well below its barrier: tunnelling doublets
+        # whose splitting is far below the window width
+        h, e_center = 0.05, -0.7
+        well = Polynomial1D((0.0, 0.0, -2.0, 0.0, 1.0))
+        op = build_split(well, X2, h, grid_for_split(well, X2, h, e_center),
+                         window_top=e_center + 5.0 * h)
+        win = eigs_in_window(op, e_center - 5.0 * h, e_center + 5.0 * h)
         assert win.count == win.count_check == 6
-        assert np.max(np.abs(win.eigenvalues - np.repeat([0.09, 0.16, 0.25], 2))) <= 1e-12
+        assert np.max(np.diff(win.eigenvalues)[::2]) < 1e-6
         v = win.vectors
-        assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-10
+        assert win.residual_max <= 1e-12
 
     def test_repeated_solves_are_bitwise_identical(self):
         _op, first = k3_window(0.01)
         _op, second = k3_window(0.01)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.vectors, second.vectors)
+
+    def test_non_polynomial_parts_are_refused(self):
+        with pytest.raises(ConfigError, match="polynomial"):
+            build_split(lambda x: x * x, X2, 0.05, Grid1D(-3.0, 3.0, 64, "periodic"))
 
 
 FD_MODELS = [m for m in catalog() if get_model(m).family == "schrodinger1d"]
