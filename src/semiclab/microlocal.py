@@ -130,7 +130,7 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
                 out += np.asarray(xi_part.eval(0.0, xi), dtype=float) @ (np.abs(spec) ** 2)
         else:
             q = _decimation(window)
-            op = build_weyl_observable(lambda x, s: obs(x, s), h, grid.every(q))
+            op = build_weyl_observable(obs, h, grid.every(q))
             w = math.sqrt(q) * v[::q]
             out, method = np.einsum("ij,ij->j", w.conj(), op.matrix @ w).real, "weyl-dense"
     return _finite(out, obs, "Weyl"), method
@@ -296,13 +296,12 @@ def egorov_defect(model: SymbolModel, obs: Observable, t: float,
 
     Microlocal measures of eigenfunctions are flow-invariant up to O(h); the
     pulled-back symbol is tabulated on the coherent lattice by integrating
-    the classical flow from every lattice point.
+    the classical flow from every lattice point.  Both a and a o flow_t are
+    tabulated on the lattice x_centers[:, None], xi_centers[None, :].
     """
     frame = default_frame(window)
-    xx, ss = np.meshgrid(frame.x_centers, frame.xi_centers, indexing="ij")
-    flowed = flow_points(model, xx.ravel(), ss.ravel(), t)
-    table_t = np.asarray(obs(flowed.x, flowed.xi), dtype=float).reshape(xx.shape)
-
-    base, _m0 = antiwick_averages(window, lambda x, xi: obs(x, xi), frame)
-    moved, _m1 = antiwick_averages(window, table_t, frame)
+    x, xi = frame.x_centers[:, None], frame.xi_centers[None, :]
+    flowed = flow_points(model, x, xi, t)
+    base, _m0 = antiwick_averages(window, obs(x, xi), frame)
+    moved, _m1 = antiwick_averages(window, obs(flowed.x, flowed.xi), frame)
     return float(np.max(np.abs(base - moved)))

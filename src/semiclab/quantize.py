@@ -443,7 +443,9 @@ def antiwick_batch(
     ----------
     psis : (P, N) array of l2-normalized states.
     a_values : callable a(x, xi) or precomputed array of shape
-        (len(x_centers), len(xi_centers)).
+        (len(x_centers), len(xi_centers)).  A callable is tabulated once
+        per batch, as a(x_centers[:, None], xi_centers[None, :]); a scalar
+        value broadcasts to the lattice.
 
     Returns
     -------
@@ -470,7 +472,12 @@ def antiwick_batch(
     phase = np.exp(-1j * np.outer(xi_c, offs) / h)  # (M, W)
     norm = dx / np.sqrt(np.pi * h) * (step / dx) ** 2
     pref = frame.cell_area() / (2.0 * np.pi * h)
-    callable_a = callable(a_values)
+    if callable(a_values):
+        a_values = a_values(frame.x_centers[:, None], xi_c[None, :])
+    # contiguous rows: a broadcast row of stride 0 takes numpy's own dot
+    # product instead of BLAS and rounds differently
+    table = np.ascontiguousarray(np.broadcast_to(
+        np.asarray(a_values, dtype=float), (frame.x_centers.size, xi_c.size)))
 
     values = np.zeros(p_count)
     masses = np.zeros(p_count)
@@ -486,11 +493,7 @@ def antiwick_batch(
         block = env[None, :] * psis_dec[:, i0:i1]  # (P, W')
         amp = phase[:, : i1 - i0] @ block.T  # (M, P)
         hus = norm * (amp.real**2 + amp.imag**2)
-        if callable_a:
-            a_col = np.asarray(a_values(np.full_like(xi_c, xc), xi_c), dtype=float)
-        else:
-            a_col = np.asarray(a_values[ci], dtype=float)
-        values += pref * (a_col @ hus)
+        values += pref * (table[ci] @ hus)
         masses += pref * np.sum(hus, axis=0)
     return values, masses
 

@@ -6,8 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import semiclab.classical as classical
 from semiclab.classical import (
     COAREA_RESOLUTION,
+    FLOW_DRIFT_TOL,
+    FLOW_PROBE,
     _band_box,
     _march,
     allowed_intervals,
@@ -21,7 +24,9 @@ from semiclab.classical import (
     liouville_integral,
     mu_average,
 )
+from semiclab.eig import eigs_in_window
 from semiclab.errors import ConfigError, NumericalError
+from semiclab.microlocal import default_frame
 from semiclab.model import (
     PhasePolynomial,
     Polynomial1D,
@@ -29,6 +34,7 @@ from semiclab.model import (
     find_critical_points,
     get_model,
 )
+from semiclab.quantize import build_split, grid_for_split
 
 
 def phase_model(terms):
@@ -266,7 +272,77 @@ class TestCoarea:
         assert rep["rel_diff"] < 0.01
 
 
+def egorov_lattice(h=0.05, energy=0.5):
+    """The coherent lattice ``egorov_defect`` flows for quad-max's window."""
+    qm = get_model("quad-max")
+    xi_sq = Polynomial1D((0.0, 0.0, 1.0))
+    grid = grid_for_split(qm.potential, xi_sq, h, energy, d=5.0)
+    win = eigs_in_window(build_split(qm.potential, xi_sq, h, grid),
+                         energy - 5 * h, energy + 5 * h)
+    frame = default_frame(win)
+    return qm, frame.x_centers[:, None], frame.xi_centers[None, :]
+
+
+def halving_loop(model, x0, xi0, t):
+    """flow_points without its probe: every attempt flows every point."""
+    e0 = model.eval(x0, xi0)
+    scale = 1.0 + float(np.max(np.abs(e0)))
+    V_prime = model.potential.derivative()
+    dt0 = 1e-3 * max(abs(t), 1.0)
+    for attempt in range(7):
+        x1, xi1 = classical._verlet(V_prime, x0, xi0, t, dt0 * 0.5**attempt)
+        drift = float(np.max(np.abs(model.eval(x1, xi1) - e0)))
+        if drift <= FLOW_DRIFT_TOL * scale:
+            return x1, xi1, drift
+    raise NumericalError("no step passed")
+
+
 class TestFlows:
+    def test_probe_keeps_the_result_bit_for_bit(self):
+        qm, x, xi = egorov_lattice()
+        xx, ss = np.broadcast_arrays(x, xi)
+        ref_x, ref_xi, ref_drift = halving_loop(qm, xx.ravel(), ss.ravel(), 0.5)
+        res = flow_points(qm, x, xi, 0.5)
+        assert np.array_equal(res.x.ravel(), ref_x)
+        assert np.array_equal(res.xi.ravel(), ref_xi)
+        assert res.energy_drift == ref_drift
+
+    def test_probe_rejects_steps_before_the_full_lattice_runs(self, monkeypatch):
+        qm, x, xi = egorov_lattice()
+        size = x.size * xi.size
+        assert size > FLOW_PROBE
+        verlet = classical._verlet
+        seen = []
+
+        def spy(V_prime, x0, xi0, t, dt):
+            seen.append((np.size(x0), dt))
+            return verlet(V_prime, x0, xi0, t, dt)
+
+        monkeypatch.setattr(classical, "_verlet", spy)
+        flow_points(qm, x, xi, 0.5)
+        # without the probe the lattice is flowed at 1e-3, 5e-4 and 2.5e-4;
+        # the probe's drift at 5e-4 is within 4x the tolerance, so 2.5e-4
+        # goes to the lattice unprobed
+        assert [dt for n, dt in seen if n == size] == [1e-3 * 0.5**2]
+        assert [(n, dt) for n, dt in seen if n != size] == [(FLOW_PROBE, 1e-3),
+                                                            (FLOW_PROBE, 5e-4)]
+
+    def test_last_attempt_flows_every_point(self, monkeypatch):
+        qm = get_model("quad-max")
+        x, xi = np.linspace(-0.8, 0.8, 100), np.linspace(-0.5, 0.5, 100)
+        verlet = classical._verlet
+        sizes = []
+
+        def spy(V_prime, x0, xi0, t, dt):
+            sizes.append(np.size(x0))
+            return verlet(V_prime, x0, xi0, t, dt)
+
+        monkeypatch.setattr(classical, "_verlet", spy)
+        monkeypatch.setattr(classical, "FLOW_DRIFT_TOL", 1e-30)
+        with pytest.raises(NumericalError, match="after 6 step halvings"):
+            flow_points(qm, x, xi, 0.1)
+        assert sizes == [FLOW_PROBE] * 6 + [x.size]
+
     def test_harmonic_period(self):
         # dx/dt = 2 xi gives angular speed 2: the orbit closes at t = pi
         harm = get_model("harmonic")

@@ -93,6 +93,12 @@ class TestAntiWick:
         assert np.min(vals) >= -1e-10
         assert np.min(masses) > 0.99
 
+    def test_constant_symbol_averages_to_the_mass(self):
+        # a table of ones weighs every Husimi cell by 1: the captured mass
+        win = harmonic_window(0.05, ppw=64)
+        vals, masses = antiwick_averages(win, parse_observable("1"))
+        assert np.max(np.abs(vals - masses)) < 1e-12
+
     def test_gap_is_order_h(self):
         obs = parse_observable("exp(-x^2 - xi^2)")
         gaps = []

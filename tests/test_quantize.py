@@ -349,4 +349,12 @@ class TestAntiWick:
                           for xc in frame.x_centers])
         (v1,), _ = antiwick_batch(frame, g, psi[None, :], a)
         (v2,), _ = antiwick_batch(frame, g, psi[None, :], table)
-        assert v1 == pytest.approx(v2, rel=1e-12)
+        assert v1 == v2
+
+    def test_scalar_symbol_broadcasts_to_the_lattice(self):
+        h = 0.05
+        g = Grid1D(-3.0, 3.0, 1024, "periodic")
+        frame = build_coherent_frame(g, h, (-1.5, 1.5))
+        psis = np.stack([frame.state(g, 0.2, 0.1), frame.state(g, -0.5, 0.4)])
+        vals, masses = antiwick_batch(frame, g, psis, lambda x, xi: 1.0)
+        assert np.max(np.abs(vals - masses)) < 1e-12
