@@ -35,7 +35,6 @@ from .experiments import (
 from .microlocal import (
     egorov_defect,
     microlocal_records,
-    radial_state_averages,
     upsilon,
     upsilon_a,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "parse_observable",
     "predict_scaling",
     "radial_channels",
-    "radial_state_averages",
     "ratio_limit",
     "run_scan",
     "run_scenario",

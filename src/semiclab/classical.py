@@ -390,14 +390,14 @@ def level_volume(model: SymbolModel, energy: float,
     return liouville_integral(model, None, energy, allow_critical)
 
 
-def normalizing_volume(model: SymbolModel, energy: float,
-                       allow_critical: bool = False) -> float:
+def normalizing_volume(model: SymbolModel, energy: float) -> float:
     """Level-set volume that normalizes a Liouville average.
 
-    A divergent or empty level set has no normalized average: both raise
+    A critical energy is probed, not refused (``allow_critical=True``).  A
+    divergent or empty level set has no normalized average: both raise
     ``NumericalError``.
     """
-    vol = level_volume(model, energy, allow_critical)
+    vol = level_volume(model, energy, allow_critical=True)
     if vol.divergent:
         raise NumericalError(
             f"Liouville volume divergent at E={energy:.6g}: {vol.detail}")
@@ -406,10 +406,11 @@ def normalizing_volume(model: SymbolModel, energy: float,
     return vol.value
 
 
-def mu_average(model: SymbolModel, a, energy: float, allow_critical: bool = True) -> float:
-    """Normalized Liouville average of a on {symbol = energy}."""
-    vol = normalizing_volume(model, energy, allow_critical)
-    return liouville_integral(model, a, energy, allow_critical).value / vol
+def mu_average(model: SymbolModel, a, energy: float) -> float:
+    """Normalized Liouville average of a on {symbol = energy}, a critical
+    energy probed as in :func:`normalizing_volume`."""
+    vol = normalizing_volume(model, energy)
+    return liouville_integral(model, a, energy, allow_critical=True).value / vol
 
 
 def classify_integrability(cp: CriticalPoint, model: SymbolModel) -> str:

@@ -30,7 +30,7 @@ import numpy as np
 from .classical import liouville_integral, normalizing_volume
 # eigs_in_window is unused here; perfbench/test_perfbench.py::
 # test_wrapper_reaches_from_import_aliases_and_restores expects this module to hold it
-from .eig import eigs_in_window, radial_channels  # noqa: F401
+from .eig import EigenWindow, eigs_in_window  # noqa: F401
 from .errors import ConfigError, HypothesisError, NumericalError, exit_code_for
 from .experiments import (
     _fmt,
@@ -46,7 +46,6 @@ from .microlocal import (
     antiwick_averages,
     check_frame_mass,
     microlocal_records,
-    radial_state_averages,
     upsilon,
     upsilon_a,
     weyl_or_reference,
@@ -324,6 +323,13 @@ def _grid_override(m: SymbolModel, cfg: dict) -> Grid1D | None:
         raise ConfigError(str(exc)) from None
 
 
+def _channel_rows(win: EigenWindow):
+    """(m, weight, j) of every state of a radial window, j its index in its
+    channel; the states come channel by channel."""
+    j = np.arange(win.count) - np.searchsorted(win.m, win.m)
+    return zip(win.m.tolist(), win.weights.tolist(), j.tolist())
+
+
 def cmd_spectrum(args) -> int:
     cfg = _resolve(args)
     m = _window_model(cfg)
@@ -331,14 +337,11 @@ def cmd_spectrum(args) -> int:
         cfg["ecenter"] = default_center(m)
     h, e_center, d = cfg["h"], cfg["ecenter"], cfg["d"]
     grid = _grid_override(m, cfg)
+    win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"], vectors=False, grid=grid)
     if m.family == "radial2d":
-        chans = radial_channels(m.potential, h, e_center - d * h, e_center + d * h,
-                                d=d, ppw=cfg["ppw"], vectors=False)
         header = ["m", "weight", "j", "eigenvalue"]
-        rows = [[ch.m, ch.weight, j, _fmt(lam)]
-                for ch in chans for j, lam in enumerate(ch.window.eigenvalues)]
+        rows = [[*c, _fmt(lam)] for c, lam in zip(_channel_rows(win), win.eigenvalues)]
     else:
-        win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"], vectors=False, grid=grid)
         header = ["j", "eigenvalue"]
         rows = [[j, _fmt(lam)] for j, lam in enumerate(win.eigenvalues)]
     _emit_text(_csv_text("spectrum", cfg, header, rows), cfg["out"])
@@ -365,20 +368,18 @@ def cmd_measure(args) -> int:
             raise ConfigError(
                 "anti-Wick averages need a planar coherent frame; radial "
                 "windows have none (use weyl)")
-        chans = radial_channels(m.potential, h, e_center - d * h, e_center + d * h,
-                                d=d, ppw=cfg["ppw"], vectors=True)
-        records = [{"m": int(ch.m), "weight": int(ch.weight), "j": j,
-                    "eigenvalue": float(ch.window.eigenvalues[j]),
-                    "nu_weyl": float(nu), "method": "radial-position"}
-                   for ch, nus in zip(chans, radial_state_averages(chans, obs))
-                   for j, nu in enumerate(nus)]
-        if not records:
+    win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"])
+    if m.family == "radial2d":
+        if not win.count:
             raise NumericalError("no states in the radial window")
-        ups = upsilon(chans)
+        nus, _method = weyl_or_reference(win, obs)
+        records = [{"m": c, "weight": int(wt), "j": j, "eigenvalue": float(lam),
+                    "nu_weyl": float(nu), "method": "radial-position"}
+                   for (c, wt, j), lam, nu in zip(_channel_rows(win), win.eigenvalues, nus)]
+        ups = upsilon(win)
         payload = {"config": _echo("measure", cfg), "upsilon": ups,
-                   "weighted_mean": upsilon_a(chans, obs) / ups, "records": records}
+                   "weighted_mean": upsilon_a(win, obs) / ups, "records": records}
     else:
-        win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"])
         # each route runs only when it is reported, so a route left out
         # can neither cost time nor refuse the window
         records = [{"j": j, "eigenvalue": float(lam)} for j, lam in enumerate(win.eigenvalues)]
@@ -413,7 +414,7 @@ def cmd_liouville(args) -> int:
     if not res.divergent:
         # res is the numerator of the average: allow_critical only decides
         # whether a critical energy is refused or probed, never the value
-        average = float(value / normalizing_volume(m, cfg["energy"], allow_critical=True))
+        average = float(value / normalizing_volume(m, cfg["energy"]))
     payload = {"config": _echo("liouville", cfg),
                "value": value if np.isfinite(value) else None,
                "divergent": bool(res.divergent),

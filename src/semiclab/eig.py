@@ -120,11 +120,20 @@ class EigenWindow:
     edge_flags: np.ndarray  # True where the eigenvalue is edge-ambiguous
     residual_max: float | None
     count_check: int  # independent count: Sturm, or LDL^H inertia if split
-    grid: Grid1D | None = None
+    grid: Grid1D
+    m: np.ndarray | None = None  # angular channel of each state on a radial window
 
     @property
     def count(self) -> int:
         return int(self.eigenvalues.size)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Angular multiplicity of each state: 2 for a radial channel m >= 1
+        (it enters as +-m), else 1."""
+        if self.m is None:
+            return np.ones(self.count)
+        return np.where(self.m == 0, 1.0, 2.0)
 
     @property
     def has_ties(self) -> bool:
@@ -311,12 +320,6 @@ def _inertia_count(m: np.ndarray, shift: float) -> int:
     return count + int(np.sum(mid - rad < 0.0) + np.sum(mid + rad < 0.0))
 
 
-def _operator_scale(op: DiscreteOperator) -> float:
-    if op.form == "tridiagonal":
-        return float(np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.offdiag)))
-    return float(np.max(np.abs(op.mult_x)) + np.max(np.abs(op.mult_xi)))
-
-
 def _hermite_basis(op: DiscreteOperator, lo: float,
                    hi: float) -> tuple[float, float, float, int]:
     """Centre (x0, xi0), squeeze s and size N of a split window's basis; a
@@ -381,19 +384,10 @@ def _basis_vectors(mat: np.ndarray, band: np.ndarray, w: np.ndarray,
     return q @ eigh(q.conj().T @ (mat @ q))[1]
 
 
-def _window_solve(op: DiscreteOperator, band: np.ndarray | None, lo: float, hi: float,
-                  want_vectors: bool, pad: float):
-    """One window solve over a slightly widened range, values only on the
-    split route (``band``).  The caller filters the states to the window."""
-    nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), pad)
-    vl, vu = lo - nudge, hi + nudge
-    if band is not None:
-        return eig_banded(band[:band.shape[0] // 2 + 1], eigvals_only=True, select="v",
-                          select_range=(vl, vu)), None
-    if want_vectors:
-        return eigh_tridiagonal(op.diag, op.offdiag, select="v", select_range=(vl, vu))
-    return eigh_tridiagonal(op.diag, op.offdiag, select="v", select_range=(vl, vu),
-                            eigvals_only=True), None
+def _solve_range(lo: float, hi: float, eps_keep: float) -> tuple[float, float]:
+    """The window widened for its solve; the caller filters the states back."""
+    nudge = max(1e-13 * max(1.0, abs(lo), abs(hi)), 2.0 * eps_keep)
+    return lo - nudge, hi + nudge
 
 
 def _to_grid(coef: np.ndarray, grid: Grid1D, h: float, x0: float, xi0: float,
@@ -475,6 +469,65 @@ def _check_window(lo: float, hi: float) -> None:
                           "d*h below the floating-point spacing at its centre collapses it")
 
 
+def _tridiagonal_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
+                        vectors: bool, values: bool):
+    """LAPACK bisection and inverse iteration on [lo, hi], certified by Sturm;
+    a count-only window (``values=False``) reads counts at its thresholds."""
+    diag, off = op.diag, op.offdiag
+    scale = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
+    eps_keep = 1e-12 * max(scale, 1.0)
+    check = count_in_window(diag, off, lo, hi)
+    if not values:
+        return (*_count_window(diag, off, lo, hi, eps_keep, edge_tol), check, None, scale)
+    span = _solve_range(lo, hi, eps_keep)
+    out = eigh_tridiagonal(diag, off, select="v", select_range=span, eigvals_only=not vectors)
+    w, v = out if vectors else (out, None)
+    w, v, flags = _in_window(w, v, lo, hi, eps_keep, edge_tol)
+    resid = None
+    if v is not None and w.size:
+        # H V for all states at once; each column's norm alone keeps the
+        # summation order, and so the bits, of a state-by-state residual
+        hv = diag[:, None] * v
+        hv[:-1] += off[:, None] * v[1:]
+        hv[1:] += off[:, None] * v[:-1]
+        resid = max(float(np.linalg.norm(r)) for r in (hv - v * w).T)
+    return w, v, flags, check, resid, scale
+
+
+def _split_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
+                  vectors: bool, values: bool):
+    """Values from the Hermite band, vectors by inverse iteration, certified
+    by LDL^H inertia; the tail check guards the basis size.  ``values`` is
+    ignored: the split route always solves."""
+    scale = float(np.max(np.abs(op.mult_x)) + np.max(np.abs(op.mult_xi)))
+    eps_keep = 1e-12 * max(scale, 1.0)
+    x0, xi0, s, n = _hermite_basis(op, lo, hi)
+    # the basis matrix is dense; the grid keeps to grid_for_split's cap
+    _check_dense_cap(max(n, op.size), "split window", op.h)
+    band, mat = _hermite_matrix(op, x0, xi0, s, n)
+    check = (_inertia_count(mat, np.nextafter(hi, np.inf))
+             - _inertia_count(mat, np.nextafter(lo, -np.inf)))
+    w = eig_banded(band[:band.shape[0] // 2 + 1], eigvals_only=True, select="v",
+                   select_range=_solve_range(lo, hi, eps_keep))
+    w, _, flags = _in_window(w, None, lo, hi, eps_keep, edge_tol)
+    coef, resid = np.empty((n, 0), dtype=complex), None
+    if w.size:
+        coef = _basis_vectors(mat, band, w, eps_keep)
+        tail = float(np.max(np.sum(np.abs(coef[-TAIL_ROWS:]) ** 2, axis=0)))
+        if tail > TAIL_MASS:
+            raise NumericalError(
+                f"Hermite basis of {n} functions too small at h={op.h:.3g}: a window "
+                f"state keeps {tail:.1e} of its mass in the last {TAIL_ROWS} coefficients")
+        resid = float(np.max(np.linalg.norm(mat @ coef - coef * w, axis=0)))
+    v = _to_grid(coef, op.grid, op.h, x0, xi0, s) if vectors else None
+    return w, v, flags, check, resid, scale
+
+
+# operator form -> (window route, its count certificate)
+_ROUTES = {"tridiagonal": (_tridiagonal_window, "Sturm"),
+           "split": (_split_window, "LDL^H inertia")}
+
+
 def eigs_in_window(
     op: DiscreteOperator,
     lo: float,
@@ -486,66 +539,32 @@ def eigs_in_window(
     """All eigenpairs of a tridiagonal or split ``op`` with lo <= lambda <= hi.
 
     States within ``EDGE_FRACTION`` of the window width of an edge are
-    flagged.  Residuals ||H psi - lambda psi|| are certified against
-    ``RESIDUAL_TOL`` times the operator scale: on the grid when a
-    tridiagonal window has vectors, in the Hermite basis on every split
-    window.  ``values=False`` (which needs ``vectors=False``) promises that
-    only the count, ``count_check`` and ``edge_flags`` are read: the
+    flagged.  Computed eigenvalues carry O(eps * ||H||) rounding, so window
+    membership is resolved up to 1e-12 times the operator scale and
+    ``edge_flags`` carry the rest.  Residuals ||H psi - lambda psi|| are
+    certified against ``RESIDUAL_TOL`` times the operator scale: on the grid
+    when a tridiagonal window has vectors, in the Hermite basis on every
+    split window.  ``values=False`` (which needs ``vectors=False``) promises
+    that only the count, ``count_check`` and ``edge_flags`` are read: the
     tridiagonal route then reads them off eigenvalue counts at the decision
     thresholds and leaves the eigenvalues NaN (see the module docstring).
     """
     _check_window(lo, hi)
     if vectors and not values:
         raise ValueError("values=False reads counts only; it needs vectors=False")
-    if op.form not in ("tridiagonal", "split"):
+    if op.form not in _ROUTES:
         raise ValueError(f"no window solve for {op.form} operators")
-    edge_tol = EDGE_FRACTION * (hi - lo)
-    scale = _operator_scale(op)
-    # computed eigenvalues carry O(eps * ||H||) rounding; resolve window
-    # membership only up to that certainty and let edge_flags carry the rest
-    eps_keep = 1e-12 * max(scale, 1.0)
-    band = None
-    if op.form == "tridiagonal":
-        check, method = count_in_window(op.diag, op.offdiag, lo, hi), "Sturm"
-    else:
-        x0, xi0, s, n = _hermite_basis(op, lo, hi)
-        # the basis matrix is dense; the grid keeps to grid_for_split's cap
-        _check_dense_cap(max(n, op.size), "split window", op.h)
-        band, mat = _hermite_matrix(op, x0, xi0, s, n)
-        check = (_inertia_count(mat, np.nextafter(hi, np.inf))
-                 - _inertia_count(mat, np.nextafter(lo, -np.inf)))
-        method = "LDL^H inertia"
-    if band is None and not values:
-        w, v, flags = _count_window(op.diag, op.offdiag, lo, hi, eps_keep, edge_tol)
-    else:
-        w, v, flags = _in_window(*_window_solve(op, band, lo, hi, vectors, pad=2.0 * eps_keep),
-                                 lo, hi, eps_keep, edge_tol)
+    route, method = _ROUTES[op.form]
+    w, v, flags, check, resid, scale = route(op, lo, hi, EDGE_FRACTION * (hi - lo),
+                                             vectors, values)
     # only edge-flagged states may account for a disagreement
     if abs(check - w.size) > int(np.sum(flags)):
         raise NumericalError(
             f"window count disagreement: LAPACK {w.size}, {method} {check} "
             f"on [{lo:.6g}, {hi:.6g}]")
-
-    resid = None
-    if band is not None:
-        coef = np.empty((n, 0), dtype=complex)
-        if w.size:
-            coef = _basis_vectors(mat, band, w, eps_keep)
-            tail = float(np.max(np.sum(np.abs(coef[-TAIL_ROWS:]) ** 2, axis=0)))
-            if tail > TAIL_MASS:
-                raise NumericalError(
-                    f"Hermite basis of {n} functions too small at h={op.h:.3g}: a window "
-                    f"state keeps {tail:.1e} of its mass in the last {TAIL_ROWS} coefficients")
-            resid = float(np.max(np.linalg.norm(mat @ coef - coef * w, axis=0)))
-        if vectors:
-            v = _to_grid(coef, op.grid, op.h, x0, xi0, s)
-    elif v is not None and w.size:
-        resid = max(float(np.linalg.norm(op.apply(v[:, i]) - w[i] * v[:, i]))
-                    for i in range(w.size))
     if resid is not None and resid > RESIDUAL_TOL * scale:
         raise NumericalError(
             f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}")
-
     return EigenWindow(h=op.h, lo=lo, hi=hi, eigenvalues=w, vectors=v,
                        edge_flags=flags, residual_max=resid, count_check=check,
                        grid=op.grid)

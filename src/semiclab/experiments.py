@@ -13,10 +13,10 @@ geometry of the energy surface:
   |log h| factor exactly when 2n/k is an integer.
 
 The branch with the slowest decay dominates.  ``solve_window`` is the one
-builder of a 1D spectral window, shared by scans, scenarios and the command
-line; ``run_scan`` measures the counts (and observable-weighted counts)
-over an h grid; ``fit_scaling``
-recovers (alpha, beta) from measured rows by a model race: pure and
+builder of a spectral window of every model family, shared by scans,
+scenarios and the command line; ``run_scan`` measures the counts (and
+observable-weighted counts) over an h grid; ``fit_scaling`` recovers
+(alpha, beta) from measured rows by a model race: pure and
 background-augmented power/log laws with nonnegative coefficients compete
 under BIC, after a burn-in that drops rows whose energy window overlaps a
 second critical level.  ``ratio_limit`` tracks Upsilon_a / Upsilon against
@@ -177,25 +177,41 @@ def default_h_values(route: str) -> tuple[float, ...]:
 def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDOW_D,
                  ppw: int = WINDOW_PPW, vectors: bool = True, h_max: float | None = None,
                  grid: Grid1D | None = None, *, values: bool = True) -> EigenWindow:
-    """Eigenpairs of a 1D model in the window [e_center - d h, e_center + d h].
+    """Eigenpairs of a model in the window [e_center - d h, e_center + d h].
 
     Potential models take the finite-difference route, split phase symbols
-    f(x) + g(xi) the Fourier-multiplier route.  The automatic grid sizes its
-    box from ``h_max``, the largest h of the surrounding scan (``None``: this
-    h), and ``grid`` replaces it.  Either way the operator is checked
-    against the resolution or aliasing policy at the window top.
-    ``values=False`` makes a count-only window: its count and edge flags
-    come from eigenvalue counts, and its eigenvalues are NaN (see
+    f(x) + g(xi) the Hermite-basis route, and radial models the channels of
+    :func:`radial_channels`, joined into one window on their shared radial
+    grid whose ``m`` gives each state's channel.  The automatic grid sizes
+    its box from ``h_max``, the largest h of the surrounding scan (``None``:
+    this h), and ``grid`` replaces it on the 1D routes.  Either way the
+    operator is checked against the resolution or aliasing policy at the
+    window top.  ``values=False`` makes a count-only window: its count and
+    edge flags come from eigenvalue counts, and its eigenvalues are NaN (see
     :func:`eigs_in_window`).
     """
     lo, hi = e_center - d * h, e_center + d * h
     _check_window(lo, hi)
+    if model.family == "radial2d":
+        if grid is not None:
+            raise ConfigError("radial windows size their own grid")
+        chans = radial_channels(model.potential, h, lo, hi, d=d, h_max=h_max, ppw=ppw,
+                                vectors=vectors, values=values)
+        wins = [c.window for c in chans]
+        return EigenWindow(
+            h=h, lo=lo, hi=hi, eigenvalues=np.concatenate([w.eigenvalues for w in wins]),
+            vectors=np.hstack([w.vectors for w in wins]) if vectors else None,
+            edge_flags=np.concatenate([w.edge_flags for w in wins]),
+            residual_max=max((w.residual_max for w in wins if w.residual_max is not None),
+                             default=None),
+            count_check=sum(w.count_check for w in wins), grid=wins[0].grid,
+            m=np.repeat([c.m for c in chans], [w.count for w in wins]))
     if model.family == "schrodinger1d":
         if grid is None:
             grid = grid_for_schrodinger(model.potential, h, e_center, d=d,
                                         h_max=h_max, ppw=ppw)
         op = build_schrodinger(model.potential, h, grid, window_top=hi)
-    elif model.family == "phase1d":
+    else:
         if not model.phase_poly.is_split():
             raise ConfigError(f"model {model.name!r} has mixed x*xi terms; only "
                               "split phase symbols are quantizable here")
@@ -203,8 +219,6 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDO
         if grid is None:
             grid = grid_for_split(f, g, h, e_center, d=d, h_max=h_max)
         op = build_split(f, g, h, grid, window_top=hi)
-    else:
-        raise ConfigError(f"{model.family} models are solved by radial_channels")
     return eigs_in_window(op, lo, hi, vectors=vectors, values=values)
 
 
@@ -212,34 +226,20 @@ def _scan_route(model: SymbolModel) -> str:
     return {"schrodinger1d": "fd", "phase1d": "split", "radial2d": "radial"}[model.family]
 
 
-def _scan_one(model: SymbolModel, route: str, h: float, h_max: float,
-              e_center: float, d: float, ppw: int,
-              observables: tuple[Observable, ...]) -> ScanRow:
+def _scan_one(model: SymbolModel, h: float, h_max: float, e_center: float, d: float,
+              ppw: int, observables: tuple[Observable, ...]) -> ScanRow:
     need_vectors = bool(observables)
     nan_obs = tuple(math.nan for _ in observables)
 
     try:
-        if route == "radial":
-            chans = radial_channels(model.potential, h, e_center - d * h, e_center + d * h,
-                                    d=d, h_max=h_max, ppw=ppw, vectors=need_vectors,
-                                    values=need_vectors)
-            ups = upsilon(chans)
-            obs_vals = tuple(upsilon_a(chans, o) for o in observables)
-            n_grid = max((c.window.grid.n for c in chans), default=0)
-            residual = max((c.window.residual_max for c in chans
-                            if c.window.residual_max is not None), default=0.0)
-            tie = any(c.window.has_ties for c in chans)
-        else:
-            win = solve_window(model, h, e_center, d=d, ppw=ppw, vectors=need_vectors,
-                               h_max=h_max, values=need_vectors)
-            ups = upsilon(win)
-            obs_vals = tuple(upsilon_a(win, o) if win.count else 0.0 for o in observables)
-            n_grid = win.grid.n
-            residual = win.residual_max if win.residual_max is not None else 0.0
-            tie = win.has_ties
+        win = solve_window(model, h, e_center, d=d, ppw=ppw, vectors=need_vectors,
+                           h_max=h_max, values=need_vectors)
+        ups = upsilon(win)
+        obs_vals = tuple(upsilon_a(win, o) if win.count else 0.0 for o in observables)
+        residual = win.residual_max if win.residual_max is not None else 0.0
         ratios = tuple(v / ups if ups > 0 else math.nan for v in obs_vals)
-        return ScanRow(h=h, n_grid=n_grid, upsilon=ups, upsilon_obs=obs_vals,
-                       ratios=ratios, residual_max=residual, tie=tie)
+        return ScanRow(h=h, n_grid=win.grid.n, upsilon=ups, upsilon_obs=obs_vals,
+                       ratios=ratios, residual_max=residual, tie=win.has_ties)
     except (ConfigError, NumericalError, HypothesisError) as exc:
         msg = str(exc).replace(",", ";").replace("\n", " ")
         return ScanRow(h=h, n_grid=0, upsilon=math.nan, upsilon_obs=nan_obs,
@@ -284,7 +284,7 @@ def run_scan(
             if o.routing != "position_only":
                 raise ConfigError(
                     f"radial scans take position observables a(r); got {o.id!r}")
-    rows = [_scan_one(model, route, h, hs[0], e_center, d, ppw, obs) for h in hs]
+    rows = [_scan_one(model, h, hs[0], e_center, d, ppw, obs) for h in hs]
     return ScanResult(model=model.name, family=model.family, e_center=e_center,
                       d=d, route=route, ppw=ppw,
                       observable_ids=tuple(o.id for o in obs), rows=tuple(rows))

@@ -27,9 +27,8 @@ grids past the dense cap fall back to the anti-Wick value as the reference
 observable that overflows on the grid) raises ``NumericalError`` on either
 route.
 
-Radial 2D windows support position-only observables a(r); their records
-carry NaN in the anti-Wick slot since no planar coherent frame exists for
-them here.
+Radial 2D windows (``window.m`` set) support position-only observables
+a(r) on the Weyl route; no planar coherent frame exists for them here.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import flow_points
-from .eig import EigenWindow, RadialChannel
+from .eig import EigenWindow
 from .errors import NumericalError
 from .model import SymbolModel
 from .observables import Observable
@@ -62,7 +61,6 @@ __all__ = [
     "default_frame",
     "upsilon",
     "upsilon_a",
-    "radial_state_averages",
     "egorov_defect",
 ]
 
@@ -174,6 +172,8 @@ def _auto_xi_span(window: EigenWindow, coverage: float = 0.999) -> tuple[float, 
 
 
 def default_frame(window: EigenWindow, xi_span: tuple[float, float] | None = None) -> CoherentFrame:
+    if window.m is not None:
+        raise ValueError("radial windows have no planar coherent frame")
     if xi_span is None:
         xi_span = _auto_xi_span(window)
     return build_coherent_frame(window.grid, window.h, xi_span)
@@ -206,8 +206,12 @@ def weyl_or_reference(window: EigenWindow, obs: Observable) -> tuple[np.ndarray,
     Weyl matrix; the anti-Wick average then serves as the reference value
     and the method label records the substitution.  A substituted value
     passes the same ``MASS_FLOOR`` check as :func:`microlocal_records`.
-    Returns the values and the method label.
+    Returns the values and the method label.  A radial window takes
+    position observables a(r) only: its states hold sqrt(r dr) psi(r), so
+    the plane average is the diagonal route.
     """
+    if window.m is not None and obs.routing != "position_only":
+        raise ValueError("radial windows take position observables a(r) only")
     if _substitutes(window, obs):
         vals, masses = antiwick_averages(window, obs)
         check_frame_mass(masses)
@@ -230,11 +234,7 @@ def check_frame_mass(masses: np.ndarray) -> None:
             "widen the frame or the grid")
 
 
-def microlocal_records(
-    window: EigenWindow,
-    obs: Observable,
-    frame: CoherentFrame | None = None,
-) -> list[MicrolocalRecord]:
+def microlocal_records(window: EigenWindow, obs: Observable) -> list[MicrolocalRecord]:
     """Both measure routes per window state.
 
     Raises ``NumericalError`` when the frame captures less than
@@ -242,48 +242,30 @@ def microlocal_records(
     """
     if _substitutes(window, obs):
         # the reference values are the anti-Wick averages: one batch serves both
-        na, masses = antiwick_averages(window, obs, frame)
+        na, masses = antiwick_averages(window, obs)
         nw, method = na, "antiwick-reference"
     else:
         nw, method = weyl_averages(window, obs)
-        na, masses = antiwick_averages(window, obs, frame)
+        na, masses = antiwick_averages(window, obs)
     check_frame_mass(masses)
     return [MicrolocalRecord(j=j, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]), method=method,
                              antiwick_mass=float(masses[j]))
             for j in range(window.count)]
 
 
-def upsilon(window) -> float:
+def upsilon(window: EigenWindow) -> float:
     """Multiplicity-weighted number of window states."""
-    if isinstance(window, EigenWindow):
-        return float(window.count)
-    return float(sum(c.weight * c.window.count for c in window))
+    return float(np.sum(window.weights))
 
 
-def upsilon_a(window, obs: Observable) -> float:
+def upsilon_a(window: EigenWindow, obs: Observable) -> float:
     """a-weighted state count: sum of multiplicity-weighted Weyl averages.
 
     Reduces to :func:`upsilon` when a is identically one, because every
     normalized state averages the constant symbol to exactly its l2 mass.
-    Accepts an :class:`EigenWindow` or a list of radial channels (position
-    observables only in the radial case).
     """
-    if isinstance(window, EigenWindow):
-        vals, _method = weyl_or_reference(window, obs)
-        return float(np.sum(vals))
-    return sum((ch.weight * float(np.sum(vals))
-                for ch, vals in zip(window, radial_state_averages(window, obs))), 0.0)
-
-
-def radial_state_averages(channels: list[RadialChannel], obs: Observable) -> list[np.ndarray]:
-    """<a> of every state of every radial channel, one array per channel.
-
-    Eigenvectors hold sqrt(r dr) psi(r), so the plane average of a position
-    observable a(r) is the diagonal route of :func:`weyl_averages`.
-    """
-    if obs.routing != "position_only":
-        raise ValueError("radial windows take position observables a(r) only")
-    return [weyl_averages(ch.window, obs)[0] for ch in channels]
+    vals, _method = weyl_or_reference(window, obs)
+    return float(np.sum(window.weights * vals))
 
 
 # ---------------------------------------------------------------------------

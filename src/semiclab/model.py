@@ -68,8 +68,8 @@ class Polynomial1D:
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(x, self.coefficients)
 
-    def derivative(self, order: int = 1) -> "Polynomial1D":
-        c = np.polynomial.polynomial.polyder(self.coefficients, m=order)
+    def derivative(self) -> "Polynomial1D":
+        c = np.polynomial.polynomial.polyder(self.coefficients)
         return Polynomial1D(tuple(c) if len(c) else (0.0,))
 
     def taylor_at(self, x0: float) -> tuple[float, ...]:

@@ -139,17 +139,6 @@ class DiscreteOperator:
     def size(self) -> int:
         return self.grid.n
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product in the operator's natural representation."""
-        if self.form == "tridiagonal":
-            out = self.diag * v
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
-            return out
-        if self.form == "split":
-            return self.mult_x * v + np.fft.ifft(self.mult_xi * np.fft.fft(v))
-        return self.matrix @ v
-
 
 def resolution_dx(h: float, e_window_top: float, pot_min: float, ppw: int = PPW_FLOOR) -> float:
     """Largest admissible grid step for resolving the window dynamics."""
@@ -315,8 +304,6 @@ def dense_matrix(op: DiscreteOperator) -> np.ndarray:
     circulant C[i, j] = c[(i - j) % n], c = ifft(g); c is made exactly
     Hermitian-symmetric, c[n - k] = conj(c[k]), so C is exactly Hermitian.
     """
-    if op.form == "dense":
-        return op.matrix
     n = op.size
     _check_dense_cap(n, "dense matrix", op.h)
     if op.form == "tridiagonal":
@@ -354,8 +341,7 @@ def build_weyl_observable(a, h: float, grid: Grid1D) -> DiscreteOperator:
     refused before anything is allocated.
     """
     n = grid.n
-    if n > DENSE_CAP:
-        raise NumericalError(f"dense Weyl assembly capped at {DENSE_CAP} points, got {n}")
+    _check_dense_cap(n, "dense Weyl matrix", h)
     xi = grid.xi_values(h)
     mat = np.empty((n, n), dtype=complex)
     flat = mat.reshape(-1)

@@ -15,7 +15,7 @@ from semiclab.eig import (
 )
 from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import default_center, solve_window
-from semiclab.microlocal import upsilon, weyl_averages
+from semiclab.microlocal import weyl_averages
 from semiclab.model import Polynomial1D, catalog, get_model
 from semiclab.observables import parse_observable
 from semiclab.quantize import (
@@ -208,13 +208,11 @@ class TestDenseCertificate:
     def test_dropped_state_raises(self, monkeypatch):
         # one lost state is caught on both routes: LDL^H inertia (split) and
         # Sturm (tridiagonal), with no edge ties to excuse it
-        solve = semiclab.eig._window_solve
-
-        def drop_one(*args, **kwargs):
-            w, v = solve(*args, **kwargs)
-            return w[1:], (None if v is None else v[:, 1:])
-
-        monkeypatch.setattr("semiclab.eig._window_solve", drop_one)
+        banded, tridiagonal = semiclab.eig.eig_banded, semiclab.eig.eigh_tridiagonal
+        monkeypatch.setattr("semiclab.eig.eig_banded",
+                            lambda *args, **kwargs: banded(*args, **kwargs)[1:])
+        monkeypatch.setattr("semiclab.eig.eigh_tridiagonal",
+                            lambda *args, **kwargs: tridiagonal(*args, **kwargs)[1:])
         with pytest.raises(NumericalError, match="inertia"):
             k3_window(0.05, vectors=False)
         with pytest.raises(NumericalError, match="Sturm"):
@@ -253,6 +251,21 @@ class TestWindowSolve:
         assert np.max(np.abs(win.eigenvalues - exact) / exact) < 1e-4
         assert win.residual_max < 1e-9
         assert not win.has_ties
+
+    def test_residual_matches_the_column_by_column_product(self):
+        op = harmonic_op(0.05)
+        win = eigs_in_window(op, 0.34, 0.86)
+
+        def apply(v):  # H v, one column at a time
+            out = op.diag * v
+            out[:-1] += op.offdiag * v[1:]
+            out[1:] += op.offdiag * v[:-1]
+            return out
+
+        v = win.vectors[:, 0]
+        assert np.max(np.abs(apply(v) - dense_matrix(op) @ v)) < 1e-12 * np.max(np.abs(op.diag))
+        assert win.residual_max == max(float(np.linalg.norm(apply(v) - lam * v))
+                                       for lam, v in zip(win.eigenvalues, win.vectors.T))
 
     def test_empty_window(self):
         op = harmonic_op(0.05)
@@ -301,13 +314,13 @@ class TestHermiteRoute:
         assert np.max(np.abs(win.eigenvalues - inside)) < 1e-10
 
     def test_dropped_state_raises_through_inertia(self, monkeypatch):
-        solve = semiclab.eig._window_solve
+        solve = semiclab.eig.eig_banded
 
         def drop_centre(*args, **kwargs):
-            w, v = solve(*args, **kwargs)
-            return w[np.arange(w.size) != np.argmin(np.abs(w))], v
+            w = solve(*args, **kwargs)
+            return w[np.arange(w.size) != np.argmin(np.abs(w))]
 
-        monkeypatch.setattr(semiclab.eig, "_window_solve", drop_centre)
+        monkeypatch.setattr(semiclab.eig, "eig_banded", drop_centre)
         with pytest.raises(NumericalError, match="LAPACK 14, LDL\\^H inertia 15"):
             k3_window(0.01)
 
@@ -411,7 +424,7 @@ class TestCountOnly:
             raise AssertionError("a count-only window solved for eigenvalues")
 
         monkeypatch.setattr(semiclab.eig, "eigh_tridiagonal", refuse)
-        monkeypatch.setattr(semiclab.eig, "_window_solve", refuse)
+        monkeypatch.setattr(semiclab.eig, "eig_banded", refuse)
         win = eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False, values=False)
         assert win.count == 6 and win.count_check == 6 and not win.has_ties
 
@@ -426,7 +439,8 @@ class TestCountOnly:
         op = DiscreteOperator("tridiagonal", h, Grid1D(0.0, 1.0, diag.size, "dirichlet"),
                               diag=diag, offdiag=np.zeros(diag.size - 1))
         level = diag[3]
-        eps_keep = 1e-12 * semiclab.eig._operator_scale(op)
+        # the operator scale max|diag| + 2 max|offdiag|, above 1 here
+        eps_keep = 1e-12 * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(op.offdiag)))
 
         def at(lo):
             # the six thresholds of [lo, lo + width], as eigs_in_window makes them
@@ -465,6 +479,11 @@ class TestCountOnly:
         assert np.array_equal(counted.eigenvalues, full.eigenvalues)
 
 
+def weighted_count(channels):
+    """Plane count of radial channels: channel m >= 1 enters twice (+-m)."""
+    return sum(c.weight * c.window.count for c in channels)
+
+
 class TestRadial:
     def test_grid_nodes_half_offset(self):
         g = radial_grid(3.0, 30)
@@ -478,7 +497,7 @@ class TestRadial:
         # -h^2 Lap + r^2 in 2D: levels 2h(N+1) with multiplicity N+1
         h = 0.1
         ch = radial_channels(X2, h, 0.55, 0.85, d=5.0, ppw=64, vectors=False)
-        assert upsilon(ch) == 7.0  # three states at 0.6, four at 0.8
+        assert weighted_count(ch) == 7.0  # three states at 0.6, four at 0.8
         for c in ch:
             for lam in c.window.eigenvalues:
                 k = lam / (2 * h) - 1.0
@@ -505,8 +524,8 @@ class TestRadial:
     def test_count_stable_under_refinement(self):
         Vr = Polynomial1D((0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0))
         h = 0.02
-        a = upsilon(radial_channels(Vr, h, -0.1, 0.1, ppw=64, vectors=False))
-        b = upsilon(radial_channels(Vr, h, -0.1, 0.1, ppw=96, vectors=False))
+        a = weighted_count(radial_channels(Vr, h, -0.1, 0.1, ppw=64, vectors=False))
+        b = weighted_count(radial_channels(Vr, h, -0.1, 0.1, ppw=96, vectors=False))
         assert a == b
 
     def test_channel_sweep_terminates(self):

