@@ -12,7 +12,10 @@ observable a:
   keeps at most ``WEYL_LEAK`` (1e-24) of its spectral power beyond
   xi_max / (2 q) and the sub-grid keeps at least 16 points.  Finite-
   difference windows oversample their states (q = 8 on most of them);
-  split grids are sized by the classical momentum and get q = 1;
+  split grids are sized by the classical momentum and get q = 1.  Only
+  the block of rows where the states live is built: the smallest row
+  range outside which every decimated state keeps at most
+  ``WEYL_LEAK`` / 2 of its l2 mass on each side;
 
 * the anti-Wick route, a nonnegative average of the Husimi density over a
   coherent-state lattice.
@@ -102,14 +105,23 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
     """<Op(a) psi, psi> for every window state, plus the method label.
 
     A mixed symbol takes the dense Weyl matrix on the grid of every q-th
-    node, applied to sqrt(q) psi[::q].  q is the largest power of two for
-    which every state keeps at most ``WEYL_LEAK`` (1e-24) of its spectral
-    power beyond xi_max / (2 q), the band whose Wigner function the
-    sub-grid still resolves, and for which the sub-grid keeps at least 16
-    points.  The averages then agree with the full-grid matrix to rounding.
+    node, applied to w = sqrt(q) psi[::q].  q is the largest power of two
+    for which every state keeps at most ``WEYL_LEAK`` (1e-24) of its
+    spectral power beyond xi_max / (2 q), the band whose Wigner function
+    the sub-grid still resolves, and for which the sub-grid keeps at least
+    16 points.  Of that matrix only the block A[i0:i1, i0:i1] is built,
+    [i0, i1) the smallest row range outside which every w keeps at most
+    ``WEYL_LEAK`` / 2 of its l2 mass on each side.  The averages then agree
+    with the full-grid matrix to rounding.
     A non-finite average raises ``NumericalError``; numpy's floating-point
     warnings on the way there are silenced, so that error is the one report.
     """
+    return _weyl_averages(window, obs, None)
+
+
+def _weyl_averages(window: EigenWindow, obs: Observable,
+                   power: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, str]:
+    """:func:`weyl_averages`, given the window's ``_state_power`` if known."""
     v = _window_matrix(window)
     grid = window.grid
     h = window.h
@@ -127,9 +139,11 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
                 xi = grid.xi_values(h)
                 out += np.asarray(xi_part.eval(0.0, xi), dtype=float) @ (np.abs(spec) ** 2)
         else:
-            q = _decimation(window)
-            op = build_weyl_observable(obs, h, grid.every(q))
+            q = _decimation(window, power)
             w = math.sqrt(q) * v[::q]
+            i0, i1 = _support(w)
+            op = build_weyl_observable(obs, h, grid.every(q), (i0, i1))
+            w = w[i0:i1]
             out, method = np.einsum("ij,ij->j", w.conj(), op.matrix @ w).real, "weyl-dense"
     return _finite(out, obs, "Weyl"), method
 
@@ -141,15 +155,30 @@ def _state_power(window: EigenWindow) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(np.fft.fft(v, axis=0)) ** 2, window.grid.xi_values(window.h)
 
 
-def _decimation(window: EigenWindow) -> int:
+def _support(w: np.ndarray) -> tuple[int, int]:
+    """Smallest row range [i0, i1) outside which every column of w keeps at
+    most ``WEYL_LEAK`` / 2 of its l2 mass on each side; (0, n) when w has
+    no columns."""
+    mass = np.abs(w) ** 2
+    mass /= np.sum(mass, axis=0)
+    tol = 0.5 * WEYL_LEAK
+    # first row, from either end, where some state's outer mass passes tol
+    head = np.argmax(np.any(np.cumsum(mass, axis=0) > tol, axis=1))
+    tail = np.argmax(np.any(np.cumsum(mass[::-1], axis=0) > tol, axis=1))
+    return int(head), w.shape[0] - int(tail)
+
+
+def _decimation(window: EigenWindow,
+                power: tuple[np.ndarray, np.ndarray] | None = None) -> int:
     """Largest power of two q whose every-q-th-node grid keeps the Weyl
     averages of the window states.
 
     Each state may keep at most ``WEYL_LEAK`` of its spectral power beyond
-    xi_max / (2 q), and the sub-grid at least 16 points.
+    xi_max / (2 q), and the sub-grid at least 16 points.  ``power`` is the
+    window's ``_state_power``, computed here when not given.
     """
-    power, xi = _state_power(window)
-    power /= np.sum(power, axis=0)
+    power, xi = _state_power(window) if power is None else power
+    power = power / np.sum(power, axis=0)
     n, xi_max = window.grid.n, window.grid.xi_max(window.h)
     q = 1
     while n >= 32 * q and np.all(
@@ -158,9 +187,12 @@ def _decimation(window: EigenWindow) -> int:
     return q
 
 
-def _auto_xi_span(window: EigenWindow, coverage: float = 0.999) -> tuple[float, float]:
-    """Momentum span actually occupied by the window states, with margin."""
-    power, xi = _state_power(window)
+def _auto_xi_span(window: EigenWindow,
+                  power: tuple[np.ndarray, np.ndarray] | None = None,
+                  coverage: float = 0.999) -> tuple[float, float]:
+    """Momentum span actually occupied by the window states, with margin.
+    ``power`` is the window's ``_state_power``, computed here when not given."""
+    power, xi = _state_power(window) if power is None else power
     power = np.sum(power, axis=1)
     power /= np.sum(power)
     order = np.argsort(np.abs(xi))
@@ -187,7 +219,8 @@ def antiwick_averages(
     """Anti-Wick averages and captured masses for every window state.
 
     ``obs`` is a callable a(x, xi) or a precomputed table over the frame
-    lattice (x_centers by xi_centers).  A non-finite average raises
+    lattice (x_centers by xi_centers), or a list of them, which gives one
+    row of averages per symbol from one batch.  A non-finite average raises
     ``NumericalError``, as in :func:`weyl_averages`.
     """
     if frame is None:
@@ -240,13 +273,16 @@ def microlocal_records(window: EigenWindow, obs: Observable) -> list[MicrolocalR
     Raises ``NumericalError`` when the frame captures less than
     ``MASS_FLOOR`` of some state's Husimi mass.
     """
+    # one FFT of the states serves the frame's momentum span and the decimation
+    power = _state_power(window)
+    frame = default_frame(window, _auto_xi_span(window, power))
     if _substitutes(window, obs):
         # the reference values are the anti-Wick averages: one batch serves both
-        na, masses = antiwick_averages(window, obs)
+        na, masses = antiwick_averages(window, obs, frame)
         nw, method = na, "antiwick-reference"
     else:
-        nw, method = weyl_averages(window, obs)
-        na, masses = antiwick_averages(window, obs)
+        nw, method = _weyl_averages(window, obs, power)
+        na, masses = antiwick_averages(window, obs, frame)
     check_frame_mass(masses)
     return [MicrolocalRecord(j=j, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]), method=method,
                              antiwick_mass=float(masses[j]))
@@ -279,11 +315,12 @@ def egorov_defect(model: SymbolModel, obs: Observable, t: float,
     Microlocal measures of eigenfunctions are flow-invariant up to O(h); the
     pulled-back symbol is tabulated on the coherent lattice by integrating
     the classical flow from every lattice point.  Both a and a o flow_t are
-    tabulated on the lattice x_centers[:, None], xi_centers[None, :].
+    tabulated on the lattice x_centers[:, None], xi_centers[None, :], and
+    one anti-Wick batch applies both tables to the same Husimi densities.
     """
     frame = default_frame(window)
     x, xi = frame.x_centers[:, None], frame.xi_centers[None, :]
     flowed = flow_points(model, x, xi, t)
-    base, _m0 = antiwick_averages(window, obs(x, xi), frame)
-    moved, _m1 = antiwick_averages(window, obs(flowed.x, flowed.xi), frame)
+    (base, moved), _masses = antiwick_averages(
+        window, [obs(x, xi), obs(flowed.x, flowed.xi)], frame)
     return float(np.max(np.abs(base - moved)))

@@ -66,7 +66,14 @@ class Polynomial1D:
         return 0
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coefficients)
+        # Horner's rule, the operation sequence of numpy's polyval without its
+        # per-call coefficient array; the float64 seed keeps the result dtype
+        c = self.coefficients
+        x = np.asarray(x)
+        out = np.float64(c[-1]) + x * 0
+        for ck in c[-2::-1]:
+            out = ck + out * x
+        return out
 
     def derivative(self) -> "Polynomial1D":
         c = np.polynomial.polynomial.polyder(self.coefficients)

@@ -22,7 +22,10 @@ anti-diagonal i + j comes from a real FFT of the symbol, its other half
 filled by conjugate symmetry: the matrix is exactly Hermitian by
 construction.  Anti-diagonals are assembled in blocks, one symbol
 evaluation and one real FFT per block, and each block is written into the
-matrix through strided views (see ``build_weyl_observable``).
+matrix through strided views (see ``build_weyl_observable``).  A row range
+[i0, i1) builds only the block A[i0:i1, i0:i1], from the anti-diagonals
+that cross it and the same n-point FFTs, bitwise equal to the slice of
+the full matrix.
 
 The anti-Wick side quantizes against a lattice of Gaussian coherent states
 of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
@@ -320,47 +323,58 @@ def dense_matrix(op: DiscreteOperator) -> np.ndarray:
     return m
 
 
-def build_weyl_observable(a, h: float, grid: Grid1D) -> DiscreteOperator:
+def build_weyl_observable(a, h: float, grid: Grid1D,
+                          rows: tuple[int, int] | None = None) -> DiscreteOperator:
     """Dense Weyl matrix of a(x, xi) on the grid (see module docstring).
 
     ``a`` is any callable of two broadcasting array arguments.  Entry
     (i, j) lies on the anti-diagonal s = i + j, at the midpoint
     x_0 + s dx / 2, and equals c_s[(i - j) % n], where c_s is the inverse
-    FFT of the real row a(x_0 + s dx / 2, xi).  Anti-diagonals are
-    assembled in blocks of consecutive s: the symbol is evaluated on the
-    block's midpoints at once, and one real FFT per block gives their half
-    spectra.  The other half is filled as c[n - k] = conj(c[k]); the real
-    FFT returns c[0] and c[n / 2] with zero imaginary part, so the matrix is
-    exactly Hermitian by construction.
+    FFT of the real row a(x_0 + s dx / 2, xi).  ``rows = (i0, i1)`` builds
+    only the block A[i0:i1, i0:i1]: just the anti-diagonals
+    2 i0 <= s <= 2 i1 - 2 are evaluated, each through the same n-point
+    FFT, so every entry is bitwise the one of the full matrix, which is
+    the range (0, n) and the default.  The returned operator keeps the
+    whole grid; its ``matrix`` is the block.
+    Anti-diagonals are assembled in blocks of consecutive s: the symbol is
+    evaluated on the block's midpoints at once, and one real FFT per block
+    gives their half spectra.  The other half is filled as
+    c[n - k] = conj(c[k]); the real FFT returns c[0] and c[n / 2] with zero
+    imaginary part, so the matrix is exactly Hermitian by construction.
     A block covers a contiguous run of every row it touches, and on the
-    rows it crosses whole that run is the strided view flat[s0 + i (n - 1)
-    + b] of the matrix, written in one assignment; the few rows at the
-    block's corners are written one by one.  A block's working arrays stay
-    within ``WEYL_BLOCK_BYTES`` and within an eighth of the matrix, so a
-    build allocates about one matrix.  Grids past ``DENSE_CAP`` points are
-    refused before anything is allocated.
+    rows it crosses whole that run is the strided view flat[s0 + i (m - 1)
+    + b] of the m-wide matrix, written in one assignment; the few rows at
+    the block's corners are written one by one.  A block's working arrays
+    stay within ``WEYL_BLOCK_BYTES`` and within an eighth of the full
+    n by n matrix, so a full build allocates about one matrix and a row
+    range its block plus one block of anti-diagonals.  Grids past
+    ``DENSE_CAP`` points are refused before anything is allocated.
     """
     n = grid.n
     _check_dense_cap(n, "dense Weyl matrix", h)
+    i0, i1 = (0, n) if rows is None else rows
+    if not 0 <= i0 < i1 <= n:
+        raise ValueError(f"row range {rows} is empty or outside the {n} grid rows")
+    m = i1 - i0
     xi = grid.xi_values(h)
-    mat = np.empty((n, n), dtype=complex)
+    mat = np.empty((m, m), dtype=complex)
     flat = mat.reshape(-1)
     item = mat.itemsize
     half = n // 2 + 1
     # per anti-diagonal: the symbol row and its temporaries (8 bytes per
     # entry each, about four), the half spectrum and the doubled kernel;
-    # at most n of them, so every block crosses some row whole
-    rows = min(n, max(1, min(WEYL_BLOCK_BYTES, mat.nbytes // 8) // (96 * n)))
+    # at most m of them, so every block crosses some row whole
+    chunk = min(m, max(1, min(WEYL_BLOCK_BYTES, 2 * n * n) // (96 * n)))
     # ext[b, n + k] = c_{s0 + b}[k % n] for -n <= k < n, so entry (i, j) of
-    # a block is ext[b, n + 2 i - s], b = s - s0, s = i + j: the flat index
-    # n - s0 + 2 i + b (2 n - 1)
-    ext = np.empty((rows, 2 * n), dtype=complex)
+    # a block is ext[b, n + 2 i - s], b = s - s0, s = i + j, all counted
+    # from the corner (i0, i0): the flat index n - s0 + 2 i + b (2 n - 1)
+    ext = np.empty((chunk, 2 * n), dtype=complex)
     src = ext.reshape(-1)
     step = 2 * n - 1
     x0 = grid.nodes[0]
-    for s0 in range(0, 2 * n - 1, rows):
-        s1 = min(s0 + rows, 2 * n - 1)
-        mid = x0 + 0.5 * grid.dx * np.arange(s0, s1)
+    for s0 in range(0, 2 * m - 1, chunk):
+        s1 = min(s0 + chunk, 2 * m - 1)
+        mid = x0 + 0.5 * grid.dx * np.arange(2 * i0 + s0, 2 * i0 + s1)
         sym = np.broadcast_to(np.asarray(a(mid[:, None], xi[None, :]), dtype=float),
                               (s1 - s0, n))
         # the inverse FFT of a real row: c[k] = conj(spec[k]) for k <= n / 2
@@ -372,13 +386,13 @@ def build_weyl_observable(a, h: float, grid: Grid1D) -> DiscreteOperator:
         c[:, half:] = spec[:, n - half:0:-1]
         del spec
         ext[:s1 - s0, :n] = c
-        # rows crossed whole: j = s - i stays in [0, n) for every s of the block
-        i_a, i_b = max(0, s1 - n), min(n - 1, s0)
-        as_strided(flat[s0 + i_a * (n - 1):], (i_b - i_a + 1, s1 - s0),
-                   ((n - 1) * item, item))[...] = \
+        # rows crossed whole: j = s - i stays in [0, m) for every s of the block
+        i_a, i_b = max(0, s1 - m), min(m - 1, s0)
+        as_strided(flat[s0 + i_a * (m - 1):], (i_b - i_a + 1, s1 - s0),
+                   ((m - 1) * item, item))[...] = \
             as_strided(src[n - s0 + 2 * i_a:], (i_b - i_a + 1, s1 - s0), (2 * item, step * item))
-        for i in chain(range(max(0, s0 - n + 1), i_a), range(i_b + 1, min(n, s1))):
-            j_lo, j_hi = max(0, s0 - i), min(n - 1, s1 - 1 - i)
+        for i in chain(range(max(0, s0 - m + 1), i_a), range(i_b + 1, min(m, s1))):
+            j_lo, j_hi = max(0, s0 - i), min(m - 1, s1 - 1 - i)
             start = n - s0 + 2 * i + (i + j_lo - s0) * step
             mat[i, j_lo:j_hi + 1] = src[start:start + (j_hi - j_lo) * step + 1:step]
     return DiscreteOperator("dense", h, grid, matrix=mat)
@@ -429,13 +443,15 @@ def antiwick_batch(
     ----------
     psis : (P, N) array of l2-normalized states.
     a_values : callable a(x, xi) or precomputed array of shape
-        (len(x_centers), len(xi_centers)).  A callable is tabulated once
-        per batch, as a(x_centers[:, None], xi_centers[None, :]); a scalar
-        value broadcasts to the lattice.
+        (len(x_centers), len(xi_centers)), or a list of them.  A callable is
+        tabulated once per batch, as a(x_centers[:, None], xi_centers[None, :]);
+        a scalar value broadcasts to the lattice.  Every table of a list is
+        applied to the same Husimi densities, computed once per column.
 
     Returns
     -------
-    values : (P,) anti-Wick averages (2 pi h)^-1 sum a * husimi * cell.
+    values : (P,) anti-Wick averages (2 pi h)^-1 sum a * husimi * cell;
+        (T, P), one row per table, for a list of T symbols.
     masses : (P,) the same sums with a == 1 (captured Husimi mass); the
         caller judges whether the frame captured enough of it.
     """
@@ -458,14 +474,17 @@ def antiwick_batch(
     phase = np.exp(-1j * np.outer(xi_c, offs) / h)  # (M, W)
     norm = dx / np.sqrt(np.pi * h) * (step / dx) ** 2
     pref = frame.cell_area() / (2.0 * np.pi * h)
-    if callable(a_values):
-        a_values = a_values(frame.x_centers[:, None], xi_c[None, :])
-    # contiguous rows: a broadcast row of stride 0 takes numpy's own dot
-    # product instead of BLAS and rounds differently
-    table = np.ascontiguousarray(np.broadcast_to(
-        np.asarray(a_values, dtype=float), (frame.x_centers.size, xi_c.size)))
+    stacked = isinstance(a_values, list)
+    tables = []
+    for a in (a_values if stacked else [a_values]):
+        if callable(a):
+            a = a(frame.x_centers[:, None], xi_c[None, :])
+        # contiguous rows: a broadcast row of stride 0 takes numpy's own dot
+        # product instead of BLAS and rounds differently
+        tables.append(np.ascontiguousarray(np.broadcast_to(
+            np.asarray(a, dtype=float), (frame.x_centers.size, xi_c.size))))
 
-    values = np.zeros(p_count)
+    values = np.zeros((len(tables), p_count))
     masses = np.zeros(p_count)
     psis_dec = psis[:, ::q]  # (P, Nd)
     nd = psis_dec.shape[1]
@@ -479,7 +498,8 @@ def antiwick_batch(
         block = env[None, :] * psis_dec[:, i0:i1]  # (P, W')
         amp = phase[:, : i1 - i0] @ block.T  # (M, P)
         hus = norm * (amp.real**2 + amp.imag**2)
-        values += pref * (table[ci] @ hus)
+        for table, vals in zip(tables, values):
+            vals += pref * (table[ci] @ hus)
         masses += pref * np.sum(hus, axis=0)
-    return values, masses
+    return (values if stacked else values[0]), masses
 

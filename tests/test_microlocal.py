@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semiclab.microlocal as microlocal
+from semiclab.classical import flow_points
 from semiclab.eig import eigs_in_window
 from semiclab.errors import NumericalError
 from semiclab.experiments import solve_window
@@ -116,7 +117,7 @@ class TestAntiWick:
     def test_starved_frame_raises(self, monkeypatch):
         win = harmonic_window(0.1, ppw=64)
         frame = default_frame(win, xi_span=(-0.3, 0.3))
-        monkeypatch.setattr(microlocal, "default_frame", lambda _window: frame)
+        monkeypatch.setattr(microlocal, "default_frame", lambda _window, _xi_span=None: frame)
         with pytest.raises(NumericalError, match="Husimi mass"):
             microlocal_records(win, parse_observable("exp(-x^2 - xi^2)"))
 
@@ -144,6 +145,15 @@ class TestAntiWick:
         with pytest.raises(NumericalError, match="Husimi mass"):
             upsilon_a(win, parse_observable("exp(-x^2 - xi^2)"))
 
+    def test_one_state_fft_per_records_call(self, monkeypatch):
+        # the decimation and the frame's momentum span share one spectrum
+        calls = []
+        power = microlocal._state_power
+        monkeypatch.setattr(microlocal, "_state_power", lambda w: calls.append(w) or power(w))
+        win = harmonic_window(0.1, ppw=64)
+        recs = microlocal_records(win, parse_observable("exp(-x^2 - xi^2)"))
+        assert recs[0].method == "weyl-dense" and len(calls) == 1
+
     def test_one_antiwick_batch_past_the_cap(self, monkeypatch):
         # the reference values past the cap are the anti-Wick averages the
         # records report anyway: one batch serves both
@@ -168,6 +178,12 @@ def dirac_window():
     return solve_window(get_model("quad-max"), h, 0.0, h_max=0.1)
 
 
+@pytest.fixture(scope="module")
+def k3_window():
+    # a pseudo-concentration-k3 row: the box is sized for h = 0.1
+    return solve_window(get_model("pseudo-k3"), 0.0022, 0.0, h_max=0.1)
+
+
 def full_grid_weyl(win, obs):
     a = build_weyl_observable(lambda x, xi: obs(x, xi), win.h, win.grid).matrix
     return np.einsum("ij,ij->j", win.vectors.conj(), a @ win.vectors).real
@@ -187,20 +203,36 @@ class TestDecimatedWeyl:
         vals, _ = weyl_averages(win, GAUSS)
         assert np.max(np.abs(vals - full_grid_weyl(win, GAUSS))) < 1e-12
 
-    def test_split_window_keeps_the_full_grid(self):
+    def test_split_window_keeps_the_full_grid(self, k3_window):
         # split grids are sized at 1.25 times the classical momentum: nothing
-        # to decimate, and the averages are the full-grid ones bit for bit
-        win = solve_window(get_model("pseudo-k3"), 0.0022, 0.0, h_max=0.1)
-        assert win.grid.n == 2048 and win.count > 0
-        assert microlocal._decimation(win) == 1
-        vals, _ = weyl_averages(win, GAUSS)
-        assert np.array_equal(vals, full_grid_weyl(win, GAUSS))
+        # to decimate; only the rows where the states live are built
+        assert k3_window.grid.n == 2048 and k3_window.count > 0
+        assert microlocal._decimation(k3_window) == 1
+        vals, _ = weyl_averages(k3_window, GAUSS)
+        assert np.max(np.abs(vals - full_grid_weyl(k3_window, GAUSS))) < 1e-12
+
+    def test_block_holds_the_window_states(self, k3_window, monkeypatch):
+        # the window states at E = 0 fill under half of the box sized for
+        # the scan's top energy; the block build keeps their averages
+        blocks = []
+        build = microlocal.build_weyl_observable
+        monkeypatch.setattr(microlocal, "build_weyl_observable",
+                            lambda a, h, grid, rows: blocks.append(rows) or build(a, h, grid, rows))
+        vals, _ = weyl_averages(k3_window, GAUSS)
+        (i0, i1), = blocks
+        assert 0 < i0 < i1 < k3_window.grid.n and i1 - i0 <= 0.5 * k3_window.grid.n
+        full = full_grid_weyl(k3_window, GAUSS)
+        assert np.max(np.abs(vals - full)) < 1e-12
+        # a loose support rule drops mass the averages need: the test sees it
+        monkeypatch.setattr(microlocal, "WEYL_LEAK", 1e-2)
+        loose, _ = weyl_averages(k3_window, GAUSS)
+        assert not np.max(np.abs(loose - full)) < 1e-12
 
     def test_no_full_grid_build(self, dirac_window, monkeypatch):
         sizes = []
         build = microlocal.build_weyl_observable
         monkeypatch.setattr(microlocal, "build_weyl_observable",
-                            lambda a, h, grid: sizes.append(grid.n) or build(a, h, grid))
+                            lambda a, h, grid, rows: sizes.append(grid.n) or build(a, h, grid, rows))
         weyl_averages(dirac_window, GAUSS)
         assert sizes and max(sizes) <= -(-3294 // 8)
         # with no leak bound the sub-grid floor of 16 points alone stops q
@@ -281,3 +313,19 @@ class TestFlowInvariance:
             win = eigs_in_window(op, 0.5 - 5 * h, 0.5 + 5 * h)
             defects.append(egorov_defect(model, obs, 0.5, win))
         assert defects[1] < 0.7 * defects[0]
+
+    def test_one_batch_gives_both_tables_bit_for_bit(self):
+        # egorov_defect applies a and a o flow_t to the same Husimi densities;
+        # each table's averages equal those of its own batch
+        model = get_model("harmonic")
+        win = harmonic_window(0.1, ppw=64)
+        obs = parse_observable("exp(-x^2 - xi^2) + 0.3*x*xi")
+        frame = default_frame(win)
+        x, xi = frame.x_centers[:, None], frame.xi_centers[None, :]
+        flowed = flow_points(model, x, xi, 0.7)
+        base, m0 = antiwick_averages(win, obs(x, xi), frame)
+        moved, m1 = antiwick_averages(win, obs(flowed.x, flowed.xi), frame)
+        both, masses = antiwick_averages(win, [obs(x, xi), obs(flowed.x, flowed.xi)], frame)
+        assert np.array_equal(both, np.stack([base, moved]))
+        assert np.array_equal(masses, m0) and np.array_equal(masses, m1)
+        assert egorov_defect(model, obs, 0.7, win) == float(np.max(np.abs(base - moved)))

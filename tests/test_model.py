@@ -31,6 +31,18 @@ def test_polynomial_eval_and_derivative():
     assert p.degree == 3
 
 
+@pytest.mark.parametrize("x", [0.3, 2, np.float32(1.5), np.linspace(-3.0, 3.0, 64),
+                               np.array([np.inf, -np.inf, np.nan, 1e200, 0.0]),
+                               np.arange(-5, 5), np.linspace(-1.0, 1.0, 12).reshape(3, 4)],
+                         ids=["float", "int", "float32", "grid", "nonfinite", "int-array", "2d"])
+def test_polynomial_eval_is_numpy_polyval(x):
+    p = Polynomial1D((0.5, -2.0, 0.0, 3.0, 1e300))
+    with np.errstate(all="ignore"):
+        got, want = p(x), np.polynomial.polynomial.polyval(x, p.coefficients)
+    assert type(got) is type(want) and np.asarray(got).dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     coeffs=st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=7),

@@ -237,6 +237,39 @@ class TestWeyl:
             tracemalloc.stop()
         assert peak <= op.matrix.nbytes + WEYL_BLOCK_BYTES
 
+    @pytest.mark.parametrize("grid", [Grid1D(-3.0, 3.0, 2048, "periodic"),
+                                      Grid1D(-2.5, 3.5, 3271, "dirichlet"),
+                                      Grid1D(-2.5, 3.5, 1000, "dirichlet")],
+                             ids=["periodic", "dirichlet-prime", "dirichlet"])
+    def test_row_range_is_the_block_of_the_full_matrix(self, grid):
+        def a(x, xi):
+            return np.exp(-(x**2) - xi**2) + 0.3 * x * xi**3 + np.sin(x - 2.0 * xi)
+
+        n = grid.n
+        full = build_weyl_observable(a, self.h, grid)
+        assert np.array_equal(build_weyl_observable(a, self.h, grid, (0, n)).matrix, full.matrix)
+        for i0, i1 in [(n // 3, n // 3 + 1), (0, n // 4), (n - 1, n), (n // 5, n // 2)]:
+            block = build_weyl_observable(a, self.h, grid, (i0, i1))
+            assert block.grid == grid
+            assert np.array_equal(block.matrix, full.matrix[i0:i1, i0:i1])
+
+    @pytest.mark.parametrize("rows", [(0, 0), (5, 5), (-1, 4), (4, 65)])
+    def test_row_range_must_be_inside_the_grid(self, rows):
+        with pytest.raises(ValueError, match="row range"):
+            build_weyl_observable(lambda x, xi: x, self.h, Grid1D(-3.0, 3.0, 64, "periodic"), rows)
+
+    def test_block_build_allocates_the_block_and_one_block_of_diagonals(self):
+        g = Grid1D(-3.0, 3.0, 2048, "periodic")
+        a = lambda x, xi: np.exp(-(x**2) - xi**2) + 0.3 * x * xi
+        tracemalloc.start()
+        try:
+            op = build_weyl_observable(a, self.h, g, (600, 1400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.matrix.shape == (800, 800)
+        assert peak <= op.matrix.nbytes + WEYL_BLOCK_BYTES
+
     def test_dense_cap(self):
         g = Grid1D(0.0, 1.0, 8192, "periodic")
         with pytest.raises(NumericalError):
