@@ -374,15 +374,21 @@ def liouville_integral(model: SymbolModel, a, energy: float,
     An energy sitting on a degenerate turning point or a planar critical
     point is rejected unless ``allow_critical`` is set; with the flag, the
     dyadic-shell probe runs and a non-summable local tail comes back as
-    ``divergent=True`` with value +inf instead of a garbage number.
+    ``divergent=True`` with value +inf instead of a garbage number.  Any
+    other non-finite result (an overflowing observable) raises
+    ``NumericalError``, numpy's floating-point warnings silenced.
     """
-    if model.family == "schrodinger1d":
-        return _liouville_schrodinger(model.potential, a, energy, allow_critical)
-    if model.family == "radial2d":
-        return _liouville_radial(model.potential, a, energy)
-    if model.family == "phase1d":
-        return _liouville_phase(model, a, energy, allow_critical)
-    raise ValueError(f"unknown family {model.family}")
+    with np.errstate(all="ignore"):
+        if model.family == "schrodinger1d":
+            res = _liouville_schrodinger(model.potential, a, energy, allow_critical)
+        elif model.family == "radial2d":
+            res = _liouville_radial(model.potential, a, energy)
+        else:
+            res = _liouville_phase(model, a, energy, allow_critical)
+    if not (res.divergent or np.isfinite([res.value, res.error_estimate]).all()):
+        raise NumericalError(f"Liouville integral at E={energy:.6g} is not finite "
+                             "(the observable overflows)")
+    return res
 
 
 def level_volume(model: SymbolModel, energy: float,
@@ -432,15 +438,12 @@ def classify_integrability(cp: CriticalPoint, model: SymbolModel) -> str:
         return "non_integrable"
     if model.family == "radial2d":
         return "integrable"
-    if model.family == "phase1d":
-        k = cp.order
-        two_n = 2 * model.n
-        if k < two_n:
-            return "integrable"
-        if k == two_n:
-            return "logarithmic_borderline"
-        return "non_integrable"
-    raise ValueError(f"unknown family {model.family}")
+    k, two_n = cp.order, 2 * model.n
+    if k < two_n:
+        return "integrable"
+    if k == two_n:
+        return "logarithmic_borderline"
+    return "non_integrable"
 
 
 def levelset_components(model: SymbolModel, energy: float) -> int:
@@ -643,11 +646,9 @@ def flow_points(model: SymbolModel, x0, xi0, t: float,
     if model.family in ("schrodinger1d", "radial2d"):
         V_prime = model.potential.derivative()
         integrate = lambda x, xi, s, d: _verlet(V_prime, x, xi, s, d)
-    elif model.family == "phase1d":
+    else:
         grad = model.phase_poly.gradient
         integrate = lambda x, xi, s, d: _rk4(grad, x, xi, s, d)
-    else:
-        raise ValueError(f"no flow for family {model.family}")
 
     def drift(x, xi, e):
         return float(np.max(np.abs(np.asarray(model.eval(x, xi), dtype=float) - e)))

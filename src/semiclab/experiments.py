@@ -39,7 +39,7 @@ import numpy as np
 from .classical import mu_average
 from .eig import EigenWindow, _check_window, eigs_in_window, radial_channels
 from .errors import ConfigError, HypothesisError, NumericalError
-from .microlocal import upsilon, upsilon_a, weyl_averages
+from .microlocal import _check_radial_observable, upsilon, upsilon_a, weyl_averages
 from .model import SymbolModel, get_model
 from .observables import Observable, parse_observable
 from .quantize import (
@@ -279,11 +279,9 @@ def run_scan(
         raise ConfigError(f"ppw must be at least 1, got {ppw!r}")
     _check_window(e_center - d * hs[-1], e_center + d * hs[-1])
     obs = tuple(parse_observable(o) if isinstance(o, str) else o for o in observables)
-    if route == "radial":
+    if route == "radial":  # refused before the first solve, not in every row
         for o in obs:
-            if o.routing != "position_only":
-                raise ConfigError(
-                    f"radial scans take position observables a(r); got {o.id!r}")
+            _check_radial_observable(o)
     rows = [_scan_one(model, h, hs[0], e_center, d, ppw, obs) for h in hs]
     return ScanResult(model=model.name, family=model.family, e_center=e_center,
                       d=d, route=route, ppw=ppw,

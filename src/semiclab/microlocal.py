@@ -26,12 +26,11 @@ functions: ``upsilon`` is the plain (multiplicity-weighted) number of window
 states, ``upsilon_a`` the a-weighted count through the Weyl route, so that
 ``upsilon_a == upsilon`` when a is identically 1.  Mixed observables on
 grids past the dense cap fall back to the anti-Wick value as the reference
-(the record's method label says so).  An average that is not finite (an
-observable that overflows on the grid) raises ``NumericalError`` on either
-route.
-
-Radial 2D windows (``window.m`` set) support position-only observables
-a(r) on the Weyl route; no planar coherent frame exists for them here.
+(the record's method label says so).  Each route checks its own rules:
+a non-finite average (an observable that overflows on the grid) and an
+anti-Wick frame capturing less than ``MASS_FLOOR`` of a state's Husimi mass
+raise ``NumericalError``; a radial 2D window (``window.m`` set) takes
+position observables a(r) on the Weyl route only (``ConfigError``).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from .classical import flow_points
 from .eig import EigenWindow
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import SymbolModel
 from .observables import Observable
 from .quantize import (
@@ -59,7 +58,6 @@ __all__ = [
     "weyl_averages",
     "antiwick_averages",
     "weyl_or_reference",
-    "check_frame_mass",
     "microlocal_records",
     "default_frame",
     "upsilon",
@@ -101,6 +99,13 @@ def _finite(values: np.ndarray, obs, route: str) -> np.ndarray:
     return values
 
 
+def _check_radial_observable(obs: Observable) -> None:
+    """``ConfigError`` unless ``obs`` is a(r): radial states hold sqrt(r dr) psi(r)."""
+    if obs.routing != "position_only":
+        raise ConfigError(
+            f"radial windows take position observables a(r); {obs.id!r} depends on xi")
+
+
 def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str]:
     """<Op(a) psi, psi> for every window state, plus the method label.
 
@@ -115,6 +120,7 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
     with the full-grid matrix to rounding.
     A non-finite average raises ``NumericalError``; numpy's floating-point
     warnings on the way there are silenced, so that error is the one report.
+    A radial window takes position observables a(r) only (``ConfigError``).
     """
     return _weyl_averages(window, obs, None)
 
@@ -122,6 +128,8 @@ def weyl_averages(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str
 def _weyl_averages(window: EigenWindow, obs: Observable,
                    power: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, str]:
     """:func:`weyl_averages`, given the window's ``_state_power`` if known."""
+    if window.m is not None:
+        _check_radial_observable(obs)
     v = _window_matrix(window)
     grid = window.grid
     h = window.h
@@ -188,16 +196,15 @@ def _decimation(window: EigenWindow,
 
 
 def _auto_xi_span(window: EigenWindow,
-                  power: tuple[np.ndarray, np.ndarray] | None = None,
-                  coverage: float = 0.999) -> tuple[float, float]:
-    """Momentum span actually occupied by the window states, with margin.
+                  power: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
+    """Momentum span holding 0.999 of the window states' power, with margin.
     ``power`` is the window's ``_state_power``, computed here when not given."""
     power, xi = _state_power(window) if power is None else power
     power = np.sum(power, axis=1)
     power /= np.sum(power)
     order = np.argsort(np.abs(xi))
     cum = np.cumsum(power[order])
-    cut_idx = int(np.searchsorted(cum, coverage))
+    cut_idx = int(np.searchsorted(cum, 0.999))
     xi_cut = float(np.abs(xi)[order][min(cut_idx, xi.size - 1)])
     pad = 6.0 * math.sqrt(window.h)
     return (-xi_cut - pad, xi_cut + pad)
@@ -205,7 +212,7 @@ def _auto_xi_span(window: EigenWindow,
 
 def default_frame(window: EigenWindow, xi_span: tuple[float, float] | None = None) -> CoherentFrame:
     if window.m is not None:
-        raise ValueError("radial windows have no planar coherent frame")
+        raise ConfigError("radial windows have no planar coherent frame")
     if xi_span is None:
         xi_span = _auto_xi_span(window)
     return build_coherent_frame(window.grid, window.h, xi_span)
@@ -221,15 +228,24 @@ def antiwick_averages(
     ``obs`` is a callable a(x, xi) or a precomputed table over the frame
     lattice (x_centers by xi_centers), or a list of them, which gives one
     row of averages per symbol from one batch.  A non-finite average raises
-    ``NumericalError``, as in :func:`weyl_averages`.
+    ``NumericalError``, as in :func:`weyl_averages`, and so does a frame that
+    captures less than ``MASS_FLOOR`` of some state's Husimi mass.  A window
+    without states builds no frame and gets empty arrays.
     """
+    v = _window_matrix(window)
+    if not window.count:
+        return np.zeros((len(obs), 0) if isinstance(obs, list) else 0), np.zeros(0)
     if frame is None:
         frame = default_frame(window)
-    v = _window_matrix(window)
     psis = np.ascontiguousarray(v.T)
     with np.errstate(all="ignore"):
         vals, masses = antiwick_batch(frame, window.grid, psis, obs)
-    return _finite(vals, obs, "anti-Wick"), masses
+    vals = _finite(vals, obs, "anti-Wick")
+    if np.min(masses) < MASS_FLOOR:
+        raise NumericalError(
+            f"coherent frame captures only {np.min(masses):.4f} of the Husimi mass; "
+            "widen the frame or the grid")
+    return vals, masses
 
 
 def weyl_or_reference(window: EigenWindow, obs: Observable) -> tuple[np.ndarray, str]:
@@ -237,42 +253,26 @@ def weyl_or_reference(window: EigenWindow, obs: Observable) -> tuple[np.ndarray,
 
     Mixed observables on grids past the dense cap have no affordable exact
     Weyl matrix; the anti-Wick average then serves as the reference value
-    and the method label records the substitution.  A substituted value
-    passes the same ``MASS_FLOOR`` check as :func:`microlocal_records`.
-    Returns the values and the method label.  A radial window takes
-    position observables a(r) only: its states hold sqrt(r dr) psi(r), so
-    the plane average is the diagonal route.
+    and the method label records the substitution; the substituted values
+    pass the anti-Wick route's mass check.  Returns the values and the
+    method label.
     """
-    if window.m is not None and obs.routing != "position_only":
-        raise ValueError("radial windows take position observables a(r) only")
     if _substitutes(window, obs):
-        vals, masses = antiwick_averages(window, obs)
-        check_frame_mass(masses)
+        vals, _masses = antiwick_averages(window, obs)
         return vals, "antiwick-reference"
     return weyl_averages(window, obs)
 
 
 def _substitutes(window: EigenWindow, obs: Observable) -> bool:
     """Whether :func:`weyl_or_reference` takes the anti-Wick values."""
-    return obs.routing == "general" and window.grid.n > DENSE_CAP
-
-
-def check_frame_mass(masses: np.ndarray) -> None:
-    """Raise ``NumericalError`` when the coherent frame captured less than
-    ``MASS_FLOOR`` of some state's Husimi mass."""
-    worst = float(np.min(masses, initial=1.0))
-    if worst < MASS_FLOOR:
-        raise NumericalError(
-            f"coherent frame captures only {worst:.4f} of the Husimi mass; "
-            "widen the frame or the grid")
+    return obs.routing == "general" and window.m is None and window.grid.n > DENSE_CAP
 
 
 def microlocal_records(window: EigenWindow, obs: Observable) -> list[MicrolocalRecord]:
-    """Both measure routes per window state.
-
-    Raises ``NumericalError`` when the frame captures less than
-    ``MASS_FLOOR`` of some state's Husimi mass.
-    """
+    """Both measure routes per window state, with the rules of each; a
+    window without states gets no records and builds no frame."""
+    if not window.count:
+        return []
     # one FFT of the states serves the frame's momentum span and the decimation
     power = _state_power(window)
     frame = default_frame(window, _auto_xi_span(window, power))
@@ -283,7 +283,6 @@ def microlocal_records(window: EigenWindow, obs: Observable) -> list[MicrolocalR
     else:
         nw, method = _weyl_averages(window, obs, power)
         na, masses = antiwick_averages(window, obs, frame)
-    check_frame_mass(masses)
     return [MicrolocalRecord(j=j, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]), method=method,
                              antiwick_mass=float(masses[j]))
             for j in range(window.count)]

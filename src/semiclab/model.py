@@ -205,6 +205,8 @@ class SymbolModel:
     critical_points: tuple[CriticalPoint, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if self.family not in ("schrodinger1d", "radial2d", "phase1d"):
+            raise ValueError(f"unknown family {self.family!r}")
         if self.family in ("schrodinger1d", "radial2d") and self.potential is None:
             raise ValueError(f"{self.family} model requires a potential")
         if self.family == "phase1d" and self.phase_poly is None:
@@ -243,9 +245,9 @@ class HypothesisReport:
             raise HypothesisError(f"model {self.model}: {what}")
 
 
-def _bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
+def _bisect_root(f, lo: float, hi: float) -> float:
     flo = f(lo)
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -259,13 +261,13 @@ def _bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def _poly_roots_in(poly: Polynomial1D, lo: float, hi: float, samples: int = 4096) -> list[float]:
+def _poly_roots_in(poly: Polynomial1D, lo: float, hi: float) -> list[float]:
     """Real roots of poly on [lo, hi] via sign-bracketing plus bisection.
 
     Odd-multiplicity roots are caught by sign changes; grid points that land
     on a root directly are kept as well.  Roots closer than 1e-9 are merged.
     """
-    xs = np.linspace(lo, hi, samples + 1)
+    xs = np.linspace(lo, hi, 4097)  # 4096 cells
     vals = poly(xs)
     scale = max(poly.scale(), 1.0)
     neg = vals < 0
@@ -315,8 +317,8 @@ def _classify_potential_point(V: Polynomial1D, x0: float) -> CriticalPoint:
     )
 
 
-def _circle_min_max(form: PhasePolynomial, samples: int = 2048) -> tuple[float, float]:
-    th = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+def _circle_min_max(form: PhasePolynomial) -> tuple[float, float]:
+    th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
     v = form(np.cos(th), np.sin(th))
     return float(np.min(v)), float(np.max(v))
 
@@ -436,14 +438,14 @@ def find_critical_points(
     return tuple(out)
 
 
-def _principal_type_ok(form: PhasePolynomial, samples: int = 8192) -> tuple[bool, str]:
+def _principal_type_ok(form: PhasePolynomial) -> tuple[bool, str]:
     """No zero of the leading form on the unit circle may kill its gradient.
 
     By homogeneity the radial derivative vanishes on the zero set, so the
     condition is equivalent to every circle zero being a simple sign change
-    with a nonzero tangential derivative.
+    with a nonzero tangential derivative, sought among 8192 angles.
     """
-    th = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    th = np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)
     v = form(np.cos(th), np.sin(th))
     mag = np.abs(v)
     scale = float(np.max(mag)) or 1.0
@@ -452,7 +454,7 @@ def _principal_type_ok(form: PhasePolynomial, samples: int = 8192) -> tuple[bool
     def val(t):
         return form(math.cos(t), math.sin(t))
 
-    step = 2 * np.pi / samples
+    step = th[1]
     neg = v < 0
     after = np.roll(neg, -1)
     zeros = [float(th[i]) if v[i] == 0.0 else _bisect_root(val, float(th[i]), float(th[i]) + step)

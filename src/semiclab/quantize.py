@@ -21,11 +21,10 @@ symbols.  The row a((x_i + x_j)/2, .) is real, so the kernel of each
 anti-diagonal i + j comes from a real FFT of the symbol, its other half
 filled by conjugate symmetry: the matrix is exactly Hermitian by
 construction.  Anti-diagonals are assembled in blocks, one symbol
-evaluation and one real FFT per block, and each block is written into the
-matrix through strided views (see ``build_weyl_observable``).  A row range
-[i0, i1) builds only the block A[i0:i1, i0:i1], from the anti-diagonals
-that cross it and the same n-point FFTs, bitwise equal to the slice of
-the full matrix.
+evaluation and one real FFT per block, and each anti-diagonal is written
+as one slice.  A row range [i0, i1) builds only the block A[i0:i1, i0:i1],
+from the anti-diagonals that cross it and the same n-point FFTs, bitwise
+equal to the slice of the full matrix.
 
 The anti-Wick side quantizes against a lattice of Gaussian coherent states
 of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
@@ -34,10 +33,8 @@ of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import circulant
 
 from .errors import ConfigError, NumericalError
@@ -235,6 +232,14 @@ def grid_for_split(
     return Grid1D(lo, hi, n, "periodic")
 
 
+def _check_finite(*parts, grid: Grid1D) -> None:
+    """``NumericalError`` unless every part of an operator is finite."""
+    if not all(np.all(np.isfinite(p)) for p in parts):
+        raise NumericalError(
+            f"operator is not finite on the grid [{grid.x_min:.3g}, {grid.x_max:.3g}] "
+            f"of {grid.n} points (dx = {grid.dx:.3g})")
+
+
 def build_schrodinger(
     V,
     h: float,
@@ -244,19 +249,21 @@ def build_schrodinger(
     """Second-order finite-difference -h^2 d^2/dx^2 + V with Dirichlet walls.
 
     With ``window_top`` given, grids coarser than the resolution policy are
-    rejected.
+    rejected, and so are grids where the operator is not finite (h^2/dx^2 overflows).
     """
     if grid.boundary != "dirichlet":
         raise ValueError("finite-difference operators use dirichlet grids")
     x = grid.nodes
-    v = np.asarray(V(x), dtype=float)
+    with np.errstate(all="ignore"):
+        v = np.asarray(V(x), dtype=float)
+        t = h * h / np.square(grid.dx)
+        diag = 2.0 * t + v
     if window_top is not None:
         dx_max = resolution_dx(h, window_top, float(np.min(v)))
         if grid.dx > dx_max * (1 + 1e-12):
             raise NumericalError(
                 f"grid step {grid.dx:.3e} violates resolution policy {dx_max:.3e}")
-    t = h * h / (grid.dx * grid.dx)
-    diag = 2.0 * t + v
+    _check_finite(diag, t, grid=grid)
     off = np.full(grid.n - 1, -t)
     return DiscreteOperator("tridiagonal", h, grid, diag=diag, offdiag=off)
 
@@ -269,15 +276,17 @@ def build_split(
     window_top: float | None = None,
 ) -> DiscreteOperator:
     """Fourier-multiplier operator f(x) + g(h D) on a periodic grid, f and g
-    polynomials (``ConfigError`` otherwise)."""
+    polynomials (``ConfigError`` otherwise), on a grid where both are finite."""
     if grid.boundary != "periodic":
         raise ValueError("split operators require periodic grids")
     if not (isinstance(f, Polynomial1D) and isinstance(g, Polynomial1D)):
         raise ConfigError("split operators need polynomial parts f(x) and g(xi)")
     x = grid.nodes
     xi = grid.xi_values(h)
-    mult_x = np.asarray(f(x), dtype=float)
-    mult_xi = np.asarray(g(xi), dtype=float)
+    with np.errstate(all="ignore"):
+        mult_x = np.asarray(f(x), dtype=float)
+        mult_xi = np.asarray(g(xi), dtype=float)
+    _check_finite(mult_x, mult_xi, grid=grid)
     if window_top is not None:
         # aliasing guard: classical momenta at the window top must fit
         f_min = float(np.min(mult_x))
@@ -341,14 +350,11 @@ def build_weyl_observable(a, h: float, grid: Grid1D,
     gives their half spectra.  The other half is filled as
     c[n - k] = conj(c[k]); the real FFT returns c[0] and c[n / 2] with zero
     imaginary part, so the matrix is exactly Hermitian by construction.
-    A block covers a contiguous run of every row it touches, and on the
-    rows it crosses whole that run is the strided view flat[s0 + i (m - 1)
-    + b] of the m-wide matrix, written in one assignment; the few rows at
-    the block's corners are written one by one.  A block's working arrays
-    stay within ``WEYL_BLOCK_BYTES`` and within an eighth of the full
-    n by n matrix, so a full build allocates about one matrix and a row
-    range its block plus one block of anti-diagonals.  Grids past
-    ``DENSE_CAP`` points are refused before anything is allocated.
+    Each anti-diagonal is one slice of the flattened block, step m - 1.
+    A block's working arrays stay within ``WEYL_BLOCK_BYTES`` and within
+    an eighth of the full n by n matrix, so a full build allocates about
+    one matrix and a row range its block plus one block of anti-diagonals.
+    Grids past ``DENSE_CAP`` points are refused before anything is allocated.
     """
     n = grid.n
     _check_dense_cap(n, "dense Weyl matrix", h)
@@ -359,18 +365,14 @@ def build_weyl_observable(a, h: float, grid: Grid1D,
     xi = grid.xi_values(h)
     mat = np.empty((m, m), dtype=complex)
     flat = mat.reshape(-1)
-    item = mat.itemsize
     half = n // 2 + 1
     # per anti-diagonal: the symbol row and its temporaries (8 bytes per
-    # entry each, about four), the half spectrum and the doubled kernel;
-    # at most m of them, so every block crosses some row whole
+    # entry each, about four), the half spectrum and the doubled kernel
     chunk = min(m, max(1, min(WEYL_BLOCK_BYTES, 2 * n * n) // (96 * n)))
     # ext[b, n + k] = c_{s0 + b}[k % n] for -n <= k < n, so entry (i, j) of
-    # a block is ext[b, n + 2 i - s], b = s - s0, s = i + j, all counted
-    # from the corner (i0, i0): the flat index n - s0 + 2 i + b (2 n - 1)
+    # a block is ext[s - s0, n + 2 i - s], s = i + j, both counted from the
+    # corner (i0, i0); it sits at flat[s + i (m - 1)]
     ext = np.empty((chunk, 2 * n), dtype=complex)
-    src = ext.reshape(-1)
-    step = 2 * n - 1
     x0 = grid.nodes[0]
     for s0 in range(0, 2 * m - 1, chunk):
         s1 = min(s0 + chunk, 2 * m - 1)
@@ -386,15 +388,11 @@ def build_weyl_observable(a, h: float, grid: Grid1D,
         c[:, half:] = spec[:, n - half:0:-1]
         del spec
         ext[:s1 - s0, :n] = c
-        # rows crossed whole: j = s - i stays in [0, m) for every s of the block
-        i_a, i_b = max(0, s1 - m), min(m - 1, s0)
-        as_strided(flat[s0 + i_a * (m - 1):], (i_b - i_a + 1, s1 - s0),
-                   ((m - 1) * item, item))[...] = \
-            as_strided(src[n - s0 + 2 * i_a:], (i_b - i_a + 1, s1 - s0), (2 * item, step * item))
-        for i in chain(range(max(0, s0 - m + 1), i_a), range(i_b + 1, min(m, s1))):
-            j_lo, j_hi = max(0, s0 - i), min(m - 1, s1 - 1 - i)
-            start = n - s0 + 2 * i + (i + j_lo - s0) * step
-            mat[i, j_lo:j_hi + 1] = src[start:start + (j_hi - j_lo) * step + 1:step]
+        for s in range(s0, s1):
+            # rows i_a..i_b keep j = s - i inside [0, m)
+            i_a, i_b = max(0, s - m + 1), min(m - 1, s)
+            flat[s + i_a * (m - 1):s + i_b * (m - 1) + 1:max(m - 1, 1)] = \
+                ext[s - s0, n - s + 2 * i_a:n - s + 2 * i_b + 1:2]
     return DiscreteOperator("dense", h, grid, matrix=mat)
 
 

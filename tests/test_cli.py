@@ -113,6 +113,30 @@ class TestExitCodes:
         assert code == expected and out == ""
         assert err.startswith("semiclab:") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        # dx^2 underflows to zero
+        ["--model", "harmonic", "--h", "0.5", "--n", "16", "--box=0,1e-300"],
+        # h^2 / dx^2 overflows
+        ["--model", "harmonic", "--h", "0.5", "--n", "16", "--box=0,1e-160"],
+        # the split grid's momenta overflow the symbol
+        ["--model", "pseudo-k3", "--h", "0.05", "--n", "64", "--box=0,1e-150"]])
+    def test_grid_with_a_non_finite_operator_is_a_numerical_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["spectrum", *argv])
+        assert code == 3 and out == ""
+        assert err.startswith("semiclab: operator is not finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, echo", [
+        (["spectrum", "--model", "harmonic", "--h", "0.1", "--ecenter", "-1e-3"],
+         "# ecenter=-0.001\n"),
+        (["spectrum", "--model", "harmonic", "--h", "0.01", "--n", "2000", "--box", "-3,3"],
+         "# box=-3,3\n"),
+        (["liouville", "--model", "quad-max", "--obs", "x^2", "--energy", "-0.5e-1"],
+         '"energy": -0.05,')])
+    def test_negative_values_after_a_flag(self, capsys, argv, echo):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and echo in out
+
 
 class TestConfigFile:
     def test_file_supplies_options(self, capsys, tmp_path):
@@ -345,6 +369,17 @@ class TestMeasure:
         assert "not finite" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("quant", ["both", "antiwick", "weyl"])
+    def test_window_without_states_has_no_records(self, capsys, quant):
+        # the harmonic levels are 0.05 (2 j + 1); none lies within 0.5 +- 0.005
+        code, out, _ = run_cli(capsys, [
+            "measure", "--model", "harmonic", "--h", "0.05", "--ecenter", "0.5",
+            "--d", "0.1", "--obs", "x^2", "--quantization", quant])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["records"] == [] and payload["upsilon"] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_on_both_routes_is_one_line(self, capsys):
         # the anti-Wick average of this symbol is finite (the frame lattice
         # is bounded), so the Weyl route's error is the one report
@@ -364,6 +399,14 @@ class TestLiouville:
         assert not payload["divergent"]
         assert payload["average"] == pytest.approx(1.0 - math.exp(-1.0),
                                                    abs=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_observable_is_a_numerical_error(self, capsys):
+        # an infinite average would print as the non-JSON token Infinity
+        code, out, err = run_cli(capsys, [
+            "liouville", "--model", "quad-max", "--obs", "exp(1000*x^2)", "--energy", "0.5"])
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("semiclab: Liouville integral") and "not finite" in err
 
     def test_divergent_surface_reported(self, capsys):
         code, out, _ = run_cli(capsys, [

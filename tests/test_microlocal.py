@@ -6,7 +6,7 @@ import pytest
 import semiclab.microlocal as microlocal
 from semiclab.classical import flow_points
 from semiclab.eig import eigs_in_window
-from semiclab.errors import NumericalError
+from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import solve_window
 from semiclab.microlocal import (
     antiwick_averages,
@@ -283,6 +283,13 @@ class TestCounting:
         assert method == "diagonal" and per_state.size >= 2
         assert 0.2 < upsilon_a(win, rsq) / upsilon(win) < 0.8
 
+    @pytest.mark.parametrize("expr", ["xi^2", "x*xi"])
+    def test_radial_weyl_route_takes_position_observables_only(self, expr):
+        # a radial state holds sqrt(r dr) psi(r): no momentum lives on its grid
+        win = solve_window(get_model("radial-deg"), 0.05, 0.0)
+        with pytest.raises(ConfigError, match="position observables"):
+            weyl_averages(win, parse_observable(expr))
+
     def test_radial_window_refuses_phase_space_routes(self):
         win = solve_window(get_model("radial-deg"), 0.05, 0.0)
         with pytest.raises(ValueError, match="position observables"):
@@ -313,6 +320,13 @@ class TestFlowInvariance:
             win = eigs_in_window(op, 0.5 - 5 * h, 0.5 + 5 * h)
             defects.append(egorov_defect(model, obs, 0.5, win))
         assert defects[1] < 0.7 * defects[0]
+
+    def test_starved_frame_raises(self, monkeypatch):
+        # the defect comes from the anti-Wick route, and so does its mass check
+        monkeypatch.setattr(microlocal, "_auto_xi_span", lambda *args: (-0.3, 0.3))
+        obs = parse_observable("exp(-x^2 - xi^2)")
+        with pytest.raises(NumericalError, match="Husimi mass"):
+            egorov_defect(get_model("harmonic"), obs, 0.7, harmonic_window(0.1, ppw=64))
 
     def test_one_batch_gives_both_tables_bit_for_bit(self):
         # egorov_defect applies a and a o flow_t to the same Husimi densities;

@@ -180,6 +180,12 @@ class TestPolyRootsIn:
         assert _poly_roots_in(Polynomial1D((-5.0, 1.0)), -1.0, 1.0) == []
 
 
+def test_unknown_family_refused_at_construction():
+    # the classical routines dispatch on three families and have no fallback
+    with pytest.raises(ValueError, match="unknown family"):
+        SymbolModel(name="cubic3d", family="radial3d", n=3, potential=Polynomial1D((0.0, 1.0)))
+
+
 def test_confinement_fails_for_unbounded_well():
     # V = -(x^2-1)^2 tends to -infinity, so the boundary check must trip.
     V = Polynomial1D((-1.0, 0.0, 2.0, 0.0, -1.0))
