@@ -45,12 +45,16 @@ Count-only windows (``values=False``, tridiagonal route) compute no
 eigenvalue.  A window reports its count and its edge flags, and each is a
 threshold test on the eigenvalues: kept if in [lo - eps_keep, hi + eps_keep],
 flagged if within edge_tol = ``EDGE_FRACTION`` * (hi - lo) of lo or of hi.
-Three eigenvalue counts at those thresholds decide them (LAPACK ``dstebz``,
-whose bisection stops at its first midpoint when its tolerance is wider than
-the interval): the kept range gives the count, and the two edge bands give
-the number of flagged states at each end of the sorted window.  The Sturm
-certificate and the zero-slack rule are those of every other window.  The
-eigenvalues of such a window are NaN.  The split route always solves.
+Eigenvalue counts in three closed ranges decide them: the kept range gives
+the count, and the two edge bands give the number of flagged states at each
+end of the sorted window.  Their ends are four distinct shifts (when
+eps_keep < edge_tol), and one Sturm count (``sturm_count``) counts at all of
+them in one pass over the matrix.  One LAPACK ``dstebz`` count of [lo, hi]
+certifies the result: its bisection stops at its first midpoint when its
+tolerance is wider than the interval, so it is a Sturm count of its own,
+made by code independent of ours.  The zero-slack rule is that of every
+other window.  The eigenvalues of such a window are NaN.  The split route
+always solves.
 
 2D radial models reduce to a family of half-line problems, one per angular
 momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
@@ -100,7 +104,7 @@ __all__ = [
 
 MAX_CHANNELS = 512
 EDGE_FRACTION = 5e-3  # edge-tie band, as a fraction of the window width
-STURM_SCALAR_ROWS = 4096  # Sturm counts up to this size run row by row on Python floats
+STURM_SCALAR_ROWS = 1024  # Sturm counts up to this size run row by row on Python floats
 RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the operator scale
 BASIS_WIDTHS = 8.0  # the Hermite basis reaches this many sqrt(h) past the classical box
 BASIS_PAD = 32  # ... and this many functions more
@@ -119,7 +123,7 @@ class EigenWindow:
     vectors: np.ndarray | None  # (n, count) columns, l2-normalized
     edge_flags: np.ndarray  # True where the eigenvalue is edge-ambiguous
     residual_max: float | None
-    count_check: int  # independent count: Sturm, or LDL^H inertia if split
+    count_check: int  # independent count: Sturm, LAPACK dstebz if count-only, LDL^H if split
     grid: Grid1D
     m: np.ndarray | None = None  # angular channel of each state on a radial window
 
@@ -147,8 +151,11 @@ def sturm_count(diag, offdiag, values):
     q_i = a_i - x - b_{i-1}^2 / q_{i-1} as T has eigenvalues below x.  A pivot
     smaller than ``pivmin`` counts as -pivmin, so an eigenvalue exactly at x
     may count as below it (``count_in_window`` steps one ulp outside its
-    edges).  Used as an independent check on the LAPACK window solves.  Matrices of more than ``STURM_SCALAR_ROWS``
-    rows are counted in chunks by ``_sturm_chunked``.
+    edges).  It certifies the LAPACK window solves, and LAPACK's own count
+    (``dstebz``) certifies it where it decides a count-only window, so every
+    tridiagonal count meets code independent of the code that made it.
+    Matrices of more than ``STURM_SCALAR_ROWS`` rows are counted in chunks by
+    ``_sturm_chunked``, every shift in one pass.
     """
     a = np.asarray(diag, dtype=float)
     b2 = np.square(np.asarray(offdiag, dtype=float))
@@ -162,6 +169,10 @@ def sturm_count(diag, offdiag, values):
     if np.ndim(values) == 0:
         return int(out[0])
     return out
+
+
+_RENORM = 8  # pass 1 of the chunked Sturm count renormalizes its chunk maps this often
+_MAP_FLOOR = 2.0 ** -500  # ... and carries row by row through a map that shrank below this
 
 
 def _pivmin(b2: np.ndarray) -> float:
@@ -189,23 +200,31 @@ def _sturm_scalar(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _sturm_chunked(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The pivot recurrence in K chunks of L rows, L about sqrt(n) / 2.
+    """The pivot recurrence in K chunks of L rows, L about sqrt(n) / 4.
 
-    The step q -> alpha - c / q is the Moebius map [[alpha, -c], [1, 0]]
-    acting on q = num / den.  Pass 1 multiplies out the map of every chunk,
-    all chunks and shifts at once, one row per vector step, renormalized
-    each step.  A short scalar sweep then carries the pivot through the
-    chunk maps, so each chunk learns the pivot it starts from.  Pass 2 runs
-    the plain recurrence inside every chunk at once from those pivots and
-    counts the negative ones.  Both passes take L vector steps.
+    The step q -> alpha - c / q, alpha = a - x, is the Moebius map
+    [[alpha, -c], [1, 0]] acting on q = num / den.  Pass 1 multiplies out the
+    map of every chunk, all chunks and shifts at once, one row per vector
+    step.  A short scalar sweep then carries the pivot through the chunk
+    maps, so each chunk learns the pivot it starts from.  Pass 2 runs the
+    plain recurrence inside every chunk at once from those pivots and counts
+    the negative ones.  Both passes take L vector steps over (S, K) arrays,
+    shift-major so that every inner loop runs over the K chunks; alpha comes
+    from one (L, K) table of the diagonal, a step at a time.
+
+    Counts are invariant under positive scaling, so the entries are first
+    scaled by a power of two (exact) to |a|, |x|, |b| < 1: then |alpha| <= 2
+    and c = b^2 <= 1, a step grows the largest entry of a chunk map at most
+    threefold, and pass 1 renormalizes every ``_RENORM`` steps (growth at
+    most 3^8 in between).  A map whose largest entry fell below
+    ``_MAP_FLOOR`` may have lost digits to underflow; the sweep then
+    carries the pivot through that chunk row by row instead.
 
     A decoupled row (c = 0) forgets what came before: its pivot is alpha.
     Pass 1 restarts the chunk map there instead of multiplying through a
     rank-one factor, which would lose the map whenever the pivot before it
     is exactly zero.
     """
-    # counts are invariant under positive scaling; a power of two is exact,
-    # and entries of order one keep pass 1's products out of the subnormals
     top = max(float(np.max(np.abs(a))), float(np.max(np.abs(x))),
               float(np.sqrt(b2.max())) if b2.size else 0.0)
     if 0.0 < top < np.inf:
@@ -213,42 +232,55 @@ def _sturm_chunked(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
         a, x, b2 = a * scale, x * scale, b2 * (scale * scale)
     pivmin = _pivmin(b2)
     n, S = a.size, x.size
-    L = max(8, int(np.sqrt(n)) // 2)
+    L = max(8, int(np.sqrt(n)) // 4)
     K = -(-n // L)
-    # row j of every chunk as one (K, S) slice; padding rows at the end are
-    # decoupled, with pivot 1, far above pivmin after the rescaling
-    alpha = np.ones((K * L, S))
-    np.subtract(a[:, None], x, out=alpha[:n])
-    alpha = np.ascontiguousarray(alpha.reshape(K, L, S).transpose(1, 0, 2))
+    # row j of every chunk as one row of the (L, K) tables; padding rows at
+    # the end are decoupled, with diagonal 1 and so alpha = 1 - x > 0
+    diag = np.ones(K * L)
+    diag[:n] = a
+    diag = np.ascontiguousarray(diag.reshape(K, L).T)
     c = np.zeros(K * L)
     c[1:n] = b2  # coupling of each row to the row before it
-    c = np.ascontiguousarray(c.reshape(K, L).T)[:, :, None]
-    decoupled = c[:, :, 0] == 0.0
+    c = np.ascontiguousarray(c.reshape(K, L).T)
+    decoupled = c == 0.0
     restart = decoupled.any(axis=1).tolist()
+    shift = x[:, None]
+    alpha, work = np.empty((S, K)), np.empty((S, K))
 
-    # pass 1: chunk maps [[num0, num1], [den0, den1]]; big = max |num_i|
-    num = np.zeros((2, K, S))
-    num[0] = 1.0
-    den = np.zeros((2, K, S))
-    den[1] = 1.0
-    big = np.ones((K, S))
+    # pass 1: chunk maps [[num0, num1], [den0, den1]], each entry (S, K)
+    num, den, new = np.zeros((2, S, K)), np.zeros((2, S, K)), np.empty((2, S, K))
+    num[0] = den[1] = 1.0
+    lost = np.zeros((S, K), dtype=bool)
     for j in range(L):
         if restart[j]:
             r = decoupled[j]
-            num[0, r], num[1, r], big[r] = 1.0, 0.0, 1.0
-        new = alpha[j] * num - c[j] * den
-        new_big = np.abs(new).max(axis=0)
-        norm = np.maximum(new_big, big)
-        num, den, big = new / norm, num / norm, new_big / norm
+            num[0][:, r], num[1][:, r] = 1.0, 0.0
+        np.subtract(diag[j], shift, out=alpha)
+        np.multiply(num, alpha, out=new)
+        np.multiply(den, c[j], out=den)
+        np.subtract(new, den, out=new)
+        num, den, new = new, num, den
+        if j % _RENORM == _RENORM - 1 or j == L - 1:
+            big = np.maximum(np.abs(num).max(axis=0), np.abs(den).max(axis=0), out=work)
+            lost |= big < _MAP_FLOOR
+            np.maximum(big, _MAP_FLOOR, out=big)  # a lost map may be all zeros
+            num /= big
+            den /= big
 
     # carry: the pivot entering each chunk, guarded like every other pivot
-    n0, n1 = num[0].T.tolist(), num[1].T.tolist()
-    d0, d1 = den[0].T.tolist(), den[1].T.tolist()
+    n0, n1, d0, d1 = num[0].tolist(), num[1].tolist(), den[0].tolist(), den[1].tolist()
     entry = []
-    for s in range(S):
+    for s, xs in enumerate(x.tolist()):
         q, col = np.inf, []  # no row before the first chunk
+        lost_k = set(np.flatnonzero(lost[s]).tolist())
         for k in range(K):
             col.append(q)
+            if k in lost_k:
+                for j in range(L):
+                    q = float(diag[j, k]) - xs - float(c[j, k]) / q
+                    if abs(q) < pivmin:
+                        q = -pivmin
+                continue
             if q == np.inf:
                 u, v = n0[s][k], d0[s][k]
             else:
@@ -259,13 +291,16 @@ def _sturm_chunked(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
         entry.append(col)
 
     # pass 2: the plain recurrence in every chunk at once
-    q = np.array(entry).T.copy()
-    negative = np.zeros((K, S), dtype=int)
+    q = np.array(entry)
+    negative, count = np.empty((S, K), dtype=bool), np.zeros((S, K), dtype=np.int32)
     for j in range(L):
-        q = alpha[j] - c[j] / q
-        q[np.abs(q) < pivmin] = -pivmin
-        negative += q < 0.0
-    return negative.sum(axis=0)
+        np.divide(c[j], q, out=work)
+        np.subtract(diag[j], shift, out=q)
+        q -= work
+        np.less(q, pivmin, out=negative)
+        np.minimum(q, -pivmin, out=q, where=negative)
+        count += negative
+    return count.sum(axis=1)
 
 
 def count_in_window(diag, offdiag, lo: float, hi: float) -> int:
@@ -447,15 +482,24 @@ def _stebz_count(diag, offdiag, vl: float, vu: float) -> int:
 
 
 def _count_window(diag, offdiag, lo: float, hi: float, eps_keep: float, edge_tol: float):
-    """What :func:`_in_window` decides, read off eigenvalue counts.
+    """What :func:`_in_window` decides, read off one Sturm count.
 
     The kept count is the count in [lo - eps_keep, hi + eps_keep]; the kept
     values are sorted, so the flagged ones are the first n_lo and the last
-    n_hi, the counts in the two edge bands.  The values are NaN.
+    n_hi, the counts in the two edge bands.  A closed [a, b] holds
+    N(b) - N(a^-) eigenvalues, N = :func:`sturm_count` and a^- one ulp below
+    a: the (a^-, b] of :func:`_stebz_count`, where the pivot guard counts a
+    level exactly at b.  The six ends are four distinct shifts when
+    eps_keep < edge_tol, and one call counts at all of them.  The values
+    are NaN.
     """
-    count = _stebz_count(diag, offdiag, lo - eps_keep, hi + eps_keep)
-    n_lo = _stebz_count(diag, offdiag, lo - min(eps_keep, edge_tol), lo + edge_tol)
-    n_hi = _stebz_count(diag, offdiag, hi - edge_tol, hi + min(eps_keep, edge_tol))
+    ranges = ((lo - eps_keep, hi + eps_keep),
+              (lo - min(eps_keep, edge_tol), lo + edge_tol),
+              (hi - edge_tol, hi + min(eps_keep, edge_tol)))
+    ends = [(np.nextafter(a, -np.inf), b) for a, b in ranges]
+    shifts, where = np.unique(ends, return_inverse=True)
+    below = sturm_count(diag, offdiag, shifts)[where.reshape(3, 2)]
+    count, n_lo, n_hi = (below[:, 1] - below[:, 0]).tolist()
     j = np.arange(count)
     return np.full(count, np.nan), None, (j < n_lo) | (j >= count - n_hi)
 
@@ -472,13 +516,15 @@ def _check_window(lo: float, hi: float) -> None:
 def _tridiagonal_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
                         vectors: bool, values: bool):
     """LAPACK bisection and inverse iteration on [lo, hi], certified by Sturm;
-    a count-only window (``values=False``) reads counts at its thresholds."""
+    a count-only window (``values=False``) reads one Sturm count at its
+    thresholds, certified by a LAPACK ``dstebz`` count of [lo, hi]."""
     diag, off = op.diag, op.offdiag
     scale = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
     eps_keep = 1e-12 * max(scale, 1.0)
-    check = count_in_window(diag, off, lo, hi)
     if not values:
-        return (*_count_window(diag, off, lo, hi, eps_keep, edge_tol), check, None, scale)
+        return (*_count_window(diag, off, lo, hi, eps_keep, edge_tol),
+                _stebz_count(diag, off, lo, hi), None, scale, ("Sturm", "LAPACK dstebz"))
+    check = count_in_window(diag, off, lo, hi)
     span = _solve_range(lo, hi, eps_keep)
     out = eigh_tridiagonal(diag, off, select="v", select_range=span, eigvals_only=not vectors)
     w, v = out if vectors else (out, None)
@@ -491,7 +537,7 @@ def _tridiagonal_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: fl
         hv[:-1] += off[:, None] * v[1:]
         hv[1:] += off[:, None] * v[:-1]
         resid = max(float(np.linalg.norm(r)) for r in (hv - v * w).T)
-    return w, v, flags, check, resid, scale
+    return w, v, flags, check, resid, scale, ("LAPACK", "Sturm")
 
 
 def _split_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
@@ -520,12 +566,12 @@ def _split_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
                 f"state keeps {tail:.1e} of its mass in the last {TAIL_ROWS} coefficients")
         resid = float(np.max(np.linalg.norm(mat @ coef - coef * w, axis=0)))
     v = _to_grid(coef, op.grid, op.h, x0, xi0, s) if vectors else None
-    return w, v, flags, check, resid, scale
+    return w, v, flags, check, resid, scale, ("LAPACK", "LDL^H inertia")
 
 
-# operator form -> (window route, its count certificate)
-_ROUTES = {"tridiagonal": (_tridiagonal_window, "Sturm"),
-           "split": (_split_window, "LDL^H inertia")}
+# operator form -> window route; each returns the window's states, its
+# certificate count, and the names of the counting and certifying sides
+_ROUTES = {"tridiagonal": _tridiagonal_window, "split": _split_window}
 
 
 def eigs_in_window(
@@ -554,13 +600,12 @@ def eigs_in_window(
         raise ValueError("values=False reads counts only; it needs vectors=False")
     if op.form not in _ROUTES:
         raise ValueError(f"no window solve for {op.form} operators")
-    route, method = _ROUTES[op.form]
-    w, v, flags, check, resid, scale = route(op, lo, hi, EDGE_FRACTION * (hi - lo),
-                                             vectors, values)
+    w, v, flags, check, resid, scale, (counted_by, checked_by) = _ROUTES[op.form](
+        op, lo, hi, EDGE_FRACTION * (hi - lo), vectors, values)
     # only edge-flagged states may account for a disagreement
     if abs(check - w.size) > int(np.sum(flags)):
         raise NumericalError(
-            f"window count disagreement: LAPACK {w.size}, {method} {check} "
+            f"window count disagreement: {counted_by} {w.size}, {checked_by} {check} "
             f"on [{lo:.6g}, {hi:.6g}]")
     if resid is not None and resid > RESIDUAL_TOL * scale:
         raise NumericalError(

@@ -316,7 +316,10 @@ def egorov_defect(model: SymbolModel, obs: Observable, t: float,
     the classical flow from every lattice point.  Both a and a o flow_t are
     tabulated on the lattice x_centers[:, None], xi_centers[None, :], and
     one anti-Wick batch applies both tables to the same Husimi densities.
+    A window without states has no defect: 0.0, and no frame is built.
     """
+    if not window.count:
+        return 0.0
     frame = default_frame(window)
     x, xi = frame.x_centers[:, None], frame.xi_centers[None, :]
     flowed = flow_points(model, x, xi, t)

@@ -142,6 +142,50 @@ class TestChunkedSturm:
             expected = semiclab.eig._sturm_scalar(d, np.square(e), shifts).tolist()
             self.check(d * scale, e * scale, shifts * scale, expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 97, 1001, 5000, 20001])
+    def test_every_shift_in_one_pass(self, n):
+        # 1 to 6 shifts, the first one repeated, every other one a diagonal
+        # entry (a level sitting on the shift where its row is decoupled),
+        # and entries scaled far from one; the last chunk is padded unless L
+        # divides n
+        rng = np.random.default_rng(1000 + n)
+        for zero_share in (0.0, 0.05, 1.0):
+            d, e = random_tridiagonal(rng, n, zero_share)
+            if n <= 1001:
+                ev = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            gershgorin = float(np.min(d) - 2.0 * np.max(np.abs(e), initial=0.0))
+            for size in range(1, 7):
+                shifts = rng.standard_normal(size) * 30.0
+                shifts[1::2] = d[rng.integers(0, n, shifts[1::2].size)]
+                shifts[-1] = shifts[0]
+                got = sturm_count(d, e, shifts).tolist()
+                assert got == semiclab.eig._sturm_scalar(d, np.square(e), shifts).tolist()
+                if n <= 1001:
+                    # a level exactly on a shift may count as below it
+                    assert all(np.sum(ev < x) <= k <= np.sum(ev <= x)
+                               for k, x in zip(got, shifts))
+                elif not zero_share:
+                    # dstebz counts (floor, x], its pivot guard deciding a
+                    # level on x as ours does (it splits a decoupled matrix
+                    # into blocks, each one a separate call: slow at this n)
+                    floor = min(gershgorin, float(shifts.min())) - 1.0
+                    assert got == [semiclab.eig._stebz_count(d, e, floor, x) for x in shifts]
+                for scale in (1e150, 1e-150):
+                    assert sturm_count(d * scale, e * scale, shifts * scale).tolist() == got
+
+    def test_underflowing_chunk_map_is_carried_row_by_row(self):
+        # a zero diagonal but for one entry of order one, couplings 1e-100 and
+        # shifts near 1e-150: a step shrinks a chunk map about 1e-150-fold,
+        # so eight steps sink it below the doubles and the pivot must be
+        # carried through those chunks row by row
+        for n in (50, 5000, 20001):
+            d = np.zeros(n)
+            d[0] = 1.0
+            e = np.full(n - 1, 1e-100)
+            shifts = np.array([1e-150, -1e-150, 3e-101, 0.5])
+            self.check(d, e, shifts,
+                       [semiclab.eig._stebz_count(d, e, -1.0, x) for x in shifts])
+
     def test_scalar_in_int_out(self):
         out = sturm_count(np.array([0.0, 1.0, 2.0]), np.array([1e-3, 1e-3]), 1.5)
         assert isinstance(out, int) and out == 2
@@ -206,22 +250,27 @@ class TestDenseCertificate:
         assert win.count_check == win.count
 
     def test_dropped_state_raises(self, monkeypatch):
-        # one lost state is caught on both routes: LDL^H inertia (split) and
-        # Sturm (tridiagonal), with no edge ties to excuse it
+        # one lost state is caught on every route, with no edge ties to
+        # excuse it, and the error names each side by its role there
         banded, tridiagonal = semiclab.eig.eig_banded, semiclab.eig.eigh_tridiagonal
         monkeypatch.setattr("semiclab.eig.eig_banded",
                             lambda *args, **kwargs: banded(*args, **kwargs)[1:])
         monkeypatch.setattr("semiclab.eig.eigh_tridiagonal",
                             lambda *args, **kwargs: tridiagonal(*args, **kwargs)[1:])
-        with pytest.raises(NumericalError, match="inertia"):
+        with pytest.raises(NumericalError, match="LAPACK 8, LDL\\^H inertia 9"):
             k3_window(0.05, vectors=False)
-        with pytest.raises(NumericalError, match="Sturm"):
+        with pytest.raises(NumericalError, match="LAPACK 5, Sturm 6"):
             eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False)
-        # a count-only window loses the state from its LAPACK count instead
-        count = semiclab.eig._stebz_count
-        monkeypatch.setattr("semiclab.eig._stebz_count",
-                            lambda *args: max(count(*args) - 1, 0))
-        with pytest.raises(NumericalError, match="Sturm"):
+        # a count-only window decides by Sturm and loses the state there: its
+        # top shift, the end of the kept range, counts one state fewer
+        count = semiclab.eig.sturm_count
+
+        def drop_top(diag, offdiag, values):
+            below = count(diag, offdiag, values)
+            return below - (np.asarray(values) == np.max(values))
+
+        monkeypatch.setattr("semiclab.eig.sturm_count", drop_top)
+        with pytest.raises(NumericalError, match="Sturm 5, LAPACK dstebz 6"):
             eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False, values=False)
 
     def test_weyl_averages_match_full_eigh(self):
@@ -427,6 +476,26 @@ class TestCountOnly:
         monkeypatch.setattr(semiclab.eig, "eig_banded", refuse)
         win = eigs_in_window(harmonic_op(0.05), 0.34, 0.86, vectors=False, values=False)
         assert win.count == 6 and win.count_check == 6 and not win.has_ties
+
+    def test_one_count_decides_and_one_certifies(self, monkeypatch):
+        # the route's passes over the matrix, counted: a count-only window
+        # makes one Sturm count at all its thresholds and one LAPACK count;
+        # a window with values one LAPACK solve and one Sturm count
+        calls = []
+        for name in ("sturm_count", "_stebz_count", "eigh_tridiagonal"):
+            def spy(*args, _name=name, _f=getattr(semiclab.eig, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(semiclab.eig, name, spy)
+        op = harmonic_op(0.01)
+        assert op.size > semiclab.eig.STURM_SCALAR_ROWS
+        win = eigs_in_window(op, 0.9, 1.1, vectors=False, values=False)
+        assert win.count == win.count_check == 10
+        assert sorted(calls) == ["_stebz_count", "sturm_count"]
+        calls.clear()
+        win = eigs_in_window(op, 0.9, 1.1, vectors=False)
+        assert win.count == win.count_check == 10
+        assert sorted(calls) == ["eigh_tridiagonal", "sturm_count"]
 
     @pytest.mark.parametrize("threshold", range(6))
     def test_level_on_a_threshold(self, threshold):

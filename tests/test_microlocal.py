@@ -328,6 +328,15 @@ class TestFlowInvariance:
         with pytest.raises(NumericalError, match="Husimi mass"):
             egorov_defect(get_model("harmonic"), obs, 0.7, harmonic_window(0.1, ppw=64))
 
+    def test_window_without_states_has_no_defect(self, monkeypatch):
+        # no state, no frame: the 0/0 momentum span is never formed
+        monkeypatch.setattr(microlocal, "default_frame", None)
+        model = get_model("harmonic")
+        win = solve_window(model, 0.05, 0.5, d=0.1)
+        assert win.count == 0
+        obs = parse_observable("exp(-x^2 - xi^2)")
+        assert egorov_defect(model, obs, 0.5, win) == 0.0
+
     def test_one_batch_gives_both_tables_bit_for_bit(self):
         # egorov_defect applies a and a o flow_t to the same Husimi densities;
         # each table's averages equal those of its own batch
