@@ -9,7 +9,7 @@ and ``fit`` are declared once, in ``OPTIONS``: each entry gives the
 file (``--config``), the type, the default and the checks.  Flags take
 precedence over the file, unknown keys are rejected, and both sources go
 through the same conversion and checks.  ``ppw`` sizes finite-difference
-grids only: it defaults to ``WINDOW_PPW``, and a phase model refuses it.
+and radial grids only: it defaults to ``WINDOW_PPW``, and a phase model refuses it.
 
 Exit codes: 0 success, 1 failed scenario verdict, 2 violated model
 hypothesis, 3 numerical failure, 4 configuration or parse error.
@@ -122,12 +122,14 @@ def _get_model(name: str) -> SymbolModel:
 
 
 def _window_model(cfg: dict) -> SymbolModel:
-    """The model of a window command; sets ``cfg["ppw"]`` when it is not given.
+    """The model of a window command; fills in the ``ecenter`` and ``ppw`` defaults.
 
     ppw sizes finite-difference grids only.  A phase model's split grid is
     sized from its symbol, so a ppw given for one would be echoed unused.
     """
     m = _get_model(cfg["model"])
+    if cfg["ecenter"] is None:
+        cfg["ecenter"] = default_center(m)
     if cfg["ppw"] is None:
         cfg["ppw"] = WINDOW_PPW
     elif m.family == "phase1d":
@@ -337,11 +339,8 @@ def _channel_rows(win: EigenWindow):
 def cmd_spectrum(args) -> int:
     cfg = _resolve(args)
     m = _window_model(cfg)
-    if cfg["ecenter"] is None:
-        cfg["ecenter"] = default_center(m)
-    h, e_center, d = cfg["h"], cfg["ecenter"], cfg["d"]
-    grid = _grid_override(m, cfg)
-    win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"], vectors=False, grid=grid)
+    win = solve_window(m, cfg["h"], cfg["ecenter"], d=cfg["d"], ppw=cfg["ppw"], vectors=False,
+                       grid=_grid_override(m, cfg))
     if m.family == "radial2d":
         header = ["m", "weight", "j", "eigenvalue"]
         rows = [[*c, _fmt(lam)] for c, lam in zip(_channel_rows(win), win.eigenvalues)]
@@ -358,27 +357,22 @@ def cmd_measure(args) -> int:
     cfg = _resolve(args)
     quant = cfg["quantization"]
     m = _window_model(cfg)
-    if cfg["ecenter"] is None:
-        cfg["ecenter"] = default_center(m)
     obs = parse_observable(cfg["obs"])
-    h, e_center, d = cfg["h"], cfg["ecenter"], cfg["d"]
 
     if m.family == "radial2d" and quant == "antiwick":
         raise ConfigError(
             "anti-Wick averages need a planar coherent frame; radial "
             "windows have none (use weyl)")
-    win = solve_window(m, h, e_center, d=d, ppw=cfg["ppw"])
+    win = solve_window(m, cfg["h"], cfg["ecenter"], d=cfg["d"], ppw=cfg["ppw"])
     if m.family == "radial2d":
         # the Weyl route refuses an observable that is not a(r), even with no states
         nus, _method = weyl_or_reference(win, obs)
-        if not win.count:
-            raise NumericalError("no states in the radial window")
         records = [{"m": c, "weight": int(wt), "j": j, "eigenvalue": float(lam),
                     "nu_weyl": float(nu), "method": "radial-position"}
                    for (c, wt, j), lam, nu in zip(_channel_rows(win), win.eigenvalues, nus)]
         ups = upsilon(win)  # weighted_mean: upsilon_a's sum, from the values at hand
-        payload = {"config": _echo("measure", cfg), "upsilon": ups,
-                   "weighted_mean": float(np.sum(win.weights * nus)) / ups, "records": records}
+        payload = {"config": _echo("measure", cfg), "upsilon": ups, "records": records,
+                   "weighted_mean": float(np.sum(win.weights * nus)) / ups if ups else None}
     else:
         # each route runs only when it is reported, so a route left out
         # can neither cost time nor refuse the window
@@ -428,11 +422,7 @@ def cmd_liouville(args) -> int:
 def cmd_scan(args) -> int:
     cfg = _resolve(args)
     _window_model(cfg)
-    observables = ()
-    if cfg["obs"]:
-        observables = tuple(s.strip() for s in cfg["obs"].split(",") if s.strip())
-        for text in observables:
-            parse_observable(text)
+    observables = tuple(s.strip() for s in (cfg["obs"] or "").split(",") if s.strip())
     hs = np.geomspace(cfg["h_from"], cfg["h_to"], cfg["h_steps"])
     scan = run_scan(cfg["model"], h_values=hs, observables=observables,
                     e_center=cfg["ecenter"], d=cfg["d"], ppw=cfg["ppw"])

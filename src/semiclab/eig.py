@@ -55,19 +55,6 @@ tolerance is wider than the interval, so it is a Sturm count of its own,
 made by code independent of ours.  The zero-slack rule is that of every
 other window.  The eigenvalues of such a window are NaN.  The split route
 always solves.
-
-2D radial models reduce to a family of half-line problems, one per angular
-momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
-the operator -h^2 (psi'' + psi'/r) + (V + h^2 m^2 / r^2) psi is discretized
-in conservative (finite-volume) form and symmetrized by the sqrt(r) weight:
-
-    diag_i = 2 t + V(r_i) + h^2 m^2 / r_i^2,          t = h^2 / dr^2,
-    off_i  = -t (i+1) / sqrt((i+1/2)(i+3/2)),
-
-so the flux through r = 0 vanishes automatically and no singular -1/(4 r^2)
-term ever appears; the outer wall at r_max is Dirichlet.  Eigenvectors are
-the values sqrt(r_i dr) psi(r_i), so radial averages of a(r) are plain
-l2 sums.  Channel m >= 1 enters twice (+-m).
 """
 
 from __future__ import annotations
@@ -79,16 +66,14 @@ from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, qr, solve_banded
 from scipy.linalg.lapack import dstebz, zhetrf, zhetrf_lwork
 
 from .errors import ConfigError, NumericalError
-from .model import SEARCH_BOX
 from .quantize import (
     WINDOW_D,
     WINDOW_PPW,
     DiscreteOperator,
     Grid1D,
-    _auto_rows,
-    _box_margin,
     _check_dense_cap,
-    resolution_dx,
+    build_radial,
+    grid_for_radial,
     schrodinger_box,
 )
 
@@ -98,7 +83,6 @@ __all__ = [
     "sturm_count",
     "count_in_window",
     "eigs_in_window",
-    "radial_grid",
     "radial_channels",
 ]
 
@@ -110,6 +94,11 @@ BASIS_WIDTHS = 8.0  # the Hermite basis reaches this many sqrt(h) past the class
 BASIS_PAD = 32  # ... and this many functions more
 TAIL_MASS = 1e-18  # tail check: most mass a window state may keep in its last TAIL_ROWS
 TAIL_ROWS = 8  # basis coefficients
+
+
+def _multiplicity(m) -> np.ndarray:
+    """The rule of :attr:`EigenWindow.weights` for the states of channel m."""
+    return np.where(np.asarray(m) == 0, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -137,7 +126,7 @@ class EigenWindow:
         (it enters as +-m), else 1."""
         if self.m is None:
             return np.ones(self.count)
-        return np.where(self.m == 0, 1.0, 2.0)
+        return _multiplicity(self.m)
 
     @property
     def has_ties(self) -> bool:
@@ -513,6 +502,17 @@ def _check_window(lo: float, hi: float) -> None:
                           "d*h below the floating-point spacing at its centre collapses it")
 
 
+def _check_window_args(d: float, ppw: int, h_max: float | None) -> None:
+    """ConfigError unless d and h_max (the largest h of a scan; ``None``:
+    this h) are finite and positive and ppw is at least 1."""
+    if not (np.isfinite(d) and d > 0):
+        raise ConfigError(f"window half-width d must be finite and positive, got {d!r}")
+    if not ppw >= 1:
+        raise ConfigError(f"ppw must be at least 1, got {ppw!r}")
+    if h_max is not None and not (np.isfinite(h_max) and h_max > 0):
+        raise ConfigError(f"h_max must be finite and positive, got {h_max!r}")
+
+
 def _tridiagonal_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
                         vectors: bool, values: bool):
     """LAPACK bisection and inverse iteration on [lo, hi], certified by Sturm;
@@ -622,33 +622,16 @@ def eigs_in_window(
 @dataclass(frozen=True)
 class RadialChannel:
     m: int
-    weight: float  # angular multiplicity: 1 for m=0, else 2
     window: EigenWindow
 
-
-def radial_grid(r_max: float, n: int) -> Grid1D:
-    """Half-line grid with nodes at (i + 1/2) dr, outer wall at r_max.
-
-    The half-step offset puts the first cell edge exactly at r = 0, where
-    the radial flux vanishes by symmetry, so no boundary condition has to
-    be imposed there.
-    """
-    dr = r_max / (n + 0.5)
-    return Grid1D(-0.5 * dr, r_max, n, "dirichlet")
+    @property
+    def weight(self) -> float:
+        return float(_multiplicity(self.m))
 
 
-def radial_channels(
-    V,
-    h: float,
-    lo: float,
-    hi: float,
-    d: float = WINDOW_D,
-    h_max: float | None = None,
-    ppw: int = WINDOW_PPW,
-    vectors: bool = True,
-    *,
-    values: bool = True,
-) -> list[RadialChannel]:
+def radial_channels(V, h: float, lo: float, hi: float, d: float = WINDOW_D,
+                    h_max: float | None = None, ppw: int = WINDOW_PPW, vectors: bool = True,
+                    *, values: bool = True) -> list[RadialChannel]:
     """Windowed spectra of all angular channels of -h^2 Lap + V(r) in 2D.
 
     Channels are enumerated from m = 0 upward and the loop stops at the
@@ -657,34 +640,14 @@ def radial_channels(
     on [lo, hi].  ``values`` is passed to every channel's
     :func:`eigs_in_window`.
     """
+    _check_window_args(d, ppw, h_max)
     _check_window(lo, hi)
-    e_center = 0.5 * (lo + hi)
-    _, r_turn = schrodinger_box(V, e_center + _box_margin(d, h, h_max), 0.0,
-                                search=(0.0, SEARCH_BOX[1]))
-    r_max = 1.25 * max(r_turn, 1e-2)
-    probe = np.linspace(1e-6, r_max, 4097)
-    pot_min = float(np.min(V(probe)))
-    dr_max = resolution_dx(h, hi, pot_min, ppw)
-    grid = radial_grid(r_max, _auto_rows(np.ceil(r_max / dr_max - 0.5), h))
-    r = grid.nodes
-    v_base = np.asarray(V(r), dtype=float)
-    t = h * h / (grid.dx * grid.dx)
-
-    idx = np.arange(grid.n - 1, dtype=float)
-    off = -t * (idx + 1.0) / np.sqrt((idx + 0.5) * (idx + 1.5))
-
+    grid = grid_for_radial(V, h, lo, hi, d=d, h_max=h_max, ppw=ppw)
     channels: list[RadialChannel] = []
-    for m in range(MAX_CHANNELS + 1):
-        if m == MAX_CHANNELS:
-            raise NumericalError(f"radial channel sweep did not terminate below m={MAX_CHANNELS}")
-        cent = h * h * m * m
-        v_eff = v_base + cent / (r * r)
-        if m >= 1 and float(np.min(v_eff)) > hi:
-            break  # kinetic term is positive: no channel spectrum below min V_eff
-        diag = 2.0 * t + v_eff
-        op = DiscreteOperator("tridiagonal", h, grid, diag=diag, offdiag=off)
-        win = eigs_in_window(op, lo, hi, vectors=vectors, values=values)
-        channels.append(RadialChannel(m=m, weight=1.0 if m == 0 else 2.0,
-                                      window=win))
-    return channels
-
+    for m in range(MAX_CHANNELS):
+        op = build_radial(V, h, grid, m, hi)
+        if m >= 1 and float(np.min(op.mult_x)) > hi:
+            return channels  # kinetic term is positive: no channel spectrum below min V_eff
+        channels.append(RadialChannel(
+            m=m, window=eigs_in_window(op, lo, hi, vectors=vectors, values=values)))
+    raise NumericalError(f"radial channel sweep did not terminate below m={MAX_CHANNELS}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import mu_average
-from .eig import EigenWindow, _check_window, eigs_in_window, radial_channels
+from .eig import EigenWindow, _check_window, _check_window_args, eigs_in_window, radial_channels
 from .errors import ConfigError, HypothesisError, NumericalError
 from .microlocal import _check_radial_observable, upsilon, upsilon_a, weyl_averages
 from .model import SymbolModel, get_model
@@ -190,6 +190,7 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDO
     edge flags come from eigenvalue counts, and its eigenvalues are NaN (see
     :func:`eigs_in_window`).
     """
+    _check_window_args(d, ppw, h_max)
     lo, hi = e_center - d * h, e_center + d * h
     _check_window(lo, hi)
     if model.family == "radial2d":
@@ -273,10 +274,7 @@ def run_scan(
         raise ConfigError("empty h grid")
     if not all(math.isfinite(h) and h > 0 for h in hs):
         raise ConfigError("h values must be finite and positive")
-    if not (math.isfinite(d) and d > 0):
-        raise ConfigError(f"window half-width d must be finite and positive, got {d!r}")
-    if ppw < 1:
-        raise ConfigError(f"ppw must be at least 1, got {ppw!r}")
+    _check_window_args(d, ppw, hs[0])
     _check_window(e_center - d * hs[-1], e_center + d * hs[-1])
     obs = tuple(parse_observable(o) if isinstance(o, str) else o for o in observables)
     if route == "radial":  # refused before the first solve, not in every row

@@ -199,7 +199,6 @@ class SymbolModel:
 
     name: str
     family: str  # "schrodinger1d" | "radial2d" | "phase1d"
-    n: int
     potential: Polynomial1D | None = None
     phase_poly: PhasePolynomial | None = None
     critical_points: tuple[CriticalPoint, ...] = field(default_factory=tuple)
@@ -211,10 +210,11 @@ class SymbolModel:
             raise ValueError(f"{self.family} model requires a potential")
         if self.family == "phase1d" and self.phase_poly is None:
             raise ValueError("phase1d model requires a phase polynomial")
-        if self.family == "radial2d" and self.n != 2:
-            raise ValueError("radial2d models have n = 2")
-        if self.family != "radial2d" and self.n != 1:
-            raise ValueError(f"{self.family} models have n = 1")
+
+    @property
+    def n(self) -> int:
+        """Configuration-space dimension: 2 for radial2d models, else 1."""
+        return 2 if self.family == "radial2d" else 1
 
     def eval(self, x, xi):
         """Symbol value p(x, xi); for radial2d, x and xi are radial moduli."""
@@ -548,8 +548,7 @@ def check_hypotheses(
 
 
 def _make_model(name: str, family: str, **kw) -> SymbolModel:
-    n = 2 if family == "radial2d" else 1
-    m = SymbolModel(name=name, family=family, n=n, **kw)
+    m = SymbolModel(name=name, family=family, **kw)
     return replace(m, critical_points=find_critical_points(m))
 
 

@@ -28,11 +28,24 @@ equal to the slice of the full matrix.
 
 The anti-Wick side quantizes against a lattice of Gaussian coherent states
 of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
+
+2D radial models reduce to a family of half-line problems, one per angular
+momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
+the operator -h^2 (psi'' + psi'/r) + (V + h^2 m^2 / r^2) psi is discretized
+in conservative (finite-volume) form and symmetrized by the sqrt(r) weight:
+
+    diag_i = 2 t + V(r_i) + h^2 m^2 / r_i^2,          t = h^2 / dr^2,
+    off_i  = -t (i+1) / sqrt((i+1/2)(i+3/2)),
+
+so the flux through r = 0 vanishes automatically and no singular -1/(4 r^2)
+term ever appears; the outer wall at r_max is Dirichlet.  Eigenvectors are
+the values sqrt(r_i dr) psi(r_i), so radial averages of a(r) are plain
+l2 sums.  Channel m >= 1 enters twice (+-m).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import circulant
@@ -47,14 +60,14 @@ __all__ = [
     "schrodinger_box",
     "grid_for_schrodinger",
     "grid_for_split",
+    "grid_for_radial",
     "build_schrodinger",
     "build_split",
+    "build_radial",
     "build_weyl_observable",
     "build_coherent_frame",
     "antiwick_batch",
     "dense_matrix",
-    "resolution_dx",
-    "PPW_FLOOR",
     "WINDOW_D",
     "WINDOW_PPW",
 ]
@@ -130,7 +143,7 @@ class DiscreteOperator:
     grid: Grid1D
     diag: np.ndarray | None = None
     offdiag: np.ndarray | None = None
-    mult_x: np.ndarray | None = None
+    mult_x: np.ndarray | None = None  # potential part: f(x) split, V + h^2 m^2 / r^2 radial
     mult_xi: np.ndarray | None = None
     matrix: np.ndarray | None = None
     parts: tuple[Polynomial1D, Polynomial1D] | None = None  # split: (f, g)
@@ -186,7 +199,7 @@ def grid_for_schrodinger(
     e_center: float,
     d: float = WINDOW_D,
     h_max: float | None = None,
-    ppw: int = PPW_FLOOR,
+    ppw: int = WINDOW_PPW,
 ) -> Grid1D:
     """Auto grid: box from the confinement region, dx from the window policy.
 
@@ -226,10 +239,27 @@ def grid_for_split(
     xi_need = SPLIT_XI_COVERAGE * max(abs(xi_lo), abs(xi_hi))
     length = hi - lo
     n = _next_pow2(_auto_rows(np.ceil(length * xi_need / (np.pi * h)), h))
-    if n > DENSE_CAP:
-        raise NumericalError(
-            f"split grid needs {n} > {DENSE_CAP} points at h={h:.3g}; shrink the scan")
+    _check_dense_cap(n, "split grid", h)
     return Grid1D(lo, hi, n, "periodic")
+
+
+def grid_for_radial(V, h: float, lo: float, hi: float, d: float = WINDOW_D,
+                    h_max: float | None = None, ppw: int = WINDOW_PPW) -> Grid1D:
+    """Half-line grid of the radial channels of the window [lo, hi]: outer
+    wall at 1.25 times the outer turning radius at the box energy, dr from
+    the window policy at hi, nodes at (i + 1/2) dr.  The half-step offset
+    puts the first cell edge exactly at r = 0, where the radial flux
+    vanishes by symmetry, so no boundary condition has to be imposed there.
+    """
+    _, r_turn = schrodinger_box(V, 0.5 * (lo + hi) + _box_margin(d, h, h_max), 0.0,
+                                search=(0.0, SEARCH_BOX[1]))
+    r_max = 1.25 * max(r_turn, 1e-2)
+    probe = np.linspace(1e-6, r_max, 4097)
+    pot_min = float(np.min(V(probe)))
+    dr_max = resolution_dx(h, hi, pot_min, ppw)
+    n = _auto_rows(np.ceil(r_max / dr_max - 0.5), h)
+    dr = r_max / (n + 0.5)
+    return Grid1D(-0.5 * dr, r_max, n, "dirichlet")
 
 
 def _check_finite(*parts, grid: Grid1D) -> None:
@@ -266,6 +296,19 @@ def build_schrodinger(
     _check_finite(diag, t, grid=grid)
     off = np.full(grid.n - 1, -t)
     return DiscreteOperator("tridiagonal", h, grid, diag=diag, offdiag=off)
+
+
+def build_radial(V, h: float, grid: Grid1D, m: int, window_top: float) -> DiscreteOperator:
+    """Channel m of -h^2 Lap + V(r) on a :func:`grid_for_radial` grid (module
+    docstring): :func:`build_schrodinger` of the effective potential, kept as
+    ``mult_x``, with its checks at ``window_top``, and the sqrt(r) coupling."""
+    r = grid.nodes
+    with np.errstate(all="ignore"):
+        v_eff = np.asarray(V(r), dtype=float) + h * h * m * m / (r * r)
+    op = build_schrodinger(lambda _r: v_eff, h, grid, window_top)
+    idx = np.arange(grid.n - 1, dtype=float)
+    off = op.offdiag * (idx + 1.0) / np.sqrt((idx + 0.5) * (idx + 1.5))  # -t (i+1) / ...
+    return replace(op, offdiag=off, mult_x=v_eff)
 
 
 def build_split(

@@ -40,9 +40,18 @@ from .experiments import (
     solve_window,
     two_wells_experiment,
 )
-from .microlocal import egorov_defect, microlocal_records, upsilon, upsilon_a
+from .microlocal import (
+    antiwick_averages,
+    egorov_defect,
+    microlocal_records,
+    upsilon,
+    upsilon_a,
+    weyl_averages,
+    weyl_or_reference,
+)
 from .model import get_model
 from .observables import parse_observable
+from .quantize import DENSE_CAP
 
 GAUSS_1D = "exp(-x^2)"
 GAUSS_PHASE = "exp(-x^2-xi^2)"
@@ -223,15 +232,15 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
     rows: list[ScanRow] = []
     for h in hs:
         win = solve_window(model, h, e_center, d=d, ppw=ppw, h_max=hs[0])
-        recs = microlocal_records(win, gauss)
-        gaps.append(max(abs(r.nu_weyl - target) for r in recs))
+        nus, _method = weyl_or_reference(win, gauss)
+        gaps.append(max(abs(float(nu) - target) for nu in nus))
         lam = np.asarray(win.eigenvalues, dtype=float)
         j_star = int(np.argmin(np.abs(lam)))
         psi = np.asarray(win.vectors[:, j_star], dtype=float)
         x = win.grid.nodes
         moments.append(float(np.sum(x * x * psi * psi)))
         ups = upsilon(win)
-        obs_vals = (float(sum(r.nu_weyl for r in recs)), upsilon_a(win, xsq))
+        obs_vals = (float(sum(nus)), upsilon_a(win, xsq))
         rows.append(ScanRow(h=h, n_grid=win.grid.n, upsilon=ups,
                             upsilon_obs=obs_vals,
                             ratios=tuple(v / ups for v in obs_vals),
@@ -325,8 +334,8 @@ def scenario_pseudo_concentration_k3() -> ScenarioReport:
               "upsilon_a/upsilon from the h^(-1/3) parts of both counts"),
         Check("convergence_trend", rl.trend_exponent > 0.0,
               float(rl.trend_exponent), "positive decay of the gap in h"),
-        Check("grid_cap", n_max <= 4096, int(n_max),
-              "dense path stays within 4096 points"),
+        Check("grid_cap", n_max <= DENSE_CAP, int(n_max),
+              f"dense path stays within {DENSE_CAP} points"),
     )
     config = {"model": name, "e_center": e_center, "d": d,
               "observable": GAUSS_PHASE, "h_from": h_from, "h_to": h_to,
@@ -354,16 +363,11 @@ def scenario_property_suite() -> ScenarioReport:
     norm_worst = 0.0
     counts_ok = True
     for win in windows:
-        recs = microlocal_records(win, unit)
-        norm_worst = max(norm_worst,
-                         max(abs(r.nu_weyl - 1.0) for r in recs))
+        norm_worst = max(norm_worst, float(np.max(np.abs(weyl_averages(win, unit)[0] - 1.0))))
         counts_ok = counts_ok and bool(win.count_check == win.count)
 
-    # (b) anti-Wick positivity for nonnegative observables.
-    aw_min = math.inf
-    for o in (gauss, xsq):
-        recs = microlocal_records(windows[0], o)
-        aw_min = min(aw_min, min(r.nu_antiwick for r in recs))
+    # (b) anti-Wick positivity for nonnegative observables, both in one batch.
+    aw_min = float(np.min(antiwick_averages(windows[0], [gauss, xsq])[0]))
 
     # (c) Weyl vs anti-Wick gap decays linearly in h on a regular window.
     hs_gap = np.geomspace(0.1, 0.02, 5)

@@ -38,7 +38,7 @@ from semiclab.quantize import build_split, grid_for_split
 
 
 def phase_model(terms):
-    m = SymbolModel(name="tmp", family="phase1d", n=1,
+    m = SymbolModel(name="tmp", family="phase1d",
                     phase_poly=PhasePolynomial(terms))
     return replace(m, critical_points=find_critical_points(m))
 
@@ -64,7 +64,7 @@ class TestSchrodinger1D:
 
     def test_quartic_volume_closed_form(self):
         # integral dx / sqrt(1 - x^4) = Gamma(1/4)^2 / (2 sqrt(2 pi))
-        quart = SymbolModel(name="quartic", family="schrodinger1d", n=1,
+        quart = SymbolModel(name="quartic", family="schrodinger1d",
                             potential=Polynomial1D((0, 0, 0, 0, 1.0)))
         exact = math.gamma(0.25) ** 2 / (2.0 * math.sqrt(2.0 * math.pi))
         assert level_volume(quart, 1.0).value == pytest.approx(exact, rel=1e-10)

@@ -269,6 +269,13 @@ class TestSpectrum:
         assert lines[0] == "m,weight,j,eigenvalue"
         assert len(lines) > 1
 
+    def test_radial_grid_below_the_resolution_floor(self, capsys):
+        # ppw = 1 once solved every channel on a 16-row grid
+        code, out, err = run_cli(capsys, [
+            "spectrum", "--model", "radial-deg", "--h", "0.05", "--ppw", "1"])
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert "resolution policy" in err
+
     def test_grid_override_needs_both_flags(self, capsys):
         code, _, err = run_cli(capsys, [
             "spectrum", "--model", "harmonic", "--h", "0.04", "--n", "512"])
@@ -378,6 +385,19 @@ class TestMeasure:
         assert code == 0
         payload = json.loads(out)
         assert payload["records"] == [] and payload["upsilon"] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radial_window_without_states_has_no_records(self, capsys):
+        # radial-deg's potential r^6 - r^4 stays above -0.15, so [-0.35, -0.25] is empty
+        argv = ["measure", "--model", "radial-deg", "--h", "0.01", "--ecenter", "-0.3"]
+        code, out, _ = run_cli(capsys, [*argv, "--obs", "exp(-x^2)"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["records"] == [] and payload["upsilon"] == 0.0
+        assert payload["weighted_mean"] is None
+        # an observable that is not a(r) is still refused first
+        code, out, err = run_cli(capsys, [*argv, "--obs", "exp(-x^2-xi^2)"])
+        assert (code, out) == (4, "") and "xi" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_on_both_routes_is_one_line(self, capsys):

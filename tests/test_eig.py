@@ -1,5 +1,7 @@
 """Windowed eigensolves: Sturm and inertia certificates, radial channels, oscillators."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import zhetrf
@@ -10,7 +12,6 @@ from semiclab.eig import (
     count_in_window,
     eigs_in_window,
     radial_channels,
-    radial_grid,
     sturm_count,
 )
 from semiclab.errors import ConfigError, NumericalError
@@ -554,14 +555,6 @@ def weighted_count(channels):
 
 
 class TestRadial:
-    def test_grid_nodes_half_offset(self):
-        g = radial_grid(3.0, 30)
-        dr = 3.0 / 30.5
-        assert g.dx == pytest.approx(dr)
-        assert g.nodes[0] == pytest.approx(0.5 * dr)
-        # last node one spacing inside the Dirichlet wall at r_max
-        assert g.nodes[-1] == pytest.approx(3.0 - dr)
-
     def test_isotropic_oscillator_degeneracies(self):
         # -h^2 Lap + r^2 in 2D: levels 2h(N+1) with multiplicity N+1
         h = 0.1
@@ -602,3 +595,16 @@ class TestRadial:
         tops = [c.m for c in ch]
         assert tops == list(range(len(tops)))
         assert len(ch) < 20
+        assert [c.weight for c in ch] == [1.0] + [2.0] * (len(ch) - 1)
+
+    @pytest.mark.parametrize("ppw", [0, -2])
+    def test_ppw_below_one_refused(self, ppw):
+        # ppw = 0 once divided by zero in resolution_dx and solved on 16 rows
+        with pytest.raises(ConfigError, match="ppw"):
+            radial_channels(X2, 0.05, -0.25, 0.25, ppw=ppw, vectors=False)
+
+    @pytest.mark.parametrize("h_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_h_max_refused(self, h_max):
+        # -1 and NaN once fell back to the margin floor without a word
+        with pytest.raises(ConfigError, match="h_max"):
+            radial_channels(X2, 0.05, -0.25, 0.25, h_max=h_max, vectors=False)

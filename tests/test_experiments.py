@@ -196,12 +196,25 @@ class TestSolveWindow:
             solve_window(model, h, 0.0, grid=Grid1D(0.0, 1.0, 64, "dirichlet"))
 
     def test_routes_without_a_1d_window_are_config_errors(self):
-        mixed = SymbolModel(name="mixed", family="phase1d", n=1, phase_poly=PhasePolynomial(
+        mixed = SymbolModel(name="mixed", family="phase1d", phase_poly=PhasePolynomial(
             ((2, 0, 1.0), (0, 2, 1.0), (1, 1, 0.5))))
         with pytest.raises(ConfigError):
             solve_window(mixed, 0.05, 1.0)
         (row,) = run_scan(mixed, h_values=[0.05], e_center=1.0).rows
         assert "mixed" in row.error
+
+    @pytest.mark.parametrize("name", ["harmonic", "radial-deg"])
+    @pytest.mark.parametrize("ppw", [0, -2])
+    def test_ppw_below_one_refused(self, name, ppw):
+        # ppw = 0 once divided by zero in resolution_dx before any refusal
+        with pytest.raises(ConfigError, match="ppw"):
+            solve_window(get_model(name), 0.05, 0.0, ppw=ppw, vectors=False)
+
+    @pytest.mark.parametrize("name", ["harmonic", "radial-deg", "pseudo-k3"])
+    @pytest.mark.parametrize("h_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_h_max_refused(self, name, h_max):
+        with pytest.raises(ConfigError, match="h_max"):
+            solve_window(get_model(name), 0.05, 0.0, h_max=h_max, vectors=False)
 
 
 class TestCsvRoundTrip:

@@ -183,13 +183,13 @@ class TestPolyRootsIn:
 def test_unknown_family_refused_at_construction():
     # the classical routines dispatch on three families and have no fallback
     with pytest.raises(ValueError, match="unknown family"):
-        SymbolModel(name="cubic3d", family="radial3d", n=3, potential=Polynomial1D((0.0, 1.0)))
+        SymbolModel(name="cubic3d", family="radial3d", potential=Polynomial1D((0.0, 1.0)))
 
 
 def test_confinement_fails_for_unbounded_well():
     # V = -(x^2-1)^2 tends to -infinity, so the boundary check must trip.
     V = Polynomial1D((-1.0, 0.0, 2.0, 0.0, -1.0))
-    m = SymbolModel(name="inverted", family="schrodinger1d", n=1, potential=V)
+    m = SymbolModel(name="inverted", family="schrodinger1d", potential=V)
     m = replace(m, critical_points=find_critical_points(m, (-2.5, 2.5)))
     rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(-2.5, 2.5))
     assert not rep.passed
@@ -205,14 +205,14 @@ def test_two_maxima_break_isolation():
 
 def test_critical_circle_breaks_isolation():
     # V = r^4 - 2 r^2 has its critical circle r = 1 on the level -1
-    m = SymbolModel(name="ring", family="radial2d", n=2, potential=Polynomial1D((0, 0, -2, 0, 1)))
+    m = SymbolModel(name="ring", family="radial2d", potential=Polynomial1D((0, 0, -2, 0, 1)))
     rep = check_hypotheses(m, e_center=-1.0, epsilon0=1.0, box=(0.0, 2.0))
     assert ("isolated-critical-point", "critical circle at r=1 on the energy surface") in rep.failures
 
 
 def test_odd_order_point_is_not_an_extremum():
     # V = x^3 + x^4: V' = x^2 (3 + 4x), a third-order point at x = 0 on the level 0
-    m = SymbolModel(name="cubic", family="schrodinger1d", n=1, potential=Polynomial1D((0, 0, 0, 1, 1)))
+    m = SymbolModel(name="cubic", family="schrodinger1d", potential=Polynomial1D((0, 0, 0, 1, 1)))
     rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(-2.0, 2.0))
     assert rep.failures == (("extremum", "odd leading order 3 at x=0"),)
 
@@ -224,7 +224,7 @@ DEGENERATE_QUARTIC = PhasePolynomial(
 
 
 def test_principal_type_violation_detected():
-    m = SymbolModel(name="degenerate", family="phase1d", n=1, phase_poly=DEGENERATE_QUARTIC)
+    m = SymbolModel(name="degenerate", family="phase1d", phase_poly=DEGENERATE_QUARTIC)
     m = replace(m, critical_points=find_critical_points(m, (-2.0, 2.0, -2.0, 2.0)))
     rep = check_hypotheses(m, e_center=0.0, epsilon0=0.5, box=(-2.0, 2.0, -2.0, 2.0))
     assert [h for h, _ in rep.failures] == ["principal-type"]
@@ -232,7 +232,7 @@ def test_principal_type_violation_detected():
 
 def test_degenerate_point_found_once():
     # Newton stops up to ~1.6e-3 from the origin pass the gradient tolerance
-    m = SymbolModel(name="degenerate", family="phase1d", n=1, phase_poly=DEGENERATE_QUARTIC)
+    m = SymbolModel(name="degenerate", family="phase1d", phase_poly=DEGENERATE_QUARTIC)
     (p,) = find_critical_points(m)
     assert p.z0 == pytest.approx((0.0, 0.0), abs=1e-12)
     assert p.order == 4 and p.critical_energy == pytest.approx(0.0, abs=1e-15)
@@ -243,7 +243,7 @@ def test_mixed_cubic_points_found_once():
     # origin and a minimum at (-3/4, 0); stops within 2e-8 of the origin
     # pass the gradient tolerance
     cubic = PhasePolynomial(((3, 0, 1.0), (1, 2, -3.0), (4, 0, 1.0), (0, 4, 1.0), (2, 2, 1.0)))
-    m = SymbolModel(name="monkey", family="phase1d", n=1, phase_poly=cubic)
+    m = SymbolModel(name="monkey", family="phase1d", phase_poly=cubic)
     pts = sorted(find_critical_points(m), key=lambda p: p.z0)
     assert [(p.kind, p.order) for p in pts] == [("min", 2), ("non-extremal-homogeneous", 3)]
     assert pts[0].z0 == pytest.approx((-0.75, 0.0), abs=1e-12)

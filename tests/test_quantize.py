@@ -17,6 +17,7 @@ from semiclab.quantize import (
     build_split,
     build_weyl_observable,
     dense_matrix,
+    grid_for_radial,
     grid_for_schrodinger,
     grid_for_split,
 )
@@ -76,6 +77,26 @@ class TestGrids:
         eps0 = 1.0
         xi_turn = np.sqrt(1.0 + eps0)  # g(xi) = xi^2 at the padded energy
         assert g.xi_max(h) >= 1.25 * xi_turn
+
+    def test_radial_nodes_half_offset(self):
+        g = grid_for_radial(X2, 0.05, 0.55, 0.85)
+        dr = g.x_max / (g.n + 0.5)
+        assert g.dx == pytest.approx(dr)
+        assert g.nodes[0] == pytest.approx(0.5 * dr)
+        # last node one spacing inside the Dirichlet wall at r_max
+        assert g.nodes[-1] == pytest.approx(g.x_max - dr)
+
+    @pytest.mark.parametrize("shared, sizes", [
+        (False, [185, 232, 290, 364, 456, 573, 721, 925, 1194, 1543]),
+        (True, [185, 239, 309, 399, 516, 666, 860, 1111, 1435, 1854])])
+    def test_radial_grid_sizes(self, shared, sizes):
+        # radial-deg at E = 0, d = 5, ppw = 64 on the h grid of liouville-limit-2d,
+        # each box sized at its own h or, as in a scan, at the largest
+        V = get_model("radial-deg").potential
+        hs = [float(h) for h in np.geomspace(0.1, 0.01, 10)]
+        assert [grid_for_radial(V, h, -5.0 * h, 5.0 * h, d=5.0,
+                                h_max=hs[0] if shared else None, ppw=64).n
+                for h in hs] == sizes
 
 
 class TestSchrodingerFD:
