@@ -67,6 +67,7 @@ LIOUVILLE_RESOLUTION = 2048  # planar Liouville integrals march at 1/2, 1 and 2 
 LEVELSET_RESOLUTION = 512  # marching-squares cells per side for level-set topology
 COAREA_RESOLUTION = 3000  # lattice cells per side of the coarea band count
 COAREA_QUAD_NODES = 24  # Gauss-Legendre nodes of the energy integral
+COAREA_BLOCK_BYTES = 4 * 2**20  # working memory of one block of coarea lattice rows, at most
 FLOW_DRIFT_TOL = 1e-6  # energy drift allowed per unit of 1 + max|E|
 FLOW_PROBE = 64  # points of largest |p| flowed alone to reject a step size early
 
@@ -517,27 +518,60 @@ def _band_box(model: SymbolModel, e_hi: float) -> tuple[float, float, float, flo
     return (x_lo - pad_x, x_hi + pad_x, -s_hi - pad_s, s_hi + pad_s)
 
 
+def _check_band(e_lo: float, e_hi: float) -> None:
+    """ConfigError unless [e_lo, e_hi] is a band: finite edges, e_lo < e_hi."""
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi) and e_lo < e_hi):
+        raise ConfigError(f"energy band [{e_lo!r}, {e_hi!r}] needs finite edges "
+                          "with e_lo < e_hi")
+
+
 def coarea_area(model: SymbolModel, e_lo: float, e_hi: float) -> float:
     """Phase-space measure of {e_lo <= p <= e_hi} by cell counting.
 
     Planar families count lattice cells directly; the radial family counts
     in the (r, s) quadrant with the weight 4 pi^2 r s of the two angular
     variables integrated out.  A band with no allowed region below e_hi
-    raises ``NumericalError`` in every family.
+    raises ``NumericalError`` in every family, and one that is not a band
+    (edges not finite, or e_lo >= e_hi) raises ``ConfigError``.
+
+    Memory: the lattice is evaluated in blocks of rows whose symbol table,
+    band mask and temporaries stay within ``COAREA_BLOCK_BYTES``, so the
+    whole lattice is never built.  Planar counts are integers and add
+    exactly block by block.  The radial weights are floats, whose sum
+    depends on its order and grouping, so they are written into one array
+    in the lattice's row-major order and added by one ``np.sum``: the same
+    sum, bit for bit, as over the band of the whole lattice at once.  That
+    array, 8 bytes per band cell, is the only allocation that grows with
+    the band; a first pass counts each block's cells to size it, and a
+    second pass fills it.
     """
+    _check_band(e_lo, e_hi)
     x0, x1, y0, y1 = _band_box(model, e_hi)
     xs = np.linspace(x0, x1, COAREA_RESOLUTION + 1)
     ys = np.linspace(y0, y1, COAREA_RESOLUTION + 1)
     xc = 0.5 * (xs[:-1] + xs[1:])[:, None]
     yc = 0.5 * (ys[:-1] + ys[1:])[None, :]
-    p = model.eval(xc, yc)
-    band = (p >= e_lo) & (p <= e_hi)
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    if model.family == "radial2d":
-        r = np.broadcast_to(xc, band.shape)[band]
-        s = np.broadcast_to(yc, band.shape)[band]
-        return float(np.sum(4.0 * np.pi**2 * r * s) * cell)
-    return float(np.count_nonzero(band)) * cell
+    # per lattice cell: the symbol, a temporary and the gathered r, s (8 bytes each)
+    rows = max(1, COAREA_BLOCK_BYTES // (32 * COAREA_RESOLUTION))
+    starts = range(0, COAREA_RESOLUTION, rows)
+
+    def band(i: int) -> np.ndarray:
+        p = model.eval(xc[i:i + rows], yc)
+        return (p >= e_lo) & (p <= e_hi)
+
+    counts = [np.count_nonzero(band(i)) for i in starts]
+    if model.family != "radial2d":
+        return float(sum(counts)) * cell
+    terms = np.empty(sum(counts))
+    k = 0
+    for i, n in zip(starts, counts):
+        b = band(i)
+        r = np.broadcast_to(xc[i:i + rows], b.shape)[b]
+        s = np.broadcast_to(yc, b.shape)[b]
+        terms[k:k + n] = 4.0 * np.pi**2 * r * s
+        k += n
+    return float(np.sum(terms) * cell)
 
 
 def coarea_check(model: SymbolModel, e_lo: float, e_hi: float) -> dict:
@@ -547,8 +581,10 @@ def coarea_check(model: SymbolModel, e_lo: float, e_hi: float) -> dict:
     the area of the band {e_lo <= p <= e_hi}; the two sides come from fully
     independent code paths (turning-point quadrature vs cell counting), so
     agreement validates both.  Returns the two values and their relative
-    difference.
+    difference.  A band that is not one (edges not finite, or
+    e_lo >= e_hi) raises ``ConfigError`` before either side runs.
     """
+    _check_band(e_lo, e_hi)
     from numpy.polynomial.legendre import leggauss
     nodes, weights = leggauss(COAREA_QUAD_NODES)
     c, w = 0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo)

@@ -502,17 +502,6 @@ def _check_window(lo: float, hi: float) -> None:
                           "d*h below the floating-point spacing at its centre collapses it")
 
 
-def _check_window_args(d: float, ppw: int, h_max: float | None) -> None:
-    """ConfigError unless d and h_max (the largest h of a scan; ``None``:
-    this h) are finite and positive and ppw is at least 1."""
-    if not (np.isfinite(d) and d > 0):
-        raise ConfigError(f"window half-width d must be finite and positive, got {d!r}")
-    if not ppw >= 1:
-        raise ConfigError(f"ppw must be at least 1, got {ppw!r}")
-    if h_max is not None and not (np.isfinite(h_max) and h_max > 0):
-        raise ConfigError(f"h_max must be finite and positive, got {h_max!r}")
-
-
 def _tridiagonal_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
                         vectors: bool, values: bool):
     """LAPACK bisection and inverse iteration on [lo, hi], certified by Sturm;
@@ -640,7 +629,6 @@ def radial_channels(V, h: float, lo: float, hi: float, d: float = WINDOW_D,
     on [lo, hi].  ``values`` is passed to every channel's
     :func:`eigs_in_window`.
     """
-    _check_window_args(d, ppw, h_max)
     _check_window(lo, hi)
     grid = grid_for_radial(V, h, lo, hi, d=d, h_max=h_max, ppw=ppw)
     channels: list[RadialChannel] = []

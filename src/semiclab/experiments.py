@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import mu_average
-from .eig import EigenWindow, _check_window, _check_window_args, eigs_in_window, radial_channels
+from .eig import EigenWindow, _check_window, eigs_in_window, radial_channels
 from .errors import ConfigError, HypothesisError, NumericalError
 from .microlocal import _check_radial_observable, upsilon, upsilon_a, weyl_averages
 from .model import SymbolModel, get_model
@@ -46,6 +46,7 @@ from .quantize import (
     WINDOW_D,
     WINDOW_PPW,
     Grid1D,
+    _check_window_args,
     build_schrodinger,
     build_split,
     grid_for_schrodinger,

@@ -1,12 +1,14 @@
 """Quantization oracles: FD spectra, split/Weyl agreement, anti-Wick frames."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from semiclab.errors import NumericalError
+from semiclab.errors import ConfigError, NumericalError
 from semiclab.model import Polynomial1D, get_model
 from semiclab.quantize import (
     WEYL_BLOCK_BYTES,
@@ -97,6 +99,26 @@ class TestGrids:
         assert [grid_for_radial(V, h, -5.0 * h, 5.0 * h, d=5.0,
                                 h_max=hs[0] if shared else None, ppw=64).n
                 for h in hs] == sizes
+
+    # once: ppw = 0 divided by zero in resolution_dx and built 16 rows; a bad
+    # h_max fell back to the margin floor (309 rows on radial-deg, not 340)
+    @pytest.mark.parametrize("builder, kwargs, what", [
+        pytest.param(b, kw, what, id=f"{b}-{next(iter(kw))}={next(iter(kw.values()))}")
+        for b in ("schrodinger", "split", "radial")
+        for kw, what in [({"ppw": 0}, "ppw"), ({"ppw": -3}, "ppw"),
+                         ({"h_max": -1.0}, "h_max"), ({"h_max": math.nan}, "h_max"),
+                         ({"d": 0.0}, "half-width"), ({"d": math.inf}, "half-width")]
+        if not (b == "split" and "ppw" in kw)])  # a split grid has no ppw
+    def test_builders_refuse_bad_window_args(self, builder, kwargs, what):
+        build = {
+            "schrodinger": lambda: grid_for_schrodinger(X2, 0.05, 1.0, **kwargs),
+            "split": lambda: grid_for_split(X2, X2, 0.05, 1.0, **kwargs),
+            "radial": lambda: grid_for_radial(get_model("radial-deg").potential, 0.05,
+                                              -0.25, 0.25, **kwargs)}[builder]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=what):
+                build()
 
 
 class TestSchrodingerFD:
