@@ -89,7 +89,12 @@ def _as_symbol_callable(a):
 
 def allowed_intervals(V: Polynomial1D, energy: float,
                       search: tuple[float, float] = SEARCH_BOX) -> list[tuple[float, float]]:
-    """Maximal intervals with V < energy inside the search range."""
+    """Maximal intervals with V < energy inside the search range.
+
+    An interval that reaches an edge of the range, other than the origin
+    r = 0 of a radial search, leaves the range: its level set would be cut
+    there, so it raises ``NumericalError``.
+    """
     shifted = Polynomial1D((V.coefficients[0] - energy,) + V.coefficients[1:])
     roots = sorted(_poly_roots_in(shifted, search[0], search[1]))
     edges = [search[0]] + roots + [search[1]]
@@ -100,6 +105,11 @@ def allowed_intervals(V: Polynomial1D, energy: float,
         mid = 0.5 * (lo + hi)
         if V(mid) < energy:
             out.append((lo, hi))
+    for edge in search:
+        if edge != 0.0 and any(edge in iv for iv in out):
+            raise NumericalError(
+                f"the level set at E={energy:.6g} reaches the search edge {edge:g}; "
+                f"only [{search[0]:g}, {search[1]:g}] is searched")
     return out
 
 
@@ -182,8 +192,6 @@ def _liouville_schrodinger(V: Polynomial1D, a, energy: float,
     all_ratios: list[float] = []
     for lo, hi in intervals:
         for x_t, side in ((lo, +1.0), (hi, -1.0)):
-            if x_t in SEARCH_BOX:
-                continue  # box edge, not a turning point
             if abs(dV(x_t)) > DEGENERATE_SLOPE_TOL * slope_scale:
                 continue
             if not allow_critical:
@@ -306,7 +314,12 @@ def _march_integral(model: SymbolModel, a, energy, box, n) -> float:
 def _phase_box(model: SymbolModel, energy: float, margin: float = 1.0,
                empty=(-1.0, 1.0, -1.0, 1.0)) -> tuple[float, float, float, float]:
     """Padded box around the probed set {p <= energy + margin}, or ``empty``
-    when no probe point lies in it."""
+    when no probe point lies in it.
+
+    The probe covers (-6, 6)^2 only.  A level set that the box would cut, p <=
+    energy somewhere on its boundary (sampled at the nodes of the finest
+    Liouville march), raises ``NumericalError``.
+    """
     xs = np.linspace(-6.0, 6.0, 257)
     mask = np.asarray(model.eval(xs[:, None], xs[None, :]), dtype=float) <= energy + margin
     if not np.any(mask):
@@ -314,7 +327,16 @@ def _phase_box(model: SymbolModel, energy: float, margin: float = 1.0,
     gx = xs[np.any(mask, axis=1)]
     gy = xs[np.any(mask, axis=0)]
     pad = 0.2 * max(gx[-1] - gx[0], gy[-1] - gy[0], 0.5)
-    return (float(gx[0] - pad), float(gx[-1] + pad), float(gy[0] - pad), float(gy[-1] + pad))
+    box = (float(gx[0] - pad), float(gx[-1] + pad), float(gy[0] - pad), float(gy[-1] + pad))
+    x0, x1, y0, y1 = box
+    bx = np.linspace(x0, x1, 2 * LIOUVILLE_RESOLUTION + 1)[:, None]
+    by = np.linspace(y0, y1, 2 * LIOUVILLE_RESOLUTION + 1)[None, :]
+    if (np.any(model.eval(bx, by[:, [0, -1]]) <= energy)
+            or np.any(model.eval(bx[[0, -1]], by) <= energy)):
+        raise NumericalError(
+            f"the level set at E={energy:.6g} reaches the edge of its box "
+            f"[{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}]")
+    return box
 
 
 def _shell_ratios_2d(model: SymbolModel, energy: float, z0: tuple[float, float],
@@ -656,7 +678,8 @@ def flow_points(model: SymbolModel, x0, xi0, t: float,
                 check_reversibility: bool = False) -> FlowResult:
     """Hamiltonian flow of the model symbol from (x0, xi0) for time t.
 
-    Split symbols use Verlet (symplectic), general planar ones classic RK4.
+    The xi^2 + V families (schrodinger1d, radial2d) use Verlet (symplectic),
+    every phase1d symbol classic RK4, split ones such as pseudo-k3 included.
     The step starts at 1e-3 * max(|t|, 1) and is halved, at most six times,
     until the energy drift passes ``FLOW_DRIFT_TOL * (1 + max|E|)``;
     persistent failure raises ``NumericalError``.  Inputs broadcast to

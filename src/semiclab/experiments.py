@@ -139,7 +139,6 @@ class ScanRow:
     n_grid: int
     upsilon: float
     upsilon_obs: tuple[float, ...]
-    ratios: tuple[float, ...]
     residual_max: float
     tie: bool
     error: str = ""
@@ -148,6 +147,15 @@ class ScanRow:
     def ok(self) -> bool:
         return self.error == ""
 
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        """Upsilon_a / Upsilon per observable; NaN on an empty or failed row."""
+        return tuple(v / self.upsilon if self.upsilon > 0 else math.nan
+                     for v in self.upsilon_obs)
+
+
+_ROUTES = {"schrodinger1d": "fd", "phase1d": "split", "radial2d": "radial"}
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -155,10 +163,13 @@ class ScanResult:
     family: str
     e_center: float
     d: float
-    route: str  # "fd" | "split" | "radial"
     ppw: int
     observable_ids: tuple[str, ...]
     rows: tuple[ScanRow, ...]
+
+    @property
+    def route(self) -> str:  # "fd" | "split" | "radial"
+        return _ROUTES[self.family]
 
     def valid_rows(self) -> tuple[ScanRow, ...]:
         return tuple(r for r in self.rows if r.ok)
@@ -191,7 +202,7 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDO
     edge flags come from eigenvalue counts, and its eigenvalues are NaN (see
     :func:`eigs_in_window`).
     """
-    _check_window_args(d, ppw, h_max)
+    _check_window_args(h, d, ppw, h_max)
     lo, hi = e_center - d * h, e_center + d * h
     _check_window(lo, hi)
     if model.family == "radial2d":
@@ -224,28 +235,25 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDO
     return eigs_in_window(op, lo, hi, vectors=vectors, values=values)
 
 
-def _scan_route(model: SymbolModel) -> str:
-    return {"schrodinger1d": "fd", "phase1d": "split", "radial2d": "radial"}[model.family]
+def _window_row(win: EigenWindow, obs_vals: tuple[float, ...]) -> ScanRow:
+    """The scan row of a solved window and its Upsilon_a values."""
+    return ScanRow(h=win.h, n_grid=win.grid.n, upsilon=upsilon(win), upsilon_obs=obs_vals,
+                   residual_max=win.residual_max or 0.0, tie=win.has_ties)
 
 
 def _scan_one(model: SymbolModel, h: float, h_max: float, e_center: float, d: float,
               ppw: int, observables: tuple[Observable, ...]) -> ScanRow:
     need_vectors = bool(observables)
-    nan_obs = tuple(math.nan for _ in observables)
-
     try:
         win = solve_window(model, h, e_center, d=d, ppw=ppw, vectors=need_vectors,
                            h_max=h_max, values=need_vectors)
-        ups = upsilon(win)
-        obs_vals = tuple(upsilon_a(win, o) if win.count else 0.0 for o in observables)
-        residual = win.residual_max if win.residual_max is not None else 0.0
-        ratios = tuple(v / ups if ups > 0 else math.nan for v in obs_vals)
-        return ScanRow(h=h, n_grid=win.grid.n, upsilon=ups, upsilon_obs=obs_vals,
-                       ratios=ratios, residual_max=residual, tie=win.has_ties)
+        return _window_row(win, tuple(upsilon_a(win, o) if win.count else 0.0
+                                      for o in observables))
     except (ConfigError, NumericalError, HypothesisError) as exc:
         msg = str(exc).replace(",", ";").replace("\n", " ")
-        return ScanRow(h=h, n_grid=0, upsilon=math.nan, upsilon_obs=nan_obs,
-                       ratios=nan_obs, residual_max=math.nan, tie=False, error=msg)
+        return ScanRow(h=h, n_grid=0, upsilon=math.nan,
+                       upsilon_obs=tuple(math.nan for _ in observables),
+                       residual_max=math.nan, tie=False, error=msg)
 
 
 def run_scan(
@@ -267,24 +275,22 @@ def run_scan(
         model = get_model(model)
     if e_center is None:
         e_center = default_center(model)
-    route = _scan_route(model)
     if h_values is None:
-        h_values = default_h_values(route)
+        h_values = default_h_values(_ROUTES[model.family])
     hs = sorted((float(v) for v in h_values), reverse=True)
     if not hs:
         raise ConfigError("empty h grid")
-    if not all(math.isfinite(h) and h > 0 for h in hs):
-        raise ConfigError("h values must be finite and positive")
-    _check_window_args(d, ppw, hs[0])
+    for h in hs:
+        _check_window_args(h, d, ppw, hs[0])
     _check_window(e_center - d * hs[-1], e_center + d * hs[-1])
     obs = tuple(parse_observable(o) if isinstance(o, str) else o for o in observables)
-    if route == "radial":  # refused before the first solve, not in every row
+    if model.family == "radial2d":  # refused before the first solve, not in every row
         for o in obs:
             _check_radial_observable(o)
     rows = [_scan_one(model, h, hs[0], e_center, d, ppw, obs) for h in hs]
     return ScanResult(model=model.name, family=model.family, e_center=e_center,
-                      d=d, route=route, ppw=ppw,
-                      observable_ids=tuple(o.id for o in obs), rows=tuple(rows))
+                      d=d, ppw=ppw, observable_ids=tuple(o.id for o in obs),
+                      rows=tuple(rows))
 
 
 def _fmt(v: float) -> str:
@@ -328,22 +334,19 @@ def _csv_row(rec: list[str], width: int) -> ScanRow:
     try:
         h, ups, residual = float(rec[0]), float(rec[2]), float(rec[3])
         n_grid = int(rec[1])
-        pairs = [float(v) for v in rec[6:]]
+        vals = tuple(float(v) for v in rec[6:])[0::2]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not (math.isfinite(h) and h > 0):
-        raise ConfigError(f"h must be finite and positive, got {rec[0]!r}")
-    vals, ratios = tuple(pairs[0::2]), tuple(pairs[1::2])
-    # a failed row is all NaN; an empty window has NaN ratios
-    finite = (ups, residual, *vals) + (ratios if ups > 0 else ())
-    if not rec[5] and not all(math.isfinite(v) for v in finite):
+    # a failed row is all NaN
+    if not rec[5] and not all(math.isfinite(v) for v in (ups, residual, *vals)):
         raise ConfigError("non-finite value in a row without an error")
-    return ScanRow(h=h, n_grid=n_grid, upsilon=ups, upsilon_obs=vals, ratios=ratios,
+    return ScanRow(h=h, n_grid=n_grid, upsilon=ups, upsilon_obs=vals,
                    residual_max=residual, tie=rec[4] == "1", error=rec[5])
 
 
 def scan_from_csv(text: str) -> ScanResult:
-    """Parse the output of ``scan_to_csv``; anything else is a ConfigError."""
+    """Parse the output of ``scan_to_csv``; anything else is a ConfigError.
+    The route line and the ratio columns must parse, but are derived again."""
     meta = {}
     data_lines = []
     for line in text.splitlines():
@@ -358,10 +361,11 @@ def scan_from_csv(text: str) -> ScanResult:
         raise ConfigError(f"scan CSV is missing metadata keys: {', '.join(missing)}")
     try:
         e_center, d, ppw = float(meta["e_center"]), float(meta["d"]), int(meta["ppw"])
-    except ValueError as exc:
+        if meta["family"] not in _ROUTES or not math.isfinite(e_center):
+            raise ConfigError(f"family must be one of {', '.join(_ROUTES)}; e_center finite")
+        _check_window_args(None, d, ppw)
+    except ValueError as exc:  # ConfigError is one
         raise ConfigError(f"scan CSV metadata: {exc}") from None
-    if not (math.isfinite(e_center) and math.isfinite(d) and d > 0):
-        raise ConfigError("scan CSV metadata: e_center must be finite and d positive")
     obs_ids = tuple(o for o in meta["observables"].split("|") if o)
     header = _csv_header(obs_ids)
     rows = []
@@ -372,13 +376,13 @@ def scan_from_csv(text: str) -> ScanResult:
         for lineno, rec in enumerate(reader, 2):
             try:
                 rows.append(_csv_row(rec, len(header)))
+                _check_window_args(rows[-1].h, d, ppw)
             except ConfigError as exc:
                 raise ConfigError(f"scan CSV data line {lineno}: {exc}") from None
     except csv.Error as exc:
         raise ConfigError(f"scan CSV: {exc}") from None
     return ScanResult(model=meta["model"], family=meta["family"], e_center=e_center,
-                      d=d, route=meta["route"], ppw=ppw, observable_ids=obs_ids,
-                      rows=tuple(rows))
+                      d=d, ppw=ppw, observable_ids=obs_ids, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def grid_for_schrodinger(
     ``h_max`` is the largest h of the surrounding scan; the box is chosen once
     per scan so rows share geometry.
     """
-    _check_window_args(d, ppw, h_max)
+    _check_window_args(h, d, ppw, h_max)
     lo, hi = schrodinger_box(V, e_center + _box_margin(d, h, h_max), FD_BOX_PAD)
     xs = np.linspace(lo, hi, 4097)
     pot_min = float(np.min(V(xs)))
@@ -231,7 +231,7 @@ def grid_for_split(
     h_max: float | None = None,
 ) -> Grid1D:
     """Periodic grid whose momentum range covers the classical window."""
-    _check_window_args(d, None, h_max)
+    _check_window_args(h, d, None, h_max)
     e_top = e_center + _box_margin(d, h, h_max)
     probe = np.linspace(*SEARCH_BOX, 8193)
     g_min = float(np.min(g(probe)))
@@ -253,7 +253,7 @@ def grid_for_radial(V, h: float, lo: float, hi: float, d: float = WINDOW_D,
     puts the first cell edge exactly at r = 0, where the radial flux
     vanishes by symmetry, so no boundary condition has to be imposed there.
     """
-    _check_window_args(d, ppw, h_max)
+    _check_window_args(h, d, ppw, h_max)
     _, r_turn = schrodinger_box(V, 0.5 * (lo + hi) + _box_margin(d, h, h_max), 0.0,
                                 search=(0.0, SEARCH_BOX[1]))
     r_max = 1.25 * max(r_turn, 1e-2)
@@ -347,16 +347,16 @@ def build_split(
     return DiscreteOperator("split", h, grid, mult_x=mult_x, mult_xi=mult_xi, parts=(f, g))
 
 
-def _check_window_args(d: float, ppw: int | None, h_max: float | None) -> None:
-    """ConfigError unless d and h_max (the largest h of a scan; ``None``:
-    this h) are finite and positive and ppw (``None``: a grid without one)
-    is at least 1."""
-    if not (np.isfinite(d) and d > 0):
-        raise ConfigError(f"window half-width d must be finite and positive, got {d!r}")
+def _check_window_args(h: float | None, d: float, ppw: int | None,
+                       h_max: float | None = None) -> None:
+    """ConfigError unless h, d and h_max (the largest h of a scan) are finite
+    and positive and ppw is at least 1.  ``None`` skips h (no single h), ppw
+    (a grid without one) or h_max (this h); every window builder calls it."""
+    for name, v in (("h", h), ("window half-width d", d), ("h_max", h_max)):
+        if v is not None and not (np.isfinite(v) and v > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
     if ppw is not None and not ppw >= 1:
         raise ConfigError(f"ppw must be at least 1, got {ppw!r}")
-    if h_max is not None and not (np.isfinite(h_max) and h_max > 0):
-        raise ConfigError(f"h_max must be finite and positive, got {h_max!r}")
 
 
 def _check_dense_cap(n: int, what: str, h: float) -> None:

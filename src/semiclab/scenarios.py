@@ -31,6 +31,7 @@ from .experiments import (
     ScanRow,
     _line_fit,
     _log_log_slope,
+    _window_row,
     fit_log_coefficient,
     fit_scaling,
     log_decay_slope,
@@ -44,7 +45,6 @@ from .microlocal import (
     antiwick_averages,
     egorov_defect,
     microlocal_records,
-    upsilon,
     upsilon_a,
     weyl_averages,
     weyl_or_reference,
@@ -239,16 +239,9 @@ def scenario_dirac_concentration_1d() -> ScenarioReport:
         psi = np.asarray(win.vectors[:, j_star], dtype=float)
         x = win.grid.nodes
         moments.append(float(np.sum(x * x * psi * psi)))
-        ups = upsilon(win)
-        obs_vals = (float(sum(nus)), upsilon_a(win, xsq))
-        rows.append(ScanRow(h=h, n_grid=win.grid.n, upsilon=ups,
-                            upsilon_obs=obs_vals,
-                            ratios=tuple(v / ups for v in obs_vals),
-                            residual_max=float(win.residual_max or 0.0),
-                            tie=win.has_ties))
+        rows.append(_window_row(win, (float(sum(nus)), upsilon_a(win, xsq))))
     scan = ScanResult(model=name, family=model.family, e_center=e_center,
-                      d=d, route="fd", ppw=ppw,
-                      observable_ids=(gauss.id, xsq.id), rows=tuple(rows))
+                      d=d, ppw=ppw, observable_ids=(gauss.id, xsq.id), rows=tuple(rows))
     sl = singular_limit(scan, GAUSS_PHASE, target="dirac", tol=0.15)
     spread_slope = log_decay_slope(scan, xsq.id)
     trend = _log_log_slope(hs, gaps)

@@ -1,6 +1,7 @@
 """Liouville integrals, divergence probes, level-set topology, flows."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -83,6 +84,33 @@ class TestSchrodinger1D:
         assert hi == pytest.approx(1.0, abs=1e-9)
         three = allowed_intervals(get_model("two-max").potential, 0.05)
         assert len(three) == 3
+
+
+class TestSearchRegion:
+    """Level sets that leave the search region are refused, never cut."""
+
+    # once each came back cut at the region's edge with divergent=False: 2.9753
+    # on harmonic at E = 145 (pi below E = 144), 0.20637 on quad-max at 2.1e4,
+    # 144 pi^2 on radial-deg for every E >= 3.1e6, 2.0e-4 on pseudo-k3 at 1e4
+    @pytest.mark.parametrize("name, inside, value, outside", [
+        ("harmonic", 143.0, 3.141592653589851, 145.0),
+        ("harmonic", 143.0, 3.141592653589851, 1e308),
+        ("quad-max", 2e4, 0.22066563906587425, 2.1e4),
+        ("radial-deg", 2.9e6, 1410.7457422036782, 1e7),
+        ("pseudo-k3", 3000.0, 0.03385022662809656, 1e4)])
+    def test_refused_beyond_bitwise_inside(self, name, inside, value, outside):
+        model = get_model(name)
+        assert level_volume(model, inside).value == value
+        with pytest.raises(NumericalError, match=re.escape(f"E={outside:.6g} reaches the")):
+            level_volume(model, outside)
+
+    # once rel_diff 0.052 on harmonic; pseudo-k3 passed at 8.2e-4 because
+    # both sides shared the cut box
+    @pytest.mark.parametrize("name, e_lo, e_hi", [
+        ("harmonic", 140.0, 150.0), ("pseudo-k3", 9000.0, 9500.0)])
+    def test_coarea_band_past_the_region_refused(self, name, e_lo, e_hi):
+        with pytest.raises(NumericalError, match="reaches the"):
+            coarea_check(get_model(name), e_lo, e_hi)
 
 
 class TestDivergenceProbe:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -101,6 +102,14 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [*argv, "--d", "1e-300"])
         assert code == 4 and out == ""
         assert err.startswith("semiclab: energy window") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("energy", ["145", "1e308"])
+    def test_liouville_beyond_the_search_region(self, capsys, energy):
+        # once 2.9753 at E = 145 and 2.4e-153 at 1e308, each with divergent: false
+        code, out, err = run_cli(capsys, ["liouville", "--model", "harmonic", "--obs", "1",
+                                          "--energy", energy])
+        assert code == 3 and out == ""
+        assert "search edge" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, expected", [
         (["--model", "harmonic", "--h", "1e-300"], 4),  # the window collapses first
@@ -521,10 +530,10 @@ _HEADER = "h,n_grid,upsilon,residual_max,tie,error\n"
 def _valid_scan() -> str:
     hs = np.geomspace(0.1, 0.01, 6)
     rows = tuple(ScanRow(h=float(h), n_grid=1000, upsilon=float(round(3.7 * h**-0.25)),
-                         upsilon_obs=(), ratios=(), residual_max=0.0, tie=False)
+                         upsilon_obs=(), residual_max=0.0, tie=False)
                  for h in hs)
     return scan_to_csv(ScanResult(model="deg-max", family="schrodinger1d", e_center=0.0,
-                                  d=5.0, route="fd", ppw=64, observable_ids=(), rows=rows))
+                                  d=5.0, ppw=64, observable_ids=(), rows=rows))
 
 
 class TestMalformedScan:
@@ -542,6 +551,15 @@ class TestMalformedScan:
         path.write_text(_META + body)
         code, _, err = run_cli(capsys, ["fit", "--in", str(path)])
         assert code == 4
+        assert err.startswith("semiclab: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("ppw", ["0", "-3"])
+    def test_ppw_the_scan_refuses(self, capsys, tmp_path, ppw):
+        # once a scan file with ppw = 0 or -3 was read as valid
+        path = tmp_path / "scan.csv"
+        path.write_text(re.sub("# ppw=.*", f"# ppw={ppw}", _valid_scan()))
+        code, _, err = run_cli(capsys, ["fit", "--in", str(path)])
+        assert code == 4 and "ppw must be at least 1" in err
         assert err.startswith("semiclab: ") and err.count("\n") == 1
 
     def test_h_below_the_fit_range(self, capsys, tmp_path):

@@ -118,20 +118,6 @@ class TestRunScan:
             with pytest.raises(ConfigError, match="finite"):
                 run_scan("harmonic", h_values=[0.1, bad])
 
-    @pytest.mark.parametrize("d", [0.0, -1.0])
-    def test_nonpositive_window_half_width(self, d):
-        with pytest.raises(ConfigError, match="half-width"):
-            run_scan("harmonic", h_values=[0.1], d=d)
-
-    @pytest.mark.parametrize("d", [math.nan, math.inf])
-    def test_nonfinite_window_half_width(self, d):
-        with pytest.raises(ConfigError, match="half-width"):
-            run_scan("harmonic", h_values=[0.1], d=d)
-
-    def test_ppw_below_one(self):
-        with pytest.raises(ConfigError, match="ppw"):
-            run_scan("harmonic", h_values=[0.1], ppw=0)
-
     def test_collapsed_window_rejected_up_front(self):
         # at E = 1, d*h = 5e-302 is below the floating-point spacing
         with pytest.raises(ConfigError, match="energy window"):
@@ -222,12 +208,34 @@ class TestCsvRoundTrip:
         scan = run_scan("harmonic", h_values=[0.05, 0.02], observables=["exp(-x^2)"])
         text = scan_to_csv(scan)
         back = scan_from_csv(text)
-        assert scan_to_csv(back) == text
+        # every column but the ratios comes back byte for byte; the ratios are
+        # derived from the 12-digit counts read back, so they may move in
+        # their last printed digit, and a second round trip changes nothing
+        again = scan_to_csv(back)
+        ratio = lambda t: [line.split(",")[-1] for line in t.splitlines()[8:]]
+        keep = lambda t: [line.rsplit(",", 1)[0] for line in t.splitlines()]
+        assert keep(again) == keep(text)
+        assert scan_to_csv(scan_from_csv(again)) == again
+        for b, s in zip(ratio(again), ratio(text)):
+            assert float(b) == pytest.approx(float(s), rel=1e-11)
         assert back.observable_ids == scan.observable_ids
         assert [r.h for r in back.rows] == [r.h for r in scan.rows]
         assert [r.upsilon for r in back.rows] == [r.upsilon for r in scan.rows]
         for b, s in zip(back.rows, scan.rows):
             assert b.upsilon_obs[0] == pytest.approx(s.upsilon_obs[0], rel=1e-11)
+
+    def test_tampered_ratio_and_route_are_not_read(self):
+        # once a ratio column edited to 7.0 came back as ratios[0] == 7.0, and
+        # a route line contradicting the family was kept as is
+        scan = run_scan("harmonic", h_values=[0.05, 0.02, 0.01], observables=["x^2"])
+        text = scan_to_csv(scan)
+        lines = text.splitlines()
+        lines[8] = lines[8].rsplit(",", 1)[0] + ",7.0"
+        tampered = "\n".join(lines).replace("# route=fd", "# route=radial") + "\n"
+        honest, back = scan_from_csv(text), scan_from_csv(tampered)
+        assert back.route == honest.route == "fd"
+        assert back.rows[0].ratios == honest.rows[0].ratios != (7.0,)
+        assert ratio_limit(back, "x^2") == ratio_limit(honest, "x^2")
 
     def test_missing_metadata_rejected(self):
         scan = run_scan("harmonic", h_values=[0.05, 0.02])
@@ -300,10 +308,10 @@ class TestFitScaling:
         # catalog does not know has no critical levels to burn in against
         hs = np.geomspace(0.1, 1e-3, 12)
         rows = tuple(ScanRow(h=float(h), n_grid=100, upsilon=float(3.7 * h ** -0.25),
-                             upsilon_obs=(), ratios=(), residual_max=0.0, tie=False)
+                             upsilon_obs=(), residual_max=0.0, tie=False)
                      for h in hs)
         scan = ScanResult(model="deg-max", family="schrodinger1d", e_center=0.0, d=5.0,
-                          route="fd", ppw=64, observable_ids=(), rows=rows)
+                          ppw=64, observable_ids=(), rows=rows)
         assert fit_scaling(scan).burned == 3
         text = scan_to_csv(scan).replace("# model=deg-max", "# model=lab-made")
         fit = fit_scaling(scan_from_csv(text))
@@ -347,10 +355,10 @@ class TestRatioLimit:
     def _fake_scan(self, model, obs_id, hs, ratios, e_center=0.0):
         rows = tuple(
             ScanRow(h=float(h), n_grid=100, upsilon=10.0, upsilon_obs=(10.0 * q,),
-                    ratios=(float(q),), residual_max=0.0, tie=False)
+                    residual_max=0.0, tie=False)
             for h, q in zip(hs, ratios))
         return ScanResult(model=model, family="any", e_center=e_center, d=5.0,
-                          route="fd", ppw=64, observable_ids=(obs_id,), rows=rows)
+                          ppw=64, observable_ids=(obs_id,), rows=rows)
 
     def test_radial_liouville_target(self):
         scan = run_scan("radial-deg", h_values=np.geomspace(0.1, 0.01, 6),
@@ -398,10 +406,10 @@ class TestSingularLimit:
     def _scan(self, us, uas, model="pseudo-k3"):
         rows = tuple(
             ScanRow(h=float(h), n_grid=100, upsilon=float(u), upsilon_obs=(float(ua),),
-                    ratios=(float(ua / u),), residual_max=0.0, tie=False)
+                    residual_max=0.0, tie=False)
             for h, u, ua in zip(self.hs, us, uas))
         return ScanResult(model=model, family="phase1d", e_center=0.0, d=5.0,
-                          route="split", ppw=64, observable_ids=(self.obs_id,),
+                          ppw=64, observable_ids=(self.obs_id,),
                           rows=rows)
 
     def test_recovers_coefficient_ratio(self):
@@ -436,10 +444,10 @@ class TestSingularLimit:
     def test_constant_count_law_rejected(self):
         obs = parse_observable("exp(-x^2)")
         rows = tuple(ScanRow(h=h, n_grid=100, upsilon=5.0, upsilon_obs=(2.0,),
-                             ratios=(0.4,), residual_max=0.0, tie=False)
+                             residual_max=0.0, tie=False)
                      for h in (0.05, 0.02, 0.01))
         scan = ScanResult(model="harmonic", family="schrodinger1d", e_center=1.0,
-                          d=5.0, route="fd", ppw=64, observable_ids=(obs.id,),
+                          d=5.0, ppw=64, observable_ids=(obs.id,),
                           rows=rows)
         with pytest.raises(ConfigError):
             singular_limit(scan, obs.id, target="liouville")
@@ -465,11 +473,10 @@ class TestLogDecaySlope:
         hs = np.geomspace(0.1, 1e-3, 8)
         spreads = 1.0 / (1.2 + 0.5 * np.abs(np.log(hs)))
         rows = tuple(ScanRow(h=float(h), n_grid=100, upsilon=10.0,
-                             upsilon_obs=(10.0 * s,), ratios=(float(s),),
-                             residual_max=0.0, tie=False)
+                             upsilon_obs=(10.0 * s,), residual_max=0.0, tie=False)
                      for h, s in zip(hs, spreads))
         scan = ScanResult(model="harmonic", family="schrodinger1d", e_center=1.0,
-                          d=5.0, route="fd", ppw=64, observable_ids=(obs.id,),
+                          d=5.0, ppw=64, observable_ids=(obs.id,),
                           rows=rows)
         assert log_decay_slope(scan, obs.id) == pytest.approx(0.5, rel=1e-9)
 

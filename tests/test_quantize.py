@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from semiclab.errors import ConfigError, NumericalError
+from semiclab.experiments import run_scan, solve_window
 from semiclab.model import Polynomial1D, get_model
 from semiclab.quantize import (
     WEYL_BLOCK_BYTES,
@@ -101,20 +102,32 @@ class TestGrids:
                 for h in hs] == sizes
 
     # once: ppw = 0 divided by zero in resolution_dx and built 16 rows; a bad
-    # h_max fell back to the margin floor (309 rows on radial-deg, not 340)
+    # h_max fell back to the margin floor (309 rows on radial-deg, not 340);
+    # h = -0.05 built 16 rows, h = 0 leaked a divide-by-zero warning or a bare
+    # ZeroDivisionError, h = nan was a NumericalError, and solve_window blamed
+    # a negative h on the floating-point spacing
     @pytest.mark.parametrize("builder, kwargs, what", [
         pytest.param(b, kw, what, id=f"{b}-{next(iter(kw))}={next(iter(kw.values()))}")
-        for b in ("schrodinger", "split", "radial")
-        for kw, what in [({"ppw": 0}, "ppw"), ({"ppw": -3}, "ppw"),
+        for b in ("schrodinger", "split", "radial", "solve_window", "run_scan")
+        for kw, what in [({"h": 0.0}, "^h must"), ({"h": -0.05}, "^h must"),
+                         ({"h": math.nan}, "^h must"),
+                         ({"ppw": 0}, "ppw"), ({"ppw": -3}, "ppw"),
                          ({"h_max": -1.0}, "h_max"), ({"h_max": math.nan}, "h_max"),
-                         ({"d": 0.0}, "half-width"), ({"d": math.inf}, "half-width")]
-        if not (b == "split" and "ppw" in kw)])  # a split grid has no ppw
+                         ({"d": 0.0}, "half-width"), ({"d": -1.0}, "half-width"),
+                         ({"d": math.inf}, "half-width"), ({"d": math.nan}, "half-width")]
+        if not (b == "split" and "ppw" in kw)  # a split grid has no ppw
+        and not (b == "run_scan" and "h_max" in kw)])  # a scan's h_max is its largest h
     def test_builders_refuse_bad_window_args(self, builder, kwargs, what):
+        kwargs = dict(kwargs)
+        h = kwargs.pop("h", 0.05)
         build = {
-            "schrodinger": lambda: grid_for_schrodinger(X2, 0.05, 1.0, **kwargs),
-            "split": lambda: grid_for_split(X2, X2, 0.05, 1.0, **kwargs),
-            "radial": lambda: grid_for_radial(get_model("radial-deg").potential, 0.05,
-                                              -0.25, 0.25, **kwargs)}[builder]
+            "schrodinger": lambda: grid_for_schrodinger(X2, h, 1.0, **kwargs),
+            "split": lambda: grid_for_split(X2, X2, h, 1.0, **kwargs),
+            "radial": lambda: grid_for_radial(get_model("radial-deg").potential, h,
+                                              -0.25, 0.25, **kwargs),
+            "solve_window": lambda: solve_window(get_model("harmonic"), h, 1.0,
+                                                 vectors=False, **kwargs),
+            "run_scan": lambda: run_scan("harmonic", h_values=[0.1, h], **kwargs)}[builder]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=what):
