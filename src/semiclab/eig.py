@@ -24,10 +24,11 @@ and (R_x, R_xi) are the centre and half-widths of the classical box
 sqrt((2n + 1) h) in the plane (x / s, s xi), so the basis reaches
 ``BASIS_WIDTHS`` widths sqrt(h) past the box corner rho = sqrt(2 R_x R_xi)
 and ``BASIS_PAD`` functions more: N = ceil((rho / sqrt(h) + BASIS_WIDTHS)^2
-/ 2) + BASIS_PAD.  The values come from LAPACK ``zhbevx`` on the band
-(``eig_banded``, select='v'); the certificate is Sylvester's law of inertia
-on LDL^H factorizations (``zhetrf``) of the N x N matrix at both window
-edges.  Vectors: two inverse iteration steps per eigenvalue on the band
+/ 2) + BASIS_PAD.  The band is the route's only form of the operator.  The
+values come from LAPACK ``zhbevx`` on it (``eig_banded``, select='v'); the
+certificate is Sylvester's law of inertia block by block: a block LDL^H
+elimination of the band counts below both window edges (``_band_inertia``,
+O(N k^2)).  Vectors: two inverse iteration steps per eigenvalue on the band
 (``solve_banded``) from fixed seeded starts, the shift nudged off the
 eigenvalue so that an exact one never makes the solve singular, then QR and
 a Rayleigh-Ritz step.  Their residuals are certified in the basis, since
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, qr, solve_banded
-from scipy.linalg.lapack import dstebz, zhetrf, zhetrf_lwork
+from scipy.linalg.lapack import dstebz
 
 from .errors import ConfigError, NumericalError
 from .quantize import (
@@ -71,7 +72,6 @@ from .quantize import (
     WINDOW_PPW,
     DiscreteOperator,
     Grid1D,
-    _check_dense_cap,
     build_radial,
     grid_for_radial,
     schrodinger_box,
@@ -112,7 +112,7 @@ class EigenWindow:
     vectors: np.ndarray | None  # (n, count) columns, l2-normalized
     edge_flags: np.ndarray  # True where the eigenvalue is edge-ambiguous
     residual_max: float | None
-    count_check: int  # independent count: Sturm, LAPACK dstebz if count-only, LDL^H if split
+    count_check: int  # independent count: Sturm, LAPACK dstebz if count-only, band LDL^H if split
     grid: Grid1D
     m: np.ndarray | None = None  # angular channel of each state on a radial window
 
@@ -302,46 +302,53 @@ def count_in_window(diag, offdiag, lo: float, hi: float) -> int:
     return int(c[1] - c[0])
 
 
-def _ldlh(m: np.ndarray, shift: float):
-    """Bunch-Kaufman LDL^H factorization of conj(m) - shift I (LAPACK ``zhetrf``).
+def _band_inertia(band: np.ndarray, shifts) -> np.ndarray:
+    """Number of eigenvalues of a Hermitian band matrix below each shift.
 
-    Returns LAPACK's packed factor and its pivots; an exactly zero pivot
-    (``shift`` is an eigenvalue) counts as not negative.  m.T is m's memory read in
-    Fortran order and, m being Hermitian, equals conj(m), which has the same
-    spectrum: a plain copy LAPACK can overwrite.
+    ``band`` is LAPACK band storage of both halves, entry (i, j) at row
+    k + i - j of column j; its lower half is read, zero outside the matrix.
+    Block LDL^H on k x k blocks B_i coupled by C_i (rows of block i, columns
+    of block i + 1): the Schur complements S_1 = B_1 - sigma and
+    S_{i+1} = B_{i+1} - sigma - C_i^H S_i^-1 C_i have as many negative
+    eigenvalues in all as the matrix has below sigma (Haynsworth's inertia
+    additivity: Sylvester's law block by block).  The last block is padded
+    with a diagonal above every shift.  With k = 1 this is the recurrence of
+    :func:`sturm_count`.  All shifts run in one pass.  An exactly singular
+    S_i raises ``NumericalError``; growth where one is nearly singular is
+    caught by the caller's comparison with the eigensolver's count.
     """
-    n = m.shape[0]
-    a = np.array(m.T, dtype=complex, order="F")
-    idx = np.arange(n)
-    a[idx, idx] -= shift
-    # the default lwork runs the unblocked factorization, several times slower
-    work, info = zhetrf_lwork(n)
-    if info != 0:
-        raise NumericalError(f"zhetrf workspace query failed (info={info})")
-    ldu, ipiv, info = zhetrf(a, lwork=int(work.real), overwrite_a=1)
-    if info < 0:
-        raise NumericalError(f"zhetrf: illegal argument {-info}")
-    return ldu, ipiv
+    k, n = band.shape[0] // 2, band.shape[1]
+    sigma = np.atleast_1d(np.asarray(shifts, dtype=float))
+    lower = np.zeros((k + 1, -(-n // k) * k), dtype=band.dtype)  # whole blocks
+    lower[:, :n] = band[k:]
+    lower[0, n:] = sigma.max() + max(1.0, abs(sigma.max()))  # the padding
+    rows, cols = np.indices((k, k))
+    start = np.arange(0, lower.shape[1], k)[:, None, None] + cols
+    # B_i from its lower triangle (row r - c), C_i^H upper triangular (row k + r - c)
+    tri = np.where(rows >= cols, lower[np.maximum(rows - cols, 0), start], 0.0)
+    blocks = tri + np.conj(np.swapaxes(np.tril(tri, -1), 1, 2))
+    c_h = np.where(rows <= cols, lower[np.minimum(k + rows - cols, k), start[:-1]], 0.0)
+    schur = blocks[:, None] - sigma[:, None, None] * np.eye(k)  # (block, shift, k, k)
+    try:
+        for i in range(1, len(schur)):
+            rhs = np.broadcast_to(c_h[i - 1].conj().T, schur[i - 1].shape)
+            schur[i] -= c_h[i - 1] @ np.linalg.solve(schur[i - 1], rhs)
+        ev = np.linalg.eigvalsh(schur)
+    except np.linalg.LinAlgError:  # an exactly singular S_i
+        ev = None
+    if ev is None or not np.all(np.isfinite(ev)) or np.any(ev == 0.0):
+        raise NumericalError(f"band inertia: a singular pivot block at a shift in {sigma.tolist()}")
+    return np.sum(ev < 0.0, axis=(0, 2))
 
 
-def _inertia_count(m: np.ndarray, shift: float) -> int:
-    """Number of eigenvalues of the Hermitian matrix ``m`` below ``shift``.
-
-    Sylvester's law of inertia: m - shift I = L D L^H with D block diagonal
-    (1x1 and 2x2 Bunch-Kaufman pivots, :func:`_ldlh`) has as many negative
-    eigenvalues as D.  The count shares no code with the eigensolver's
-    iteration, so it certifies split window counts the way ``sturm_count``
-    certifies tridiagonal ones.
-    """
-    ldu, ipiv = _ldlh(m, shift)
-    d = ldu.diagonal().real
-    count = int(np.sum(d[ipiv > 0] < 0.0))
-    # a 2x2 pivot block marks both of its rows with ipiv < 0; upper storage
-    # keeps its off-diagonal entry at (k, k + 1)
-    k = np.flatnonzero(ipiv < 0)[::2]
-    mid = 0.5 * (d[k] + d[k + 1])
-    rad = np.hypot(0.5 * (d[k] - d[k + 1]), np.abs(ldu[k, k + 1]))
-    return count + int(np.sum(mid - rad < 0.0) + np.sum(mid + rad < 0.0))
+def _band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The band matrix times the columns of ``v``, one slice per diagonal."""
+    k, n = band.shape[0] // 2, band.shape[1]
+    out = np.zeros(v.shape, dtype=np.result_type(band, v))
+    for t in range(-k, k + 1):  # diagonal i - j = t
+        j0, j1 = max(0, -t), n - max(0, t)
+        out[j0 + t:j1 + t] += band[k + t, j0:j1, None] * v[j0:j1]
+    return out
 
 
 def _hermite_basis(op: DiscreteOperator, lo: float,
@@ -359,11 +366,11 @@ def _hermite_basis(op: DiscreteOperator, lo: float,
             int(np.ceil(0.5 * radius * radius)) + BASIS_PAD)
 
 
-def _hermite_matrix(op: DiscreteOperator, x0: float, xi0: float, s: float,
-                    n: int) -> tuple[np.ndarray, np.ndarray]:
+def _hermite_band(op: DiscreteOperator, x0: float, xi0: float, s: float,
+                  n: int) -> np.ndarray:
     """f(X) + g(P) on the first n functions of the basis (x0, xi0, s), in
-    LAPACK band storage (entry (i, j) at row k + i - j of column j) and as a
-    dense matrix.  Horner's rule on n + k functions: a product with the
+    LAPACK band storage of both halves (entry (i, j) at row k + i - j of
+    column j).  Horner's rule on n + k functions: a product with the
     tridiagonal X or P mixes neighbouring diagonals of neighbouring columns."""
     f, g = op.parts
     k = max(f.degree, g.degree)
@@ -382,21 +389,16 @@ def _hermite_matrix(op: DiscreteOperator, x0: float, xi0: float, s: float,
     for t in range(1, k + 1):  # the lower band mirrors the upper one
         band[k + t] = 0.0
         band[k + t, :n - t] = np.conj(band[k - t, t:])
-    mat = np.zeros((n, n), dtype=complex)
-    for d in range(-k, k + 1):  # diagonal d of mat, strided through its memory
-        diag = band[k - d, max(d, 0):n + min(d, 0)]
-        mat.reshape(-1)[max(d, -d * n)::n + 1][:diag.size] = diag
-    return band, mat
+    return band
 
 
-def _basis_vectors(mat: np.ndarray, band: np.ndarray, w: np.ndarray,
-                   shift_pad: float) -> np.ndarray:
-    """Orthonormal eigenvectors of ``mat`` for its eigenvalues ``w``: two
+def _basis_vectors(band: np.ndarray, w: np.ndarray, shift_pad: float) -> np.ndarray:
+    """Orthonormal eigenvectors of the band matrix for its eigenvalues ``w``: two
     inverse iteration steps each from fixed seeded starts, the shift
     ``shift_pad`` off the eigenvalue so that an exact one leaves the solve
     regular; then QR and a Rayleigh-Ritz step."""
     k = band.shape[0] // 2
-    start = np.random.default_rng(0).standard_normal((2, mat.shape[0], w.size))
+    start = np.random.default_rng(0).standard_normal((2, band.shape[1], w.size))
     vecs = start[0] + 1j * start[1]
     for j, lam in enumerate(w):
         shifted = band.copy()
@@ -405,7 +407,7 @@ def _basis_vectors(mat: np.ndarray, band: np.ndarray, w: np.ndarray,
             vecs[:, j] = solve_banded((k, k), shifted, vecs[:, j])
             vecs[:, j] /= np.linalg.norm(vecs[:, j])
     q = qr(vecs, mode="economic")[0]
-    return q @ eigh(q.conj().T @ (mat @ q))[1]
+    return q @ eigh(q.conj().T @ _band_matvec(band, q))[1]
 
 
 def _solve_range(lo: float, hi: float, eps_keep: float) -> tuple[float, float]:
@@ -532,28 +534,26 @@ def _tridiagonal_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: fl
 def _split_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
                   vectors: bool, values: bool):
     """Values from the Hermite band, vectors by inverse iteration, certified
-    by LDL^H inertia; the tail check guards the basis size.  ``values`` is
-    ignored: the split route always solves."""
+    by block LDL^H inertia on the same band; the tail check guards the basis
+    size.  ``values`` is ignored: the split route always solves."""
     scale = float(np.max(np.abs(op.mult_x)) + np.max(np.abs(op.mult_xi)))
     eps_keep = 1e-12 * max(scale, 1.0)
     x0, xi0, s, n = _hermite_basis(op, lo, hi)
-    # the basis matrix is dense; the grid keeps to grid_for_split's cap
-    _check_dense_cap(max(n, op.size), "split window", op.h)
-    band, mat = _hermite_matrix(op, x0, xi0, s, n)
-    check = (_inertia_count(mat, np.nextafter(hi, np.inf))
-             - _inertia_count(mat, np.nextafter(lo, -np.inf)))
+    band = _hermite_band(op, x0, xi0, s, n)
+    below = _band_inertia(band, [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+    check = int(below[1] - below[0])
     w = eig_banded(band[:band.shape[0] // 2 + 1], eigvals_only=True, select="v",
                    select_range=_solve_range(lo, hi, eps_keep))
     w, _, flags = _in_window(w, None, lo, hi, eps_keep, edge_tol)
     coef, resid = np.empty((n, 0), dtype=complex), None
     if w.size:
-        coef = _basis_vectors(mat, band, w, eps_keep)
+        coef = _basis_vectors(band, w, eps_keep)
         tail = float(np.max(np.sum(np.abs(coef[-TAIL_ROWS:]) ** 2, axis=0)))
         if tail > TAIL_MASS:
             raise NumericalError(
                 f"Hermite basis of {n} functions too small at h={op.h:.3g}: a window "
                 f"state keeps {tail:.1e} of its mass in the last {TAIL_ROWS} coefficients")
-        resid = float(np.max(np.linalg.norm(mat @ coef - coef * w, axis=0)))
+        resid = float(np.max(np.linalg.norm(_band_matvec(band, coef) - coef * w, axis=0)))
     v = _to_grid(coef, op.grid, op.h, x0, xi0, s) if vectors else None
     return w, v, flags, check, resid, scale, ("LAPACK", "LDL^H inertia")
 

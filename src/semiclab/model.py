@@ -47,6 +47,12 @@ SEARCH_BOX = (-12.0, 12.0)
 _ORDER_TOL = 1e-9
 
 
+def _level_tol(energy: float) -> float:
+    """How far a critical value may lie from ``energy`` and still be on its
+    level: a relative 1e-9."""
+    return 1e-9 * max(1.0, abs(energy))
+
+
 @dataclass(frozen=True)
 class Polynomial1D:
     """Real polynomial with coefficients indexed by degree (c[k] * x^k)."""
@@ -225,8 +231,8 @@ class SymbolModel:
         return xi**2 + self.potential(x)
 
     def critical_points_at(self, energy: float) -> tuple[CriticalPoint, ...]:
-        """The critical points on the level {p = energy}, to a relative 1e-9."""
-        tol = 1e-9 * max(1.0, abs(energy))
+        """The critical points on the level {p = energy}, to :func:`_level_tol`."""
+        tol = _level_tol(energy)
         return tuple(c for c in self.critical_points
                      if abs(c.critical_energy - energy) <= tol)
 
@@ -490,6 +496,7 @@ def check_hypotheses(
     """
     failures: list[tuple[str, str]] = []
     e_top = e_center + epsilon0
+    tol = _level_tol(e_center)
 
     if model.family in ("schrodinger1d", "radial2d"):
         if box is None:
@@ -506,7 +513,7 @@ def check_hypotheses(
             # critical circles of the radial profile sitting at e_center break
             # isolation even though they are filtered from the point list
             ring = [r for r in _poly_roots_in(V.derivative(), max(lo, 1e-6), hi)
-                    if abs(V(r) - e_center) <= 1e-9]
+                    if abs(V(r) - e_center) <= tol]
             if ring:
                 failures.append(("isolated-critical-point", f"critical circle at r={ring[0]:.6g} on the energy surface"))
     else:
@@ -528,7 +535,7 @@ def check_hypotheses(
             )
 
     cps = model.critical_points or find_critical_points(model, box)
-    on_surface = [q for q in cps if abs(q.critical_energy - e_center) <= 1e-9]
+    on_surface = [q for q in cps if abs(q.critical_energy - e_center) <= tol]
     if len(on_surface) == 0:
         failures.append(("critical-point", f"no critical point at energy {e_center:.6g}"))
     elif len(on_surface) > 1:

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import zhetrf
 
 import semiclab.eig
 from semiclab.eig import (
-    _inertia_count,
+    _band_inertia,
     count_in_window,
     eigs_in_window,
     radial_channels,
@@ -206,35 +205,98 @@ class TestChunkedSturm:
         assert calls
 
 
+def to_band(m, k):
+    """LAPACK band storage of both halves of m: entry (i, j) at row k + i - j
+    of column j."""
+    n = m.shape[0]
+    band = np.zeros((2 * k + 1, n), dtype=m.dtype)
+    for t in range(-k, k + 1):
+        j = np.arange(max(0, -t), n - max(0, t))
+        band[k + t, j] = m[j + t, j]
+    return band
+
+
+def from_band(band):
+    k, n = band.shape[0] // 2, band.shape[1]
+    m = np.zeros((n, n), dtype=band.dtype)
+    for t in range(-k, k + 1):
+        j = np.arange(max(0, -t), n - max(0, t))
+        m[j + t, j] = band[k + t, j]
+    return m
+
+
 class TestInertia:
+    """The split route's certificate, block LDL^H on the band, against
+    eigvalsh of the same matrix."""
+
     @staticmethod
     def random_hermitian(rng, n):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return 0.5 * (a + a.conj().T)
 
-    def assert_counts_match(self, m, shifts):
+    def random_band(self, rng, n, k):
+        i, j = np.indices((n, n))
+        return np.where(np.abs(i - j) <= k, self.random_hermitian(rng, n), 0.0)
+
+    @staticmethod
+    def assert_counts_match(m, k, shifts):
         ev = np.linalg.eigvalsh(m)
-        for s in shifts:
-            assert _inertia_count(m, float(s)) == int(np.sum(ev < s))
+        got = _band_inertia(to_band(m, k), shifts)
+        assert got.tolist() == [int(np.sum(ev < s)) for s in shifts]
 
     def test_matches_eigvalsh_counts(self):
         rng = np.random.default_rng(17)
-        for n in (1, 2, 7, 40, 97):
-            m = self.random_hermitian(rng, n)
-            ev = np.linalg.eigvalsh(m)
-            self.assert_counts_match(m, rng.uniform(ev[0] - 1, ev[-1] + 1, size=6))
-            real = m.real.copy()
-            evr = np.linalg.eigvalsh(real)
-            self.assert_counts_match(real, rng.uniform(evr[0] - 1, evr[-1] + 1, size=6))
-
-    def test_zero_diagonal_forces_two_by_two_pivots(self):
-        rng = np.random.default_rng(23)
-        m = self.random_hermitian(rng, 60)
+        for k in range(1, 7):
+            # sizes below k, at k and not a multiple of k pad the last block
+            for n in (1, k, k + 1, 5 * k - 1, 40, 97):
+                m = self.random_band(rng, n, k)
+                for mat in (m, m.real.copy()):
+                    ev = np.linalg.eigvalsh(mat)
+                    self.assert_counts_match(mat, k, rng.uniform(ev[0] - 1, ev[-1] + 1, size=6))
+        # a dense matrix with a zero diagonal, as one band of width n - 1
+        m = self.random_hermitian(np.random.default_rng(23), 60)
         np.fill_diagonal(m, 0.0)
-        _ldu, ipiv, _info = zhetrf(m.T.copy())
-        assert np.any(ipiv < 0)
         ev = np.linalg.eigvalsh(m)
-        self.assert_counts_match(m, np.concatenate([[0.0], 0.5 * (ev[1:] + ev[:-1])]))
+        self.assert_counts_match(m, 59, np.concatenate([[0.0], 0.5 * (ev[1:] + ev[:-1])]))
+
+    def test_width_one_is_the_sturm_recurrence(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 97, 1001):
+            d, e = random_tridiagonal(rng, n)
+            band = np.stack([np.r_[0.0, e], d, np.r_[e, 0.0]])
+            shifts = rng.standard_normal(6) * 30.0
+            assert _band_inertia(band, shifts).tolist() == sturm_count(d, e, shifts).tolist()
+
+    def test_shift_on_an_eigenvalue_of_the_leading_block(self):
+        # B_1 - 3 I is exactly singular: the elimination cannot pass it, and
+        # no count may come back
+        k = 3
+        m = self.random_band(np.random.default_rng(9), 12, k)
+        m[:k, :k] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 5.0]]
+        with pytest.raises(NumericalError, match="singular"):
+            _band_inertia(to_band(m, k), [0.0, 3.0])
+
+    @pytest.mark.parametrize("name", ["pseudo-k3", "pseudo-k4"])
+    def test_shifts_hugging_window_eigenvalues(self, name):
+        # shifts 1e-13, 1e-10 and 1e-7 either side of every window eigenvalue,
+        # relative to the eigenvalue and to the operator scale; one that lies
+        # within eigvalsh's rounding of an eigenvalue may count it either way
+        h = 0.0125
+        f, g = get_model(name).phase_poly.split_parts()
+        op = build_split(f, g, h, grid_for_split(f, g, h, 0.0), window_top=5.0 * h)
+        x0, xi0, s, n = semiclab.eig._hermite_basis(op, -5.0 * h, 5.0 * h)
+        band = semiclab.eig._hermite_band(op, x0, xi0, s, n)
+        ev = np.linalg.eigvalsh(from_band(band))
+        scale = float(np.max(np.abs(ev)))
+        win = ev[np.abs(ev) <= 5.0 * h]
+        shifts = np.concatenate([win + sign * r * size for r in (1e-13, 1e-10, 1e-7)
+                                 for sign in (-1.0, 1.0) for size in (np.abs(win), scale)])
+        got = _band_inertia(band, shifts)
+        tol = 16.0 * np.finfo(float).eps * scale
+        below = np.searchsorted(ev, shifts - tol)
+        upto = np.searchsorted(ev, shifts + tol)
+        assert win.size > 10 and np.all((below <= got) & (got <= upto))
+        assert np.count_nonzero(below == upto) > 0.5 * shifts.size
 
 
 def k3_window(h, vectors=True):
@@ -353,7 +415,7 @@ class TestWindowSolve:
 
 class TestHermiteRoute:
     """Split windows in the displaced Hermite basis: values from the band,
-    the LDL^H inertia certificate, the tail check, vectors on the grid."""
+    the block LDL^H inertia certificate, the tail check, vectors on the grid."""
 
     @pytest.mark.parametrize("h", [0.1, 0.0125, 0.0022])
     def test_window_matches_split_grid_eigvalsh(self, h):
@@ -394,9 +456,8 @@ class TestHermiteRoute:
         f, g = get_model("pseudo-k4").phase_poly.split_parts()
         op = build_split(f, g, h, grid_for_split(f, g, h, 0.0), window_top=5.0 * h)
         win = eigs_in_window(op, -5.0 * h, 5.0 * h)
-        m = dense_matrix(op)
-        dense = (_inertia_count(m, np.nextafter(5.0 * h, np.inf))
-                 - _inertia_count(m, np.nextafter(-5.0 * h, -np.inf)))
+        ev = np.linalg.eigvalsh(dense_matrix(op))
+        dense = int(np.count_nonzero(np.abs(ev) <= 5.0 * h))
         assert win.count == win.count_check == dense == 18
 
     def test_empty_window_solves_nothing(self, monkeypatch):
@@ -417,8 +478,8 @@ class TestHermiteRoute:
         h = 0.05
         op = build_split(X2, X2, h, grid_for_split(X2, X2, h, 1.0, d=5.0), window_top=1.25)
         x0, xi0, s, n = semiclab.eig._hermite_basis(op, 0.04, 0.66)
-        _band, mat = semiclab.eig._hermite_matrix(op, x0, xi0, s, n)
-        assert np.count_nonzero(mat - np.diag(mat.diagonal())) == 0
+        band = semiclab.eig._hermite_band(op, x0, xi0, s, n)
+        assert np.count_nonzero(np.delete(band, band.shape[0] // 2, axis=0)) == 0
         win = eigs_in_window(op, 0.04, 0.66)
         assert win.count == win.count_check == 7
         assert np.max(np.abs(win.eigenvalues - h * (2 * np.arange(7) + 1))) <= 1e-12

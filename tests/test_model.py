@@ -9,6 +9,7 @@ from semiclab.model import (
     PhasePolynomial,
     Polynomial1D,
     SymbolModel,
+    _make_model,
     _poly_roots_in,
     catalog,
     check_hypotheses,
@@ -208,6 +209,18 @@ def test_critical_circle_breaks_isolation():
     m = SymbolModel(name="ring", family="radial2d", potential=Polynomial1D((0, 0, -2, 0, 1)))
     rep = check_hypotheses(m, e_center=-1.0, epsilon0=1.0, box=(0.0, 2.0))
     assert ("isolated-critical-point", "critical circle at r=1 on the energy surface") in rep.failures
+
+
+def test_lifted_barrier_top_is_found_at_a_relative_tolerance():
+    # quad-max lifted by 1000: at E = 1000 + 1e-7 the barrier top lies within
+    # the relative 1e-9 of E that critical_points_at reads, and the
+    # hypothesis check must see the same point
+    m = _make_model("quad-max-lifted", "schrodinger1d",
+                    potential=Polynomial1D((1000.0, 0.0, -1.0, 0.0, 1.0)))
+    e = 1000.0 + 1e-7
+    assert [c.z0 for c in m.critical_points_at(e)] == [(0.0, 0.0)]
+    rep = check_hypotheses(m, e_center=e, epsilon0=1.0)
+    assert rep.passed, rep.failures
 
 
 def test_odd_order_point_is_not_an_extremum():
