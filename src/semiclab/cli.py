@@ -12,7 +12,11 @@ through the same conversion and checks.  ``ppw`` sizes finite-difference
 and radial grids only: it defaults to ``WINDOW_PPW``, and a phase model refuses it.
 
 Exit codes: 0 success, 1 failed scenario verdict, 2 violated model
-hypothesis, 3 numerical failure, 4 configuration or parse error.
+hypothesis, 3 numerical failure, 4 configuration or parse error.  Code 2
+comes from ``fit --law regular|critical``, the one command that claims a law
+at the scan's energy: ``model.isolated_critical_point`` refuses a critical
+level without exactly one admissible critical point on it.  Every nonzero
+code prints one ``semiclab:`` line on standard error.
 """
 
 from __future__ import annotations
@@ -464,7 +468,11 @@ def cmd_fit(args) -> int:
 def cmd_scenario(args) -> int:
     report = run_scenario(args.name)
     _emit_json(asdict(report), getattr(args, "out", None))
-    return 0 if report.passed else 1
+    if report.passed:
+        return 0
+    failed = ", ".join(c.name for c in report.checks if not c.passed)
+    print(f"semiclab: scenario {report.scenario} failed: {failed}", file=sys.stderr)
+    return 1
 
 
 # -- parser ------------------------------------------------------------------

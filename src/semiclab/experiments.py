@@ -7,12 +7,13 @@ geometry of the energy surface:
 * regular surface: alpha = 1 - n, beta = 0, and the coefficient is the
   phase-space volume rate 2 d V(E_c) / (2 pi)^n;
 * potential well/barrier criticality of local order 2k: alpha picks up the
-  anomalous n/2 + n/(2k) correction, with a |log h| factor exactly when
-  n (k + 1) / (2k) is an integer and n is odd;
+  anomalous n/2 + n/(2k) correction, with a |log h| factor exactly at a
+  barrier top where n (k + 1) / (2k) is an integer and n is odd;
 * homogeneous phase-space criticality of order k: alpha = 2n/k - n, with a
-  |log h| factor exactly when 2n/k is an integer.
+  |log h| factor exactly at a non-extremal point where 2n/k is an integer.
 
-The branch with the slowest decay dominates.  ``solve_window`` is the one
+The branch with the slowest decay dominates.  A law is claimed only at the
+point ``model.isolated_critical_point`` admits.  ``solve_window`` is the one
 builder of a spectral window of every model family, shared by scans,
 scenarios and the command line; ``run_scan`` measures the counts (and
 observable-weighted counts) over an h grid; ``fit_scaling`` recovers
@@ -38,9 +39,9 @@ import numpy as np
 
 from .classical import mu_average
 from .eig import EigenWindow, _check_window, eigs_in_window, radial_channels
-from .errors import ConfigError, HypothesisError, NumericalError
+from .errors import ConfigError, NumericalError
 from .microlocal import _check_radial_observable, upsilon, upsilon_a, weyl_averages
-from .model import SymbolModel, get_model
+from .model import SymbolModel, get_model, isolated_critical_point
 from .observables import Observable, parse_observable
 from .quantize import (
     WINDOW_D,
@@ -100,24 +101,31 @@ class ScalingLaw:
 
 
 def scaling_branches(model: SymbolModel, e_center: float) -> tuple[ScalingLaw, ...]:
-    """All predicted branches of the window count at this center energy."""
+    """All predicted branches of the window count at this center energy.
+
+    The critical branch is built at the point ``isolated_critical_point``
+    returns, which raises ``HypothesisError`` on an inadmissible level.  Its
+    |log h| factor needs an integer exponent ratio at a point that is not an
+    extremum of p: a potential maximum, or a non-extremal homogeneous point.
+    """
     n = model.n
     laws = [ScalingLaw(alpha=float(1 - n), beta=0, origin="regular_weyl")]
-    for cp in model.critical_points_at(e_center):
-        if model.family in ("schrodinger1d", "radial2d"):
-            if cp.order % 2 != 0:
-                continue  # odd-order saddle: no extremal branch
-            k = cp.order // 2
-            alpha = -n + n / 2.0 + n / (2.0 * k)
-            ratio = n * (k + 1) / (2.0 * k)
-            beta = 1 if (abs(ratio - round(ratio)) < _INT_TOL and n % 2 == 1) else 0
-            laws.append(ScalingLaw(alpha=alpha, beta=beta, origin="schrodinger_critical"))
-        else:
-            k = cp.order
-            alpha = 2.0 * n / k - n
-            ratio = 2.0 * n / k
-            beta = 1 if abs(ratio - round(ratio)) < _INT_TOL else 0
-            laws.append(ScalingLaw(alpha=alpha, beta=beta, origin="homogeneous_critical"))
+    cp = isolated_critical_point(model, e_center)
+    if cp is None:
+        return tuple(laws)
+    if model.family == "phase1d":
+        ratio = 2.0 * n / cp.order
+        alpha = ratio - n
+        log_ok = cp.kind == "non-extremal-homogeneous"
+        origin = "homogeneous_critical"
+    else:
+        k = cp.order // 2
+        alpha = -n + n / 2.0 + n / (2.0 * k)
+        ratio = n * (k + 1) / (2.0 * k)
+        log_ok = cp.kind == "max" and n % 2 == 1
+        origin = "schrodinger_critical"
+    beta = 1 if log_ok and abs(ratio - round(ratio)) < _INT_TOL else 0
+    laws.append(ScalingLaw(alpha=alpha, beta=beta, origin=origin))
     return tuple(laws)
 
 
@@ -249,7 +257,7 @@ def _scan_one(model: SymbolModel, h: float, h_max: float, e_center: float, d: fl
                            h_max=h_max, values=need_vectors)
         return _window_row(win, tuple(upsilon_a(win, o) if win.count else 0.0
                                       for o in observables))
-    except (ConfigError, NumericalError, HypothesisError) as exc:
+    except (ConfigError, NumericalError) as exc:
         msg = str(exc).replace(",", ";").replace("\n", " ")
         return ScanRow(h=h, n_grid=0, upsilon=math.nan,
                        upsilon_obs=tuple(math.nan for _ in observables),
@@ -605,11 +613,11 @@ def _ratio_target(scan: ScanResult, observable_id: str,
     if target == "liouville":
         target_value = mu_average(model, obs, scan.e_center)
     elif target == "dirac":
-        cps = model.critical_points_at(scan.e_center)
-        if not cps:
+        cp = isolated_critical_point(model, scan.e_center)
+        if cp is None:
             raise ConfigError(
                 f"no critical point at E={scan.e_center:.6g} for a dirac target")
-        z0 = cps[0].z0
+        z0 = cp.z0
         target_value = float(obs(z0[0], z0[1]))
     else:
         raise ConfigError(f"unknown ratio target {target!r}")

@@ -6,11 +6,15 @@ A model is one of three families on a 2n-dimensional phase space:
 * ``radial2d``       -- p(x, xi) = |xi|^2 + V(|x|), n = 2, V polynomial in r;
 * ``phase1d``        -- p(x, xi) a polynomial in both variables, n = 1.
 
-The module locates critical points of p, classifies them by the first
-nonvanishing homogeneous form of the local Taylor expansion, and checks the
-structural hypotheses (confinement, definiteness of the leading form,
-principal-type behaviour of homogeneous leading parts) that the rest of the
-package relies on.
+The module locates critical points of p and classifies them by the first
+nonvanishing homogeneous form of the local Taylor expansion.
+``isolated_critical_point`` is the one gate of the paper's hypotheses at a
+critical level: a single critical point on it, an extremum of V on the
+potential families, a principal-type leading form where it is homogeneous,
+and no critical circle of a radial profile.  Every call that claims a law
+at a critical point takes its point from there.  Confinement is not checked
+here: a level set that reaches the search range is refused where turning
+points and grids are sought.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ __all__ = [
     "PhasePolynomial",
     "CriticalPoint",
     "SymbolModel",
-    "HypothesisReport",
     "HypothesisError",
     "find_critical_points",
-    "check_hypotheses",
+    "isolated_critical_point",
     "catalog",
     "get_model",
 ]
@@ -41,6 +44,10 @@ MERGE_RADIUS = 1e-2
 # x range searched for turning points and allowed intervals of potentials;
 # radial searches run over [0, SEARCH_BOX[1]]
 SEARCH_BOX = (-12.0, 12.0)
+# default critical-point search range of V' roots, in x or in r
+_POTENTIAL_BOX = {"schrodinger1d": (-4.0, 4.0), "radial2d": (0.0, 4.0)}
+# radial roots below this radius are the origin, larger ones critical circles
+_R_AXIS = 1e-9
 
 # Taylor coefficients below this fraction of the largest one are treated as
 # zero when the order of a critical point is read off.
@@ -237,20 +244,6 @@ class SymbolModel:
                      if abs(c.critical_energy - energy) <= tol)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the structural checks for one model and center energy."""
-
-    model: str
-    passed: bool
-    failures: tuple[tuple[str, str], ...]  # (hypothesis, detail)
-
-    def raise_if_failed(self) -> None:
-        if not self.passed:
-            what = "; ".join(f"{h}: {d}" for h, d in self.failures)
-            raise HypothesisError(f"model {self.model}: {what}")
-
-
 def _bisect_root(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(200):
@@ -369,17 +362,17 @@ def find_critical_points(
     minima of |grad p|^2 polished by Newton steps.
     """
     if model.family in ("schrodinger1d", "radial2d"):
-        lo, hi = box if box is not None else ((-4.0, 4.0) if model.family == "schrodinger1d" else (0.0, 4.0))
+        lo, hi = box if box is not None else _POTENTIAL_BOX[model.family]
         dV = model.potential.derivative()
         pts = []
         for r in _poly_roots_in(dV, lo, hi):
-            if model.family == "radial2d" and r < 1e-9:
+            if model.family == "radial2d" and r < _R_AXIS:
                 r = 0.0
             pts.append(_classify_potential_point(model.potential, r))
         if model.family == "radial2d":
             # Only r = 0 gives an isolated critical point of |xi|^2 + V(|x|);
             # positive radii correspond to critical circles and are reported
-            # by the hypothesis checker, not here.
+            # by isolated_critical_point, not here.
             pts = [p for p in pts if p.z0[0] == 0.0]
         scale = max(dV.scale(), 1.0)
         for p in pts:
@@ -480,78 +473,43 @@ def _principal_type_ok(form: PhasePolynomial) -> tuple[bool, str]:
     return True, ""
 
 
-def check_hypotheses(
-    model: SymbolModel,
-    e_center: float,
-    epsilon0: float,
-    box: tuple | None = None,
-) -> HypothesisReport:
-    """Check confinement, uniqueness and shape of the window critical point.
+def isolated_critical_point(model: SymbolModel, energy: float) -> CriticalPoint | None:
+    """The critical point a law at ``energy`` is claimed at; None on a regular level.
 
-    Confinement is verified on the given box boundary: the symbol must exceed
-    ``e_center + epsilon0`` there, so the sublevel region relevant to the
-    energy window cannot leak.  For extrema the leading Taylor form must be
-    sign-definite of even order; homogeneous leading parts must satisfy the
-    principal-type condition on their circle zeros.
+    A level is regular when no critical point lies within :func:`_level_tol`
+    of ``energy`` and, for radial profiles, no critical circle does either.
+    A critical level must carry exactly one critical point, of admissible
+    shape: an even order (an extremum of V) on the potential families, and
+    the principal-type condition for a homogeneous leading form.  Otherwise
+    :class:`HypothesisError` names each failed hypothesis and the level.
     """
+    cps = model.critical_points_at(energy)
     failures: list[tuple[str, str]] = []
-    e_top = e_center + epsilon0
-    tol = _level_tol(e_center)
-
-    if model.family in ("schrodinger1d", "radial2d"):
-        if box is None:
-            box = (-4.0, 4.0) if model.family == "schrodinger1d" else (0.0, 4.0)
-        lo, hi = box
+    if model.family == "radial2d":
+        # critical circles are left out of the point list; search them over
+        # the radial range find_critical_points reads
         V = model.potential
-        bdry = [V(hi)] if model.family == "radial2d" else [V(lo), V(hi)]
-        if min(bdry) <= e_top:
-            failures.append(
-                ("confinement",
-                 f"potential reaches {min(bdry):.6g} <= {e_top:.6g} on the box boundary")
-            )
-        if model.family == "radial2d":
-            # critical circles of the radial profile sitting at e_center break
-            # isolation even though they are filtered from the point list
-            ring = [r for r in _poly_roots_in(V.derivative(), max(lo, 1e-6), hi)
-                    if abs(V(r) - e_center) <= tol]
-            if ring:
-                failures.append(("isolated-critical-point", f"critical circle at r={ring[0]:.6g} on the energy surface"))
-    else:
-        if box is None:
-            box = (-4.0, 4.0, -4.0, 4.0)
-        xlo, xhi, xilo, xihi = box
-        p = model.phase_poly
-        t = np.linspace(0.0, 1.0, 1025)
-        edges = [
-            (xlo + (xhi - xlo) * t, np.full_like(t, xilo)),
-            (xlo + (xhi - xlo) * t, np.full_like(t, xihi)),
-            (np.full_like(t, xlo), xilo + (xihi - xilo) * t),
-            (np.full_like(t, xhi), xilo + (xihi - xilo) * t),
-        ]
-        worst = min(float(np.min(p(ex, exi))) for ex, exi in edges)
-        if worst <= e_top:
-            failures.append(
-                ("confinement", f"symbol reaches {worst:.6g} <= {e_top:.6g} on the box boundary")
-            )
-
-    cps = model.critical_points or find_critical_points(model, box)
-    on_surface = [q for q in cps if abs(q.critical_energy - e_center) <= tol]
-    if len(on_surface) == 0:
-        failures.append(("critical-point", f"no critical point at energy {e_center:.6g}"))
-    elif len(on_surface) > 1:
-        failures.append(
-            ("isolated-critical-point",
-             f"{len(on_surface)} critical points share the energy {e_center:.6g}")
-        )
-    for q in on_surface:
-        if q.kind == "saddle":
-            failures.append(("extremum", f"odd leading order {q.order} at x={q.z0[0]:.6g}"))
-        elif q.kind == "non-extremal-homogeneous":
-            ok, why = _principal_type_ok(q.leading_form)
+        lo, hi = _POTENTIAL_BOX["radial2d"]
+        tol = _level_tol(energy)
+        rings = [r for r in _poly_roots_in(V.derivative(), lo, hi)
+                 if r >= _R_AXIS and abs(V(r) - energy) <= tol]
+        if rings:
+            failures.append(("isolated-critical-point", f"critical circle at r={rings[0]:.6g}"))
+    if not cps and not failures:
+        return None
+    if len(cps) > 1:
+        failures.append(("isolated-critical-point", f"{len(cps)} critical points on the level"))
+    for cp in cps:
+        if cp.kind == "saddle":
+            failures.append(("extremum", f"odd leading order {cp.order} at x={cp.z0[0]:.6g}"))
+        elif cp.kind == "non-extremal-homogeneous":
+            ok, why = _principal_type_ok(cp.leading_form)
             if not ok:
                 failures.append(("principal-type", why))
-
-    return HypothesisReport(model=model.name, passed=not failures, failures=tuple(failures))
+    if failures:
+        what = "; ".join(f"{h}: {d}" for h, d in failures)
+        raise HypothesisError(f"model {model.name} at E={energy:.6g}: {what}")
+    return cps[0]
 
 
 def _make_model(name: str, family: str, **kw) -> SymbolModel:

@@ -383,24 +383,24 @@ class _Parser:
             ("'x'", "'xi'", "number", "'exp'", "'('"))
 
 
-def _routing(expr: ObservableExpr) -> str:
-    vars_ = expr.variables()
-    if "xi" not in vars_:
-        return "position_only"
-    if "x" not in vars_:
-        return "momentum_only"
-    terms = expr.terms if isinstance(expr, Sum) else ((1.0, expr),)
-    if all(len(t.variables()) <= 1 for _, t in terms):
-        return "split"
-    return "general"
-
-
 @dataclass(frozen=True)
 class Observable:
     """A parsed observable with routing metadata and an identity string."""
 
     expr: ObservableExpr
-    routing: str
+
+    @property
+    def routing(self) -> str:
+        """The routing class of ``expr`` (see the module docstring)."""
+        vars_ = self.expr.variables()
+        if "xi" not in vars_:
+            return "position_only"
+        if "x" not in vars_:
+            return "momentum_only"
+        terms = self.expr.terms if isinstance(self.expr, Sum) else ((1.0, self.expr),)
+        if all(len(t.variables()) <= 1 for _, t in terms):
+            return "split"
+        return "general"
 
     @property
     def id(self) -> str:
@@ -443,4 +443,4 @@ def parse_observable(text: str) -> Observable:
     and the token classes that would have been accepted there.
     """
     expr = _Parser(text).parse()
-    return Observable(expr=expr, routing=_routing(expr))
+    return Observable(expr=expr)

@@ -49,7 +49,7 @@ from .microlocal import (
     weyl_averages,
     weyl_or_reference,
 )
-from .model import get_model
+from .model import get_model, isolated_critical_point
 from .observables import parse_observable
 from .quantize import DENSE_CAP
 
@@ -309,7 +309,7 @@ def scenario_pseudo_concentration_k3() -> ScenarioReport:
     name, e_center, d = "pseudo-k3", 0.0, 5.0
     h_from, h_to, h_steps = 1e-1, 1.25e-3, 16
     model = get_model(name)
-    cp = next(c for c in model.critical_points if c.order == 3)
+    cp = isolated_critical_point(model, e_center)
     verdict = classify_integrability(cp, model)
     scan = run_scan(model, h_values=np.geomspace(h_from, h_to, h_steps),
                     observables=(GAUSS_PHASE,), e_center=e_center, d=d)

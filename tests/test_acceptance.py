@@ -5,13 +5,17 @@ PASS/FAIL line with the measured values (visible with ``pytest -s``, and
 in the captured output of any failing test).  A failure here means a
 measurement missed its numeric target, not that the pipeline broke; the
 tolerances live in the scenario definitions and are not relaxed here.
+Each run also spies on ``isolated_critical_point``: only a scenario that
+claims a law at a critical point may call the hypothesis gate.
 """
 
 import dataclasses
 
 import pytest
 
+import semiclab.experiments
 import semiclab.scenarios
+from semiclab.model import isolated_critical_point
 from semiclab.scenarios import run_scenario
 
 
@@ -23,8 +27,23 @@ def _short(v):
     return str(v)
 
 
-def _run(name):
+# The levels at which each scenario claims a law at a critical point; every
+# other scenario, two-wells included, must never call the hypothesis gate.
+GATE_CALLS = {"dirac-concentration-1d": {("quad-max", 0.0)},
+              "pseudo-concentration-k3": {("pseudo-k3", 0.0)}}
+
+
+def _run(name, monkeypatch):
+    calls = set()
+
+    def spy(model, energy):
+        calls.add((model.name, energy))
+        return isolated_critical_point(model, energy)
+
+    for module in (semiclab.experiments, semiclab.scenarios):
+        monkeypatch.setattr(module, "isolated_critical_point", spy)
     report = run_scenario(name)
+    assert calls == GATE_CALLS.get(name, set())
     status = "PASS" if report.passed else "FAIL"
     parts = [f"{c.name}:{'ok' if c.passed else 'MISS'}={_short(c.value)}"
              for c in report.checks]
@@ -33,38 +52,38 @@ def _run(name):
     return report, line
 
 
-def test_harmonic_counts_and_levels():
-    report, line = _run("harmonic-weyl")
+def test_harmonic_counts_and_levels(monkeypatch):
+    report, line = _run("harmonic-weyl", monkeypatch)
     assert report.passed, line
 
 
-def test_degenerate_maximum_count_exponent():
-    report, line = _run("critical-exponent-k2")
+def test_degenerate_maximum_count_exponent(monkeypatch):
+    report, line = _run("critical-exponent-k2", monkeypatch)
     assert report.passed, line
 
 
-def test_log_law_selection_and_curvature_ratio():
-    report, line = _run("log-law-k1")
+def test_log_law_selection_and_curvature_ratio(monkeypatch):
+    report, line = _run("log-law-k1", monkeypatch)
     assert report.passed, line
 
 
-def test_separatrix_concentration_in_1d():
-    report, line = _run("dirac-concentration-1d")
+def test_separatrix_concentration_in_1d(monkeypatch):
+    report, line = _run("dirac-concentration-1d", monkeypatch)
     assert report.passed, line
 
 
-def test_radial_liouville_limit():
-    report, line = _run("liouville-limit-2d")
+def test_radial_liouville_limit(monkeypatch):
+    report, line = _run("liouville-limit-2d", monkeypatch)
     assert report.passed, line
 
 
-def test_cubic_phase_concentration():
-    report, line = _run("pseudo-concentration-k3")
+def test_cubic_phase_concentration(monkeypatch):
+    report, line = _run("pseudo-concentration-k3", monkeypatch)
     assert report.passed, line
 
 
-def test_invariant_property_suite():
-    report, line = _run("property-suite")
+def test_invariant_property_suite(monkeypatch):
+    report, line = _run("property-suite", monkeypatch)
     assert report.passed, line
 
 
@@ -82,8 +101,8 @@ def test_property_suite_count_agreement_compares_counts(monkeypatch):
     assert not checks["count_agreement"].passed
 
 
-def test_two_wells_split_is_reported():
-    report, line = _run("two-wells")
+def test_two_wells_split_is_reported(monkeypatch):
+    report, line = _run("two-wells", monkeypatch)
     assert not report.gating
     assert report.passed, line
     assert report.data["rows"], line

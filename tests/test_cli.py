@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import semiclab.microlocal as microlocal
 from semiclab.cli import OPTIONS, _parse_bool, _resolve, build_parser, main
 from semiclab.experiments import ScanResult, ScanRow, scan_from_csv, scan_to_csv
+from semiclab.scenarios import SCENARIOS, Check, _report
 
 
 def run_cli(capsys, argv):
@@ -24,6 +25,33 @@ def run_cli(capsys, argv):
 
 
 class TestExitCodes:
+    def test_every_documented_exit_code_occurs(self, capsys, tmp_path, monkeypatch):
+        failing = _report("failing", [Check("c", False, 0.0, "never")], {})
+        monkeypatch.setitem(SCENARIOS, "failing", lambda: failing)
+        # two barrier tops share the level 4/27, so a critical law is refused
+        scan_csv = tmp_path / "two-max.csv"
+        assert main(["scan", "--model", "two-max", "--ecenter", "0.14814814814814814",
+                     "--h-from", "0.1", "--h-to", "0.005", "--h-steps", "8",
+                     "--out", str(scan_csv)]) == 0
+        table = [
+            (["models", "list"], 0, ""),
+            (["fit", "--in", str(scan_csv), "--law", "auto"], 0, ""),
+            (["scenario", "run", "failing"], 1, "scenario failing failed: c"),
+            (["fit", "--in", str(scan_csv), "--law", "critical"], 2,
+             "two-max at E=0.148148: isolated-critical-point"),
+            (["fit", "--in", str(scan_csv), "--law", "regular"], 2, "isolated-critical-point"),
+            (["spectrum", "--model", "harmonic", "--h", "1e-9"], 3, "> 4194304 points"),
+            (["spectrum", "--model", "nope", "--h", "0.1"], 4, "unknown model"),
+        ]
+        for argv, expected, fragment in table:
+            code, _, err = run_cli(capsys, argv)
+            assert code == expected, (argv, err)
+            if code:
+                assert err.startswith("semiclab: ") and err.count("\n") == 1, (argv, err)
+                assert fragment in err, (argv, err)
+            else:
+                assert err == "", argv
+
     def test_malformed_observable_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, [
             "measure", "--model", "quad-max", "--h", "0.05", "--obs", "x^"])

@@ -1,5 +1,6 @@
 """Scan/fit layer: predicted laws, scan plumbing, fit recovery, ratios."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from semiclab import microlocal
 from semiclab.cli import main
 from semiclab.eig import radial_channels
-from semiclab.errors import ConfigError, NumericalError
+from semiclab.errors import ConfigError, HypothesisError, NumericalError
 from semiclab.experiments import (
     ScanResult,
     ScanRow,
@@ -69,8 +70,30 @@ class TestPredictedLaws:
         assert k4.alpha == pytest.approx(-0.5) and k4.beta == 0
 
     def test_two_max_at_barrier_energy(self):
-        law = predict_scaling(get_model("two-max"), 4.0 / 27.0)
-        assert law.alpha == pytest.approx(0.0) and law.beta == 1
+        # two barrier tops share the level: no isolated point to claim a law at
+        with pytest.raises(HypothesisError, match="2 critical points on the level"):
+            predict_scaling(get_model("two-max"), 4.0 / 27.0)
+
+    @pytest.mark.parametrize("name, energy", [("harmonic", 0.0),
+                                              ("pseudo-k3", -27.0 / 128.0)])
+    def test_no_log_factor_at_a_minimum(self, name, energy):
+        # the exponent ratio is 1 at both minima, but |log h| needs a point
+        # that is not an extremum of p
+        laws = scaling_branches(get_model(name), energy)
+        assert [(l.alpha, l.beta) for l in laws] == [(0.0, 0), (0.0, 0)]
+        law = predict_scaling(get_model(name), energy)
+        assert (law.alpha, law.beta) == (0.0, 0)
+
+    def test_critical_fit_at_the_harmonic_minimum(self, capsys, tmp_path):
+        # the window [-5h, 5h] holds the levels h, 3h, 5h at every h
+        csv_path = tmp_path / "scan.csv"
+        assert main(["scan", "--model", "harmonic", "--h-from", "0.1", "--h-to", "1e-3",
+                     "--h-steps", "8", "--ecenter", "0", "--out", str(csv_path)]) == 0
+        assert {r.upsilon for r in scan_from_csv(csv_path.read_text()).rows} == {3.0}
+        assert main(["fit", "--in", str(csv_path), "--law", "critical"]) == 0
+        fit = json.loads(capsys.readouterr().out)
+        assert (fit["law"], fit["alpha_hat"], fit["beta_hat"]) == ("schrodinger_critical", 0.0, 0)
+        assert fit["residual"] == 0.0 and fit["coeff_hat"] == pytest.approx(3.0)
 
 
 class TestRunScan:

@@ -1,9 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from semiclab.classical import allowed_intervals
+from semiclab.errors import HypothesisError, NumericalError
 
 from semiclab.model import (
     PhasePolynomial,
@@ -12,9 +14,9 @@ from semiclab.model import (
     _make_model,
     _poly_roots_in,
     catalog,
-    check_hypotheses,
     find_critical_points,
     get_model,
+    isolated_critical_point,
 )
 
 # Closed-form anchors used throughout: V = -x^4 + x^6 has critical points at
@@ -138,17 +140,48 @@ def test_pseudo_k4_window_point():
     assert p.leading_form(1.0, 1.0) == pytest.approx(0.0)
 
 
-def test_hypotheses_pass_for_deg_max():
-    m = get_model("deg-max")
-    rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(-2.0, 2.0))
-    assert rep.passed, rep.failures
+# Every critical level of the catalog, plus a regular one: the point the gate
+# admits as (kind, order), None, or the hypothesis its message names.
+GATE_TABLE = [
+    ("harmonic", 1.0, None),
+    ("harmonic", 0.0, ("min", 2)),
+    ("deg-max", 0.0, ("max", 4)),
+    ("deg-max", WELL_DEPTH, "isolated-critical-point"),
+    ("quad-max", 0.0, ("max", 2)),
+    ("quad-max", -0.25, "isolated-critical-point"),
+    ("quad-max-steep", 0.0, ("max", 2)),
+    ("quad-max-steep", -4.0, "isolated-critical-point"),
+    ("two-max", 4.0 / 27.0, "isolated-critical-point"),  # two tops
+    ("two-max", 0.0, "isolated-critical-point"),  # three minima
+    ("radial-deg", 0.0, ("max", 4)),
+    ("pseudo-k3", 0.0, ("non-extremal-homogeneous", 3)),
+    ("pseudo-k3", -27.0 / 128.0, ("min", 2)),
+    ("pseudo-k3", -27.0 / 256.0, "principal-type"),
+    ("pseudo-k4", 0.0, ("non-extremal-homogeneous", 4)),
+    ("pseudo-k4", WELL_DEPTH, "principal-type"),
+]
 
 
-def test_hypotheses_pass_for_pseudo_models():
-    for name in ("pseudo-k3", "pseudo-k4"):
-        m = get_model(name)
-        rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(-3.0, 3.0, -3.0, 3.0))
-        assert rep.passed, (name, rep.failures)
+@pytest.mark.parametrize("name, energy, expected", GATE_TABLE,
+                         ids=[f"{n}@{e:.4g}" for n, e, _ in GATE_TABLE])
+def test_isolated_critical_point_table(name, energy, expected):
+    m = get_model(name)
+    if isinstance(expected, str):
+        with pytest.raises(HypothesisError, match=expected):
+            isolated_critical_point(m, energy)
+        return
+    cp = isolated_critical_point(m, energy)
+    if expected is None:
+        assert cp is None
+    else:
+        assert (cp.kind, cp.order) == expected
+        assert cp in m.critical_points_at(energy)
+
+
+def test_table_covers_every_catalog_level():
+    levels = {(name, round(c.critical_energy, 9))
+              for name, m in catalog().items() for c in m.critical_points}
+    assert levels == {(n, round(e, 9)) for n, e, x in GATE_TABLE if x is not None}
 
 
 class TestPolyRootsIn:
@@ -187,47 +220,52 @@ def test_unknown_family_refused_at_construction():
         SymbolModel(name="cubic3d", family="radial3d", potential=Polynomial1D((0.0, 1.0)))
 
 
-def test_confinement_fails_for_unbounded_well():
-    # V = -(x^2-1)^2 tends to -infinity, so the boundary check must trip.
+def test_inverted_well_refused_by_allowed_intervals():
+    # V = -(x^2-1)^2 tends to -infinity: the level set is unbounded, and the
+    # turning-point search refuses it at its edge
     V = Polynomial1D((-1.0, 0.0, 2.0, 0.0, -1.0))
-    m = SymbolModel(name="inverted", family="schrodinger1d", potential=V)
-    m = replace(m, critical_points=find_critical_points(m, (-2.5, 2.5)))
-    rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(-2.5, 2.5))
-    assert not rep.passed
-    assert any(h == "confinement" for h, _ in rep.failures)
+    with pytest.raises(NumericalError, match="search edge -12"):
+        allowed_intervals(V, 0.0)
 
 
 def test_two_maxima_break_isolation():
-    m = get_model("two-max")
-    rep = check_hypotheses(m, e_center=4.0 / 27.0, epsilon0=1.0, box=(-2.0, 2.0))
-    assert not rep.passed
-    assert any(h == "isolated-critical-point" for h, _ in rep.failures)
+    # the message names the failed hypothesis, the model and the level
+    with pytest.raises(HypothesisError) as exc:
+        isolated_critical_point(get_model("two-max"), 4.0 / 27.0)
+    assert str(exc.value) == ("model two-max at E=0.148148: "
+                              "isolated-critical-point: 2 critical points on the level")
 
 
 def test_critical_circle_breaks_isolation():
-    # V = r^4 - 2 r^2 has its critical circle r = 1 on the level -1
-    m = SymbolModel(name="ring", family="radial2d", potential=Polynomial1D((0, 0, -2, 0, 1)))
-    rep = check_hypotheses(m, e_center=-1.0, epsilon0=1.0, box=(0.0, 2.0))
-    assert ("isolated-critical-point", "critical circle at r=1 on the energy surface") in rep.failures
+    # V = r^2 (r^2 - 1)^2: the minimum at r = 0 and the critical circle r = 1
+    # share the level 0; the circle r = 1/sqrt(3) alone sits on 4/27
+    m = _make_model("ring", "radial2d", potential=Polynomial1D((0, 0, 1, 0, -2, 0, 1)))
+    assert [c.z0 for c in m.critical_points] == [(0.0, 0.0)]
+    with pytest.raises(HypothesisError, match="isolated-critical-point: critical circle at r=1$"):
+        isolated_critical_point(m, 0.0)
+    with pytest.raises(HypothesisError, match="critical circle at r=0.57735"):
+        isolated_critical_point(m, 4.0 / 27.0)
+    assert isolated_critical_point(m, 1.0) is None
 
 
 def test_lifted_barrier_top_is_found_at_a_relative_tolerance():
     # quad-max lifted by 1000: at E = 1000 + 1e-7 the barrier top lies within
-    # the relative 1e-9 of E that critical_points_at reads, and the
-    # hypothesis check must see the same point
+    # the relative 1e-9 of E that critical_points_at reads, and the gate must
+    # admit the same point
     m = _make_model("quad-max-lifted", "schrodinger1d",
                     potential=Polynomial1D((1000.0, 0.0, -1.0, 0.0, 1.0)))
     e = 1000.0 + 1e-7
     assert [c.z0 for c in m.critical_points_at(e)] == [(0.0, 0.0)]
-    rep = check_hypotheses(m, e_center=e, epsilon0=1.0)
-    assert rep.passed, rep.failures
+    assert isolated_critical_point(m, e).z0 == (0.0, 0.0)
+    assert isolated_critical_point(m, 1000.0 + 1e-5) is None
 
 
 def test_odd_order_point_is_not_an_extremum():
     # V = x^3 + x^4: V' = x^2 (3 + 4x), a third-order point at x = 0 on the level 0
-    m = SymbolModel(name="cubic", family="schrodinger1d", potential=Polynomial1D((0, 0, 0, 1, 1)))
-    rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(-2.0, 2.0))
-    assert rep.failures == (("extremum", "odd leading order 3 at x=0"),)
+    m = _make_model("cubic", "schrodinger1d", potential=Polynomial1D((0, 0, 0, 1, 1)))
+    with pytest.raises(HypothesisError) as exc:
+        isolated_critical_point(m, 0.0)
+    assert str(exc.value) == "model cubic at E=0: extremum: odd leading order 3 at x=0"
 
 
 # (x^2 - xi^2)^2 + x^6 + xi^6: the degree-4 leading form has degenerate
@@ -237,10 +275,11 @@ DEGENERATE_QUARTIC = PhasePolynomial(
 
 
 def test_principal_type_violation_detected():
-    m = SymbolModel(name="degenerate", family="phase1d", phase_poly=DEGENERATE_QUARTIC)
-    m = replace(m, critical_points=find_critical_points(m, (-2.0, 2.0, -2.0, 2.0)))
-    rep = check_hypotheses(m, e_center=0.0, epsilon0=0.5, box=(-2.0, 2.0, -2.0, 2.0))
-    assert [h for h, _ in rep.failures] == ["principal-type"]
+    m = _make_model("degenerate", "phase1d", phase_poly=DEGENERATE_QUARTIC)
+    with pytest.raises(HypothesisError) as exc:
+        isolated_critical_point(m, 0.0)
+    what = str(exc.value).split(": ", 1)[1]
+    assert what.startswith("principal-type: ") and ";" not in what
 
 
 def test_degenerate_point_found_once():
@@ -271,8 +310,7 @@ def test_radial_model_critical_point():
     assert p.z0[0] == 0.0
     assert p.kind == "max"
     assert p.order == 4
-    rep = check_hypotheses(m, e_center=0.0, epsilon0=1.0, box=(0.0, 2.0))
-    assert rep.passed, rep.failures
+    assert isolated_critical_point(m, 0.0) == p
 
 
 def test_catalog_names_stable():
