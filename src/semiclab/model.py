@@ -20,7 +20,7 @@ points and grids are sought.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,8 +44,10 @@ MERGE_RADIUS = 1e-2
 # x range searched for turning points and allowed intervals of potentials;
 # radial searches run over [0, SEARCH_BOX[1]]
 SEARCH_BOX = (-12.0, 12.0)
-# default critical-point search range of V' roots, in x or in r
+# critical-point search range of V' roots, in x or in r
 _POTENTIAL_BOX = {"schrodinger1d": (-4.0, 4.0), "radial2d": (0.0, 4.0)}
+# critical-point search range of phase symbols, in x and in xi alike
+_PHASE_BOX = (-4.0, 4.0)
 # radial roots below this radius are the origin, larger ones critical circles
 _R_AXIS = 1e-9
 
@@ -208,13 +210,15 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class SymbolModel:
-    """A named symbol p together with its precomputed critical points."""
+    """A named symbol p and its critical points, which are derived, never
+    passed: :func:`find_critical_points` locates them when the model is
+    built, and a symbol whose points it cannot locate or classify is refused."""
 
     name: str
     family: str  # "schrodinger1d" | "radial2d" | "phase1d"
     potential: Polynomial1D | None = None
     phase_poly: PhasePolynomial | None = None
-    critical_points: tuple[CriticalPoint, ...] = field(default_factory=tuple)
+    critical_points: tuple[CriticalPoint, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.family not in ("schrodinger1d", "radial2d", "phase1d"):
@@ -223,6 +227,7 @@ class SymbolModel:
             raise ValueError(f"{self.family} model requires a potential")
         if self.family == "phase1d" and self.phase_poly is None:
             raise ValueError("phase1d model requires a phase polynomial")
+        object.__setattr__(self, "critical_points", find_critical_points(self))
 
     @property
     def n(self) -> int:
@@ -349,11 +354,8 @@ def _classify_phase_point(p: PhasePolynomial, x0: float, xi0: float) -> Critical
     )
 
 
-def find_critical_points(
-    model: SymbolModel,
-    box: tuple[float, float] | tuple[float, float, float, float] | None = None,
-) -> tuple[CriticalPoint, ...]:
-    """Locate and classify all critical points of the symbol inside a box.
+def find_critical_points(model: SymbolModel) -> tuple[CriticalPoint, ...]:
+    """Locate and classify all critical points of the symbol in its search range.
 
     For the Schrodinger and radial families the gradient vanishes exactly
     where V' does (with xi = 0), so the search reduces to root isolation for
@@ -362,7 +364,7 @@ def find_critical_points(
     minima of |grad p|^2 polished by Newton steps.
     """
     if model.family in ("schrodinger1d", "radial2d"):
-        lo, hi = box if box is not None else _POTENTIAL_BOX[model.family]
+        lo, hi = _POTENTIAL_BOX[model.family]
         dV = model.potential.derivative()
         pts = []
         for r in _poly_roots_in(dV, lo, hi):
@@ -377,25 +379,22 @@ def find_critical_points(
         scale = max(dV.scale(), 1.0)
         for p in pts:
             if abs(dV(p.z0[0])) > GRAD_TOL * scale:
-                raise RuntimeError(f"root polish failed at {p.z0}")
+                raise ValueError(f"root polish failed at {p.z0}")
         return tuple(pts)
 
     p = model.phase_poly
-    if box is None:
-        box = (-4.0, 4.0, -4.0, 4.0)
-    xlo, xhi, xilo, xihi = box
+    lo, hi = _PHASE_BOX
     px, pxi = p.partial("x"), p.partial("xi")
     scale = max(p.scale(), 1.0)
     if p.is_split():
         fx, gxi = p.split_parts()
-        rxis = _poly_roots_in(gxi.derivative(), xilo, xihi)
-        points = [(rx, rxi) for rx in _poly_roots_in(fx.derivative(), xlo, xhi)
+        rxis = _poly_roots_in(gxi.derivative(), lo, hi)
+        points = [(rx, rxi) for rx in _poly_roots_in(fx.derivative(), lo, hi)
                   for rxi in rxis]
     else:
         hxx_p, hxxi_p, hxixi_p = px.partial("x"), px.partial("xi"), pxi.partial("xi")
-        xs = np.linspace(xlo, xhi, 257)
-        xis = np.linspace(xilo, xihi, 257)
-        X, XI = np.meshgrid(xs, xis, indexing="ij")
+        xs = np.linspace(lo, hi, 257)
+        X, XI = np.meshgrid(xs, xs, indexing="ij")
         G = px(X, XI) ** 2 + pxi(X, XI) ** 2
         scale2 = (p.scale() or 1.0) ** 2
         cand = np.argwhere(G < 1e-4 * scale2)
@@ -432,7 +431,7 @@ def find_critical_points(
     out = []
     for x, xi in points:
         if abs(px(x, xi)) > GRAD_TOL * scale or abs(pxi(x, xi)) > GRAD_TOL * scale:
-            raise RuntimeError(f"gradient not annihilated at ({x}, {xi})")
+            raise ValueError(f"gradient not annihilated at ({x}, {xi})")
         out.append(_classify_phase_point(p, x, xi))
     return tuple(out)
 
@@ -512,25 +511,20 @@ def isolated_critical_point(model: SymbolModel, energy: float) -> CriticalPoint 
     return cps[0]
 
 
-def _make_model(name: str, family: str, **kw) -> SymbolModel:
-    m = SymbolModel(name=name, family=family, **kw)
-    return replace(m, critical_points=find_critical_points(m))
-
-
 def catalog() -> dict[str, SymbolModel]:
     """Built-in models, keyed by name."""
     entries = [
-        _make_model("harmonic", "schrodinger1d", potential=Polynomial1D((0, 0, 1))),
-        _make_model("deg-max", "schrodinger1d", potential=Polynomial1D((0, 0, 0, 0, -1, 0, 1))),
-        _make_model("quad-max", "schrodinger1d", potential=Polynomial1D((0, 0, -1, 0, 1))),
-        _make_model("quad-max-steep", "schrodinger1d", potential=Polynomial1D((0, 0, -4, 0, 1))),
-        _make_model("two-max", "schrodinger1d", potential=Polynomial1D((0, 0, 1, 0, -2, 0, 1))),
-        _make_model("radial-deg", "radial2d", potential=Polynomial1D((0, 0, 0, 0, -1, 0, 1))),
-        _make_model(
+        SymbolModel("harmonic", "schrodinger1d", potential=Polynomial1D((0, 0, 1))),
+        SymbolModel("deg-max", "schrodinger1d", potential=Polynomial1D((0, 0, 0, 0, -1, 0, 1))),
+        SymbolModel("quad-max", "schrodinger1d", potential=Polynomial1D((0, 0, -1, 0, 1))),
+        SymbolModel("quad-max-steep", "schrodinger1d", potential=Polynomial1D((0, 0, -4, 0, 1))),
+        SymbolModel("two-max", "schrodinger1d", potential=Polynomial1D((0, 0, 1, 0, -2, 0, 1))),
+        SymbolModel("radial-deg", "radial2d", potential=Polynomial1D((0, 0, 0, 0, -1, 0, 1))),
+        SymbolModel(
             "pseudo-k3", "phase1d",
             phase_poly=PhasePolynomial(((3, 0, 1.0), (4, 0, 1.0), (0, 3, -1.0), (0, 4, 1.0))),
         ),
-        _make_model(
+        SymbolModel(
             "pseudo-k4", "phase1d",
             phase_poly=PhasePolynomial(((4, 0, 1.0), (6, 0, 1.0), (0, 4, -1.0), (0, 6, 1.0))),
         ),

@@ -4,11 +4,12 @@ Grids carry their boundary convention explicitly.  Operators come in three
 storage forms:
 
 * ``tridiagonal``  -- real symmetric, second-order finite differences;
-* ``split``        -- f(x) + g(h D) on a periodic grid, applied by FFT;
+* ``split``        -- f(x) + g(h D) on a periodic grid, kept as its parts;
 * ``dense``        -- full Hermitian matrix (Weyl-quantized observables).
 
-A split operator keeps its polynomial parts (f, g) for the window solve;
-``dense_matrix`` assembles its grid matrix as a diagonal plus a circulant.
+A split operator keeps its polynomial parts (f, g), which the window solve
+reads in a Hermite basis; ``dense_matrix`` assembles its grid matrix as a
+diagonal plus a circulant.
 
 The Weyl matrix of a(x, xi) on an N-point grid uses the discrete kernel
 

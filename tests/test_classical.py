@@ -4,7 +4,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,16 +33,13 @@ from semiclab.model import (
     PhasePolynomial,
     Polynomial1D,
     SymbolModel,
-    find_critical_points,
     get_model,
 )
 from semiclab.quantize import build_split, grid_for_split
 
 
 def phase_model(terms):
-    m = SymbolModel(name="tmp", family="phase1d",
-                    phase_poly=PhasePolynomial(terms))
-    return replace(m, critical_points=find_critical_points(m))
+    return SymbolModel(name="tmp", family="phase1d", phase_poly=PhasePolynomial(terms))
 
 
 class TestSchrodinger1D:

@@ -1,17 +1,22 @@
 """Command line behavior: exit codes, config merging, deterministic output."""
 
 import contextlib
+import csv
 import io
 import json
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semiclab
 import semiclab.microlocal as microlocal
 from semiclab.cli import OPTIONS, _parse_bool, _resolve, build_parser, main
 from semiclab.experiments import ScanResult, ScanRow, scan_from_csv, scan_to_csv
@@ -519,6 +524,35 @@ class TestScanFit:
         for row in scan.rows:
             assert "not finite" in row.error
             assert math.isnan(row.upsilon_obs[0])
+
+    def test_blas_thread_count_moves_only_rounding_noise(self):
+        # README's contract: across BLAS thread counts the echo, h, n_grid,
+        # counts, tie and error are identical, the observable columns agree
+        # to a relative 1e-10, and residual_max is rounding noise
+        src = str(pathlib.Path(semiclab.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "semiclab.cli", "scan", "--model", "quad-max",
+                "--h-from", "0.01", "--h-to", "0.001", "--h-steps", "3",
+                "--obs", "exp(-x^2-xi^2)"]
+        children = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            children.append(subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True))
+        lines = [child.communicate(timeout=120)[0].splitlines() for child in children]
+        assert [child.returncode for child in children] == [0, 0]
+        echo1, echo2 = ([l for l in ls if l.startswith("#")] for ls in lines)
+        rows1, rows2 = (list(csv.DictReader(l for l in ls if not l.startswith("#"))) for ls in lines)
+        assert echo1 == echo2
+        assert len(rows1) == len(rows2) == 3
+        for one, two in zip(rows1, rows2):
+            assert one.keys() == two.keys()
+            for key in one:
+                if key == "residual_max":
+                    assert float(one[key]) < 1e-11 and float(two[key]) < 1e-11
+                elif key.startswith(("upsilon_a[", "ratio[")):
+                    assert float(one[key]) == pytest.approx(float(two[key]), rel=1e-10)
+                else:
+                    assert one[key] == two[key]
 
     def test_fit_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["fit", "--in", "/no/such/file.csv"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semiclab.microlocal as microlocal
+from semiclab import eig
 from semiclab.classical import flow_points
 from semiclab.eig import eigs_in_window
 from semiclab.errors import ConfigError, NumericalError
@@ -247,6 +248,22 @@ class TestDecimatedWeyl:
             assert sub.boundary == grid.boundary
             assert sub.dx == pytest.approx(q * grid.dx, rel=1e-12)
             assert np.allclose(sub.nodes, grid.nodes[::q], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h, n", [(0.05, 850), (0.01, 4254)])
+def test_gaussian_weyl_averages_match_mehler(h, n):
+    # Mehler's formula: Op_h^w(exp(-x^2 - xi^2)) = sum_n w_n |phi_n><phi_n|,
+    # w_n = ((1 - h) / (1 + h))^n / (1 + h), phi_n the Hermite functions of
+    # -h^2 d^2 + x^2; terms past K weigh under 1e-17.  The second window is
+    # past DENSE_CAP, where the Weyl route decimates
+    win = solve_window(get_model("quad-max"), h, 0.0, h_max=0.1)
+    assert win.grid.n == n and win.count > 0
+    rho = (1.0 - h) / (1.0 + h)
+    k = int(np.ceil(np.log(1e-17) / np.log(rho)))
+    phi = eig._to_grid(np.eye(k), win.grid, h, 0.0, 0.0, 1.0)
+    exact = (rho ** np.arange(k) / (1.0 + h)) @ np.abs(phi.conj().T @ win.vectors) ** 2
+    vals, _ = weyl_averages(win, GAUSS)
+    assert np.max(np.abs(vals - exact)) < 1e-12
 
 
 class TestNonFinite:

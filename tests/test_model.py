@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from semiclab.classical import allowed_intervals
 from semiclab.errors import HypothesisError, NumericalError
+from semiclab.experiments import predict_scaling
 
 from semiclab.model import (
     PhasePolynomial,
     Polynomial1D,
     SymbolModel,
-    _make_model,
     _poly_roots_in,
     catalog,
     find_critical_points,
@@ -239,7 +239,7 @@ def test_two_maxima_break_isolation():
 def test_critical_circle_breaks_isolation():
     # V = r^2 (r^2 - 1)^2: the minimum at r = 0 and the critical circle r = 1
     # share the level 0; the circle r = 1/sqrt(3) alone sits on 4/27
-    m = _make_model("ring", "radial2d", potential=Polynomial1D((0, 0, 1, 0, -2, 0, 1)))
+    m = SymbolModel("ring", "radial2d", potential=Polynomial1D((0, 0, 1, 0, -2, 0, 1)))
     assert [c.z0 for c in m.critical_points] == [(0.0, 0.0)]
     with pytest.raises(HypothesisError, match="isolated-critical-point: critical circle at r=1$"):
         isolated_critical_point(m, 0.0)
@@ -252,7 +252,7 @@ def test_lifted_barrier_top_is_found_at_a_relative_tolerance():
     # quad-max lifted by 1000: at E = 1000 + 1e-7 the barrier top lies within
     # the relative 1e-9 of E that critical_points_at reads, and the gate must
     # admit the same point
-    m = _make_model("quad-max-lifted", "schrodinger1d",
+    m = SymbolModel("quad-max-lifted", "schrodinger1d",
                     potential=Polynomial1D((1000.0, 0.0, -1.0, 0.0, 1.0)))
     e = 1000.0 + 1e-7
     assert [c.z0 for c in m.critical_points_at(e)] == [(0.0, 0.0)]
@@ -262,7 +262,7 @@ def test_lifted_barrier_top_is_found_at_a_relative_tolerance():
 
 def test_odd_order_point_is_not_an_extremum():
     # V = x^3 + x^4: V' = x^2 (3 + 4x), a third-order point at x = 0 on the level 0
-    m = _make_model("cubic", "schrodinger1d", potential=Polynomial1D((0, 0, 0, 1, 1)))
+    m = SymbolModel("cubic", "schrodinger1d", potential=Polynomial1D((0, 0, 0, 1, 1)))
     with pytest.raises(HypothesisError) as exc:
         isolated_critical_point(m, 0.0)
     assert str(exc.value) == "model cubic at E=0: extremum: odd leading order 3 at x=0"
@@ -275,7 +275,7 @@ DEGENERATE_QUARTIC = PhasePolynomial(
 
 
 def test_principal_type_violation_detected():
-    m = _make_model("degenerate", "phase1d", phase_poly=DEGENERATE_QUARTIC)
+    m = SymbolModel("degenerate", "phase1d", phase_poly=DEGENERATE_QUARTIC)
     with pytest.raises(HypothesisError) as exc:
         isolated_critical_point(m, 0.0)
     what = str(exc.value).split(": ", 1)[1]
@@ -285,7 +285,7 @@ def test_principal_type_violation_detected():
 def test_degenerate_point_found_once():
     # Newton stops up to ~1.6e-3 from the origin pass the gradient tolerance
     m = SymbolModel(name="degenerate", family="phase1d", phase_poly=DEGENERATE_QUARTIC)
-    (p,) = find_critical_points(m)
+    (p,) = m.critical_points
     assert p.z0 == pytest.approx((0.0, 0.0), abs=1e-12)
     assert p.order == 4 and p.critical_energy == pytest.approx(0.0, abs=1e-15)
 
@@ -296,7 +296,7 @@ def test_mixed_cubic_points_found_once():
     # pass the gradient tolerance
     cubic = PhasePolynomial(((3, 0, 1.0), (1, 2, -3.0), (4, 0, 1.0), (0, 4, 1.0), (2, 2, 1.0)))
     m = SymbolModel(name="monkey", family="phase1d", phase_poly=cubic)
-    pts = sorted(find_critical_points(m), key=lambda p: p.z0)
+    pts = sorted(m.critical_points, key=lambda p: p.z0)
     assert [(p.kind, p.order) for p in pts] == [("min", 2), ("non-extremal-homogeneous", 3)]
     assert pts[0].z0 == pytest.approx((-0.75, 0.0), abs=1e-12)
     assert pts[1].z0 == pytest.approx((0.0, 0.0), abs=1e-12)
@@ -327,3 +327,31 @@ def test_models_are_immutable():
         m.name = "other"
     with pytest.raises(Exception):
         m.potential.coefficients = (1.0,)
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_built_model_derives_catalog_points(name):
+    # critical_points is derived when a model is built, so a model built from
+    # the same symbol carries the catalog's points
+    ref = get_model(name)
+    m = SymbolModel(name, ref.family, potential=ref.potential, phase_poly=ref.phase_poly)
+    assert m.critical_points == ref.critical_points
+
+
+def test_hand_built_barrier_top_gives_log_law():
+    # x^4 - x^2 built without the catalog: the barrier top at E = 0 is found,
+    # and the count law there is h^0 |log h|, not the regular h^0
+    qm = SymbolModel("qm", "schrodinger1d", potential=Polynomial1D((0, 0, -1, 0, 1)))
+    law = predict_scaling(qm, 0.0)
+    assert (law.alpha, law.beta) == (0, 1)
+
+
+def test_critical_points_cannot_be_passed():
+    with pytest.raises(TypeError):
+        SymbolModel("qm", "schrodinger1d", potential=Polynomial1D((0, 0, 1)), critical_points=())
+
+
+def test_unclassifiable_symbol_refused_at_construction():
+    # a constant potential has V' = 0 everywhere: no point has an order
+    with pytest.raises(ValueError, match="constant"):
+        SymbolModel("flat", "schrodinger1d", potential=Polynomial1D((1.0,)))
