@@ -56,6 +56,14 @@ tolerance is wider than the interval, so it is a Sturm count of its own,
 made by code independent of ours.  The zero-slack rule is that of every
 other window.  The eigenvalues of such a window are NaN.  The split route
 always solves.
+
+One BLAS thread pool: numpy and scipy each ship an OpenBLAS with its own
+thread pool, and code that alternates between them leaves the idle pool
+spinning against the busy one (the split route's QR and Rayleigh-Ritz step,
+23 states at N = 512, took 16 ms with scipy's routines and 1.4 ms with
+numpy's on two cores).  So dense kernels go through ``numpy.linalg``, and
+``scipy.linalg`` is kept only for the tridiagonal and band routines numpy
+lacks (``eigh_tridiagonal``, ``dstebz``, ``eig_banded``, ``solve_banded``).
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, qr, solve_banded
+from scipy.linalg import eig_banded, eigh_tridiagonal, solve_banded
 from scipy.linalg.lapack import dstebz
 
 from .errors import ConfigError, NumericalError
@@ -396,7 +404,8 @@ def _basis_vectors(band: np.ndarray, w: np.ndarray, shift_pad: float) -> np.ndar
     """Orthonormal eigenvectors of the band matrix for its eigenvalues ``w``: two
     inverse iteration steps each from fixed seeded starts, the shift
     ``shift_pad`` off the eigenvalue so that an exact one leaves the solve
-    regular; then QR and a Rayleigh-Ritz step."""
+    regular; then QR and a Rayleigh-Ritz step through ``numpy.linalg``, whose
+    BLAS pool is the one the matmuls around them use."""
     k = band.shape[0] // 2
     start = np.random.default_rng(0).standard_normal((2, band.shape[1], w.size))
     vecs = start[0] + 1j * start[1]
@@ -406,8 +415,8 @@ def _basis_vectors(band: np.ndarray, w: np.ndarray, shift_pad: float) -> np.ndar
         for _ in range(2):
             vecs[:, j] = solve_banded((k, k), shifted, vecs[:, j])
             vecs[:, j] /= np.linalg.norm(vecs[:, j])
-    q = qr(vecs, mode="economic")[0]
-    return q @ eigh(q.conj().T @ _band_matvec(band, q))[1]
+    q = np.linalg.qr(vecs)[0]
+    return q @ np.linalg.eigh(q.conj().T @ _band_matvec(band, q))[1]
 
 
 def _solve_range(lo: float, hi: float, eps_keep: float) -> tuple[float, float]:
@@ -434,9 +443,10 @@ def _to_grid(coef: np.ndarray, grid: Grid1D, h: float, x0: float, xi0: float,
         if j:
             prev, cur = cur, np.sqrt(2.0 / j) * y * cur - np.sqrt((j - 1) / j) * prev
             big = np.abs(cur) > 2.0 ** 500
-            cur[big] *= 2.0 ** -500
-            prev[big] *= 2.0 ** -500
-            exponent[big] += 500
+            if big.any():
+                cur[big] *= 2.0 ** -500
+                prev[big] *= 2.0 ** -500
+                exponent[big] += 500
         phi[:, j] = np.ldexp(cur, exponent)
     phase = np.sqrt(grid.dx / width) * np.exp(1j * xi0 * dist / h)
     return phase[:, None] * (phi @ coef.real + 1j * (phi @ coef.imag))

@@ -450,6 +450,14 @@ class TestHermiteRoute:
         assert np.max(np.abs(v.conj().T @ v - np.eye(win.count))) < 1e-10
         assert win.residual_max < 1e-12
 
+    def test_hermite_table_survives_the_rescale(self):
+        # at x = 60 the recurrence grows phi_j / phi_0 past 2^1100 by j = 400,
+        # so without the 2^500 rescale the far nodes overflow to inf
+        k = 400
+        phi = semiclab.eig._to_grid(np.eye(k), Grid1D(-60.0, 60.0, 1500, "dirichlet"),
+                                    1.0, 0.0, 0.0, 1.0)
+        assert np.max(np.abs(phi.conj().T @ phi - np.eye(k))) < 1e-12
+
     def test_k4_count_matches_the_split_grid_inertia(self):
         # degree 6: a band of width 6, never solved in this basis before
         h = 0.0125

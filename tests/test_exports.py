@@ -1,5 +1,6 @@
 """Public names: every export resolves and the README library example is covered."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -25,6 +26,27 @@ def test_readme_library_example_is_exported():
     used = set(re.findall(r"\bsl\.(\w+)", example))
     assert used
     assert used <= set(semiclab.__all__)
+
+
+def test_scipy_linalg_only_for_routines_numpy_lacks():
+    # numpy and scipy each ship an OpenBLAS with its own thread pool; dense
+    # kernels go through numpy.linalg so that one pool does the threaded work
+    allowed = {"scipy.linalg": {"eigh_tridiagonal", "eig_banded", "solve_banded", "circulant"},
+               "scipy.linalg.lapack": {"dstebz"}}
+    found = []
+    for path in sorted(pathlib.Path(semiclab.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                names = {a.name for a in node.names}
+                if node.module == "scipy" and "linalg" in names:
+                    found.append((path.name, "scipy.linalg"))
+                elif node.module.startswith("scipy.linalg"):
+                    found += [(path.name, f"{node.module}.{n}")
+                              for n in sorted(names - allowed.get(node.module, set()))]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name == "scipy" or a.name.startswith("scipy.linalg")]
+    assert found == []
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
