@@ -41,7 +41,7 @@ from .classical import mu_average
 from .eig import EigenWindow, _check_window, eigs_in_window, radial_channels
 from .errors import ConfigError, NumericalError
 from .microlocal import _check_radial_observable, upsilon, upsilon_a, weyl_averages
-from .model import SymbolModel, get_model, isolated_critical_point
+from .model import CriticalPoint, SymbolModel, get_model, isolated_critical_point
 from .observables import Observable, parse_observable
 from .quantize import (
     WINDOW_D,
@@ -108,9 +108,13 @@ def scaling_branches(model: SymbolModel, e_center: float) -> tuple[ScalingLaw, .
     |log h| factor needs an integer exponent ratio at a point that is not an
     extremum of p: a potential maximum, or a non-extremal homogeneous point.
     """
+    return _branches_at(model, isolated_critical_point(model, e_center))
+
+
+def _branches_at(model: SymbolModel, cp: CriticalPoint | None) -> tuple[ScalingLaw, ...]:
+    """:func:`scaling_branches` at the point the gate admitted (None: a regular level)."""
     n = model.n
     laws = [ScalingLaw(alpha=float(1 - n), beta=0, origin="regular_weyl")]
-    cp = isolated_critical_point(model, e_center)
     if cp is None:
         return tuple(laws)
     if model.family == "phase1d":
@@ -133,7 +137,10 @@ def predict_scaling(model: SymbolModel, e_center: float | None = None) -> Scalin
     """The dominant branch: smallest alpha, log factor breaking ties."""
     if e_center is None:
         e_center = default_center(model)
-    laws = scaling_branches(model, e_center)
+    return _dominant(scaling_branches(model, e_center))
+
+
+def _dominant(laws: tuple[ScalingLaw, ...]) -> ScalingLaw:
     return min(laws, key=lambda l: (l.alpha, -l.beta))
 
 
@@ -605,23 +612,17 @@ def _observable_column(scan: ScanResult, observable_id: str) -> tuple[Observable
     return obs, scan.observable_ids.index(obs.id)
 
 
-def _ratio_target(scan: ScanResult, observable_id: str,
-                  target: str) -> tuple[SymbolModel, int, float]:
-    """(model, observable column, target value) of a ratio-limit check."""
-    model = get_model(scan.model)
-    obs, idx = _observable_column(scan, observable_id)
+def _ratio_target(model: SymbolModel, obs: Observable, e_center: float, target: str,
+                  cp: CriticalPoint | None) -> float:
+    """Target value of a ratio-limit check; ``cp`` is the point
+    ``isolated_critical_point`` admits at ``e_center``, read by ``dirac`` only."""
     if target == "liouville":
-        target_value = mu_average(model, obs, scan.e_center)
-    elif target == "dirac":
-        cp = isolated_critical_point(model, scan.e_center)
+        return mu_average(model, obs, e_center)
+    if target == "dirac":
         if cp is None:
-            raise ConfigError(
-                f"no critical point at E={scan.e_center:.6g} for a dirac target")
-        z0 = cp.z0
-        target_value = float(obs(z0[0], z0[1]))
-    else:
-        raise ConfigError(f"unknown ratio target {target!r}")
-    return model, idx, target_value
+            raise ConfigError(f"no critical point at E={e_center:.6g} for a dirac target")
+        return float(obs(cp.z0[0], cp.z0[1]))
+    raise ConfigError(f"unknown ratio target {target!r}")
 
 
 def ratio_limit(scan: ScanResult, observable_id: str, target: str = "liouville",
@@ -636,7 +637,10 @@ def ratio_limit(scan: ScanResult, observable_id: str, target: str = "liouville",
     plus a final gap within ``tol`` counts as converged.
     The extrapolated column is the Aitken limit of the ratio sequence.
     """
-    _, idx, target_value = _ratio_target(scan, observable_id, target)
+    model = get_model(scan.model)
+    obs, idx = _observable_column(scan, observable_id)
+    cp = isolated_critical_point(model, scan.e_center) if target == "dirac" else None
+    target_value = _ratio_target(model, obs, scan.e_center, target, cp)
     pts = [(r.h, r.ratios[idx]) for r in scan.valid_rows()
            if math.isfinite(r.ratios[idx])]
     if len(pts) < 3:
@@ -688,8 +692,12 @@ def singular_limit(scan: ScanResult, observable_id: str, target: str = "dirac",
     positive does not grow by the singular law: its limit and gap are NaN
     and the verdict fails, with no division.
     """
-    model, idx, target_value = _ratio_target(scan, observable_id, target)
-    law = predict_scaling(model, scan.e_center)
+    model = get_model(scan.model)
+    obs, idx = _observable_column(scan, observable_id)
+    # the one gate call: the Dirac target and the law read the same point
+    cp = isolated_critical_point(model, scan.e_center)
+    target_value = _ratio_target(model, obs, scan.e_center, target, cp)
+    law = _dominant(_branches_at(model, cp))
     if law.alpha == 0.0 and law.beta == 0:
         raise ConfigError(
             f"the count at E={scan.e_center:.6g} has no growing part to separate "

@@ -15,7 +15,11 @@ observable a:
   split grids are sized by the classical momentum and get q = 1.  Only
   the block of rows where the states live is built: the smallest row
   range outside which every decimated state keeps at most
-  ``WEYL_LEAK`` / 2 of its l2 mass on each side;
+  ``WEYL_LEAK`` / 2 of its l2 mass on each side.  A mixed symbol that
+  factors as f(x) g(xi), such as the Gaussian exp(-x^2 - xi^2), gets that
+  block from one FFT of g and f at the block's midpoints (the factored
+  build of ``quantize.build_weyl_observable``); other mixed symbols one
+  FFT per anti-diagonal;
 
 * the anti-Wick route, a nonnegative average of the Husimi density over a
   coherent-state lattice.

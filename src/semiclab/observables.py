@@ -18,6 +18,11 @@ Parsing produces a small AST.  Observables know their routing class:
 * ``momentum_only``  -- no use of ``x``;
 * ``split``          -- a sum of pure-x and pure-xi terms;
 * ``general``        -- anything else.
+
+Apart from its routing class, an observable may factor as f(x) g(xi):
+``Observable.product_parts`` finds such factors in products of
+one-variable factors and in exponentials of split sums, which is what the
+Weyl build reads (``quantize.build_weyl_observable``).
 """
 
 from __future__ import annotations
@@ -434,6 +439,48 @@ class Observable:
             return Sum(tuple(ts))
 
         return pack(xs), pack(xis)
+
+    def product_parts(self) -> tuple[ObservableExpr, ObservableExpr] | None:
+        """(x-factor f, xi-factor g) with f(x) g(xi) equal to the observable,
+        or None when it does not factor that way.
+
+        Recognised: an expression of at most one variable; a product of
+        factors that each factor; exp of a split sum, exp(p(x) + q(xi)) =
+        exp(p(x)) exp(q(xi)); and parentheses around a factor.
+        Constants go to the x-factor, and a missing factor is the constant 1.
+        """
+        return _factor(self.expr)
+
+
+_ONE = Const(1.0)
+
+
+def _factor(e: ObservableExpr) -> tuple[ObservableExpr, ObservableExpr] | None:
+    """:meth:`Observable.product_parts` of one expression node."""
+    vars_ = e.variables()
+    if "xi" not in vars_:
+        return e, _ONE
+    if "x" not in vars_:
+        return _ONE, e
+    if isinstance(e, Group):
+        return _factor(e.inner)
+    if isinstance(e, Prod):
+        parts = [_factor(f) for f in e.factors]
+        if None in parts:
+            return None
+        return _product(f for f, _ in parts), _product(g for _, g in parts)
+    if isinstance(e, Exp) and Observable(e.arg).routing == "split":
+        p, q = Observable(e.arg).split_parts()
+        return Exp(p), Exp(q)
+    return None
+
+
+def _product(factors) -> ObservableExpr:
+    """The product of ``factors``, leaving out the 1 that stands for a missing factor."""
+    kept = [f for f in factors if f is not _ONE]
+    if not kept:
+        return _ONE
+    return kept[0] if len(kept) == 1 else Prod(tuple(kept))
 
 
 def parse_observable(text: str) -> Observable:

@@ -25,7 +25,14 @@ construction.  Anti-diagonals are assembled in blocks, one symbol
 evaluation and one real FFT per block, and each anti-diagonal is written
 as one slice.  A row range [i0, i1) builds only the block A[i0:i1, i0:i1],
 from the anti-diagonals that cross it and the same n-point FFTs, bitwise
-equal to the slice of the full matrix.
+equal to the slice of the full matrix.  A parsed observable that factors as
+f(x) g(xi) (``Observable.product_parts``, e.g. the Gaussian
+exp(-x^2 - xi^2)) takes the factored build instead: the kernel is
+f((x_i + x_j)/2) c[(i - j) % N] with c from one real FFT of g, so the block
+is f at its 2 m - 1 midpoints times a Toeplitz view of c, again exactly
+Hermitian and bitwise equal across row ranges.  Plain callables, symbols
+that do not factor, and products not surely finite on the lattice (so
+that an overflow is reported as before) keep the general build.
 
 The anti-Wick side quantizes against a lattice of Gaussian coherent states
 of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
@@ -49,10 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import circulant
 
 from .errors import ConfigError, NumericalError
 from .model import SEARCH_BOX, Polynomial1D, _poly_roots_in
+from .observables import Observable, ObservableExpr
 
 __all__ = [
     "Grid1D",
@@ -414,6 +423,9 @@ def build_weyl_observable(a, h: float, grid: Grid1D,
     an eighth of the full n by n matrix, so a full build allocates about
     one matrix and a row range its block plus one block of anti-diagonals.
     Grids past ``DENSE_CAP`` points are refused before anything is allocated.
+    An :class:`Observable` whose ``product_parts`` are (f, g) takes the
+    factored build of :func:`_weyl_product` when its block is surely
+    finite; any other ``a``, or a product that may overflow, the blocks above.
     """
     n = grid.n
     _check_dense_cap(n, "dense Weyl matrix", h)
@@ -422,9 +434,14 @@ def build_weyl_observable(a, h: float, grid: Grid1D,
         raise ValueError(f"row range {rows} is empty or outside the {n} grid rows")
     m = i1 - i0
     xi = grid.xi_values(h)
+    parts = a.product_parts() if isinstance(a, Observable) else None
+    if parts is not None:
+        mid = grid.nodes[0] + 0.5 * grid.dx * np.arange(2 * i0, 2 * i1 - 1)
+        mat = _weyl_product(*parts, mid, xi, m)
+        if mat is not None:
+            return DiscreteOperator("dense", h, grid, matrix=mat)
     mat = np.empty((m, m), dtype=complex)
     flat = mat.reshape(-1)
-    half = n // 2 + 1
     # per anti-diagonal: the symbol row and its temporaries (8 bytes per
     # entry each, about four), the half spectrum and the doubled kernel
     chunk = min(m, max(1, min(WEYL_BLOCK_BYTES, 2 * n * n) // (96 * n)))
@@ -438,13 +455,10 @@ def build_weyl_observable(a, h: float, grid: Grid1D,
         mid = x0 + 0.5 * grid.dx * np.arange(2 * i0 + s0, 2 * i0 + s1)
         sym = np.broadcast_to(np.asarray(a(mid[:, None], xi[None, :]), dtype=float),
                               (s1 - s0, n))
-        # the inverse FFT of a real row: c[k] = conj(spec[k]) for k <= n / 2
-        # and c[n - k] = spec[k]
         spec = np.fft.rfft(sym, axis=1, norm="forward")
         del sym  # each block's temporaries go before the next block's evaluation
         c = ext[:s1 - s0, n:]
-        np.conjugate(spec, out=c[:, :half])
-        c[:, half:] = spec[:, n - half:0:-1]
+        _kernel_of_real_rows(spec, c)
         del spec
         ext[:s1 - s0, :n] = c
         for s in range(s0, s1):
@@ -453,6 +467,49 @@ def build_weyl_observable(a, h: float, grid: Grid1D,
             flat[s + i_a * (m - 1):s + i_b * (m - 1) + 1:max(m - 1, 1)] = \
                 ext[s - s0, n - s + 2 * i_a:n - s + 2 * i_b + 1:2]
     return DiscreteOperator("dense", h, grid, matrix=mat)
+
+
+def _kernel_of_real_rows(spec: np.ndarray, out: np.ndarray) -> None:
+    """The inverse FFT of real rows from their forward-normalized ``rfft``
+    ``spec``: out[..., k] = conj(spec[..., k]) for k <= n / 2 and
+    out[..., n - k] = spec[..., k].  The real FFT returns its k = 0 (and
+    k = n / 2) terms with zero imaginary part, so out[..., n - k] =
+    conj(out[..., k]) holds exactly."""
+    half, n = spec.shape[-1], out.shape[-1]
+    np.conjugate(spec, out=out[..., :half])
+    out[..., half:] = spec[..., n - half:0:-1]
+
+
+def _weyl_product(f: ObservableExpr, g: ObservableExpr, mid: np.ndarray, xi: np.ndarray,
+                  m: int) -> np.ndarray | None:
+    """The m by m Weyl block of f(x) g(xi) from f at its 2 m - 1 midpoints
+    ``mid`` and one real FFT of g at the momenta ``xi``, or None when the
+    general build must report an overflow.
+
+    Entry (i, j) is f(mid[i + j]) c[(i - j) % n], c the kernel of g as
+    :func:`build_weyl_observable` takes each row: a Hankel view of f times
+    a Toeplitz view of c, written into the one output, so nothing else of
+    size m by m is allocated.  Real f times c[n - k] = conj(c[k]) keeps the
+    block exactly Hermitian.  The general build overflows where some
+    f(mid) g(xi) does, and no entry here passes max |f| max |c| <= max |f|
+    max |g|; so when max |f| max(max |g|, max |c|) is not finite this
+    returns None and the caller takes the general build.
+    """
+    with np.errstate(all="ignore"):
+        fv = np.asarray(f.eval(mid, 0.0), dtype=float)
+        gv = np.asarray(g.eval(0.0, xi), dtype=float)
+        c = np.empty(xi.size, dtype=complex)
+        _kernel_of_real_rows(np.fft.rfft(gv, norm="forward"), c)
+        peak = np.max(np.abs(fv)) * max(np.max(np.abs(gv)), np.max(np.abs(c)))
+    if not np.isfinite(peak):
+        return None
+    # e[t] = c[(m - 1 - t) % n], so row i of the Toeplitz view, e[m - 1 - i:][:m],
+    # holds c[(i - j) % n] for j = 0 .. m - 1
+    e = c[(m - 1 - np.arange(2 * m - 1)) % c.size]
+    mat = np.empty((m, m), dtype=complex)
+    np.multiply(sliding_window_view(fv.astype(complex), m), sliding_window_view(e, m)[::-1],
+                out=mat)
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from semiclab import microlocal
+from semiclab import experiments, microlocal
 from semiclab.cli import main
 from semiclab.eig import radial_channels
 from semiclab.errors import ConfigError, HypothesisError, NumericalError
@@ -455,6 +455,15 @@ class TestSingularLimit:
         assert lim.limit == pytest.approx(0.6, rel=1e-10)
         assert lim.gap == pytest.approx(0.4, rel=1e-8)
         assert not lim.passed
+
+    def test_gate_runs_once(self, monkeypatch):
+        # the Dirac target and the predicted law read the same admitted point
+        gate, calls = experiments.isolated_critical_point, []
+        monkeypatch.setattr(experiments, "isolated_critical_point",
+                            lambda *args: calls.append(args) or gate(*args))
+        w = self.hs ** (-1.0 / 3.0)
+        lim = singular_limit(self._scan(6.6 + 1.6 * w, -2.0 + 0.93 * 1.6 * w), self.obs_id)
+        assert lim.passed and len(calls) == 1
 
     def test_count_without_singular_growth_is_refused(self):
         w = self.hs ** (-1.0 / 3.0)

@@ -164,6 +164,26 @@ def test_split_parts_evaluate():
     np.testing.assert_allclose(total, again, rtol=1e-13)
 
 
+@pytest.mark.parametrize("src", ["exp(-x^2-xi^2)", "2*exp(-4*(x-0.5)^2-4*xi^2)", "x*xi",
+                                 "x^2*xi^3", "(x+1)*exp(-xi^2)"])
+def test_product_parts_factor(src):
+    obs = parse_observable(src)
+    assert obs.routing == "general"
+    f, g = obs.product_parts()
+    assert f.variables() <= {"x"} and g.variables() <= {"xi"}
+    x, xi = np.meshgrid(np.linspace(-1.5, 1.5, 61), np.linspace(-1.5, 1.5, 61), indexing="ij")
+    a = obs(x, xi)
+    # exp(u) carries the rounding of its argument u, a relative error of
+    # about eps |u| = eps |log a|
+    tol = 1e-15 * (1.0 + np.abs(np.log(np.abs(a), where=a != 0.0, out=np.zeros_like(a))))
+    assert np.all(np.abs(f.eval(x, 0.0) * g.eval(0.0, xi) - a) <= tol * np.abs(a))
+
+
+@pytest.mark.parametrize("src", ["x*xi + x", "exp(x*xi)", "exp(-x^2-xi^2) + 0.3*x*xi"])
+def test_product_parts_none(src):
+    assert parse_observable(src).product_parts() is None
+
+
 def test_bound_certificate():
     # sampled sup of |a| on a phase-space box; the odd node count keeps the
     # box center on the lattice

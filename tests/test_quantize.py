@@ -11,6 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import run_scan, solve_window
 from semiclab.model import Polynomial1D, get_model
+from semiclab.observables import parse_observable
 from semiclab.quantize import (
     WEYL_BLOCK_BYTES,
     Grid1D,
@@ -313,6 +314,46 @@ class TestWeyl:
             block = build_weyl_observable(a, self.h, grid, (i0, i1))
             assert block.grid == grid
             assert np.array_equal(block.matrix, full.matrix[i0:i1, i0:i1])
+
+    @pytest.mark.parametrize("grid", [Grid1D(-3.0, 3.0, 2048, "periodic"),
+                                      Grid1D(-2.5, 3.5, 3271, "dirichlet"),
+                                      Grid1D(-2.5, 3.5, 1000, "dirichlet"),
+                                      Grid1D(-2.5, 3.5, 999, "dirichlet")],
+                             ids=["periodic", "dirichlet-prime", "dirichlet", "dirichlet-odd"])
+    def test_product_symbol_takes_the_factored_build(self, grid):
+        # f(x) g(xi) is built from f at the midpoints and one FFT of g; the
+        # same symbol as an opaque callable takes the general build
+        obs = parse_observable("(x+1)*xi*exp(-x^2-(xi-0.5)^2)")
+        n = grid.n
+        general = build_weyl_observable(lambda x, xi: obs(x, xi), self.h, grid).matrix
+        full = build_weyl_observable(obs, self.h, grid).matrix
+        assert np.max(np.abs(full - general)) <= 1e-15 * np.max(np.abs(general))
+        assert np.array_equal(full, full.conj().T)
+        for i0, i1 in [(0, n), (n // 3, n // 3 + 1), (0, n // 4), (n - 1, n), (n // 5, n // 2)]:
+            tracemalloc.start()
+            try:
+                block = build_weyl_observable(obs, self.h, grid, (i0, i1)).matrix
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(block, full[i0:i1, i0:i1])
+            # the block, O(n) vectors and numpy's fixed 256 KiB buffer for
+            # strided operands: no m by m temporary
+            assert peak <= block.nbytes + 256 * n + 2**18
+
+    @pytest.mark.parametrize("src, grid", [
+        # exp(xi^2) overflows on its own, exp(xi^2 - x^2) only where |x| is small
+        ("exp(xi^2-x^2)", Grid1D(-3.0, 3.0, 256, "periodic")),
+        # both factors stay finite (e^400 and e^404), their product does not
+        ("exp(x^2+xi^2)", Grid1D(-20.0, 20.0, 256, "periodic"))])
+    def test_overflowing_product_takes_the_general_build(self, src, grid):
+        obs = parse_observable(src)
+        assert grid.xi_max(1.0) ** 2 > 400.0
+        with np.errstate(all="ignore"):
+            general = build_weyl_observable(lambda x, xi: obs(x, xi), 1.0, grid).matrix
+            built = build_weyl_observable(obs, 1.0, grid).matrix
+        assert not np.all(np.isfinite(general))
+        assert np.array_equal(built, general, equal_nan=True)
 
     @pytest.mark.parametrize("rows", [(0, 0), (5, 5), (-1, 4), (4, 65)])
     def test_row_range_must_be_inside_the_grid(self, rows):
