@@ -22,7 +22,10 @@ observable a:
   FFT per anti-diagonal;
 
 * the anti-Wick route, a nonnegative average of the Husimi density over a
-  coherent-state lattice.
+  coherent-state lattice.  The densities of a block of lattice columns
+  come from one matrix product of a shared phase table with the columns'
+  windowed states (``quantize.antiwick_batch``), a real product for the
+  real states of finite-difference windows.
 
 The two routes differ by O(h); their gap is a useful convergence
 diagnostic and is never collapsed into a single number silently.  Counting

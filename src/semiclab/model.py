@@ -219,6 +219,8 @@ class SymbolModel:
     potential: Polynomial1D | None = None
     phase_poly: PhasePolynomial | None = None
     critical_points: tuple[CriticalPoint, ...] = field(init=False)
+    # radial profiles: the critical circles r > 0, as points (r, 0) of the profile
+    critical_circles: tuple[CriticalPoint, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.family not in ("schrodinger1d", "radial2d", "phase1d"):
@@ -227,7 +229,11 @@ class SymbolModel:
             raise ValueError(f"{self.family} model requires a potential")
         if self.family == "phase1d" and self.phase_poly is None:
             raise ValueError("phase1d model requires a phase polynomial")
-        object.__setattr__(self, "critical_points", find_critical_points(self))
+        found = find_critical_points(self)
+        object.__setattr__(self, "critical_points",
+                           tuple(c for c in found if not _is_circle(self, c)))
+        object.__setattr__(self, "critical_circles",
+                           tuple(c for c in found if _is_circle(self, c)))
 
     @property
     def n(self) -> int:
@@ -244,9 +250,16 @@ class SymbolModel:
 
     def critical_points_at(self, energy: float) -> tuple[CriticalPoint, ...]:
         """The critical points on the level {p = energy}, to :func:`_level_tol`."""
-        tol = _level_tol(energy)
-        return tuple(c for c in self.critical_points
-                     if abs(c.critical_energy - energy) <= tol)
+        return _on_level(self.critical_points, energy)
+
+
+def _is_circle(model: SymbolModel, c: CriticalPoint) -> bool:
+    return model.family == "radial2d" and c.z0[0] > 0.0
+
+
+def _on_level(points: tuple[CriticalPoint, ...], energy: float) -> tuple[CriticalPoint, ...]:
+    tol = _level_tol(energy)
+    return tuple(c for c in points if abs(c.critical_energy - energy) <= tol)
 
 
 def _bisect_root(f, lo: float, hi: float) -> float:
@@ -359,9 +372,12 @@ def find_critical_points(model: SymbolModel) -> tuple[CriticalPoint, ...]:
 
     For the Schrodinger and radial families the gradient vanishes exactly
     where V' does (with xi = 0), so the search reduces to root isolation for
-    V'.  Phase-space polynomials with split structure f(x) + g(xi) factor the
-    same way; genuinely mixed polynomials fall back to a lattice search for
-    minima of |grad p|^2 polished by Newton steps.
+    V'.  On a radial profile only r = 0 is an isolated critical point of
+    |xi|^2 + V(|x|); a root r > 0 is a critical circle, returned as the point
+    (r, 0) of the profile, and :class:`SymbolModel` keeps the circles apart
+    in ``critical_circles``.  Phase-space polynomials with split structure
+    f(x) + g(xi) factor the same way; genuinely mixed polynomials fall back
+    to a lattice search for minima of |grad p|^2 polished by Newton steps.
     """
     if model.family in ("schrodinger1d", "radial2d"):
         lo, hi = _POTENTIAL_BOX[model.family]
@@ -371,11 +387,6 @@ def find_critical_points(model: SymbolModel) -> tuple[CriticalPoint, ...]:
             if model.family == "radial2d" and r < _R_AXIS:
                 r = 0.0
             pts.append(_classify_potential_point(model.potential, r))
-        if model.family == "radial2d":
-            # Only r = 0 gives an isolated critical point of |xi|^2 + V(|x|);
-            # positive radii correspond to critical circles and are reported
-            # by isolated_critical_point, not here.
-            pts = [p for p in pts if p.z0[0] == 0.0]
         scale = max(dV.scale(), 1.0)
         for p in pts:
             if abs(dV(p.z0[0])) > GRAD_TOL * scale:
@@ -484,16 +495,9 @@ def isolated_critical_point(model: SymbolModel, energy: float) -> CriticalPoint 
     """
     cps = model.critical_points_at(energy)
     failures: list[tuple[str, str]] = []
-    if model.family == "radial2d":
-        # critical circles are left out of the point list; search them over
-        # the radial range find_critical_points reads
-        V = model.potential
-        lo, hi = _POTENTIAL_BOX["radial2d"]
-        tol = _level_tol(energy)
-        rings = [r for r in _poly_roots_in(V.derivative(), lo, hi)
-                 if r >= _R_AXIS and abs(V(r) - energy) <= tol]
-        if rings:
-            failures.append(("isolated-critical-point", f"critical circle at r={rings[0]:.6g}"))
+    rings = _on_level(model.critical_circles, energy)
+    if rings:
+        failures.append(("isolated-critical-point", f"critical circle at r={rings[0].z0[0]:.6g}"))
     if not cps and not failures:
         return None
     if len(cps) > 1:

@@ -20,8 +20,9 @@ Parsing produces a small AST.  Observables know their routing class:
 * ``general``        -- anything else.
 
 Apart from its routing class, an observable may factor as f(x) g(xi):
-``Observable.product_parts`` finds such factors in products of
-one-variable factors and in exponentials of split sums, which is what the
+``Observable.product_parts`` finds such factors in products, powers and
+signed copies of one-variable factors and in exponentials of split sums
+(parentheses included, as in ``exp(-(x^2 + xi^2))``), which is what the
 Weyl build reads (``quantize.build_weyl_observable``).
 """
 
@@ -445,8 +446,10 @@ class Observable:
         or None when it does not factor that way.
 
         Recognised: an expression of at most one variable; a product of
-        factors that each factor; exp of a split sum, exp(p(x) + q(xi)) =
-        exp(p(x)) exp(q(xi)); and parentheses around a factor.
+        factors that each factor; a power of a factor that factors, as
+        (f^k, g^k); a signed factor, its sign going to the x-factor; exp of
+        a split sum, exp(p(x) + q(xi)) = exp(p(x)) exp(q(xi)), parenthesized
+        sums in the argument opened; and parentheses around a factor.
         Constants go to the x-factor, and a missing factor is the constant 1.
         """
         return _factor(self.expr)
@@ -464,15 +467,35 @@ def _factor(e: ObservableExpr) -> tuple[ObservableExpr, ObservableExpr] | None:
         return _ONE, e
     if isinstance(e, Group):
         return _factor(e.inner)
+    if isinstance(e, Sum) and len(e.terms) == 1:
+        (sign, term), = e.terms
+        parts = _factor(term)
+        return None if parts is None else (Sum(((sign, parts[0]),)), parts[1])
+    if isinstance(e, Pow):
+        parts = _factor(e.base)
+        return None if parts is None else (Pow(parts[0], e.exponent), Pow(parts[1], e.exponent))
     if isinstance(e, Prod):
         parts = [_factor(f) for f in e.factors]
         if None in parts:
             return None
         return _product(f for f, _ in parts), _product(g for _, g in parts)
-    if isinstance(e, Exp) and Observable(e.arg).routing == "split":
-        p, q = Observable(e.arg).split_parts()
-        return Exp(p), Exp(q)
+    if isinstance(e, Exp):
+        arg = Observable(Sum(tuple(_signed_terms(e.arg, 1.0))))
+        if arg.routing == "split":
+            p, q = arg.split_parts()
+            return Exp(p), Exp(q)
     return None
+
+
+def _signed_terms(e: ObservableExpr, sign: float):
+    """(sign, term) pairs of ``e``, with parenthesized sums opened."""
+    if isinstance(e, Group):
+        yield from _signed_terms(e.inner, sign)
+    elif isinstance(e, Sum):
+        for s, t in e.terms:
+            yield from _signed_terms(t, sign * s)
+    else:
+        yield sign, e
 
 
 def _product(factors) -> ObservableExpr:

@@ -35,7 +35,9 @@ that do not factor, and products not surely finite on the lattice (so
 that an overflow is reported as before) keep the general build.
 
 The anti-Wick side quantizes against a lattice of Gaussian coherent states
-of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables.
+of width sqrt(h/2) with lattice spacing sqrt(h)/4 in both variables; a batch
+of states gets its Husimi densities from one matrix product per block of
+lattice columns (``antiwick_batch``).
 
 2D radial models reduce to a family of half-line problems, one per angular
 momentum channel m, sharing a single radial grid.  On nodes r_i = (i+1/2) dr
@@ -90,6 +92,7 @@ DENSE_CAP = 4096
 # rows of any grid; the largest the scenarios build is 3,796,137 (quad-max-steep, h = 3e-5)
 GRID_CAP = 2**22
 WEYL_BLOCK_BYTES = 8 * 2**20  # working memory of one block of Weyl anti-diagonals, at most
+ANTIWICK_BLOCK = 2**18  # elements of the largest working array of one anti-Wick block, at most
 FD_BOX_PAD = 0.25  # finite-difference box: padding of the allowed interval
 SPLIT_BOX_PAD = 0.5  # split box: padding of the allowed interval
 SPLIT_XI_COVERAGE = 1.25  # split grid: xi_max over the classical momentum
@@ -553,6 +556,19 @@ def antiwick_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Anti-Wick averages of many states at once.
 
+    The states are decimated to the band of the frame's momenta.  Each
+    lattice column x_c sees a window of w_len decimated nodes, weighted by
+    the Gaussian envelope; a fixed (M, w_len) phase table over the window
+    offsets gives the M overlaps of each column, whose squared moduli are
+    the Husimi densities.  Lattice columns are taken in blocks, their
+    windowed states side by side as the columns of one matrix product with
+    the phase table, so the table is read once per block rather than once
+    per column; a block's largest working array holds at most
+    ``ANTIWICK_BLOCK`` elements.  Real states (finite-difference windows)
+    take the real table [Re phase; Im phase], complex ones (split windows)
+    the complex table.  Windows that run past the grid end read zeros
+    there, so a truncated or empty window adds exactly its in-grid part.
+
     Parameters
     ----------
     psis : (P, N) array of l2-normalized states.
@@ -560,7 +576,8 @@ def antiwick_batch(
         (len(x_centers), len(xi_centers)), or a list of them.  A callable is
         tabulated once per batch, as a(x_centers[:, None], xi_centers[None, :]);
         a scalar value broadcasts to the lattice.  Every table of a list is
-        applied to the same Husimi densities, computed once per column.
+        applied to the same Husimi densities, each by its own product, so a
+        table's averages do not depend on the other tables of the list.
 
     Returns
     -------
@@ -574,6 +591,7 @@ def antiwick_batch(
     p_count = psis.shape[0]
     x = grid.nodes
     dx = grid.dx
+    xc = frame.x_centers
     xi_c = frame.xi_centers
     # Decimate: the overlap integrand is band-limited by the classical
     # momenta plus the Gaussian envelope, far below the grid Nyquist.
@@ -583,7 +601,7 @@ def antiwick_batch(
     step = q * dx
     half = 6.5 * np.sqrt(h)
     w_len = max(3, int(np.ceil(2 * half / step)) + 1)
-    # fixed complex phase table over window offsets, shared by every column
+    # fixed phase table over window offsets, shared by every column
     offs = step * np.arange(w_len)
     phase = np.exp(-1j * np.outer(xi_c, offs) / h)  # (M, W)
     norm = dx / np.sqrt(np.pi * h) * (step / dx) ** 2
@@ -592,28 +610,44 @@ def antiwick_batch(
     tables = []
     for a in (a_values if stacked else [a_values]):
         if callable(a):
-            a = a(frame.x_centers[:, None], xi_c[None, :])
+            a = a(xc[:, None], xi_c[None, :])
         # contiguous rows: a broadcast row of stride 0 takes numpy's own dot
         # product instead of BLAS and rounds differently
         tables.append(np.ascontiguousarray(np.broadcast_to(
-            np.asarray(a, dtype=float), (frame.x_centers.size, xi_c.size))))
+            np.asarray(a, dtype=float), (xc.size, xi_c.size))))
 
+    m = xi_c.size
+    real = not np.iscomplexobj(psis)
+    lhs = np.concatenate([phase.real, phase.imag]) if real else phase
+    # column c reads the decimated nodes starts[c] .. starts[c] + w_len - 1;
+    # zeros past the grid end (nodes continued at the same step) make a
+    # truncated or empty window contribute exactly 0
+    psis_dec = psis[:, ::q]
+    nd = psis_dec.shape[1]
+    padded = np.zeros((p_count, nd + w_len), dtype=psis_dec.dtype)
+    padded[:, :nd] = psis_dec
+    windows = sliding_window_view(padded, w_len, axis=1).transpose(1, 0, 2)  # (Nd + 1, P, W)
+    xs_pad = np.concatenate([xs, xs[-1] + step * np.arange(1, w_len + 1)])
+    starts = np.searchsorted(xs, xc - half)
+    span = max(1, ANTIWICK_BLOCK // (max(p_count, 1) * max(w_len, lhs.shape[0])))
     values = np.zeros((len(tables), p_count))
     masses = np.zeros(p_count)
-    psis_dec = psis[:, ::q]  # (P, Nd)
-    nd = psis_dec.shape[1]
-    for ci, xc in enumerate(frame.x_centers):
-        i0 = int(np.searchsorted(xs, xc - half))
-        i1 = min(nd, i0 + w_len)
-        if i1 <= i0:
-            continue
-        seg_x = xs[i0:i1]
-        env = np.exp(-((seg_x - xc) ** 2) / (2.0 * h))
-        block = env[None, :] * psis_dec[:, i0:i1]  # (P, W')
-        amp = phase[:, : i1 - i0] @ block.T  # (M, P)
-        hus = norm * (amp.real**2 + amp.imag**2)
+    for c0 in range(0, xc.size, span):
+        cols = slice(c0, c0 + span)
+        seg_x = xs_pad[starts[cols, None] + np.arange(w_len)]  # (C, W)
+        env = np.exp(-((seg_x - xc[cols, None]) ** 2) / (2.0 * h))
+        block = windows[starts[cols]]  # (C, P, W)
+        block *= env[:, None, :]
+        amp = lhs @ block.reshape(-1, w_len).T  # (2M or M, C * P)
+        if real:
+            np.square(amp, out=amp)
+            hus = amp[:m] + amp[m:]
+        else:
+            hus = amp.real**2 + amp.imag**2
+        # rows (m, c) of one block, the order of the transposed table slice
+        hus = hus.reshape(m * len(block), p_count)
         for table, vals in zip(tables, values):
-            vals += pref * (table[ci] @ hus)
-        masses += pref * np.sum(hus, axis=0)
-    return (values if stacked else values[0]), masses
-
+            vals += table[cols].T.ravel() @ hus
+        masses += np.sum(hus, axis=0)
+    scale = pref * norm
+    return (values if stacked else values[0]) * scale, masses * scale

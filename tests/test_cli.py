@@ -498,6 +498,16 @@ class TestScanFit:
                     "config"):
             assert key in payload
 
+    def test_critical_fit_refused_on_a_critical_circle(self, capsys, tmp_path):
+        # radial-deg's wells r = sqrt(2/3) form a circle on the level -4/27
+        csv_path = tmp_path / "scan.csv"
+        assert main(["scan", "--model", "radial-deg", "--h-from", "0.1",
+                     "--h-to", "0.02", "--h-steps", "5", "--ecenter", "-0.14814814814814814",
+                     "--out", str(csv_path)]) == 0
+        code, _, err = run_cli(capsys, ["fit", "--in", str(csv_path), "--law", "critical"])
+        assert code == 2
+        assert "isolated-critical-point: critical circle at r=0.816497" in err
+
     def test_fit_regular_on_harmonic(self, capsys, tmp_path):
         csv_path = tmp_path / "scan.csv"
         code = main(["scan", "--model", "harmonic", "--h-from", "0.1",

@@ -248,6 +248,24 @@ def test_critical_circle_breaks_isolation():
     assert isolated_critical_point(m, 1.0) is None
 
 
+def test_critical_circles_are_found_once(monkeypatch):
+    # the model keeps its circles from the build, so the gate makes no root search
+    m = get_model("radial-deg")
+    assert [c.z0 for c in m.critical_points] == [(0.0, 0.0)]
+    assert [c.z0[0] for c in m.critical_circles] == pytest.approx([SQRT23])
+    assert m.critical_circles[0].critical_energy == pytest.approx(WELL_DEPTH, abs=1e-15)
+
+    def no_search(*args):
+        raise AssertionError("root search in the gate")
+
+    monkeypatch.setattr("semiclab.model._poly_roots_in", no_search)
+    with pytest.raises(HypothesisError, match="critical circle at r=0.816497$"):
+        isolated_critical_point(m, WELL_DEPTH)
+    assert isolated_critical_point(m, 0.0).z0 == (0.0, 0.0)
+    assert isolated_critical_point(m, 0.5) is None
+    assert get_model("harmonic").critical_circles == ()
+
+
 def test_lifted_barrier_top_is_found_at_a_relative_tolerance():
     # quad-max lifted by 1000: at E = 1000 + 1e-7 the barrier top lies within
     # the relative 1e-9 of E that critical_points_at reads, and the gate must

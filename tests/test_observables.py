@@ -165,7 +165,9 @@ def test_split_parts_evaluate():
 
 
 @pytest.mark.parametrize("src", ["exp(-x^2-xi^2)", "2*exp(-4*(x-0.5)^2-4*xi^2)", "x*xi",
-                                 "x^2*xi^3", "(x+1)*exp(-xi^2)"])
+                                 "x^2*xi^3", "(x+1)*exp(-xi^2)", "exp(-(x^2+xi^2))",
+                                 "-exp(-x^2-xi^2)", "(x*xi)^2", "-(2*x*xi)^3",
+                                 "exp(-(x^2 - (xi^2 - 1)))", "-x*exp(-(xi^2))"])
 def test_product_parts_factor(src):
     obs = parse_observable(src)
     assert obs.routing == "general"
@@ -179,7 +181,8 @@ def test_product_parts_factor(src):
     assert np.all(np.abs(f.eval(x, 0.0) * g.eval(0.0, xi) - a) <= tol * np.abs(a))
 
 
-@pytest.mark.parametrize("src", ["x*xi + x", "exp(x*xi)", "exp(-x^2-xi^2) + 0.3*x*xi"])
+@pytest.mark.parametrize("src", ["x*xi + x", "exp(x*xi)", "exp(-x^2-xi^2) + 0.3*x*xi",
+                                 "exp(-(x*xi))", "(x + xi)^2", "-(x*xi + 1)"])
 def test_product_parts_none(src):
     assert parse_observable(src).product_parts() is None
 

@@ -1,5 +1,6 @@
 """Quantization oracles: FD spectra, split/Weyl agreement, anti-Wick frames."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import semiclab.quantize as quantize
 from semiclab.errors import ConfigError, NumericalError
 from semiclab.experiments import run_scan, solve_window
+from semiclab.microlocal import default_frame
 from semiclab.model import Polynomial1D, get_model
 from semiclab.observables import parse_observable
 from semiclab.quantize import (
@@ -42,6 +45,35 @@ def weyl_reference(a, h, grid):
         ii = np.arange(max(0, s - n + 1), min(n - 1, s) + 1)
         mat[ii, s - ii] = c[(2 * ii - s) % n]
     return 0.5 * (mat + mat.conj().T)
+
+
+def antiwick_reference(frame, grid, psis, tables):
+    """Anti-Wick batch by one (M, W) @ (W, P) product per lattice column.
+
+    Returns the (T, P) values, the (P,) masses and the window length W.
+    """
+    h, xi_c = frame.h, frame.xi_centers
+    xi_band = float(np.max(np.abs(xi_c))) + 6.0 * np.sqrt(h)
+    q = max(1, int(np.pi * h / (2.4 * xi_band * grid.dx)))
+    xs, step, half = grid.nodes[::q], q * grid.dx, 6.5 * np.sqrt(h)
+    w_len = max(3, int(np.ceil(2 * half / step)) + 1)
+    phase = np.exp(-1j * np.outer(xi_c, step * np.arange(w_len)) / h)
+    norm = grid.dx / np.sqrt(np.pi * h) * (step / grid.dx) ** 2
+    pref = frame.cell_area() / (2.0 * np.pi * h)
+    values, masses = np.zeros((len(tables), len(psis))), np.zeros(len(psis))
+    psis_dec = psis[:, ::q]
+    for ci, xc in enumerate(frame.x_centers):
+        i0 = int(np.searchsorted(xs, xc - half))
+        i1 = min(psis_dec.shape[1], i0 + w_len)
+        if i1 <= i0:
+            continue
+        env = np.exp(-((xs[i0:i1] - xc) ** 2) / (2.0 * h))
+        amp = phase[:, : i1 - i0] @ (env * psis_dec[:, i0:i1]).T
+        hus = norm * np.abs(amp) ** 2
+        for table, vals in zip(tables, values):
+            vals += pref * (table[ci] @ hus)
+        masses += pref * np.sum(hus, axis=0)
+    return values, masses, w_len
 
 
 def low_levels(op, k):
@@ -477,3 +509,70 @@ class TestAntiWick:
         psis = np.stack([frame.state(g, 0.2, 0.1), frame.state(g, -0.5, 0.4)])
         vals, masses = antiwick_batch(frame, g, psis, lambda x, xi: 1.0)
         assert np.max(np.abs(vals - masses)) < 1e-12
+
+
+def _gauss(x, xi):
+    return np.exp(-(x**2) - xi**2)
+
+
+def _quadratic(x, xi):
+    return x**2 + xi**2
+
+
+class TestAntiWickBlocks:
+    """The blocked batch against the per-column reference, to 1e-13 relative."""
+
+    @staticmethod
+    def window_batch(name, h):
+        win = solve_window(get_model(name), h, 0.0)
+        return default_frame(win), win.grid, np.ascontiguousarray(win.vectors.T)
+
+    @staticmethod
+    def check(frame, grid, psis, symbols):
+        x, xi = frame.x_centers[:, None], frame.xi_centers[None, :]
+        tables = [np.broadcast_to(a(x, xi), (x.size, xi.size)) for a in symbols]
+        vals, masses = antiwick_batch(frame, grid, psis, list(symbols))
+        ref_vals, ref_masses, w_len = antiwick_reference(frame, grid, psis, tables)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(masses, ref_masses, rtol=1e-13, atol=0.0)
+        return w_len
+
+    def test_finite_difference_windows_past_the_grid_end(self):
+        frame, grid, psis = self.window_batch("quad-max", 0.0129)
+        assert psis.dtype == float and grid.boundary == "dirichlet"
+        assert frame.x_centers[-1] + 6.5 * np.sqrt(frame.h) > grid.nodes[-1]
+        self.check(frame, grid, psis, [_gauss, _quadratic])
+
+    def test_columns_past_the_decimated_grid(self):
+        frame, grid, psis = self.window_batch("quad-max", 0.0129)
+        wide = dataclasses.replace(frame, x_centers=np.arange(
+            grid.x_min, grid.x_max + 1.0, frame.spacing))
+        assert wide.x_centers[-1] - 6.5 * np.sqrt(frame.h) > grid.nodes[-1]
+        self.check(wide, grid, psis, [_gauss])
+
+    def test_complex_split_states(self):
+        frame, grid, psis = self.window_batch("pseudo-k3", 0.01)
+        assert np.iscomplexobj(psis)
+        self.check(frame, grid, psis, [_gauss, _quadratic])
+
+    def test_one_state_two_tables_and_a_scalar(self):
+        frame, grid, psis = self.window_batch("quad-max", 0.0129)
+        self.check(frame, grid, psis[:1], [_gauss, _quadratic])
+        (val,), (mass,) = antiwick_batch(frame, grid, psis[:1], lambda x, xi: 1.0)
+        _, (ref_mass,), _ = antiwick_reference(frame, grid, psis[:1], [])
+        assert val == pytest.approx(ref_mass, rel=1e-13)
+        assert mass == pytest.approx(ref_mass, rel=1e-13)
+        vals, masses = antiwick_batch(frame, grid, psis[:0], [_gauss, _quadratic])
+        assert vals.shape == (2, 0) and masses.shape == (0,)
+
+    @pytest.mark.parametrize("name, h", [("quad-max", 0.0129), ("pseudo-k3", 0.01)])
+    def test_batch_spans_ragged_blocks(self, monkeypatch, name, h):
+        frame, grid, psis = self.window_batch(name, h)
+        _, _, w_len = antiwick_reference(frame, grid, psis[:1], [])
+        rows = frame.xi_centers.size * (1 if np.iscomplexobj(psis) else 2)
+        cols = frame.x_centers.size
+        span = next(s for s in range(cols // 3, 1, -1) if cols % s)
+        # span columns a block: the largest working array holds P * max(W, rows) per column
+        monkeypatch.setattr(quantize, "ANTIWICK_BLOCK", span * len(psis) * max(w_len, rows))
+        assert cols // span >= 3 and cols % span
+        self.check(frame, grid, psis, [_gauss, _quadratic])
