@@ -57,17 +57,29 @@ made by code independent of ours.  The zero-slack rule is that of every
 other window.  The eigenvalues of such a window are NaN.  The split route
 always solves.
 
-One BLAS thread pool: numpy and scipy each ship an OpenBLAS with its own
-thread pool, and code that alternates between them leaves the idle pool
-spinning against the busy one (the split route's QR and Rayleigh-Ritz step,
-23 states at N = 512, took 16 ms with scipy's routines and 1.4 ms with
-numpy's on two cores).  So dense kernels go through ``numpy.linalg``, and
-``scipy.linalg`` is kept only for the tridiagonal and band routines numpy
-lacks (``eigh_tridiagonal``, ``dstebz``, ``eig_banded``, ``solve_banded``).
+One BLAS thread: importing this module sets every OpenBLAS loaded in the
+process to one thread (``_pin_openblas_threads``), whatever
+``OPENBLAS_NUM_THREADS`` says.  After a BLAS call that goes threaded, the
+idle pool keeps spinning on the other core, and the numpy work that follows
+runs at about half speed: a 1000-step leapfrog flow of 12769 points took
+0.080 s in a quiet process and 0.136 s right after one 500 x 500 numpy GEMM
+at two threads.  The second thread does not pay for that: on two cores the
+benchmark's ``eigenfunction-measure`` took twice the CPU time and 15% more
+wall time at two threads than at one.  With one thread the bytes no longer
+depend on the thread setting.
+
+Where the pin cannot reach (no ``/proc/self/maps``, or a BLAS without an
+OpenBLAS setter), one pool still does the threaded work: numpy and scipy
+each ship an OpenBLAS with its own pool, so dense kernels go through
+``numpy.linalg``, and ``scipy.linalg`` is kept only for the tridiagonal and
+band routines numpy lacks (``eigh_tridiagonal``, ``dstebz``, ``eig_banded``,
+``solve_banded``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +114,36 @@ BASIS_WIDTHS = 8.0  # the Hermite basis reaches this many sqrt(h) past the class
 BASIS_PAD = 32  # ... and this many functions more
 TAIL_MASS = 1e-18  # tail check: most mass a window state may keep in its last TAIL_ROWS
 TAIL_ROWS = 8  # basis coefficients
+# thread-count setters of the OpenBLAS builds numpy and scipy ship, newest first
+OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _pin_openblas_threads() -> None:
+    """Set every OpenBLAS loaded in the process to one thread.
+
+    Finds the loaded libraries in ``/proc/self/maps`` (Linux only) and calls
+    the first of ``OPENBLAS_SETTERS`` each exports.  Anywhere the maps or a
+    setter cannot be found it does nothing, and it never raises.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5] for parts in (line.rstrip("\n").split(maxsplit=5) for line in fh)
+                     if len(parts) == 6 and "openblas" in os.path.basename(parts[5])}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+_pin_openblas_threads()
 
 
 def _multiplicity(m) -> np.ndarray:

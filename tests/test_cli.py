@@ -535,10 +535,10 @@ class TestScanFit:
             assert "not finite" in row.error
             assert math.isnan(row.upsilon_obs[0])
 
-    def test_blas_thread_count_moves_only_rounding_noise(self):
-        # README's contract: across BLAS thread counts the echo, h, n_grid,
-        # counts, tie and error are identical, the observable columns agree
-        # to a relative 1e-10, and residual_max is rounding noise
+    def test_blas_thread_setting_leaves_the_bytes_unchanged(self):
+        # README's contract: semiclab.eig runs every OpenBLAS on one thread,
+        # so the whole output, echo and residual_max included, is the same
+        # whatever OPENBLAS_NUM_THREADS says
         src = str(pathlib.Path(semiclab.__file__).resolve().parents[1])
         argv = [sys.executable, "-m", "semiclab.cli", "scan", "--model", "quad-max",
                 "--h-from", "0.01", "--h-to", "0.001", "--h-steps", "3",
@@ -548,21 +548,10 @@ class TestScanFit:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
                 p for p in (src, os.environ.get("PYTHONPATH")) if p)}
             children.append(subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True))
-        lines = [child.communicate(timeout=120)[0].splitlines() for child in children]
+        outs = [child.communicate(timeout=120)[0] for child in children]
         assert [child.returncode for child in children] == [0, 0]
-        echo1, echo2 = ([l for l in ls if l.startswith("#")] for ls in lines)
-        rows1, rows2 = (list(csv.DictReader(l for l in ls if not l.startswith("#"))) for ls in lines)
-        assert echo1 == echo2
-        assert len(rows1) == len(rows2) == 3
-        for one, two in zip(rows1, rows2):
-            assert one.keys() == two.keys()
-            for key in one:
-                if key == "residual_max":
-                    assert float(one[key]) < 1e-11 and float(two[key]) < 1e-11
-                elif key.startswith(("upsilon_a[", "ratio[")):
-                    assert float(one[key]) == pytest.approx(float(two[key]), rel=1e-10)
-                else:
-                    assert one[key] == two[key]
+        assert len(list(csv.DictReader(l for l in outs[0].splitlines() if not l.startswith("#")))) == 3
+        assert outs[0] == outs[1]
 
     def test_fit_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["fit", "--in", "/no/such/file.csv"])

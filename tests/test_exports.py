@@ -8,6 +8,9 @@ import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
+
+import pytest
 
 import semiclab
 
@@ -30,7 +33,8 @@ def test_readme_library_example_is_exported():
 
 def test_scipy_linalg_only_for_routines_numpy_lacks():
     # numpy and scipy each ship an OpenBLAS with its own thread pool; dense
-    # kernels go through numpy.linalg so that one pool does the threaded work
+    # kernels go through numpy.linalg so that, on a BLAS build whose threads
+    # semiclab.eig cannot set to one, one pool does the threaded work
     allowed = {"scipy.linalg": {"eigh_tridiagonal", "eig_banded", "solve_banded", "circulant"},
                "scipy.linalg.lapack": {"dstebz"}}
     found = []
@@ -61,3 +65,34 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_import_pins_every_openblas_to_one_thread():
+    # semiclab.eig sets each loaded OpenBLAS to one thread, whatever the
+    # environment asks: an idle pool left spinning slows the numpy work after it
+    src = str(pathlib.Path(semiclab.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = textwrap.dedent("""
+        import ctypes, os, semiclab
+        getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads")
+        try:
+            with open("/proc/self/maps") as fh:
+                parts = [line.split(maxsplit=5) for line in fh]
+        except OSError:
+            parts = []
+        paths = {p[5].strip() for p in parts if len(p) == 6 and "openblas" in os.path.basename(p[5])}
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            name = next((g for g in getters if hasattr(lib, g)), None)
+            if name is not None:
+                getattr(lib, name).restype = ctypes.c_int
+                print(os.path.basename(path), getattr(lib, name)())
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    threads = dict(line.split() for line in out.splitlines())
+    if not threads:
+        pytest.skip("no loaded OpenBLAS exports a get_num_threads getter")
+    assert set(threads.values()) == {"1"}, threads
