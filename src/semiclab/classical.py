@@ -638,18 +638,48 @@ class FlowResult:
     reversibility_error: float | None = None
 
 
+def _horner_into(c, x, f):
+    """f = sum c[k] x^k in place, in the operation order of Polynomial1D.__call__.
+
+    Zero coefficients below the leading one are not added: x + 0.0 differs
+    from x only in the sign of an exact zero.
+    """
+    if len(c) == 1:
+        f.fill(c[0])
+        return
+    np.multiply(x, c[-1], out=f)
+    for k in range(len(c) - 2, -1, -1):
+        if c[k] != 0.0:
+            f += c[k]
+        if k:
+            f *= x
+
+
 def _verlet(V_prime, x, xi, t: float, dt: float):
-    """Leapfrog for p = xi^2 + V: dx/dt = 2 xi, dxi/dt = -V'(x)."""
+    """Leapfrog for p = xi^2 + V: dx/dt = 2 xi, dxi/dt = -V'(x).
+
+    Steps in place on C-order copies of x and xi (which share one shape),
+    with one scratch array for V'(x).  ``flow_points`` passes the lattice
+    x[:, None] against xi[None, :] as broadcast views, which a plain copy
+    turns into one C-order and one Fortran-order array, and in-place ufuncs
+    mixing the two orders take nearly twice as long as on one order.
+    """
     n = max(1, int(round(abs(t) / dt)))
     step = t / n
-    x = np.array(x, dtype=float, copy=True)
-    xi = np.array(xi, dtype=float, copy=True)
-    xi = xi - 0.5 * step * np.asarray(V_prime(x), dtype=float)
+    x = np.array(x, dtype=float, order="C")
+    xi = np.array(xi, dtype=float, order="C")
+    f = np.empty_like(x)
+    c = V_prime.coefficients
+    half, drift = 0.5 * step, 2.0 * step
+    _horner_into(c, x, f)
+    f *= half
+    xi -= f
     for k in range(n):
-        x = x + 2.0 * step * xi
-        if k < n - 1:
-            xi = xi - step * np.asarray(V_prime(x), dtype=float)
-    xi = xi - 0.5 * step * np.asarray(V_prime(x), dtype=float)
+        np.multiply(xi, drift, out=f)
+        x += f
+        _horner_into(c, x, f)
+        f *= step if k < n - 1 else half
+        xi -= f
     return x, xi
 
 

@@ -355,7 +355,61 @@ def halving_loop(model, x0, xi0, t):
     raise NumericalError("no step passed")
 
 
+def reference_leapfrog(V_prime, x, xi, t: float, dt: float):
+    """classical._verlet as it was before it stepped in place."""
+    n = max(1, int(round(abs(t) / dt)))
+    step = t / n
+    x = np.array(x, dtype=float, copy=True)
+    xi = np.array(xi, dtype=float, copy=True)
+    xi = xi - 0.5 * step * np.asarray(V_prime(x), dtype=float)
+    for k in range(n):
+        x = x + 2.0 * step * xi
+        if k < n - 1:
+            xi = xi - step * np.asarray(V_prime(x), dtype=float)
+    xi = xi - 0.5 * step * np.asarray(V_prime(x), dtype=float)
+    return x, xi
+
+
+def leapfrog_inputs(case):
+    """(V', x, xi, t, dt) of one oracle case for the in-place leapfrog."""
+    if case in ("egorov-lattice", "probe"):
+        qm, x, xi = egorov_lattice()
+        x, xi = np.broadcast_arrays(x, xi)
+        V_prime = qm.potential.derivative()
+        if case == "egorov-lattice":
+            return V_prime, x, xi, 0.5, 2.5e-4
+        probe = np.argsort(np.abs(qm.eval(x, xi)), axis=None)[-FLOW_PROBE:]
+        return V_prime, x.flat[probe], xi.flat[probe], 0.5, 1e-3
+    if case == "deg-max":
+        x, xi = np.broadcast_arrays(np.linspace(-1.0, 1.0, 41)[:, None],
+                                    np.linspace(-0.5, 0.5, 31)[None, :])
+        return get_model("deg-max").potential.derivative(), x, xi, 1.5, 1e-3
+    if case == "constant-force":
+        return Polynomial1D((1.5,)), np.linspace(-1.0, 1.0, 7), np.zeros(7), 0.5, 1e-3
+    V_prime = get_model("harmonic").potential.derivative()
+    return V_prime, np.array([1.0, 0.3]), np.array([0.0, -0.2]), math.pi, 1e-3
+
+
 class TestFlows:
+    # the lattice case mixes memory orders: a C-order copy of x and a
+    # Fortran-order copy of xi.  deg-max's V' = 6x^5 - 4x^3 has zero
+    # coefficients, which the in-place Horner rule does not add; that could
+    # flip the sign of an exact zero only where xi is -0.0, and no input
+    # here holds one, so every case compares bytes
+    @pytest.mark.parametrize("case", ["egorov-lattice", "probe", "deg-max", "harmonic",
+                                      "constant-force"])
+    def test_in_place_leapfrog_matches_the_reference_bytes(self, case):
+        V_prime, x, xi, t, dt = leapfrog_inputs(case)
+        if case == "egorov-lattice":
+            assert np.array(xi).flags.f_contiguous and not np.array(xi).flags.c_contiguous
+        x_in, xi_in = x.copy(), xi.copy()
+        ref = reference_leapfrog(V_prime, x, xi, t, dt)
+        got = classical._verlet(V_prime, x, xi, t, dt)
+        assert np.array_equal(x, x_in) and np.array_equal(xi, xi_in)
+        for a, b in zip(got, ref):
+            assert a.flags.c_contiguous and a.shape == b.shape
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+
     def test_probe_keeps_the_result_bit_for_bit(self):
         qm, x, xi = egorov_lattice()
         xx, ss = np.broadcast_arrays(x, xi)
