@@ -138,18 +138,28 @@ def _interval_integral(V, a, energy: float, lo: float, hi: float) -> tuple[float
         vals = 0.5 * (np.asarray(a(x, s)) + np.asarray(a(x, -s)))
         return vals / np.sqrt(g)
 
+    return _refine(lambda n: _gauss_chebyshev(f, lo, hi, n), 64, 8192, LIOUVILLE_RTOL)[:2]
+
+
+def _refine(integral, n: int, n_max: int, rtol: float) -> tuple[float, float, bool]:
+    """(value, last increment, converged) of ``integral(n)``, doubling n up to
+    n_max until two successive values differ by at most rtol times the later."""
     prev = None
-    n = 64
     delta = math.inf
-    while n <= 8192:
-        cur = _gauss_chebyshev(f, lo, hi, n)
+    while n <= n_max:
+        cur = integral(n)
         if prev is not None:
             delta = abs(cur - prev)
-            if delta <= LIOUVILLE_RTOL * (abs(cur) + 1e-300):
-                return cur, delta
+            if delta <= rtol * (abs(cur) + 1e-300):
+                return cur, delta, True
         prev = cur
         n *= 2
-    return prev, delta
+    return prev, delta, False
+
+
+def _successive_ratios(vals: list[float]) -> list[float]:
+    """Ratios of successive dyadic-shell integrals; empty shells are skipped."""
+    return [cur / prev for prev, cur in zip(vals[:-1], vals[1:]) if prev > 0 and cur > 0]
 
 
 def _shell_ratios_1d(V, energy: float, x_d: float, side: float, radius: float) -> list[float]:
@@ -171,7 +181,7 @@ def _shell_ratios_1d(V, energy: float, x_d: float, side: float, radius: float) -
             vals.append(0.0)
             continue
         vals.append(float(w * np.sum(weights[good] / np.sqrt(ew[good]))))
-    return [cur / prev for prev, cur in zip(vals[:-1], vals[1:]) if prev > 0 and cur > 0]
+    return _successive_ratios(vals)
 
 
 def _tail_divergent(ratios: list[float]) -> bool:
@@ -350,7 +360,7 @@ def _shell_ratios_2d(model: SymbolModel, energy: float, z0: tuple[float, float],
         gn = np.hypot(*model.phase_poly.gradient(*mid))
         kept = (0.5 * r_hi <= d) & (d <= r_hi) & (length > 0.0) & (gn > 0.0)
         vals.append(float(np.sum(length[kept] / gn[kept])))
-    return [cur / prev for prev, cur in zip(vals[:-1], vals[1:]) if prev > 0 and cur > 0]
+    return _successive_ratios(vals)
 
 
 def _liouville_phase(model: SymbolModel, a, energy: float,
@@ -370,21 +380,11 @@ def _liouville_phase(model: SymbolModel, a, energy: float,
                                    detail=f"critical point on level set at {cp.z0}")
 
     box = _phase_box(model, energy)
-    prev = None
-    delta = math.inf
-    n = LIOUVILLE_RESOLUTION // 2
-    while n <= 2 * LIOUVILLE_RESOLUTION:
-        total = _march_integral(model, a, energy, box, n)
-        if prev is not None:
-            delta = abs(total - prev)
-            if delta <= 2e-3 * (abs(total) + 1e-300):
-                return LiouvilleResult(total, False, error_estimate=delta,
-                                       shell_ratios=tuple(np.round(all_ratios, 4)))
-        prev = total
-        n *= 2
-    return LiouvilleResult(prev, False, error_estimate=delta,
+    total, delta, converged = _refine(lambda n: _march_integral(model, a, energy, box, n),
+                                      LIOUVILLE_RESOLUTION // 2, 2 * LIOUVILLE_RESOLUTION, 2e-3)
+    return LiouvilleResult(total, False, error_estimate=delta,
                            shell_ratios=tuple(np.round(all_ratios, 4)),
-                           detail="marching squares at max resolution")
+                           detail="" if converged else "marching squares at max resolution")
 
 
 def liouville_integral(model: SymbolModel, a, energy: float,

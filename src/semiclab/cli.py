@@ -12,7 +12,8 @@ through the same conversion and checks.  ``ppw`` sizes finite-difference
 and radial grids only: it defaults to ``WINDOW_PPW``, and a phase model refuses it.
 
 Exit codes: 0 success, 1 failed scenario verdict, 2 violated model
-hypothesis, 3 numerical failure, 4 configuration or parse error.  Code 2
+hypothesis, 3 numerical failure, 4 configuration or parse error (an
+``--out`` that cannot be written included).  Code 2
 comes from ``fit --law regular|critical``, the one command that claims a law
 at the scan's energy: ``model.isolated_critical_point`` refuses a critical
 level without exactly one admissible critical point on it.  Every nonzero
@@ -147,8 +148,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # '-' before a digit or '.digit' starts a value (--box -3,3); no option starts so
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # a single '-' starts a value (--box -3,3, --obs -x^2), except in -h;
+        # every other option starts with '--'
+        self._negative_number_matcher = re.compile(r"-(?!h$)[^-]")
 
     def error(self, message):
         raise ConfigError(message)
@@ -216,7 +218,10 @@ def _echo(command: str, cfg: dict) -> dict:
 
 def _emit_text(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -60,14 +60,11 @@ always solves.
 One BLAS thread: importing this module sets every OpenBLAS loaded in the
 process to one thread (``_pin_openblas_threads``), whatever
 ``OPENBLAS_NUM_THREADS`` says.  After a BLAS call that goes threaded, the
-idle pool keeps spinning on the other core, and the numpy work that follows
-runs at about half speed: a 1000-step leapfrog flow of 12769 points
-(measured with the out-of-place step ``classical._verlet`` used before it
-stepped in place) took 0.080 s in a quiet process and 0.136 s right after
-one 500 x 500 numpy GEMM at two threads.  The second thread does not pay for that: on two cores the
-benchmark's ``eigenfunction-measure`` took twice the CPU time and 15% more
-wall time at two threads than at one.  With one thread the bytes no longer
-depend on the thread setting.
+idle pool keeps spinning on the other core and slows the numpy work that
+follows.  The second thread does not pay for that: on two cores the pin
+halved the benchmark's ``eigenfunction-measure`` CPU time (3.98 to 1.95 s)
+and cut its wall time 13% (``BENCH_32.json``).  With one thread the bytes
+no longer depend on the thread setting.
 
 Where the pin cannot reach (no ``/proc/self/maps``, or a BLAS without an
 OpenBLAS setter), one pool still does the threaded work: numpy and scipy

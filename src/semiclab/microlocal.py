@@ -283,13 +283,10 @@ def microlocal_records(window: EigenWindow, obs: Observable) -> list[MicrolocalR
     # one FFT of the states serves the frame's momentum span and the decimation
     power = _state_power(window)
     frame = default_frame(window, _auto_xi_span(window, power))
-    if _substitutes(window, obs):
-        # the reference values are the anti-Wick averages: one batch serves both
-        na, masses = antiwick_averages(window, obs, frame)
-        nw, method = na, "antiwick-reference"
-    else:
-        nw, method = _weyl_averages(window, obs, power)
-        na, masses = antiwick_averages(window, obs, frame)
+    na, masses = antiwick_averages(window, obs, frame)
+    # past the dense cap the reference values are these anti-Wick averages
+    nw, method = ((na, "antiwick-reference") if _substitutes(window, obs)
+                  else _weyl_averages(window, obs, power))
     return [MicrolocalRecord(j=j, nu_weyl=float(nw[j]), nu_antiwick=float(na[j]), method=method,
                              antiwick_mass=float(masses[j]))
             for j in range(window.count)]

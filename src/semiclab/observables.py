@@ -16,7 +16,8 @@ Parsing produces a small AST.  Observables know their routing class:
 
 * ``position_only``  -- no use of ``xi`` (constants included);
 * ``momentum_only``  -- no use of ``x``;
-* ``split``          -- a sum of pure-x and pure-xi terms;
+* ``split``          -- a sum of pure-x and pure-xi terms, parentheses opened
+  and signs multiplied through, so ``-(-x^2 - xi^2)`` splits as ``x^2 + xi^2``;
 * ``general``        -- anything else.
 
 Apart from its routing class, an observable may factor as f(x) g(xi):
@@ -403,8 +404,7 @@ class Observable:
             return "position_only"
         if "x" not in vars_:
             return "momentum_only"
-        terms = self.expr.terms if isinstance(self.expr, Sum) else ((1.0, self.expr),)
-        if all(len(t.variables()) <= 1 for _, t in terms):
+        if all(len(t.variables()) <= 1 for _, t in _signed_terms(self.expr, 1.0)):
             return "split"
         return "general"
 
@@ -428,8 +428,7 @@ class Observable:
             raise ValueError("observable does not split")
         xs: list[tuple[float, ObservableExpr]] = []
         xis: list[tuple[float, ObservableExpr]] = []
-        terms = self.expr.terms if isinstance(self.expr, Sum) else ((1.0, self.expr),)
-        for s, t in terms:
+        for s, t in _signed_terms(self.expr, 1.0):
             (xis if "xi" in t.variables() else xs).append((s, t))
 
         def pack(ts):
@@ -480,7 +479,7 @@ def _factor(e: ObservableExpr) -> tuple[ObservableExpr, ObservableExpr] | None:
             return None
         return _product(f for f, _ in parts), _product(g for _, g in parts)
     if isinstance(e, Exp):
-        arg = Observable(Sum(tuple(_signed_terms(e.arg, 1.0))))
+        arg = Observable(e.arg)
         if arg.routing == "split":
             p, q = arg.split_parts()
             return Exp(p), Exp(q)

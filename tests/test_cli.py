@@ -179,6 +179,40 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0 and echo in out
 
+    @pytest.mark.parametrize("argv, value", [
+        (["measure", "--model", "harmonic", "--h", "0.05"], "-x^2"),
+        (["scan", "--model", "harmonic", "--h-from", "0.1", "--h-to", "0.05",
+          "--h-steps", "2"], "-x^2,x"),
+        (["liouville", "--model", "harmonic", "--energy", "1"], "-exp(-x^2)")],
+        ids=["measure", "scan", "liouville"])
+    def test_observable_with_a_leading_sign_after_the_flag(self, capsys, argv, value):
+        spaced = run_cli(capsys, [*argv, "--obs", value])
+        assert spaced[0] == 0 and spaced == run_cli(capsys, [*argv, f"--obs={value}"])
+        # -h is still the help option
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: semiclab {argv[0]}")
+
+    @pytest.mark.parametrize("argv", [
+        ["models", "list"],
+        ["spectrum", "--model", "harmonic", "--h", "0.05"],
+        ["measure", "--model", "harmonic", "--h", "0.05", "--obs", "x^2"],
+        ["liouville", "--model", "harmonic", "--obs", "x^2", "--energy", "1"],
+        ["scan", "--model", "harmonic", "--h-from", "0.1", "--h-to", "0.05", "--h-steps", "2"],
+        ["fit", "--in", "SCAN"],
+        ["scenario", "run", "passing"]], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_a_config_error(self, capsys, tmp_path, monkeypatch, argv):
+        passing = _report("passing", [Check("c", True, 0.0, "always")], {})
+        monkeypatch.setitem(SCENARIOS, "passing", lambda: passing)
+        scan_csv = tmp_path / "scan.csv"
+        scan_csv.write_text(_valid_scan())
+        out_path = tmp_path / "missing" / "out.txt"
+        argv = [str(scan_csv) if a == "SCAN" else a for a in argv]
+        code, out, err = run_cli(capsys, [*argv, "--out", str(out_path)])
+        assert (code, out) == (4, "")
+        assert err.startswith(f"semiclab: cannot write {out_path}: ") and err.count("\n") == 1
+
 
 class TestConfigFile:
     def test_file_supplies_options(self, capsys, tmp_path):

@@ -1,14 +1,17 @@
 """Per-state measure routes, counting functions, flow invariance."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiclab.microlocal as microlocal
 from semiclab import eig
 from semiclab.classical import flow_points
 from semiclab.eig import eigs_in_window
 from semiclab.errors import ConfigError, NumericalError
-from semiclab.experiments import solve_window
+from semiclab.experiments import default_center, solve_window
 from semiclab.microlocal import (
     antiwick_averages,
     default_frame,
@@ -21,6 +24,7 @@ from semiclab.microlocal import (
 from semiclab.model import Polynomial1D, get_model
 from semiclab.observables import parse_observable
 from semiclab.quantize import (
+    DENSE_CAP,
     Grid1D,
     build_schrodinger,
     build_split,
@@ -339,6 +343,49 @@ class TestCounting:
             upsilon_a(win, parse_observable("xi^2"))
         with pytest.raises(ValueError, match="coherent frame"):
             microlocal_records(win, parse_observable("exp(-x^2)"))
+
+
+# one-variable terms, signed and summed, with parenthesized sums as terms
+_pure_term = st.one_of(
+    st.builds(lambda c, v, k: f"{c}{v}{k}", st.sampled_from(["", "2*", "0.5*"]),
+              st.sampled_from(["x", "xi"]), st.sampled_from(["", "^2", "^4"])),
+    st.sampled_from(["1", "exp(-x^2)", "exp(-xi^2)"]))
+
+
+def _signed_sum(terms):
+    return st.builds(lambda lead, head, rest: lead + head + "".join(op + t for op, t in rest),
+                     st.sampled_from(["", "-"]), terms,
+                     st.lists(st.tuples(st.sampled_from([" + ", " - "]), terms), max_size=3))
+
+
+_split_sums = st.recursive(
+    _pure_term, lambda sums: _signed_sum(_pure_term | sums.map(lambda s: f"({s})")),
+    max_leaves=8).filter(lambda s: re.search(r"\bx\b", s) and re.search(r"\bxi\b", s))
+
+
+@pytest.fixture(scope="module")
+def window_past_the_cap():
+    model = get_model("quad-max")
+    win = solve_window(model, 0.004, default_center(model))
+    assert win.grid.n == 8097 > DENSE_CAP and win.count
+    return win
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(s=_split_sums)
+def test_spelling_never_changes_the_quantization(s, window_past_the_cap):
+    # Weyl quantization is linear in the symbol: parentheses and signs that
+    # leave the sum unchanged leave its route and its averages unchanged,
+    # also past DENSE_CAP, where a general symbol would take anti-Wick values
+    spellings = [parse_observable(t) for t in (s, f"({s})", f"-(-({s}))")]
+    assert {obs.routing for obs in spellings} == {"split"}
+    x, xi = np.meshgrid(np.linspace(-1.5, 1.5, 7), np.linspace(-2.0, 2.0, 9), indexing="ij")
+    for obs in spellings:
+        fx, g = obs.split_parts()
+        np.testing.assert_allclose(fx.eval(x, 0.0) + g.eval(0.0, xi), spellings[0](x, xi),
+                                   rtol=1e-13, atol=1e-13)
+    values = {upsilon_a(window_past_the_cap, obs) for obs in spellings}
+    assert len(values) == 1
 
 
 class TestFlowInvariance:

@@ -32,6 +32,10 @@ def test_routing_classes():
     assert parse_observable("x^2 + xi^2").routing == "split"
     assert parse_observable("exp(-x^2) + xi^2").routing == "split"
     assert parse_observable("x * xi").routing == "general"
+    # parentheses and signs around the terms of a sum do not change the class
+    assert parse_observable("(x^2 + xi^2)").routing == "split"
+    assert parse_observable("-(x^2 - (xi^2 + 1))").routing == "split"
+    assert parse_observable("x^2 + (xi^2 + x*xi)").routing == "general"
 
 
 def test_error_position_dangling_power():
