@@ -655,52 +655,41 @@ def _horner_into(c, x, f):
             f *= x
 
 
-def _verlet(V_prime, x, xi, t: float, dt: float):
-    """Leapfrog for p = xi^2 + V: dx/dt = 2 xi, dxi/dt = -V'(x).
+# Yoshida's triple jump (Phys. Lett. A 150, 1990): leapfrog substeps of
+# these weights compose to one step of order 4
+YOSHIDA = tuple(w / (2.0 - 2.0 ** (1 / 3)) for w in (1.0, -(2.0 ** (1 / 3)), 1.0))
 
-    Steps in place on C-order copies of x and xi (which share one shape),
-    with one scratch array for V'(x).  ``flow_points`` passes the lattice
-    x[:, None] against xi[None, :] as broadcast views, which a plain copy
-    turns into one C-order and one Fortran-order array, and in-place ufuncs
-    mixing the two orders take nearly twice as long as on one order.
+
+def _leapfrog(f_prime, g_prime, x, xi, t: float, dt: float, weights):
+    """Kick-drift-kick flow of p = f(x) + g(xi): dx/dt = g'(xi), dxi/dt = -f'(x).
+
+    A step is one leapfrog substep per weight w, ``(1.0,)`` for order 2 or
+    ``YOSHIDA`` for order 4, with consecutive half kicks merged: the kick
+    after substep j is (w_j + w_j+1)/2 step, and the drift evaluates g' on
+    coefficients prescaled by w step.  Steps in place, with one scratch
+    array, on C-order copies of x and xi: a plain copy of the broadcast
+    lattice of ``egorov_defect`` would hold one Fortran-order array, and
+    in-place ufuncs mixing the two orders take nearly twice as long.
     """
     n = max(1, int(round(abs(t) / dt)))
     step = t / n
     x = np.array(x, dtype=float, order="C")
     xi = np.array(xi, dtype=float, order="C")
     f = np.empty_like(x)
-    c = V_prime.coefficients
-    half, drift = 0.5 * step, 2.0 * step
+    c = f_prime.coefficients
+    drifts = [tuple(ck * (w * step) for ck in g_prime.coefficients) for w in weights]
+    kicks = [0.5 * (w + v) * step for w, v in zip(weights, weights[1:] + weights[:1])]
     _horner_into(c, x, f)
-    f *= half
+    f *= 0.5 * weights[0] * step
     xi -= f
-    for k in range(n):
-        np.multiply(xi, drift, out=f)
+    last = n * len(weights) - 1
+    for k in range(last + 1):
+        j = k % len(weights)
+        _horner_into(drifts[j], xi, f)
         x += f
         _horner_into(c, x, f)
-        f *= step if k < n - 1 else half
+        f *= kicks[j] if k < last else 0.5 * weights[-1] * step
         xi -= f
-    return x, xi
-
-
-def _rk4(grad, x, xi, t: float, dt: float):
-    """Classic Runge-Kutta for dz/dt = (d_xi p, -d_x p)."""
-    n = max(1, int(round(abs(t) / dt)))
-    step = t / n
-    x = np.array(x, dtype=float, copy=True)
-    xi = np.array(xi, dtype=float, copy=True)
-
-    def rhs(xc, xic):
-        px, pxi = grad(xc, xic)
-        return np.asarray(pxi, dtype=float), -np.asarray(px, dtype=float)
-
-    for _ in range(n):
-        k1x, k1s = rhs(x, xi)
-        k2x, k2s = rhs(x + 0.5 * step * k1x, xi + 0.5 * step * k1s)
-        k3x, k3s = rhs(x + 0.5 * step * k2x, xi + 0.5 * step * k2s)
-        k4x, k4s = rhs(x + step * k3x, xi + step * k3s)
-        x = x + step / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        xi = xi + step / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
     return x, xi
 
 
@@ -708,59 +697,59 @@ def flow_points(model: SymbolModel, x0, xi0, t: float,
                 check_reversibility: bool = False) -> FlowResult:
     """Hamiltonian flow of the model symbol from (x0, xi0) for time t.
 
-    The xi^2 + V families (schrodinger1d, radial2d) use Verlet (symplectic),
-    every phase1d symbol classic RK4, split ones such as pseudo-k3 included.
-    The step starts at 1e-3 * max(|t|, 1) and is halved, at most six times,
-    until the energy drift passes ``FLOW_DRIFT_TOL * (1 + max|E|)``;
-    persistent failure raises ``NumericalError``.  Inputs broadcast to
-    arrays of phase points.
+    Every symbol f(x) + g(xi) of ``SymbolModel.split_parts`` flows by
+    :func:`_leapfrog`, of order 2 when g is at most quadratic (xi^2 + V)
+    and of order 4 otherwise; a mixed x*xi symbol raises ``ConfigError``.
+    The step starts at 1e-3 * max(|t|, 1) and is halved, at most six
+    times, until the energy drift passes ``FLOW_DRIFT_TOL * (1 + max|E|)``;
+    an attempt that overflows fails, and persistent failure raises
+    ``NumericalError``.  Inputs broadcast to arrays of phase points.
 
     Before every attempt but the last, the ``FLOW_PROBE`` points of largest
     |p| are flowed alone, and a step whose drift already fails on them is
     skipped.  The full drift is a maximum over a superset, and elementwise
     arithmetic gives each point the same bits in any array, so the accepted
     step and the result are those of flowing every point at every step.
-    Halving the step divides the drift by about 4 (Verlet) or 16 (RK4), so
-    once a probe's drift is within 4 times the tolerance the next step goes
-    to every point unprobed: its probe would almost surely pass and save
-    nothing.  The last attempt always flows every point, so the error
-    reports the full drift.
+    Halving the step divides the drift by about 4 (order 2) or 16 (order
+    4), so once a probe's drift is within 4 times the tolerance the next
+    step goes to every point unprobed: its probe would almost surely pass
+    and save nothing.  The last attempt always flows every point, so the
+    error reports the full drift.
     """
+    f, g = model.split_parts()
     x0, xi0 = np.broadcast_arrays(np.atleast_1d(np.asarray(x0, dtype=float)),
                                   np.atleast_1d(np.asarray(xi0, dtype=float)))
     e0 = np.asarray(model.eval(x0, xi0), dtype=float)
     scale = 1.0 + float(np.max(np.abs(e0)))
     tol = FLOW_DRIFT_TOL * scale
-
-    if model.family in ("schrodinger1d", "radial2d"):
-        V_prime = model.potential.derivative()
-        integrate = lambda x, xi, s, d: _verlet(V_prime, x, xi, s, d)
-    else:
-        grad = model.phase_poly.gradient
-        integrate = lambda x, xi, s, d: _rk4(grad, x, xi, s, d)
+    f_prime, g_prime = f.derivative(), g.derivative()
+    weights = (1.0,) if g.degree <= 2 else YOSHIDA
+    integrate = lambda x, xi, s, d: _leapfrog(f_prime, g_prime, x, xi, s, d, weights)
 
     def drift(x, xi, e):
-        return float(np.max(np.abs(np.asarray(model.eval(x, xi), dtype=float) - e)))
+        d = float(np.max(np.abs(np.asarray(model.eval(x, xi), dtype=float) - e)))
+        return d if math.isfinite(d) else math.inf
 
     probe = np.argsort(np.abs(e0), axis=None)[-FLOW_PROBE:] if e0.size > FLOW_PROBE else None
     probe_drift = math.inf
     dt0 = 1e-3 * max(abs(t), 1.0)
     for attempt in range(7):
         cur_dt = dt0 * 0.5**attempt
-        if probe is not None and attempt < 6 and probe_drift > 4.0 * tol:
-            xp, xip = integrate(x0.flat[probe], xi0.flat[probe], t, cur_dt)
-            probe_drift = drift(xp, xip, e0.flat[probe])
-            if probe_drift > tol:
-                continue
-        x1, xi1 = integrate(x0, xi0, t, cur_dt)
-        full = drift(x1, xi1, e0)
-        if full <= tol:
-            rev = None
-            if check_reversibility:
-                xb, xib = integrate(x1, xi1, -t, cur_dt)
-                rev = float(np.max(np.hypot(xb - x0, xib - xi0)))
-            return FlowResult(x=x1, xi=xi1, energy_drift=full,
-                              reversibility_error=rev)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if probe is not None and attempt < 6 and probe_drift > 4.0 * tol:
+                xp, xip = integrate(x0.flat[probe], xi0.flat[probe], t, cur_dt)
+                probe_drift = drift(xp, xip, e0.flat[probe])
+                if probe_drift > tol:
+                    continue
+            x1, xi1 = integrate(x0, xi0, t, cur_dt)
+            full = drift(x1, xi1, e0)
+            if full <= tol:
+                rev = None
+                if check_reversibility:
+                    xb, xib = integrate(x1, xi1, -t, cur_dt)
+                    rev = float(np.max(np.hypot(xb - x0, xib - xi0)))
+                return FlowResult(x=x1, xi=xi1, energy_drift=full,
+                                  reversibility_error=rev)
     raise NumericalError(
         f"energy drift {full:.3e} still above {FLOW_DRIFT_TOL:.1e} * {scale:.3g} "
         f"after 6 step halvings")

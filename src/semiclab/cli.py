@@ -13,7 +13,7 @@ and radial grids only: it defaults to ``WINDOW_PPW``, and a phase model refuses 
 
 Exit codes: 0 success, 1 failed scenario verdict, 2 violated model
 hypothesis, 3 numerical failure, 4 configuration or parse error (an
-``--out`` that cannot be written included).  Code 2
+``--out`` that cannot be written included, refused before any work).  Code 2
 comes from ``fit --law regular|critical``, the one command that claims a law
 at the scan's energy: ``model.isolated_critical_point`` refuses a critical
 level without exactly one admissible critical point on it.  Every nonzero
@@ -23,8 +23,10 @@ code prints one ``semiclab:`` line on standard error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -204,7 +206,26 @@ def _resolve(args) -> dict:
         if opt.choices and v not in opt.choices:
             raise ConfigError(f"option {key!r} must be one of "
                               f"{', '.join(opt.choices)}, got {v!r}")
+    _check_out(cfg["out"])
     return cfg
+
+
+def _check_out(out_path: str | None) -> None:
+    """Refuse an ``--out`` that cannot be written before any work runs: its
+    directory must exist and be writable, and the path must not be a
+    directory or a read-only file.  Nothing is created or truncated."""
+    if not out_path:
+        return
+    target = Path(out_path)
+    if not target.parent.is_dir():
+        code = errno.ENOENT
+    elif target.is_dir():
+        code = errno.EISDIR
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {out_path}: {os.strerror(code)}")
 
 
 def _echo(command: str, cfg: dict) -> dict:
@@ -292,6 +313,7 @@ def _symbol_text(m: SymbolModel) -> str:
 
 
 def cmd_models(args) -> int:
+    _check_out(args.out)
     lines = []
     for name, m in sorted(catalog().items()):
         lines.append(f"{name}  [{m.family}, n={m.n}]  {_symbol_text(m)}")
@@ -303,7 +325,7 @@ def cmd_models(args) -> int:
                 at = f"(x,xi)=({x0},{_fmt(_round0(cp.z0[1]))})"
             lines.append(f"    critical: E_c={_fmt(_round0(cp.critical_energy))}"
                          f"  {cp.kind}, order {cp.order}, at {at}")
-    _emit_text("\n".join(lines) + "\n", getattr(args, "out", None))
+    _emit_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -471,8 +493,9 @@ def cmd_fit(args) -> int:
 # -- scenario ----------------------------------------------------------------
 
 def cmd_scenario(args) -> int:
+    _check_out(args.out)
     report = run_scenario(args.name)
-    _emit_json(asdict(report), getattr(args, "out", None))
+    _emit_json(asdict(report), args.out)
     if report.passed:
         return 0
     failed = ", ".join(c.name for c in report.checks if not c.passed)

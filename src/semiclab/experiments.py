@@ -240,10 +240,7 @@ def solve_window(model: SymbolModel, h: float, e_center: float, d: float = WINDO
                                         h_max=h_max, ppw=ppw)
         op = build_schrodinger(model.potential, h, grid, window_top=hi)
     else:
-        if not model.phase_poly.is_split():
-            raise ConfigError(f"model {model.name!r} has mixed x*xi terms; only "
-                              "split phase symbols are quantizable here")
-        f, g = model.phase_poly.split_parts()
+        f, g = model.split_parts()
         if grid is None:
             grid = grid_for_split(f, g, h, e_center, d=d, h_max=h_max)
         op = build_split(f, g, h, grid, window_top=hi)

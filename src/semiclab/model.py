@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import ConfigError, HypothesisError
 
 __all__ = [
     "Polynomial1D",
@@ -251,6 +251,16 @@ class SymbolModel:
     def critical_points_at(self, energy: float) -> tuple[CriticalPoint, ...]:
         """The critical points on the level {p = energy}, to :func:`_level_tol`."""
         return _on_level(self.critical_points, energy)
+
+    def split_parts(self) -> tuple[Polynomial1D, Polynomial1D]:
+        """(f, g) with p = f(x) + g(xi), the parts that windows and flows
+        take; ``ConfigError`` for a phase symbol with mixed x*xi terms."""
+        if self.family != "phase1d":
+            return self.potential, Polynomial1D((0.0, 0.0, 1.0))
+        if not self.phase_poly.is_split():
+            raise ConfigError(f"model {self.name!r} has mixed x*xi terms; only "
+                              "split symbols f(x) + g(xi) are solved or flowed here")
+        return self.phase_poly.split_parts()
 
 
 def _is_circle(model: SymbolModel, c: CriticalPoint) -> bool:

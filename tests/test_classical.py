@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semiclab.classical as classical
 from semiclab.classical import (
@@ -28,13 +29,15 @@ from semiclab.classical import (
 )
 from semiclab.eig import eigs_in_window
 from semiclab.errors import ConfigError, NumericalError
-from semiclab.microlocal import default_frame
+from semiclab.experiments import solve_window
+from semiclab.microlocal import default_frame, egorov_defect
 from semiclab.model import (
     PhasePolynomial,
     Polynomial1D,
     SymbolModel,
     get_model,
 )
+from semiclab.observables import parse_observable
 from semiclab.quantize import build_split, grid_for_split
 
 
@@ -341,6 +344,10 @@ def egorov_lattice(h=0.05, energy=0.5):
     return qm, frame.x_centers[:, None], frame.xi_centers[None, :]
 
 
+# g' of the kinetic part xi^2 of the potential families
+XI_SQ_PRIME = Polynomial1D((0.0, 0.0, 1.0)).derivative()
+
+
 def halving_loop(model, x0, xi0, t):
     """flow_points without its probe: every attempt flows every point."""
     e0 = model.eval(x0, xi0)
@@ -348,7 +355,8 @@ def halving_loop(model, x0, xi0, t):
     V_prime = model.potential.derivative()
     dt0 = 1e-3 * max(abs(t), 1.0)
     for attempt in range(7):
-        x1, xi1 = classical._verlet(V_prime, x0, xi0, t, dt0 * 0.5**attempt)
+        x1, xi1 = classical._leapfrog(V_prime, XI_SQ_PRIME, x0, xi0, t,
+                                      dt0 * 0.5**attempt, (1.0,))
         drift = float(np.max(np.abs(model.eval(x1, xi1) - e0)))
         if drift <= FLOW_DRIFT_TOL * scale:
             return x1, xi1, drift
@@ -404,7 +412,7 @@ class TestFlows:
             assert np.array(xi).flags.f_contiguous and not np.array(xi).flags.c_contiguous
         x_in, xi_in = x.copy(), xi.copy()
         ref = reference_leapfrog(V_prime, x, xi, t, dt)
-        got = classical._verlet(V_prime, x, xi, t, dt)
+        got = classical._leapfrog(V_prime, XI_SQ_PRIME, x, xi, t, dt, (1.0,))
         assert np.array_equal(x, x_in) and np.array_equal(xi, xi_in)
         for a, b in zip(got, ref):
             assert a.flags.c_contiguous and a.shape == b.shape
@@ -423,14 +431,14 @@ class TestFlows:
         qm, x, xi = egorov_lattice()
         size = x.size * xi.size
         assert size > FLOW_PROBE
-        verlet = classical._verlet
+        leapfrog = classical._leapfrog
         seen = []
 
-        def spy(V_prime, x0, xi0, t, dt):
+        def spy(f_prime, g_prime, x0, xi0, t, dt, weights):
             seen.append((np.size(x0), dt))
-            return verlet(V_prime, x0, xi0, t, dt)
+            return leapfrog(f_prime, g_prime, x0, xi0, t, dt, weights)
 
-        monkeypatch.setattr(classical, "_verlet", spy)
+        monkeypatch.setattr(classical, "_leapfrog", spy)
         flow_points(qm, x, xi, 0.5)
         # without the probe the lattice is flowed at 1e-3, 5e-4 and 2.5e-4;
         # the probe's drift at 5e-4 is within 4x the tolerance, so 2.5e-4
@@ -442,14 +450,14 @@ class TestFlows:
     def test_last_attempt_flows_every_point(self, monkeypatch):
         qm = get_model("quad-max")
         x, xi = np.linspace(-0.8, 0.8, 100), np.linspace(-0.5, 0.5, 100)
-        verlet = classical._verlet
+        leapfrog = classical._leapfrog
         sizes = []
 
-        def spy(V_prime, x0, xi0, t, dt):
+        def spy(f_prime, g_prime, x0, xi0, t, dt, weights):
             sizes.append(np.size(x0))
-            return verlet(V_prime, x0, xi0, t, dt)
+            return leapfrog(f_prime, g_prime, x0, xi0, t, dt, weights)
 
-        monkeypatch.setattr(classical, "_verlet", spy)
+        monkeypatch.setattr(classical, "_leapfrog", spy)
         monkeypatch.setattr(classical, "FLOW_DRIFT_TOL", 1e-30)
         with pytest.raises(NumericalError, match="after 6 step halvings"):
             flow_points(qm, x, xi, 0.1)
@@ -484,14 +492,119 @@ class TestFlows:
         assert got[0] == pytest.approx(float(a(xt, xit)[0]), abs=1e-5)
 
     def test_split_and_general_steppers_agree(self):
-        qm = get_model("quad-max")
+        # xi^2 - x^2 + x^4 spelled as a phase symbol splits into quad-max's
+        # (V, xi^2), so one kernel flows both spellings to the same bits
+        qm, x, xi = egorov_lattice()
         pp = phase_model(((0, 2, 1.0), (2, 0, -1.0), (4, 0, 1.0)))
-        r1 = flow_points(qm, [0.3], [0.1], 0.5)
-        r2 = flow_points(pp, [0.3], [0.1], 0.5)
-        assert abs(r1.x[0] - r2.x[0]) < 1e-6
-        assert abs(r1.xi[0] - r2.xi[0]) < 1e-6
+        r1 = flow_points(qm, x, xi, 0.5)
+        r2 = flow_points(pp, x, xi, 0.5)
+        assert r1.x.tobytes() == r2.x.tobytes()
+        assert r1.xi.tobytes() == r2.xi.tobytes()
 
     def test_reversibility_on_anharmonic_orbit(self):
         dm = get_model("deg-max")
         res = flow_points(dm, [0.5], [0.1], 1.5, check_reversibility=True)
         assert res.reversibility_error < 1e-9
+
+    @pytest.mark.parametrize("name", ["pseudo-k3", "pseudo-k4"])
+    def test_phase_lattice_meets_the_drift_tolerance_and_reverses(self, name):
+        # g = -xi^3 + xi^4 (k3) or -xi^4 + xi^6 (k4): the fourth-order step
+        model = get_model(name)
+        frame = default_frame(solve_window(model, 0.05, 0.0))
+        x, xi = frame.x_centers[:, None], frame.xi_centers[None, :]
+        res = flow_points(model, x, xi, 0.5, check_reversibility=True)
+        e = model.eval(x, xi)
+        assert res.energy_drift <= FLOW_DRIFT_TOL * (1.0 + np.max(np.abs(e)))
+        assert res.reversibility_error < 1e-9
+
+    def test_overflowing_attempt_fails_and_the_probe_goes_on(self, monkeypatch):
+        # the 64 points of largest |p| on pseudo-k4's h = 0.1 lattice overflow
+        # at the first step, 1e-3; with the origin added they are the probe
+        model = get_model("pseudo-k4")
+        frame = default_frame(solve_window(model, 0.1, 0.0))
+        x, xi = np.broadcast_arrays(frame.x_centers[:, None], frame.xi_centers[None, :])
+        top = np.argsort(np.abs(model.eval(x, xi)), axis=None)[-FLOW_PROBE:]
+        x0, xi0 = np.append(x.flat[top], 0.0), np.append(xi.flat[top], 0.0)
+        f, g = model.split_parts()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            classical._leapfrog(f.derivative(), g.derivative(), x0[:-1], xi0[:-1], 0.5, 1e-3,
+                                classical.YOSHIDA)
+        leapfrog = classical._leapfrog
+        seen = []
+
+        def spy(f_prime, g_prime, xs, xis, t, dt, weights):
+            seen.append((np.size(xs), dt))
+            return leapfrog(f_prime, g_prime, xs, xis, t, dt, weights)
+
+        monkeypatch.setattr(classical, "_leapfrog", spy)
+        res = flow_points(model, x0, xi0, 0.5)
+        # the probe runs on after the overflow, until it comes within 4x the
+        # tolerance; then the next step goes to every point
+        assert seen == [(FLOW_PROBE, 1e-3 * 0.5**k) for k in range(5)] + [
+            (FLOW_PROBE + 1, 1e-3 * 0.5**5)]
+        assert np.isfinite(res.x).all() and np.isfinite(res.xi).all()
+        e = model.eval(x0, xi0)
+        assert res.energy_drift <= FLOW_DRIFT_TOL * (1.0 + np.max(np.abs(e)))
+
+    def test_mixed_symbol_is_refused(self):
+        mixed = phase_model(((2, 0, 1.0), (0, 2, 1.0), (1, 1, 0.5)))
+        with pytest.raises(ConfigError, match="mixed"):
+            flow_points(mixed, [0.3], [0.1], 0.5)
+        win = solve_window(get_model("harmonic"), 0.1, 1.0)
+        assert win.count
+        with pytest.raises(ConfigError, match="mixed"):
+            egorov_defect(mixed, parse_observable("x^2"), 0.5, win)
+
+
+def rk4_oracle(grad, x, xi, t: float, dt: float):
+    """Classic Runge-Kutta for dz/dt = (d_xi p, -d_x p), the stepper
+    ``flow_points`` used for phase symbols before the composed leapfrog."""
+    n = max(1, int(round(abs(t) / dt)))
+    step = t / n
+    x = np.array(x, dtype=float, copy=True)
+    xi = np.array(xi, dtype=float, copy=True)
+
+    def rhs(xc, xic):
+        px, pxi = grad(xc, xic)
+        return np.asarray(pxi, dtype=float), -np.asarray(px, dtype=float)
+
+    for _ in range(n):
+        k1x, k1s = rhs(x, xi)
+        k2x, k2s = rhs(x + 0.5 * step * k1x, xi + 0.5 * step * k1s)
+        k3x, k3s = rhs(x + 0.5 * step * k2x, xi + 0.5 * step * k2s)
+        k4x, k4s = rhs(x + step * k3x, xi + step * k3s)
+        x = x + step / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        xi = xi + step / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
+    return x, xi
+
+
+_COEF = st.integers(-5, 5).map(lambda k: k / 10)
+_LEAD = st.integers(5, 10).map(lambda k: k / 10)
+
+
+@st.composite
+def _confining_split_symbols(draw):
+    """f(x) + g(xi) with f of degree 4 and g of degree 2 or 4, each with a
+    leading coefficient in [0.5, 1] and the lower ones in [-0.5, 0.5], so
+    that the orbits from the unit square stay slow enough for the oracle's
+    fixed step."""
+    f = [draw(_COEF) for _ in range(3)] + [draw(_LEAD)]
+    g = [draw(_COEF) for _ in range(draw(st.sampled_from([1, 3])))] + [draw(_LEAD)]
+    return phase_model(tuple((k + 1, 0, c) for k, c in enumerate(f))
+                       + tuple((0, k + 1, c) for k, c in enumerate(g)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=_confining_split_symbols())
+def test_leapfrog_agrees_with_the_rk4_oracle(model):
+    x, xi = (v.ravel() for v in np.meshgrid(np.linspace(-1.0, 1.0, 4),
+                                            np.linspace(-1.0, 1.0, 5), indexing="ij"))
+    e = model.eval(x, xi)
+    tol = FLOW_DRIFT_TOL * (1.0 + np.max(np.abs(e)))
+    res = flow_points(model, x, xi, 0.5)
+    f, g = model.split_parts()
+    fp, gp = f.derivative(), g.derivative()
+    ox, oxi = rk4_oracle(lambda u, v: (fp(u), gp(v)), x, xi, 0.5, 1e-3)
+    assert np.max(np.abs(model.eval(ox, oxi) - e)) <= tol
+    # both endpoints lie within about one drift tolerance of the exact flow
+    assert np.max(np.hypot(res.x - ox, res.xi - oxi)) <= 2.0 * tol

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semiclab
+import semiclab.cli as cli
 import semiclab.microlocal as microlocal
 from semiclab.cli import OPTIONS, _parse_bool, _resolve, build_parser, main
 from semiclab.experiments import ScanResult, ScanRow, scan_from_csv, scan_to_csv
@@ -203,8 +204,13 @@ class TestExitCodes:
         ["fit", "--in", "SCAN"],
         ["scenario", "run", "passing"]], ids=lambda argv: argv[0])
     def test_unwritable_out_is_a_config_error(self, capsys, tmp_path, monkeypatch, argv):
-        passing = _report("passing", [Check("c", True, 0.0, "always")], {})
-        monkeypatch.setitem(SCENARIOS, "passing", lambda: passing)
+        # the target is refused before any work: every command's work raises
+        def work(*args, **kwargs):
+            raise AssertionError("work ran before --out was checked")
+
+        for name in ("catalog", "solve_window", "liouville_integral", "run_scan",
+                     "scan_from_csv", "run_scenario"):
+            monkeypatch.setattr(cli, name, work)
         scan_csv = tmp_path / "scan.csv"
         scan_csv.write_text(_valid_scan())
         out_path = tmp_path / "missing" / "out.txt"
@@ -212,6 +218,26 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [*argv, "--out", str(out_path)])
         assert (code, out) == (4, "")
         assert err.startswith(f"semiclab: cannot write {out_path}: ") and err.count("\n") == 1
+        if argv[0] not in ("models", "scenario"):
+            # out= from a config file is checked alike
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"out={out_path}\n")
+            code, out, err = run_cli(capsys, [*argv, "--config", str(conf)])
+            assert (code, out) == (4, "")
+            assert err == f"semiclab: cannot write {out_path}: No such file or directory\n"
+
+    def test_out_check_creates_and_truncates_nothing(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["models", "list", "--out", str(tmp_path)])
+        assert code == 4 and err == f"semiclab: cannot write {tmp_path}: Is a directory\n"
+        # a run that fails after the check leaves an old file as it was, and
+        # makes no new one
+        kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+        kept.write_text("old\n")
+        for path in (kept, new):
+            code, _, _ = run_cli(capsys, ["liouville", "--model", "harmonic", "--obs", "1",
+                                          "--energy", "145", "--out", str(path)])
+            assert code == 3
+        assert kept.read_text() == "old\n" and not new.exists()
 
 
 class TestConfigFile:
