@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import SEARCH_BOX, CriticalPoint, Polynomial1D, SymbolModel, _poly_roots_in
+from .model import SEARCH_BOX, CriticalPoint, Polynomial1D, SymbolModel, allowed_intervals
 
 __all__ = [
     "LiouvilleResult",
@@ -85,32 +85,6 @@ def _as_symbol_callable(a):
     if a is None:
         return lambda x, xi: np.ones_like(np.asarray(x, dtype=float))
     return a
-
-
-def allowed_intervals(V: Polynomial1D, energy: float,
-                      search: tuple[float, float] = SEARCH_BOX) -> list[tuple[float, float]]:
-    """Maximal intervals with V < energy inside the search range.
-
-    An interval that reaches an edge of the range, other than the origin
-    r = 0 of a radial search, leaves the range: its level set would be cut
-    there, so it raises ``NumericalError``.
-    """
-    shifted = Polynomial1D((V.coefficients[0] - energy,) + V.coefficients[1:])
-    roots = sorted(_poly_roots_in(shifted, search[0], search[1]))
-    edges = [search[0]] + roots + [search[1]]
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo < 1e-12:
-            continue
-        mid = 0.5 * (lo + hi)
-        if V(mid) < energy:
-            out.append((lo, hi))
-    for edge in search:
-        if edge != 0.0 and any(edge in iv for iv in out):
-            raise NumericalError(
-                f"the level set at E={energy:.6g} reaches the search edge {edge:g}; "
-                f"only [{search[0]:g}, {search[1]:g}] is searched")
-    return out
 
 
 def _gauss_chebyshev(f, lo: float, hi: float, n: int) -> float:
@@ -207,7 +181,8 @@ def _liouville_schrodinger(V: Polynomial1D, a, energy: float,
             if not allow_critical:
                 raise ConfigError(
                     f"E={energy:.6g} has a degenerate turning point at "
-                    f"x={x_t:.6g}; pass allow_critical=True to probe it")
+                    f"x={x_t:.6g}; pass --allow-critical (config key and argument "
+                    "allow_critical) to probe it")
             ratios = _shell_ratios_1d(V, energy, x_t, side, 0.25 * (hi - lo))
             all_ratios.extend(ratios[-4:])
             if _tail_divergent(ratios):
@@ -371,7 +346,8 @@ def _liouville_phase(model: SymbolModel, a, energy: float,
         if not allow_critical:
             raise ConfigError(
                 f"E={energy:.6g} passes through the critical point at "
-                f"{cp.z0}; pass allow_critical=True to probe it")
+                f"{cp.z0}; pass --allow-critical (config key and argument "
+                "allow_critical) to probe it")
         ratios = _shell_ratios_2d(model, energy, (cp.z0[0], cp.z0[1]), 0.5)
         all_ratios.extend(ratios[-4:])
         if _tail_divergent(ratios):

@@ -50,12 +50,16 @@ Eigenvalue counts in three closed ranges decide them: the kept range gives
 the count, and the two edge bands give the number of flagged states at each
 end of the sorted window.  Their ends are four distinct shifts (when
 eps_keep < edge_tol), and one Sturm count (``sturm_count``) counts at all of
-them in one pass over the matrix.  One LAPACK ``dstebz`` count of [lo, hi]
-certifies the result: its bisection stops at its first midpoint when its
-tolerance is wider than the interval, so it is a Sturm count of its own,
+them in one pass over the matrix.  One LAPACK ``dstebz`` count of the kept
+range certifies the result: its bisection stops at its first midpoint when
+its tolerance is wider than the interval, so it is a Sturm count of its own,
 made by code independent of ours.  The zero-slack rule is that of every
 other window.  The eigenvalues of such a window are NaN.  The split route
 always solves.
+
+Every certificate (Sturm, ``dstebz``, block inertia) counts the kept range,
+so ``count_check`` counts the states it certifies, a level exactly on an
+end of that range included.
 
 One BLAS thread: importing this module sets every OpenBLAS loaded in the
 process to one thread (``_pin_openblas_threads``), whatever
@@ -99,14 +103,12 @@ __all__ = [
     "EigenWindow",
     "RadialChannel",
     "sturm_count",
-    "count_in_window",
     "eigs_in_window",
     "radial_channels",
 ]
 
 MAX_CHANNELS = 512
 EDGE_FRACTION = 5e-3  # edge-tie band, as a fraction of the window width
-STURM_SCALAR_ROWS = 1024  # Sturm counts up to this size run row by row on Python floats
 RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the operator scale
 BASIS_WIDTHS = 8.0  # the Hermite basis reaches this many sqrt(h) past the classical box
 BASIS_PAD = 32  # ... and this many functions more
@@ -160,7 +162,7 @@ class EigenWindow:
     vectors: np.ndarray | None  # (n, count) columns, l2-normalized
     edge_flags: np.ndarray  # True where the eigenvalue is edge-ambiguous
     residual_max: float | None
-    count_check: int  # independent count: Sturm, LAPACK dstebz if count-only, band LDL^H if split
+    count_check: int  # a count of the kept range: Sturm, dstebz if count-only, LDL^H if split
     grid: Grid1D
     m: np.ndarray | None = None  # angular channel of each state on a radial window
 
@@ -186,23 +188,19 @@ def sturm_count(diag, offdiag, values):
 
     LDL^T sign count: T - x I has as many negative pivots
     q_i = a_i - x - b_{i-1}^2 / q_{i-1} as T has eigenvalues below x.  A pivot
-    smaller than ``pivmin`` counts as -pivmin, so an eigenvalue exactly at x
-    may count as below it (``count_in_window`` steps one ulp outside its
-    edges).  It certifies the LAPACK window solves, and LAPACK's own count
-    (``dstebz``) certifies it where it decides a count-only window, so every
-    tridiagonal count meets code independent of the code that made it.
-    Matrices of more than ``STURM_SCALAR_ROWS`` rows are counted in chunks by
-    ``_sturm_chunked``, every shift in one pass.
+    smaller than pivmin counts as -pivmin, so an eigenvalue exactly at x
+    may count as below it (a closed range is counted from one ulp below its
+    lower end).  It certifies the LAPACK window solves, and LAPACK's own
+    count (``dstebz``) certifies it where it decides a count-only window, so
+    every tridiagonal count meets code independent of the code that made
+    it.  Every matrix is counted by ``_sturm_chunked``, every shift in one
+    pass.
     """
     a = np.asarray(diag, dtype=float)
     b2 = np.square(np.asarray(offdiag, dtype=float))
     if b2.size != a.size - 1:
         raise ValueError("offdiag must have one fewer entry than diag")
-    x = np.atleast_1d(np.asarray(values, dtype=float))
-    if a.size <= STURM_SCALAR_ROWS:
-        out = _sturm_scalar(a, b2, x)
-    else:
-        out = _sturm_chunked(a, b2, x)
+    out = _sturm_chunked(a, b2, np.atleast_1d(np.asarray(values, dtype=float)))
     if np.ndim(values) == 0:
         return int(out[0])
     return out
@@ -210,30 +208,6 @@ def sturm_count(diag, offdiag, values):
 
 _RENORM = 8  # pass 1 of the chunked Sturm count renormalizes its chunk maps this often
 _MAP_FLOOR = 2.0 ** -500  # ... and carries row by row through a map that shrank below this
-
-
-def _pivmin(b2: np.ndarray) -> float:
-    return 1e-290 * max(1.0, float(b2.max()) if b2.size else 0.0)
-
-
-def _sturm_scalar(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The pivot recurrence row by row on Python floats."""
-    d, e2 = a.tolist(), b2.tolist()
-    pivmin = _pivmin(b2)
-    out = np.empty(x.size, dtype=int)
-    for j, s in enumerate(x.tolist()):
-        q = d[0] - s
-        if abs(q) < pivmin:
-            q = -pivmin
-        count = 1 if q < 0.0 else 0
-        for i in range(1, len(d)):
-            q = d[i] - s - e2[i - 1] / q
-            if abs(q) < pivmin:
-                q = -pivmin
-            if q < 0.0:
-                count += 1
-        out[j] = count
-    return out
 
 
 def _sturm_chunked(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -267,7 +241,7 @@ def _sturm_chunked(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
     if 0.0 < top < np.inf:
         scale = np.ldexp(1.0, -np.frexp(top)[1])
         a, x, b2 = a * scale, x * scale, b2 * (scale * scale)
-    pivmin = _pivmin(b2)
+    pivmin = 1e-290 * max(1.0, float(b2.max()) if b2.size else 0.0)
     n, S = a.size, x.size
     L = max(8, int(np.sqrt(n)) // 4)
     K = -(-n // L)
@@ -338,16 +312,6 @@ def _sturm_chunked(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.minimum(q, -pivmin, out=q, where=negative)
         count += negative
     return count.sum(axis=1)
-
-
-def count_in_window(diag, offdiag, lo: float, hi: float) -> int:
-    """Eigenvalue count in the closed interval [lo, hi] via Sturm sequences.
-
-    Both edges are nudged one ulp outward so exact ties land inside
-    regardless of the zero-pivot convention.
-    """
-    c = sturm_count(diag, offdiag, [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
-    return int(c[1] - c[0])
 
 
 def _band_inertia(band: np.ndarray, shifts) -> np.ndarray:
@@ -556,16 +520,19 @@ def _check_window(lo: float, hi: float) -> None:
 
 def _tridiagonal_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
                         vectors: bool, values: bool):
-    """LAPACK bisection and inverse iteration on [lo, hi], certified by Sturm;
-    a count-only window (``values=False``) reads one Sturm count at its
-    thresholds, certified by a LAPACK ``dstebz`` count of [lo, hi]."""
+    """LAPACK bisection and inverse iteration on [lo, hi], certified by a
+    Sturm count of the kept range; a count-only window (``values=False``)
+    reads one Sturm count at its thresholds, certified by a LAPACK
+    ``dstebz`` count of the kept range."""
     diag, off = op.diag, op.offdiag
     scale = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
     eps_keep = 1e-12 * max(scale, 1.0)
+    kept_lo, kept_hi = lo - eps_keep, hi + eps_keep
     if not values:
         return (*_count_window(diag, off, lo, hi, eps_keep, edge_tol),
-                _stebz_count(diag, off, lo, hi), None, scale, ("Sturm", "LAPACK dstebz"))
-    check = count_in_window(diag, off, lo, hi)
+                _stebz_count(diag, off, kept_lo, kept_hi), None, scale, ("Sturm", "LAPACK dstebz"))
+    below = sturm_count(diag, off, [np.nextafter(kept_lo, -np.inf), kept_hi])
+    check = int(below[1] - below[0])
     span = _solve_range(lo, hi, eps_keep)
     out = eigh_tridiagonal(diag, off, select="v", select_range=span, eigvals_only=not vectors)
     w, v = out if vectors else (out, None)
@@ -590,7 +557,9 @@ def _split_window(op: DiscreteOperator, lo: float, hi: float, edge_tol: float,
     eps_keep = 1e-12 * max(scale, 1.0)
     x0, xi0, s, n = _hermite_basis(op, lo, hi)
     band = _hermite_band(op, x0, xi0, s, n)
-    below = _band_inertia(band, [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+    # the kept range, its top stepped up as well: an exactly singular pivot raises
+    below = _band_inertia(band, [np.nextafter(lo - eps_keep, -np.inf),
+                                 np.nextafter(hi + eps_keep, np.inf)])
     check = int(below[1] - below[0])
     w = eig_banded(band[:band.shape[0] // 2 + 1], eigvals_only=True, select="v",
                    select_range=_solve_range(lo, hi, eps_keep))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, HypothesisError
+from .errors import ConfigError, HypothesisError, NumericalError
 
 __all__ = [
     "Polynomial1D",
@@ -319,6 +319,32 @@ def _poly_roots_in(poly: Polynomial1D, lo: float, hi: float) -> list[float]:
         if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
             merged.append(r)
     return merged
+
+
+def allowed_intervals(V: Polynomial1D, energy: float,
+                      search: tuple[float, float] = SEARCH_BOX) -> list[tuple[float, float]]:
+    """Maximal intervals with V < energy inside the search range.
+
+    An interval that reaches an edge of the range, other than the origin
+    r = 0 of a radial search, leaves the range: its level set would be cut
+    there, so it raises ``NumericalError``.
+    """
+    shifted = Polynomial1D((V.coefficients[0] - energy,) + V.coefficients[1:])
+    roots = sorted(_poly_roots_in(shifted, search[0], search[1]))
+    edges = [search[0]] + roots + [search[1]]
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo < 1e-12:
+            continue
+        mid = 0.5 * (lo + hi)
+        if V(mid) < energy:
+            out.append((lo, hi))
+    for edge in search:
+        if edge != 0.0 and any(edge in iv for iv in out):
+            raise NumericalError(
+                f"the level set at E={energy:.6g} reaches the search edge {edge:g}; "
+                f"only [{search[0]:g}, {search[1]:g}] is searched")
+    return out
 
 
 def _order_from_taylor(coeffs: tuple[float, ...]) -> tuple[int, float]:

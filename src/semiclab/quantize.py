@@ -62,7 +62,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import circulant
 
 from .errors import ConfigError, NumericalError
-from .model import SEARCH_BOX, Polynomial1D, _poly_roots_in
+from .model import SEARCH_BOX, Polynomial1D, allowed_intervals
 from .observables import Observable, ObservableExpr
 
 __all__ = [
@@ -190,11 +190,13 @@ def _box_margin(d: float, h: float, h_max: float | None) -> float:
 
 def _outer_turning(V: Polynomial1D, e_top: float,
                    search: tuple[float, float] = SEARCH_BOX) -> tuple[float, float]:
-    shifted = Polynomial1D((V.coefficients[0] - e_top,) + V.coefficients[1:])
-    roots = _poly_roots_in(shifted, search[0], search[1])
-    if not roots:
+    """The outermost ends of the allowed set {V < e_top}, as
+    :func:`allowed_intervals` finds it (``NumericalError`` where that set
+    reaches the search edge); the origin of a radial search is no end."""
+    ends = [x for iv in allowed_intervals(V, e_top, search) for x in iv if x not in search]
+    if not ends:
         raise NumericalError(f"no classical turning points at energy {e_top:.6g}")
-    return min(roots), max(roots)
+    return min(ends), max(ends)
 
 
 def schrodinger_box(V, e_top: float, pad: float,
@@ -347,15 +349,14 @@ def build_split(
         mult_xi = np.asarray(g(xi), dtype=float)
     _check_finite(mult_x, mult_xi, grid=grid)
     if window_top is not None:
-        # aliasing guard: classical momenta at the window top must fit
+        # aliasing guard: classical momenta at the window top must fit; an
+        # empty allowed set has none, one cut at the search edge raises
         f_min = float(np.min(mult_x))
-        try:
-            xi_lo, xi_hi = _outer_turning(g, window_top - f_min)
-        except NumericalError:
-            xi_lo = xi_hi = 0.0
-        if max(abs(xi_lo), abs(xi_hi)) > grid.xi_max(h):
+        xi_top = max((abs(x) for iv in allowed_intervals(g, window_top - f_min) for x in iv),
+                     default=0.0)
+        if xi_top > grid.xi_max(h):
             raise NumericalError(
-                f"classical momentum {max(abs(xi_lo), abs(xi_hi)):.3g} exceeds grid "
+                f"classical momentum {xi_top:.3g} exceeds grid "
                 f"xi_max {grid.xi_max(h):.3g} (aliasing)")
     return DiscreteOperator("split", h, grid, mult_x=mult_x, mult_xi=mult_xi, parts=(f, g))
 
@@ -530,13 +531,6 @@ class CoherentFrame:
 
     def cell_area(self) -> float:
         return self.spacing * self.spacing
-
-    def state(self, grid: Grid1D, x0: float, xi0: float) -> np.ndarray:
-        """The coherent state sampled on the grid, l2-normalized weights."""
-        x = grid.nodes
-        psi = (np.pi * self.h) ** (-0.25) * np.exp(
-            -((x - x0) ** 2) / (2.0 * self.h) + 1j * xi0 * x / self.h)
-        return psi * np.sqrt(grid.dx)
 
 
 def build_coherent_frame(grid: Grid1D, h: float, xi_span: tuple[float, float]) -> CoherentFrame:

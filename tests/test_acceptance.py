@@ -6,10 +6,13 @@ in the captured output of any failing test).  A failure here means a
 measurement missed its numeric target, not that the pipeline broke; the
 tolerances live in the scenario definitions and are not relaxed here.
 Each run also spies on ``isolated_critical_point``: only a scenario that
-claims a law at a critical point may call the hypothesis gate.
+claims a law at a critical point may call the hypothesis gate.  Each
+verdict is compared with its golden file, ``tests/data/verdicts/NAME.json``,
+under the contract of ``golden.moved``.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -17,6 +20,8 @@ import semiclab.experiments
 import semiclab.scenarios
 from semiclab.model import isolated_critical_point
 from semiclab.scenarios import run_scenario
+
+from golden import ABS_FLOOR, REL_TOL, assert_matches, moved
 
 
 def _short(v):
@@ -49,6 +54,8 @@ def _run(name, monkeypatch):
              for c in report.checks]
     line = f"[{status}] {name} | " + " | ".join(parts)
     print(line)
+    # the verdict as `semiclab scenario run` writes it, then read back
+    assert_matches(json.loads(json.dumps(dataclasses.asdict(report))), f"verdicts/{name}.json")
     return report, line
 
 
@@ -106,3 +113,17 @@ def test_two_wells_split_is_reported(monkeypatch):
     assert not report.gating
     assert report.passed, line
     assert report.data["rows"], line
+
+
+def test_golden_comparator_applies_the_contract():
+    golden = {"checks": [{"passed": True, "value": 0.5}], "counts": [11.0], "gap": 1e-15,
+              "n": 3, "name": "a"}
+    same = {"checks": [{"passed": True, "value": 0.5 * (1 + 0.5 * REL_TOL)}], "counts": [11.0],
+            "gap": 1e-15 + 0.5 * ABS_FLOOR, "n": 3, "name": "a"}
+    assert moved(same, golden) == []
+    off = {"checks": [{"passed": 1, "value": 0.5 * (1 + 2 * REL_TOL)}],
+           "counts": [11.0 + 1e-12], "gap": 2 * ABS_FLOOR, "name": "b", "extra": None}
+    assert [line.split(":")[0] for line in moved(off, golden)] == [
+        "$.checks[0].passed", "$.checks[0].value", "$.counts[0]", "$.extra", "$.gap",
+        "$.n", "$.name"]
+    assert "relative change 2e-10" in moved(off, golden)[1]

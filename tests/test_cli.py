@@ -23,6 +23,8 @@ from semiclab.cli import OPTIONS, _parse_bool, _resolve, build_parser, main
 from semiclab.experiments import ScanResult, ScanRow, scan_from_csv, scan_to_csv
 from semiclab.scenarios import SCENARIOS, Check, _report
 
+from golden import RESIDUAL_NOISE, assert_matches, scan_table
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -89,11 +91,19 @@ class TestExitCodes:
         assert code == 4
         assert "harmonic-weyl" in err
 
-    def test_critical_energy_refused_without_flag(self, capsys):
-        code, _, _ = run_cli(capsys, [
-            "liouville", "--model", "quad-max", "--obs", "1",
-            "--energy", "0.0"])
-        assert code == 4
+    def test_critical_energy_refused_without_flag(self, capsys, tmp_path):
+        # a potential model refuses at its degenerate turning point, a phase
+        # model at its critical point; both name a flag the parser takes
+        conf = tmp_path / "opts.conf"
+        conf.write_text("allow_critical=true\n")
+        for model in ("quad-max", "pseudo-k3"):
+            argv = ["liouville", "--model", model, "--obs", "1", "--energy", "0.0"]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 4 and out == ""
+            assert "pass --allow-critical (config key and argument allow_critical)" in err
+            for source in (["--allow-critical"], ["--config", str(conf)]):
+                code, out, _ = run_cli(capsys, [*argv, *source])
+                assert code == 0 and json.loads(out)["divergent"] is True
 
     @pytest.mark.parametrize("command", [
         ["scan", "--h-from", "0.1", "--h-to", "0.05", "--h-steps", "2"],
@@ -598,7 +608,8 @@ class TestScanFit:
     def test_blas_thread_setting_leaves_the_bytes_unchanged(self):
         # README's contract: semiclab.eig runs every OpenBLAS on one thread,
         # so the whole output, echo and residual_max included, is the same
-        # whatever OPENBLAS_NUM_THREADS says
+        # whatever OPENBLAS_NUM_THREADS says; the scan also matches its
+        # golden file, residual_max within rounding noise across BLAS builds
         src = str(pathlib.Path(semiclab.__file__).resolve().parents[1])
         argv = [sys.executable, "-m", "semiclab.cli", "scan", "--model", "quad-max",
                 "--h-from", "0.01", "--h-to", "0.001", "--h-steps", "3",
@@ -612,6 +623,8 @@ class TestScanFit:
         assert [child.returncode for child in children] == [0, 0]
         assert len(list(csv.DictReader(l for l in outs[0].splitlines() if not l.startswith("#")))) == 3
         assert outs[0] == outs[1]
+        assert_matches(scan_table(outs[0]), "scans/quad-max.csv",
+                       {"residual_max": (0.0, RESIDUAL_NOISE)})
 
     def test_fit_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["fit", "--in", "/no/such/file.csv"])

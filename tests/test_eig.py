@@ -8,7 +8,6 @@ import pytest
 import semiclab.eig
 from semiclab.eig import (
     _band_inertia,
-    count_in_window,
     eigs_in_window,
     radial_channels,
     sturm_count,
@@ -49,12 +48,15 @@ class TestSturm:
                 assert sturm_count(d, e, float(x)) == int(np.sum(ev < x))
 
     def test_closed_window_count(self):
-        d = np.array([1.0, 2.0, 3.0, 4.0])
-        e = np.zeros(3)
-        assert count_in_window(d, e, 1.0, 4.0) == 4
-        assert count_in_window(d, e, 1.5, 4.0) == 3
-        assert count_in_window(d, e, 2.0, 3.0) == 2
-        assert count_in_window(d, e, 2.1, 2.9) == 0
+        # levels on a window edge are in the window, on both routes; the
+        # levels 1, 2, 3, 4 and 12 more above them fill a 16-row grid
+        d = np.arange(1.0, 17.0)
+        op = DiscreteOperator("tridiagonal", 1.0, Grid1D(0.0, 1.0, d.size, "dirichlet"),
+                              diag=d, offdiag=np.zeros(d.size - 1))
+        for lo, hi, count in ((1.0, 4.0, 4), (1.5, 4.0, 3), (2.0, 3.0, 2), (2.1, 2.9, 0)):
+            for values in (True, False):
+                win = eigs_in_window(op, lo, hi, vectors=False, values=values)
+                assert win.count == win.count_check == count
 
     def test_batched_queries(self):
         d = np.array([0.0, 1.0, 2.0])
@@ -70,26 +72,42 @@ def random_tridiagonal(rng, n, zero_share=0.0):
     return d, e
 
 
+def sturm_rows(a, b2, x):
+    """The pivot recurrence row by row on Python floats: the oracle of the
+    chunked count."""
+    d, e2 = a.tolist(), b2.tolist()
+    pivmin = 1e-290 * max(1.0, float(b2.max()) if b2.size else 0.0)
+    out = np.empty(x.size, dtype=int)
+    for j, s in enumerate(x.tolist()):
+        q = d[0] - s
+        if abs(q) < pivmin:
+            q = -pivmin
+        count = 1 if q < 0.0 else 0
+        for i in range(1, len(d)):
+            q = d[i] - s - e2[i - 1] / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            if q < 0.0:
+                count += 1
+        out[j] = count
+    return out
+
+
 def dense_counts(d, e, shifts):
     ev = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
     return [int(np.sum(ev < x)) for x in shifts]
 
 
 class TestChunkedSturm:
-    """The chunked recurrence, forced onto small matrices, against eigvalsh
-    and against the row-by-row recurrence it replaces above the cutoff."""
-
-    @pytest.fixture(autouse=True)
-    def chunked(self, monkeypatch):
-        monkeypatch.setattr(semiclab.eig, "STURM_SCALAR_ROWS", 0)
+    """The chunked recurrence against eigvalsh and against the row-by-row
+    recurrence, ``sturm_rows``."""
 
     @staticmethod
     def check(d, e, shifts, expected=None):
         got = sturm_count(d, e, shifts).tolist()
         assert got == (dense_counts(d, e, shifts) if expected is None else expected)
-        assert got == semiclab.eig._sturm_scalar(
-            np.asarray(d, float), np.square(np.asarray(e, float)),
-            np.asarray(shifts, float)).tolist()
+        assert got == sturm_rows(np.asarray(d, float), np.square(np.asarray(e, float)),
+                                 np.asarray(shifts, float)).tolist()
 
     # 1 and 2 rows: one chunk, mostly padding; 97 and 1001 rows: the last
     # chunk is partial
@@ -139,7 +157,7 @@ class TestChunkedSturm:
             rng = np.random.default_rng(seed)
             d, e = random_tridiagonal(rng, 100)
             shifts = np.concatenate([d[[0, 50, 99]], rng.standard_normal(3) * 30.0])
-            expected = semiclab.eig._sturm_scalar(d, np.square(e), shifts).tolist()
+            expected = sturm_rows(d, np.square(e), shifts).tolist()
             self.check(d * scale, e * scale, shifts * scale, expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 97, 1001, 5000, 20001])
@@ -159,7 +177,7 @@ class TestChunkedSturm:
                 shifts[1::2] = d[rng.integers(0, n, shifts[1::2].size)]
                 shifts[-1] = shifts[0]
                 got = sturm_count(d, e, shifts).tolist()
-                assert got == semiclab.eig._sturm_scalar(d, np.square(e), shifts).tolist()
+                assert got == sturm_rows(d, np.square(e), shifts).tolist()
                 if n <= 1001:
                     # a level exactly on a shift may count as below it
                     assert all(np.sum(ev < x) <= k <= np.sum(ev <= x)
@@ -189,20 +207,6 @@ class TestChunkedSturm:
     def test_scalar_in_int_out(self):
         out = sturm_count(np.array([0.0, 1.0, 2.0]), np.array([1e-3, 1e-3]), 1.5)
         assert isinstance(out, int) and out == 2
-
-    def test_long_matrix_takes_the_chunked_route(self, monkeypatch):
-        monkeypatch.undo()
-        calls = []
-        chunked = semiclab.eig._sturm_chunked
-        monkeypatch.setattr(semiclab.eig, "_sturm_chunked",
-                            lambda *a: calls.append(1) or chunked(*a))
-        rng = np.random.default_rng(17)
-        d, e = random_tridiagonal(rng, semiclab.eig.STURM_SCALAR_ROWS + 3)
-        shifts = [-20.0, 0.0, 35.0]
-        a, b2 = np.asarray(d), np.square(e)
-        assert sturm_count(d, e, shifts).tolist() == semiclab.eig._sturm_scalar(
-            a, b2, np.asarray(shifts)).tolist()
-        assert calls
 
 
 def to_band(m, k):
@@ -525,6 +529,38 @@ def window_decisions(win):
     return win.count, win.count_check, win.edge_flags.tolist()
 
 
+def windows_with_a_level_on(threshold):
+    """Windows [lo, lo + 0.5] of the oscillator in its eigenbasis whose
+    threshold number ``threshold`` sits one ulp below, exactly on and one
+    ulp above the level 7h.
+
+    The levels (2j+1)h are the exact eigenvalues of a decoupled tridiagonal
+    matrix, so a level can sit exactly on a threshold (a finite-difference
+    level is known only to O(eps * ||H||), which is many ulps).  The
+    thresholds are the six of ``eigs_in_window``: lo - eps_keep,
+    hi + eps_keep, then lo and hi each -+ edge_tol.
+    """
+    h, width = 0.05, 0.5
+    diag = h * (2 * np.arange(40) + 1.0)
+    op = DiscreteOperator("tridiagonal", h, Grid1D(0.0, 1.0, diag.size, "dirichlet"),
+                          diag=diag, offdiag=np.zeros(diag.size - 1))
+    level = diag[3]
+    # the operator scale max|diag| + 2 max|offdiag|, above 1 here
+    eps_keep = 1e-12 * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(op.offdiag)))
+
+    def at(lo):
+        hi = lo + width
+        edge_tol = semiclab.eig.EDGE_FRACTION * (hi - lo)
+        return (lo - eps_keep, hi + eps_keep, lo - edge_tol, lo + edge_tol,
+                hi - edge_tol, hi + edge_tol)[threshold]
+
+    guess = level - (at(level) - level)
+    for target in (np.nextafter(level, 0.0), level, np.nextafter(level, 1.0)):
+        lo = guess + (target - level)
+        lo = next(x for x in lo + np.spacing(lo) * np.arange(-64, 65) if at(x) == target)
+        yield op, lo, lo + width
+
+
 class TestCountOnly:
     """values=False windows decide from eigenvalue counts alone."""
 
@@ -558,7 +594,7 @@ class TestCountOnly:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(semiclab.eig, name, spy)
         op = harmonic_op(0.01)
-        assert op.size > semiclab.eig.STURM_SCALAR_ROWS
+        assert op.size == 9225
         win = eigs_in_window(op, 0.9, 1.1, vectors=False, values=False)
         assert win.count == win.count_check == 10
         assert sorted(calls) == ["_stebz_count", "sturm_count"]
@@ -569,32 +605,19 @@ class TestCountOnly:
 
     @pytest.mark.parametrize("threshold", range(6))
     def test_level_on_a_threshold(self, threshold):
-        # the oscillator in its eigenbasis: levels (2j+1)h are the exact
-        # eigenvalues of a decoupled tridiagonal matrix, so the level 7h can
-        # sit exactly on a threshold (a finite-difference level is known only
-        # to O(eps * ||H||), which is many ulps)
-        h, width = 0.05, 0.5
-        diag = h * (2 * np.arange(40) + 1.0)
-        op = DiscreteOperator("tridiagonal", h, Grid1D(0.0, 1.0, diag.size, "dirichlet"),
-                              diag=diag, offdiag=np.zeros(diag.size - 1))
-        level = diag[3]
-        # the operator scale max|diag| + 2 max|offdiag|, above 1 here
-        eps_keep = 1e-12 * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(op.offdiag)))
-
-        def at(lo):
-            # the six thresholds of [lo, lo + width], as eigs_in_window makes them
-            hi = lo + width
-            edge_tol = semiclab.eig.EDGE_FRACTION * (hi - lo)
-            return (lo - eps_keep, hi + eps_keep, lo - edge_tol, lo + edge_tol,
-                    hi - edge_tol, hi + edge_tol)[threshold]
-
-        guess = level - (at(level) - level)
-        for target in (np.nextafter(level, 0.0), level, np.nextafter(level, 1.0)):
-            lo = guess + (target - level)
-            lo = next(x for x in lo + np.spacing(lo) * np.arange(-64, 65) if at(x) == target)
-            full = eigs_in_window(op, lo, lo + width, vectors=False)
-            counted = eigs_in_window(op, lo, lo + width, vectors=False, values=False)
+        for op, lo, hi in windows_with_a_level_on(threshold):
+            full = eigs_in_window(op, lo, hi, vectors=False)
+            counted = eigs_in_window(op, lo, hi, vectors=False, values=False)
             assert window_decisions(counted) == window_decisions(full)
+
+    @pytest.mark.parametrize("threshold", [0, 1])
+    def test_level_on_a_kept_range_end_is_certified(self, threshold):
+        # every certificate counts the kept range [lo - eps_keep, hi + eps_keep],
+        # so a level on either end counts on both sides of the check
+        for op, lo, hi in windows_with_a_level_on(threshold):
+            for values in (True, False):
+                win = eigs_in_window(op, lo, hi, vectors=False, values=values)
+                assert win.count_check == win.count > 0
 
     @pytest.mark.parametrize("h", [0.05, 0.01])
     def test_radial_channels_decide_alike(self, h):

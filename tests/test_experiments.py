@@ -29,7 +29,7 @@ from semiclab.experiments import (
     solve_window,
     two_wells_experiment,
 )
-from semiclab.model import PhasePolynomial, SymbolModel, get_model
+from semiclab.model import PhasePolynomial, Polynomial1D, SymbolModel, get_model
 from semiclab.observables import parse_observable
 from semiclab.quantize import Grid1D
 
@@ -211,6 +211,17 @@ class TestSolveWindow:
             solve_window(mixed, 0.05, 1.0)
         (row,) = run_scan(mixed, h_values=[0.05], e_center=1.0).rows
         assert "mixed" in row.error
+
+    def test_allowed_set_past_the_search_edge_is_refused(self):
+        # the wells of -x^2 + 0.001 x^4 run out to |x| = 31.5 at the box
+        # energy -9, past the search edge 12: the grid once boxed the barrier
+        # between the innermost turning points and counted 2 states there
+        wide = SymbolModel("wide", "schrodinger1d", potential=Polynomial1D((0, 0, -1, 0, 0.001)))
+        with pytest.raises(NumericalError, match="search edge"):
+            solve_window(wide, 0.02, -10.0)
+        rows = run_scan(wide, [0.02, 0.01, 0.005], e_center=-10.0).rows
+        assert len(rows) == 3
+        assert all("search edge" in row.error and math.isnan(row.upsilon) for row in rows)
 
     @pytest.mark.parametrize("name", ["harmonic", "radial-deg"])
     @pytest.mark.parametrize("ppw", [0, -2])
